@@ -267,6 +267,11 @@ def _initial_data(cfg, params, grid, plan, km):
             raise ValueError(
                 f"field file grid ({meta['n']}, {meta['r_max']}) does not match "
                 f"config grid ({grid.n}, {grid.r_max})")
+        for key, saved, wanted in (("model.d", meta["d"], params.d),
+                                   ("model.a", meta["a"], params.a)):
+            if abs(saved - wanted) > 1e-12:
+                raise ValueError(f"field file {key} = {saved!r} does not match "
+                                 f"config {key} = {wanted!r}")
         return np.asarray(Q, dtype=complex), None
     gs = None
     if name in ("ground-state", "pseudo-conformal"):

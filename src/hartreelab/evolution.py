@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import Quantities, functionals
-from .hartree import KernelMatrix, potential
+from .hartree import KernelMatrix, potential, surface_area
 from .transform import (TransformPlan, radial_derivative, resample,
                         transform_forward, transform_inverse)
 
@@ -110,7 +110,7 @@ def virial(u: np.ndarray, plan: TransformPlan,
     exceeds `boundary_tol` (the truncated variance is then untrustworthy).
     """
     g = plan.grid
-    om = 2 * math.pi**(g.d / 2) / math.gamma(g.d / 2)
+    om = surface_area(g.d)
     f = np.abs(u)**2
     gamma = om * float(np.sum(g.w * g.r**2 * f))
     du = radial_derivative(plan, u)
@@ -255,7 +255,7 @@ def concentration(u: np.ndarray, lam: float, grid) -> float:
     fractionally (by the volume fraction (lam^d - lo^d)/(hi^d - lo^d))."""
     if lam <= 0:
         return 0.0
-    om = 2 * math.pi**(grid.d / 2) / math.gamma(grid.d / 2)
+    om = surface_area(grid.d)
     f = np.abs(u)**2
     if lam >= grid.r_max:
         return 0.5 * om * float(np.sum(grid.w * f))

@@ -14,10 +14,14 @@ product <u, v>_w = sum_j w_j conj(u_j) v_j.  Consequences, all exact to
 round-off rather than merely to quadrature accuracy:
 
   - round trip inverse(forward(u)) = u,
-  - Parseval: sum_m |c_m|^2 = sum_j w_j |u_j|^2 (mode norms are exactly 1),
+  - Parseval: sum_m |c_m|^2 = sum_j w_j |u_j|^2,
   - L_a is self-adjoint and positive (eigenvalues exactly k_m^2 > 0),
   - the evolution's linear flow c_m -> e^{i k_m^2 t} c_m is unitary, so it
     conserves the discrete mass and the discrete H per step.
+
+All plan matrices are real.  They act on a complex field as one real
+two-column product on its (re, im) pairs, never by upcasting the n x n
+matrix to complex; real fields take the plain real product.
 
 apply_La keeps spectral accuracy: the orthonormalization correction acts at
 the quadrature-error level of mode products and vanishes under grid
@@ -71,7 +75,6 @@ class TransformPlan:
     B: np.ndarray              # collocation matrix J_nu(k_m r_j)
     Binv: np.ndarray           # its inverse (derivative/resample helpers)
     ralpha: np.ndarray         # r^{(d-2)/2} gauge factor
-    mode_norms: np.ndarray     # Parseval weights of the modes (exactly 1)
     Psi: np.ndarray            # orthonormal mode samples psi_m(r_j), n x n
     PsiTw: np.ndarray          # Psi^T diag(w_metric): the forward transform
     metric_clipped: bool       # True if a non-positive weight was clipped
@@ -99,8 +102,8 @@ def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
     Psi = solve_triangular(R_chol, F.T, trans='T', lower=False).T
     PsiTw = Psi.T * w[None, :]
     return TransformPlan(params=params, grid=grid, k=k, B=B, Binv=Binv,
-                         ralpha=ralpha, mode_norms=np.ones(grid.n), Psi=Psi,
-                         PsiTw=PsiTw, metric_clipped=clipped)
+                         ralpha=ralpha, Psi=Psi, PsiTw=PsiTw,
+                         metric_clipped=clipped)
 
 
 def _check(plan: TransformPlan, v: np.ndarray) -> np.ndarray:
@@ -110,19 +113,29 @@ def _check(plan: TransformPlan, v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for a real matrix A.  A complex v is viewed, without a copy, as
+    an (n, 2) real array of (re, im) pairs, so one real product replaces the
+    complex upcast of A."""
+    if not np.iscomplexobj(v):
+        return A @ v
+    v = np.ascontiguousarray(v, dtype=np.complex128)
+    return (A @ v.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
+
+
 def transform_forward(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
     """Samples -> spectral coefficients c_m (adjoint of the orthonormal modes)."""
-    return plan.PsiTw @ _check(plan, u)
+    return _matvec(plan.PsiTw, _check(plan, u))
 
 
 def transform_inverse(plan: TransformPlan, c: np.ndarray) -> np.ndarray:
     """Spectral coefficients -> samples."""
-    return plan.Psi @ _check(plan, c)
+    return _matvec(plan.Psi, _check(plan, c))
 
 
 def apply_la(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
     """L_a u = inverse(k^2 * forward(u)); exactly self-adjoint and positive."""
-    return plan.Psi @ (plan.k**2 * (plan.PsiTw @ _check(plan, u)))
+    return _matvec(plan.Psi, plan.k**2 * _matvec(plan.PsiTw, _check(plan, u)))
 
 
 def la_matrix(plan: TransformPlan) -> np.ndarray:
@@ -136,19 +149,21 @@ def radial_derivative(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
     """Spectral d/dr of a field: differentiates the Bessel series term-by-term.
 
     d/dr [J_nu(k r) r^{-alpha}] = k J_nu'(k r) r^{-alpha} - alpha J_nu(k r) r^{-alpha-1}
-    with J_nu' = (J_{nu-1} - J_{nu+1})/2.  Uses the collocation coefficients,
-    which track pointwise values most accurately.
+    with J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x), reusing J_nu = B; the
+    positive order nu+1 costs scipy less than nu-1 (negative for nu < 1).
+    Uses the collocation coefficients, which track pointwise values most
+    accurately.
     """
     if plan._deriv_matrix is None:
         nu, r, k = plan.params.nu, plan.grid.r, plan.k
         kr = k[None, :] * r[:, None]
-        Jp = 0.5 * (special.jv(nu - 1, kr) - special.jv(nu + 1, kr))
+        Jp = (nu / kr) * plan.B - special.jv(nu + 1, kr)
         alpha = (plan.params.d - 2) / 2
         A2 = (k[None, :] * Jp) / plan.ralpha[:, None] \
             - alpha * plan.B / (plan.ralpha * r)[:, None]
         plan._deriv_matrix = A2 @ plan.Binv
     # the matrix acts on the gauge samples ralpha*u
-    return plan._deriv_matrix @ (plan.ralpha * _check(plan, u))
+    return _matvec(plan._deriv_matrix, plan.ralpha * _check(plan, u))
 
 
 def resample(plan: TransformPlan, u: np.ndarray, nu_s: float) -> np.ndarray:
@@ -159,8 +174,8 @@ def resample(plan: TransformPlan, u: np.ndarray, nu_s: float) -> np.ndarray:
     """
     if nu_s == 1.0:
         return np.array(u, copy=True)
-    c = plan.Binv @ (plan.ralpha * _check(plan, u))
+    c = _matvec(plan.Binv, plan.ralpha * _check(plan, u))
     rr = nu_s * plan.grid.r
     B2 = special.jv(plan.params.nu, plan.k[None, :] * rr[:, None])
     alpha = (plan.params.d - 2) / 2
-    return (B2 @ c) / rr**alpha
+    return _matvec(B2, c) / rr**alpha

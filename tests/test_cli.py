@@ -172,3 +172,17 @@ def test_file_profile_round_trip(tmp_path):
     summary = run_scenario(cfg2, out_ev)
     assert summary["pass"], summary
     assert summary["mass_drift"] < 1e-10
+
+
+def test_file_profile_model_mismatch(tmp_path):
+    # [TRIVIAL] a field file saved for another coupling a is rejected
+    out_gs = str(tmp_path / "gs")
+    assert run_scenario(parse_config(FAST_GRID + FAST_GS), out_gs)["pass"]
+    field = os.path.join(out_gs, "ground_state.txt")
+    cfg = parse_config(FAST_GRID + "scenario = evolve\ninit.profile = file\n"
+                       f"init.file = {field}\nmodel.a = -0.2\n"
+                       "integrator.dt = 1e-3\nintegrator.t_end = 0.02\n")
+    summary = run_scenario(cfg, str(tmp_path / "ev"))
+    assert summary["pass"] is False
+    assert summary["error"]["type"] == "ValueError"
+    assert "model.a" in summary["error"]["message"]
