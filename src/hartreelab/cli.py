@@ -35,8 +35,9 @@ import numpy as np
 from .evolution import (FitRejected, IntegratorConfig, concentration, evolve,
                         fit_blowup, rotated_energy_check)
 from .functionals import functionals, hardy_ratio, rearrange_decreasing
-from .ground_state import (GroundStateOptions, gn_audit, load_ground_state,
-                           solve_ground_state, save_ground_state)
+from .ground_state import (GroundStateError, GroundStateOptions, gn_audit,
+                           load_ground_state, solve_ground_state,
+                           save_ground_state)
 from .grid import build_grid
 from .hartree import build_kernel, lv_value
 from .params import make_params
@@ -61,7 +62,6 @@ SCHEMA = {
     "model.a": (float, -0.1),
     "grid.n": (int, 256),
     "grid.r_max": (float, 12.0),
-    "grid.stretch": (float, 1.0),
     "integrator.dt": (float, 1e-3),
     "integrator.t_end": (float, 1.0),
     "integrator.scheme": (str, "strang-split"),
@@ -184,8 +184,6 @@ def parse_config(text: str, overrides=None) -> RunConfig:
         errors.append(f"key grid.n: must be >= 16, got {values['grid.n']}")
     if values.get("grid.r_max", 1.0) <= 0:
         errors.append(f"key grid.r_max: must be positive, got {values['grid.r_max']}")
-    if values.get("grid.stretch") != 1.0:
-        errors.append("key grid.stretch: only 1.0 (uniform) is supported")
     check("integrator.dt", lambda: IntegratorConfig(
         dt=values["integrator.dt"], t_end=values["integrator.t_end"],
         scheme=values["integrator.scheme"],
@@ -545,6 +543,8 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None) -> dict:
     except Exception as exc:  # noqa: BLE001 - captured into the summary by contract
         summary["error"] = {"type": type(exc).__name__, "message": str(exc),
                             "traceback": traceback.format_exc()}
+        if isinstance(exc, GroundStateError):
+            summary["error"]["trace"] = exc.trace
         summary["pass"] = False
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

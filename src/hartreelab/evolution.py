@@ -44,8 +44,13 @@ class IntegratorConfig:
     store_fields: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"t_end must be non-negative and finite, got {self.t_end!r}")
+        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * abs(self.t_end):
+            raise ValueError(f"t_end = {self.t_end!r} is not a whole number of "
+                             f"steps dt = {self.dt!r}")
         if self.scheme not in ("strang-split", "midpoint-relaxation"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.output_stride < 1:

@@ -17,10 +17,6 @@ stencil: full-order one-sided stencils produce an oscillating (negative)
 weight near the boundary, and positive weights are required for the unitary
 time propagator.  The loss of order is confined to the last few cells, where
 fields vanish under the Dirichlet truncation.
-
-The `stretch` parameter is accepted for forward compatibility of configs but
-only stretch = 1.0 (uniform spacing) is supported: the product-integration
-Hartree kernel and the Fourier-Bessel transform both assume uniform cells.
 """
 
 from __future__ import annotations
@@ -52,13 +48,11 @@ class RadialGrid:
     cell_lam: np.ndarray = field(repr=False)
 
 
-def build_grid(d: int, n: int, r_max: float, stretch: float = 1.0) -> RadialGrid:
+def build_grid(d: int, n: int, r_max: float) -> RadialGrid:
     if n < 16:
         raise ValueError(f"grid size n must be >= 16, got {n}")
     if not (r_max > 0 and np.isfinite(r_max)):
         raise ValueError(f"r_max must be positive and finite, got {r_max}")
-    if stretch != 1.0:
-        raise ValueError("only stretch = 1.0 (uniform grid) is supported")
     if d < 3:
         raise ValueError(f"dimension d must be >= 3, got {d}")
 

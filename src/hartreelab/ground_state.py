@@ -3,13 +3,13 @@
 The solver minimizes the scale-invariant Weinstein quotient
 J(u) = M(u) H(u) / L_V(u) in three phases:
 
-1. Normalized gradient flow: preconditioned descent on E = H - L_V with the
-   iterate renormalized to M = H = 1 each step through the two-parameter
-   scaling freedom (mu amplitude, nu_s dilation; the dilation is applied by
-   spectral resampling).  Steps are accepted only if J decreases (adaptive
-   step, halved on increase), with projection of negative samples to zero.
-   If the flow stalls it falls back to plain J-descent (same line search,
-   no per-step renormalization).
+1. Preconditioned J-descent: steps along the scale-invariant J-gradient,
+   preconditioned by (k^2 + H/M)^{-1} and rescaled to the norm of the
+   iterate, accepted only if J decreases (adaptive step, halved on increase),
+   with projection of negative samples to zero.  The iterate is never
+   renormalized: the step is amplitude-equivariant (u -> c u maps every
+   iterate to c times itself), and phase 2 fixes the scale anyway.  A stalled
+   line search ends the descent.
 2. Newton polish: once the descent residual is small, the iterate is rescaled
    to the unit-coefficient Euler-Lagrange form and refined by a dense Newton
    iteration on F(u) = L_a u + u - Phi[u^2] u, which converges quadratically
@@ -29,7 +29,7 @@ J(u) = M(u) H(u) / L_V(u) in three phases:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,16 +98,6 @@ def el_residual(Q: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> float:
     return float(np.sqrt(np.sum(w * np.abs(F)**2) / np.sum(w * np.abs(Q)**2)))
 
 
-def _normalize_mh(plan, km, u, M, H):
-    """Rescale to M = H = 1 using the (mu, nu_s) scaling freedom."""
-    d = plan.params.d
-    nu_s = math.sqrt(M / H)          # makes H'/M' = 1
-    mu = math.sqrt(nu_s**d / M)      # then makes M' = 1
-    if abs(nu_s - 1.0) > 1e-13:
-        u = resample(plan, u, nu_s)
-    return mu * u
-
-
 def solve_ground_state(params: ModelParams, grid: RadialGrid,
                        plan: TransformPlan | None = None,
                        km: KernelMatrix | None = None,
@@ -125,50 +115,38 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     M, H, LV, Phi, Lau = _quantities(plan, km, u)
     if LV <= 0 or M <= 0:
         raise GroundStateError("initial guess has vanishing mass or L_V", trace)
+    M0 = M
     J = M * H / LV
     tau = opts.step0
     it = 0
-    normalized_flow = True
     for it in range(1, opts.max_iter + 1):
-        if normalized_flow:
-            u = _normalize_mh(plan, km, u, M, H)
-            M, H, LV, Phi, Lau = _quantities(plan, km, u)
-            J = M * H / LV
-        # scale-invariant J-gradient (equals the E-gradient direction plus
-        # Lagrange terms at the M = H = 1 normalization)
+        # scale-invariant J-gradient
         g = (H / LV) * u + (M / LV) * Lau - (M * H / LV**2) * Phi * u
         z = transform_inverse(plan, transform_forward(plan, g) / (plan.k**2 + H / M))
         zn = float(np.sqrt(np.sum(plan.grid.w * z**2)))
         un_norm = float(np.sqrt(np.sum(plan.grid.w * u**2)))
         if zn > 0:
             z *= un_norm / zn
-        accepted = False
         for _ in range(30):
             un = np.maximum(u - tau * z, 0.0)
             Mn, Hn, LVn, Phin, Laun = _quantities(plan, km, un)
-            if LVn > 0 and Mn > 0:
-                Jn = Mn * Hn / LVn
-                if Jn < J:
-                    accepted = True
-                    break
+            if LVn > 0 and Mn > 0 and Mn * Hn / LVn < J:
+                break
             tau *= 0.5
-        if not accepted:
-            if normalized_flow:
-                normalized_flow = False   # fall back to plain J-descent
-                tau = opts.step0
-                continue
-            break
-        u, M, H, LV, Phi, Lau, J = un, Mn, Hn, LVn, Phin, Laun, Jn
+        else:
+            break                         # line search stalled
+        u, M, H, LV, Phi, Lau = un, Mn, Hn, LVn, Phin, Laun
+        J = M * H / LV
         trace.append((it, J))
         tau = min(tau * 1.5, 1.0)
         alpha, beta = H / M, H / LV
-        res = apply_la(plan, u) + alpha * u - beta * Phi * u
+        res = Lau + alpha * u - beta * Phi * u
         resn = float(np.sqrt(np.sum(plan.grid.w * res**2) /
                              np.sum(plan.grid.w * u**2))) / alpha
         if resn < opts.descent_tol:
             break
 
-    if LV <= 0 or M <= 1e-12:
+    if LV <= 0 or M <= 1e-12 * M0:
         raise GroundStateError("descent collapsed to the zero field", trace)
 
     # Newton polish on the unit-coefficient Euler-Lagrange equation

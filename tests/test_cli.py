@@ -126,7 +126,8 @@ def test_error_captured_in_summary(tmp_path):
 
 
 def test_main_exit_codes(tmp_path, capsys):
-    # [TRIVIAL] 0 on pass, 2 on config error
+    # [TRIVIAL] 0 on pass, 2 on config error: a bad value, a removed key
+    # (grid.stretch), an end time that is not a whole number of steps
     out = str(tmp_path / "cli")
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(FAST_GRID + FAST_GS)
@@ -135,6 +136,11 @@ def test_main_exit_codes(tmp_path, capsys):
     assert json.loads(line)["pass"] is True
     assert main(["evolve", "--override", "model.a=-9"]) == 2
     assert "model.a" in capsys.readouterr().err
+    assert main(["evolve", "--override", "grid.stretch=1.0"]) == 2
+    assert "grid.stretch" in capsys.readouterr().err
+    assert main(["evolve", "--override", "integrator.dt=3e-3",
+                 "--override", "integrator.t_end=0.01"]) == 2
+    assert "integrator.dt" in capsys.readouterr().err
 
 
 def test_sweep_scenario(tmp_path):
@@ -186,3 +192,16 @@ def test_file_profile_model_mismatch(tmp_path):
     assert summary["pass"] is False
     assert summary["error"]["type"] == "ValueError"
     assert "model.a" in summary["error"]["message"]
+
+
+def test_ground_state_failure_keeps_trace(tmp_path):
+    # [TRIVIAL] a failed solve keeps its (iteration, J) trace in summary.json
+    cfg = parse_config(FAST_GRID + "ground_state.residual_tol = 1e-15\n"
+                       "ground_state.newton_iters = 1\nground_state.max_iter = 3\n")
+    out = str(tmp_path / "gs")
+    summary = run_scenario(cfg, out)
+    assert summary["pass"] is False
+    assert summary["error"]["type"] == "GroundStateError"
+    with open(os.path.join(out, "summary.json")) as fh:
+        trace = json.load(fh)["error"]["trace"]
+    assert trace and all(len(entry) == 2 for entry in trace)

@@ -196,8 +196,14 @@ def test_rotated_energy_identity_complex(ctx3, gs3):
 
 
 def test_bad_scheme_and_config():
-    # [TRIVIAL] config validation
-    with pytest.raises(ValueError):
-        IntegratorConfig(dt=-1e-3, t_end=1.0)
+    # [TRIVIAL] config validation; evolve runs round(t_end/dt) steps, so an
+    # end time that is not a whole number of steps is rejected, not moved
+    for dt in (-1e-3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt"):
+            IntegratorConfig(dt=dt, t_end=1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=1e-3, t_end=1.0, scheme="euler")
+    for dt, t_end in ((3e-3, 0.01), (1e-3, -1.0), (1e-3, math.inf)):
+        with pytest.raises(ValueError, match="t_end"):
+            IntegratorConfig(dt=dt, t_end=t_end)
+    IntegratorConfig(dt=2e-4, t_end=1.0 - 0.8)     # round-off is tolerated

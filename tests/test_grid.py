@@ -73,5 +73,3 @@ def test_degenerate_parameters_rejected():
         build_grid(3, 64, -1.0)
     with pytest.raises(ValueError):
         build_grid(2, 64, 10.0)
-    with pytest.raises(ValueError):
-        build_grid(3, 64, 10.0, stretch=1.5)

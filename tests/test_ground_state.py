@@ -3,7 +3,9 @@ import pytest
 
 from hartreelab import (el_residual, functionals, gn_audit, load_ground_state,
                         rescale, save_ground_state, solve_ground_state)
-from hartreelab.ground_state import GroundStateError, GroundStateOptions
+from hartreelab.ground_state import (GroundStateError, GroundStateOptions,
+                                     initial_guess)
+from hartreelab.transform import resample
 
 from conftest import random_fields
 
@@ -104,3 +106,28 @@ def test_bad_inputs(ctx3):
                            GroundStateOptions(residual_tol=1e-15, newton_iters=1,
                                               max_iter=3))
     assert exc.value.trace    # the trace rides on the error
+
+
+def test_two_dilations_per_solve(monkeypatch, ctx3):
+    # [TRIVIAL] the descent never dilates: resample runs only at the Newton
+    # entry and in the balanced Pohozaev rescale
+    calls = []
+
+    def counting(plan, u, nu_s):
+        calls.append(nu_s)
+        return resample(plan, u, nu_s)
+
+    monkeypatch.setattr("hartreelab.ground_state.resample", counting)
+    solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
+                       GroundStateOptions(residual_tol=1e-4))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("c", [1e-7, 1e5])
+def test_amplitude_of_guess_is_irrelevant(ctx3, gs3, c):
+    # [DERIVED] the descent is amplitude-equivariant and the collapse test is
+    # relative to the initial mass, so a scaled guess reaches the same M_gs
+    init = c * initial_guess(ctx3.params, ctx3.grid, "gaussian")
+    res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
+                             GroundStateOptions(residual_tol=1e-4), init=init)
+    assert res.m_gs == pytest.approx(gs3.m_gs, rel=1e-12)
