@@ -170,11 +170,12 @@ def parse_config(text: str, overrides=None) -> RunConfig:
             values[key] = default
 
     def check(key, builder):
-        if key in values:
-            try:
-                builder()
-            except (ValueError, TypeError) as exc:
-                errors.append(f"key {key}: {exc}")
+        try:
+            builder()
+        except KeyError:
+            pass            # a value it needs did not parse; reported above
+        except (ValueError, TypeError) as exc:
+            errors.append(f"key {key}: {exc}")
 
     if values.get("scenario") not in SCENARIOS:
         errors.append(f"key scenario: must be one of {SCENARIOS}, "
@@ -182,14 +183,16 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     check("model.a", lambda: make_params(values["model.d"], values["model.a"]))
     if values.get("grid.n", 16) < 16:
         errors.append(f"key grid.n: must be >= 16, got {values['grid.n']}")
-    if values.get("grid.r_max", 1.0) <= 0:
-        errors.append(f"key grid.r_max: must be positive, got {values['grid.r_max']}")
+    if not 0 < values.get("grid.r_max", 1.0) < math.inf:
+        errors.append(f"key grid.r_max: must be positive and finite, "
+                      f"got {values['grid.r_max']}")
     check("integrator.dt", lambda: IntegratorConfig(
         dt=values["integrator.dt"], t_end=values["integrator.t_end"],
         scheme=values["integrator.scheme"],
         output_stride=values["integrator.output_stride"],
         h_threshold=values["integrator.h_threshold"],
         min_scale_cells=values["integrator.min_scale_cells"]))
+    check("ground_state", lambda: _gs_options(values))
     if values.get("init.profile") not in PROFILE_NAMES + ("file",):
         errors.append(f"key init.profile: must be one of {PROFILE_NAMES + ('file',)}, "
                       f"got {values.get('init.profile')!r}")
@@ -204,6 +207,8 @@ def parse_config(text: str, overrides=None) -> RunConfig:
             errors.append("key sweep.values: sweep requires a non-empty value list")
         if values.get("sweep.scenario") not in SCENARIOS or values.get("sweep.scenario") == "sweep":
             errors.append("key sweep.scenario: must be a non-sweep scenario")
+        if values.get("sweep.workers", 1) < 1:
+            errors.append(f"key sweep.workers: must be >= 1, got {values['sweep.workers']}")
     if errors:
         raise ConfigError(errors)
     return RunConfig(values=values, raw=_resolved_raw(values))
@@ -237,7 +242,7 @@ def _build(cfg: RunConfig):
     return params, grid, plan, km
 
 
-def _gs_options(cfg: RunConfig) -> GroundStateOptions:
+def _gs_options(cfg) -> GroundStateOptions:
     return GroundStateOptions(
         step0=cfg["ground_state.step0"], max_iter=cfg["ground_state.max_iter"],
         descent_tol=cfg["ground_state.descent_tol"],

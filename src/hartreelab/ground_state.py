@@ -55,6 +55,18 @@ class GroundStateOptions:
     residual_tol: float = 1e-5   # final Euler-Lagrange residual demanded
     guess: str = "gaussian"      # "gaussian" | "sech", or pass init= explicitly
 
+    def __post_init__(self):
+        for name in ("step0", "descent_tol", "residual_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)!r}")
+        if self.max_iter < 0:      # 0 is a working setting: Newton from the guess
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter!r}")
+        if self.newton_iters < 1:
+            raise ValueError(f"newton_iters must be >= 1, got {self.newton_iters!r}")
+        if self.guess not in ("gaussian", "sech"):
+            raise ValueError(f"unknown initial guess kind {self.guess!r}")
+
 
 @dataclass
 class GroundStateResult:

@@ -14,11 +14,16 @@ integration: for each collocation radius r_i the s-integral over each grid
 cell is computed against the same 8-node sliding-stencil polynomial
 interpolation the quadrature weights use, with the kernel handled exactly:
 
-  d = 3: analytic moments of ln|t - b| (and of ln(t + b) when the combined
-         argument is small) on each cell near the singular structure,
-         Gauss-Legendre elsewhere.  The ln(r+s) part switches to
-         Gauss-Legendre once (r + s)/h is large, where the binomial
-         expansion of the analytic moments would lose precision.
+  d = 3: ln((r+s)/|r-s|) = ln(t + b2) - ln|t - b| on each cell, with t in
+         [-1/2, 1/2] the cell-local coordinate.  On the uniform midpoint
+         grid r_j = (j + 1/2) h the offsets of cell c seen from node r_i are
+         the exact integers b = i - c and b2 = i + c + 1 (h cancels), so
+         the build computes two moment tables once: ln|t - b| for
+         b = -(n-1)..n-1 and ln(t + b2) for b2 = 1..2n-1, each row of the
+         matrix being one slice-and-subtract of them.  Offsets within NEAR
+         of the singularity (b = -1, 0, 1 and b2 = 1) take the analytic
+         moments, the rest Gauss-Legendre, where the binomial expansion of
+         the analytic moments would lose precision.
   d = 4: the kernel is piecewise polynomial-weighted; the diagonal cell is
          split exactly at s = r, Gauss-Legendre everywhere (exact).
   d >= 5: fixed-order Gauss-Jacobi for A plus subdivided Gauss-Legendre on
@@ -61,14 +66,18 @@ from scipy import special
 from .grid import STENCIL, RadialGrid
 from .params import ModelParams
 
-#: cells within this many widths of the singular structure use exact moments
-NEAR = 6.0
+#: integer cell offsets |b| <= NEAR from the singularity use the analytic
+#: moments; farther out their binomial expansion cancels (3e-8 absolute
+#: error at |b| = 6) while 12-point Gauss-Legendre is exact to round-off
+NEAR = 1
 _GLQ = 12  # Gauss-Legendre points per regular cell
 _MMAX = STENCIL + 1  # moments t^0 .. t^{STENCIL} (the measure adds one degree)
 #: below this 2*rho the origin class is close enough to smooth that the
 #: stencil rule needs no subtraction (and the extraction basis degenerates)
 _RHO2_MIN = 0.05
 _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
+#: refined-panel breakpoints at 2^-1 .. 2^-30 of the panel length from an end
+_HALVINGS = 0.5**np.arange(1, 31)
 
 
 def surface_area(d: int) -> float:
@@ -87,15 +96,7 @@ def kernel(d: int, r: float, s: float) -> float:
     if r == s:
         raise ValueError("kernel is singular on the diagonal r == s; "
                          "use the cell-integrated matrix instead")
-    if d == 3:
-        return math.log((r + s) / abs(r - s)) / (2 * r * s)
-    if d == 4:
-        return 1.0 / max(r, s)**2
-    # d >= 5: Gauss-Jacobi quadrature of the Gegenbauer-weighted average
-    p = (d - 3) / 2
-    x, wx = special.roots_jacobi(96, p, p)
-    avg = np.sum(wx / (r * r + s * s - 2 * r * s * x))
-    return float(avg * surface_area(d - 1) / surface_area(d))
+    return float(_kernel_vals(d, r, np.array([s]))[0])
 
 
 @dataclass(frozen=True)
@@ -106,21 +107,21 @@ class KernelMatrix:
 
 
 def _ln_abs_moments(b: float) -> np.ndarray:
-    """I_m = int_{-1/2}^{1/2} t^m ln|t - b| dt, m = 0..MMAX-1, closed form."""
+    """I_m = int_{-1/2}^{1/2} t^m ln|t - b| dt, m = 0..MMAX-1, closed form
+    for integer b (so the singular point t = b is never a cell edge)."""
     out = np.zeros(_MMAX)
     for m in range(_MMAX):
         acc = 0.0
         for q in range(m + 1):
             cb = math.comb(m, q) * b**(m - q)
             for sgn, tau in ((1.0, 0.5 - b), (-1.0, -0.5 - b)):
-                if tau != 0.0:
-                    acc += sgn * cb * tau**(q + 1) * (math.log(abs(tau)) - 1.0 / (q + 1)) / (q + 1)
+                acc += sgn * cb * tau**(q + 1) * (math.log(abs(tau)) - 1.0 / (q + 1)) / (q + 1)
         out[m] = acc
     return out
 
 
 def _ln_pos_moments(beta: float) -> np.ndarray:
-    """I_m = int_{-1/2}^{1/2} t^m ln(t + beta) dt for beta > 1/2, closed form."""
+    """I_m = int_{-1/2}^{1/2} t^m ln(t + beta) dt for integer beta >= 1, closed form."""
     out = np.zeros(_MMAX)
     for m in range(_MMAX):
         acc = 0.0
@@ -150,32 +151,38 @@ def _stencil_inverses(grid: RadialGrid):
     return Vint_inv, Vb
 
 
+def _log_moment_tables(n: int):
+    """Cell moments of the two logarithms in ln((r+s)/|r-s|) on the midpoint grid.
+
+    T[b + n - 1] holds the moments of ln|t - b| for b = -(n-1)..n-1 and
+    P[b - 1] those of ln(t + b) for b = 1..2n-1: closed forms within NEAR of
+    the singularity, 12-point Gauss-Legendre elsewhere.
+    """
+    xg, wg = np.polynomial.legendre.leggauss(_GLQ)
+    tg = 0.5 * xg
+    G = 0.5 * wg[:, None] * tg[:, None]**np.arange(_MMAX)[None, :]
+    b = np.arange(-(n - 1), n)
+    T = np.log(np.abs(tg[None, :] - b[:, None])) @ G
+    for k in np.where(np.abs(b) <= NEAR)[0]:
+        T[k] = _ln_abs_moments(float(b[k]))
+    b2 = np.arange(1, 2 * n)
+    P = np.log(tg[None, :] + b2[:, None]) @ G
+    for k in np.where(b2 <= NEAR)[0]:
+        P[k] = _ln_pos_moments(float(b2[k]))
+    return T, P
+
+
 def _rows_d3(grid: RadialGrid) -> np.ndarray:
     n, r, h = grid.n, grid.r, grid.h
-    xg, wg = np.polynomial.legendre.leggauss(_GLQ)
-    tg, wgt = 0.5 * xg, 0.5 * wg
-    Tp = tg[None, :]**np.arange(_MMAX)[:, None]
+    T, P = _log_moment_tables(n)
     Vint_inv, Vb = _stencil_inverses(grid)
     half = STENCIL // 2
     Kw = np.zeros((n, n))
-    s_nodes = r[:, None] + tg[None, :] * h
     for i in range(n):
-        ri = r[i]
-        kv = np.log((ri + s_nodes) / np.abs(ri - s_nodes))
-        Lm = np.einsum('g,kg,cg->ck', wgt, Tp, kv)
-        b_all = (ri - r) / h
-        b2_all = (ri + r) / h
-        for c in np.where((np.abs(b_all) <= NEAR) | (b2_all <= NEAR))[0]:
-            b2 = b2_all[c]
-            if b2 <= NEAR:
-                Lpos = _ln_pos_moments(b2)
-            else:
-                kvp = np.log(b2 + tg)
-                Lpos = Tp @ (wgt * kvp)
-            Lm[c] = Lpos - _ln_abs_moments(b_all[c])
-        # full weight: t^k * s * (ln part) / (2 r_i), s = c0 + t h, measure s^2/s^2... :
-        # A s^2 = s (ln((r+s)/|r-s|)) / (2 r), so fold s = c0 + t h into the moments
-        mom = (h / (2 * ri)) * (r[:, None] * Lm[:, :STENCIL] + h * Lm[:, 1:STENCIL + 1])
+        # (r_i + s)/h = i + c + 1 + t and (r_i - s)/h = (i - c) - t on cell c
+        Lm = P[i:i + n] - T[i:i + n][::-1]
+        # A s^2 = s ln((r+s)/|r-s|) / (2 r): fold s = r_c + t h into the moments
+        mom = (h / (2 * r[i])) * (r[:, None] * Lm[:, :STENCIL] + h * Lm[:, 1:STENCIL + 1])
         lam = mom[half:n - half] @ Vint_inv.T
         for q in range(STENCIL):
             Kw[i, 1 + q:n - STENCIL + 1 + q] += lam[:, q]
@@ -235,24 +242,18 @@ def _rows_general(grid: RadialGrid, d: int) -> np.ndarray:
     return Kw
 
 
-def _refined_segments(a: float, b: float, left: bool, right: bool, nlev: int = 30):
+def _refined_segments(a: float, b: float, left: bool, right: bool):
     """Panels of [a, b] geometrically refined toward the marked endpoints."""
     L = b - a
-    bps = {a, b}
-    x = L
-    for _ in range(nlev):
-        x *= 0.5
-        if left:
-            bps.add(a + x)
-        if right:
-            bps.add(b - x)
-    bps = np.array(sorted(bps))
+    bps = np.sort(np.concatenate(([a, b], a + L * _HALVINGS if left else [],
+                                  b - L * _HALVINGS if right else [])))
     keep = np.diff(bps) > 1e-15 * L
     return bps[:-1][keep], bps[1:][keep]
 
 
 def _kernel_vals(d: int, ri: float, s: np.ndarray) -> np.ndarray:
-    """Vectorized sphere-average kernel A(ri, s) away from the diagonal."""
+    """Vectorized sphere-average kernel A(ri, s) away from the diagonal
+    (d >= 5: 96-node Gauss-Jacobi quadrature of the Gegenbauer average)."""
     if d == 3:
         return np.log((ri + s) / np.abs(ri - s)) / (2 * ri * s)
     if d == 4:

@@ -127,7 +127,8 @@ def test_error_captured_in_summary(tmp_path):
 
 def test_main_exit_codes(tmp_path, capsys):
     # [TRIVIAL] 0 on pass, 2 on config error: a bad value, a removed key
-    # (grid.stretch), an end time that is not a whole number of steps
+    # (grid.stretch), an end time that is not a whole number of steps, a
+    # non-finite radius, bad solver options, zero sweep workers
     out = str(tmp_path / "cli")
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(FAST_GRID + FAST_GS)
@@ -141,6 +142,20 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["evolve", "--override", "integrator.dt=3e-3",
                  "--override", "integrator.t_end=0.01"]) == 2
     assert "integrator.dt" in capsys.readouterr().err
+    # each is caught while parsing, before any build, solve or evolution
+    for scenario, override, named in (
+            ("evolve", "grid.r_max=nan", "grid.r_max"),
+            ("evolve", "grid.r_max=inf", "grid.r_max"),
+            ("ground-state", "ground_state.residual_tol=-1", "residual_tol"),
+            ("ground-state", "ground_state.max_iter=-1", "max_iter"),
+            ("ground-state", "ground_state.newton_iters=0", "newton_iters"),
+            ("ground-state", "ground_state.guess=bogus", "bogus"),
+            ("evolve", "model.d=x", "model.d")):
+        assert main([scenario, "--out", out, "--override", override]) == 2, override
+        assert named in capsys.readouterr().err, override
+    assert main(["sweep", "--out", out, "--override", "sweep.key=model.a",
+                 "--override", "sweep.values=-0.1", "--override", "sweep.workers=0"]) == 2
+    assert "sweep.workers" in capsys.readouterr().err
 
 
 def test_sweep_scenario(tmp_path):

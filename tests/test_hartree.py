@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from hartreelab import (build_grid, build_kernel, kernel, lv_value, make_params,
-                        potential)
+from hartreelab import (build_grid, build_kernel, hartree, kernel, lv_value,
+                        make_params, potential)
 from hartreelab.hartree import surface_area
 
 
@@ -133,3 +134,54 @@ def test_kernel_grid_convergence():
         vals.append(lv_value(km, u))
     assert abs(vals[1] - vals[2]) < abs(vals[0] - vals[2])
     assert vals[2] == pytest.approx(vals[1], rel=1e-6)
+
+
+def _cell_moments_quad(f, sing=None):
+    """int_{-1/2}^{1/2} t^m f(t) dt, m = 0..8, by adaptive quadrature."""
+    return np.array([integrate.quad(lambda t: t**m * f(t), -0.5, 0.5, points=sing,
+                                    epsabs=1e-13, epsrel=0, limit=200)[0]
+                     for m in range(hartree._MMAX)])
+
+
+def test_log_moment_tables_oracle():
+    # [DERIVED] every d = 3 table entry near the singularity (analytic and
+    # Gauss-Legendre alike) and at the far ends, against quadrature
+    n = 64
+    T, P = hartree._log_moment_tables(n)
+    for b in list(range(-8, 9)) + [-(n - 1), n - 1]:
+        ref = _cell_moments_quad(lambda t: math.log(abs(t - b)), [0.0] if b == 0 else None)
+        assert np.max(np.abs(T[b + n - 1] - ref)) < 1e-12, b
+    for b2 in list(range(1, 9)) + [2 * n - 1]:
+        ref = _cell_moments_quad(lambda t: math.log(t + b2))
+        assert np.max(np.abs(P[b2 - 1] - ref)) < 1e-12, b2
+
+
+def test_d3_table_moments_match_cell_quadrature():
+    # [DERIVED] translation invariance of the midpoint grid: the table entry
+    # P[i + c] - T[i - c + n - 1] is the moment of ln((r_i + s)/|r_i - s|)
+    # over cell c, s = r_c + t h, for near, far and boundary pairs (i, c)
+    n = 64
+    g = build_grid(3, n, 10.0)
+    T, P = hartree._log_moment_tables(n)
+    for i, c in ((0, 0), (3, 5), (20, 20), (20, 24), (40, 10), (63, 0), (63, 63)):
+        ri, rc, h = g.r[i], g.r[c], g.h
+        ref = _cell_moments_quad(lambda t: math.log((ri + rc + t * h) / abs(ri - rc - t * h)),
+                                 [(ri - rc) / h] if i == c else None)
+        assert np.max(np.abs(P[i + c] - T[i - c + n - 1] - ref)) < 1e-12, (i, c)
+
+
+def test_d3_build_takes_closed_forms_once_per_offset(monkeypatch):
+    # [TRIVIAL] the d = 3 build evaluates each analytic moment once per
+    # integer offset within NEAR: 2 NEAR + 1 of ln|t - b|, NEAR of ln(t + b)
+    calls = {"abs": 0, "pos": 0}
+
+    def counted(name, fn):
+        def wrapper(b):
+            calls[name] += 1
+            return fn(b)
+        return wrapper
+
+    monkeypatch.setattr(hartree, "_ln_abs_moments", counted("abs", hartree._ln_abs_moments))
+    monkeypatch.setattr(hartree, "_ln_pos_moments", counted("pos", hartree._ln_pos_moments))
+    build_kernel(build_grid(3, 64, 10.0))
+    assert calls == {"abs": 2 * hartree.NEAR + 1, "pos": hartree.NEAR}
