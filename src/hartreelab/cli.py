@@ -186,18 +186,16 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     if not 0 < values.get("grid.r_max", 1.0) < math.inf:
         errors.append(f"key grid.r_max: must be positive and finite, "
                       f"got {values['grid.r_max']}")
-    check("integrator.dt", lambda: IntegratorConfig(
-        dt=values["integrator.dt"], t_end=values["integrator.t_end"],
-        scheme=values["integrator.scheme"],
-        output_stride=values["integrator.output_stride"],
-        h_threshold=values["integrator.h_threshold"],
-        min_scale_cells=values["integrator.min_scale_cells"]))
+    check("integrator.dt", lambda: _integrator(values))
     check("ground_state", lambda: _gs_options(values))
     if values.get("init.profile") not in PROFILE_NAMES + ("file",):
         errors.append(f"key init.profile: must be one of {PROFILE_NAMES + ('file',)}, "
                       f"got {values.get('init.profile')!r}")
     if values.get("init.profile") == "file" and not os.path.exists(values.get("init.file", "")):
         errors.append(f"key init.file: file {values.get('init.file')!r} does not exist")
+    if not all(0 < lam < math.inf for lam in values.get("concentrate.lambdas", [])):
+        errors.append(f"key concentrate.lambdas: every radius must be positive "
+                      f"and finite, got {values['concentrate.lambdas']}")
     if values.get("verify.fields", 1) < 1:
         errors.append("key verify.fields: must be >= 1")
     if values.get("scenario") == "sweep":
@@ -251,7 +249,7 @@ def _gs_options(cfg) -> GroundStateOptions:
         guess=cfg["ground_state.guess"])
 
 
-def _integrator(cfg: RunConfig) -> IntegratorConfig:
+def _integrator(cfg) -> IntegratorConfig:
     return IntegratorConfig(
         dt=cfg["integrator.dt"], t_end=cfg["integrator.t_end"],
         scheme=cfg["integrator.scheme"],
@@ -315,8 +313,7 @@ def _export_trajectory(out_dir, cfg, traj, grid, lambdas=None, lam_of_t=None):
         row = [traj.times[i], q.M, q.H, q.E, q.L_V, traj.gamma[i], traj.gamma_prime[i]]
         for lam in lambdas:
             eff = lam * lam_of_t(traj.times[i]) if lam_of_t else lam
-            row.append(concentration(traj.fields[i], eff, grid)
-                       if traj.fields else math.nan)
+            row.append(concentration(traj.fields[i], eff, grid))
         row.append(traj.stop_reason if i == nsamp - 1 else "")
         rows.append(row)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
@@ -394,7 +391,7 @@ def _scenario_blowup(cfg, out_dir, want_concentration=False):
     except FitRejected as exc:
         summary["fit"] = {"rejected": str(exc)}
         checks["fit_accepted"] = False
-    if want_concentration and traj.fields:
+    if want_concentration:
         lams = cfg["concentrate.lambdas"]
         last = traj.fields[-1]
         t_last = traj.times[-1]

@@ -41,7 +41,6 @@ class IntegratorConfig:
     output_stride: int = 10
     h_threshold: float = np.inf       # stop when H exceeds this
     min_scale_cells: float = 4.0      # stop when 1/sqrt(H) < this many cells
-    store_fields: bool = True
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
@@ -72,7 +71,7 @@ class Trajectory:
     quantities: list = field(default_factory=list)   # Quantities per sample
     gamma: list = field(default_factory=list)
     gamma_prime: list = field(default_factory=list)
-    fields: list = field(default_factory=list)        # snapshots (optional)
+    fields: list = field(default_factory=list)        # snapshots per sample
     stop_reason: str = "completed"
     stop_time: float = 0.0
 
@@ -142,8 +141,7 @@ def evolve(u0: np.ndarray, cfg: IntegratorConfig, plan: TransformPlan,
         traj.quantities.append(q)
         traj.gamma.append(v.gamma)
         traj.gamma_prime.append(v.gamma_prime)
-        if cfg.store_fields:
-            traj.fields.append(ucur.copy())
+        traj.fields.append(ucur.copy())
         return q
 
     q = record(t, u)
@@ -257,7 +255,10 @@ def fit_blowup(traj: Trajectory, min_samples: int = 10):
 
 def concentration(u: np.ndarray, lam: float, grid) -> float:
     """(1/2) int_{|x| <= lam} |u|^2, with the cell containing lam counted
-    fractionally (by the volume fraction (lam^d - lo^d)/(hi^d - lo^d))."""
+    fractionally (by the volume fraction (lam^d - lo^d)/(hi^d - lo^d)).
+    A radius lam <= 0 encloses nothing; a NaN radius raises ValueError."""
+    if math.isnan(lam):
+        raise ValueError("concentration radius is NaN")
     if lam <= 0:
         return 0.0
     om = surface_area(grid.d)

@@ -5,22 +5,34 @@ interpolatory weights for integrals of the form
 
     int_0^{r_max} f(r) r^{d-1} dr  ~=  sum_j w_j f(r_j),
 
-i.e. the measure r^{d-1} dr is folded into the weights.  Each cell contributes
-weights obtained by fitting the cell moments of t^k r^{d-1} (computed with
-per-cell Gauss-Legendre, which keeps them exact in floating point) on an
-8-node sliding stencil.  The rule is exact for polynomials of degree <= 7 and
-accurate to ~1e-10 for the singular class r^{-2 rho} * smooth that ground
-states inhabit.
+i.e. the measure r^{d-1} dr is folded into the weights.  The rule is exact
+for polynomials of degree <= 7 and accurate to ~1e-10 for the singular class
+r^{-2 rho} * smooth that ground states inhabit.
 
-The outermost BOUNDARY_CELLS cells use a reduced BOUNDARY_STENCIL-node
-stencil: full-order one-sided stencils produce an oscillating (negative)
-weight near the boundary, and positive weights are required for the unitary
-time propagator.  The loss of order is confined to the last few cells, where
-fields vanish under the Dirichlet truncation.
+The grid owns the cell stencils.  On cell c, with s = r_c + t h and t in
+[-1/2, 1/2], node j sits at the exact integer offset t = j - c, so every
+stencil's Vandermonde matrix has small integer entries and there is one
+inverse per distinct stencil pattern (8 in all).  Cell moments int t^k g(s) ds
+of any weight g become node weights by that inverse, and `_spread` sums them
+over the cells; the quadrature weights and every row of the Hartree kernel
+matrix go through it.  Cells STENCIL//2 - 1 .. n - BOUNDARY_CELLS - 1 take the
+centred 8-node stencil; the first STENCIL//2 - 1 cells take the one-sided
+stencil on nodes 0..7.  The outermost BOUNDARY_CELLS cells take a reduced
+BOUNDARY_STENCIL-node stencil on the last nodes: full-order one-sided stencils
+produce an oscillating (negative) weight near the boundary, and positive
+weights are required for the unitary time propagator.  The loss of order is
+confined to the last few cells, where fields vanish under the Dirichlet
+truncation.
+
+The weight moments h^d int t^k (c + 1/2 + t)^{d-1} dt are polynomial in the
+integer c and are summed from their binomial expansion, whose terms are all
+non-negative (odd powers of t integrate to zero), so they carry only a few
+ulp of rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +52,38 @@ class RadialGrid:
     w_inv2: np.ndarray   # weights for int f r^{d-3} dr (the Hardy-term measure)
     edges: np.ndarray    # cell edges, shape (n+1,)
     h: float             # uniform cell width
-    # per-cell interpolatory decomposition (used by the Hartree kernel build):
-    # cell c spreads onto nodes stencil_start[c] .. stencil_start[c]+stencil_len[c]-1
-    # with weights cell_lam[c, :stencil_len[c]].
+    # cell c spreads its moments t^0..t^{STENCIL-1} onto nodes
+    # stencil_start[c] .. stencil_start[c] + STENCIL - 1 through the matrix
+    # stencil_inv[c] (a reduced stencil has zero rows and columns)
     stencil_start: np.ndarray = field(repr=False)
-    stencil_len: np.ndarray = field(repr=False)
-    cell_lam: np.ndarray = field(repr=False)
+    stencil_inv: np.ndarray = field(repr=False)
+
+
+def _centred(n: int) -> tuple[int, int]:
+    """Cells lo..hi-1 take the centred stencil, nodes c - lo .. c - lo + STENCIL - 1."""
+    lo = STENCIL // 2 - 1
+    return lo, n - max(BOUNDARY_CELLS, STENCIL - 1 - lo)
+
+
+def _spread(grid: RadialGrid, mom: np.ndarray, out: np.ndarray) -> None:
+    """Add to out the node weights of the cell moments mom[c, k] of t^k."""
+    lo, hi = _centred(grid.n)
+    # the centred cells share one inverse: one product and STENCIL shifted adds
+    lam = mom[lo:hi] @ grid.stencil_inv[lo].T
+    for q in range(STENCIL):
+        out[q:q + hi - lo] += lam[:, q]
+    for c in (*range(lo), *range(hi, grid.n)):
+        s0 = grid.stencil_start[c]
+        out[s0:s0 + STENCIL] += grid.stencil_inv[c] @ mom[c]
+
+
+def _power_moments(n: int, p: int) -> np.ndarray:
+    """int_{-1/2}^{1/2} t^k (c + 1/2 + t)^p dt for cells c < n, k < STENCIL."""
+    j = np.arange(p + 1)
+    q = j[:, None] + np.arange(STENCIL)
+    mu = np.where(q % 2 == 0, 0.5**q / (q + 1), 0.0)   # int t^q dt
+    coef = np.array([math.comb(p, k) for k in j])[:, None] * mu
+    return ((np.arange(n) + 0.5)[:, None] ** (p - j)) @ coef
 
 
 def build_grid(d: int, n: int, r_max: float) -> RadialGrid:
@@ -57,39 +95,25 @@ def build_grid(d: int, n: int, r_max: float) -> RadialGrid:
         raise ValueError(f"dimension d must be >= 3, got {d}")
 
     h = r_max / n
-    r = (np.arange(n) + 0.5) * h
-    edges = np.arange(n + 1) * h
+    cells = np.arange(n)
+    lo, _ = _centred(n)
+    start = np.clip(cells - lo, 0, n - STENCIL)
+    size = np.where(cells < n - BOUNDARY_CELLS, STENCIL, BOUNDARY_STENCIL)
+    patterns, which = np.unique(np.stack([start - cells, size], axis=1), axis=0,
+                                return_inverse=True)
+    inv = np.zeros((len(patterns), STENCIL, STENCIL))
+    for p, (off, m) in enumerate(patterns):
+        # a reduced stencil uses the last m nodes of its window
+        t = np.arange(off + STENCIL - m, off + STENCIL, dtype=float)
+        inv[p, STENCIL - m:, :m] = np.linalg.inv(np.vander(t, m, increasing=True).T)
 
-    xg, wg = np.polynomial.legendre.leggauss(STENCIL + 4)
-    w = np.zeros(n)
-    w_inv2 = np.zeros(n)
-    stencil_start = np.zeros(n, dtype=int)
-    stencil_len = np.zeros(n, dtype=int)
-    cell_lam = np.zeros((n, STENCIL))
-    for c in range(n):
-        lo, hi = edges[c], edges[c + 1]
-        if c >= n - BOUNDARY_CELLS:
-            m, s0 = BOUNDARY_STENCIL, n - BOUNDARY_STENCIL
-        else:
-            m, s0 = STENCIL, min(max(c - STENCIL // 2 + 1, 0), n - STENCIL)
-        idx = np.arange(s0, s0 + m)
-        c0 = r[c]
-        rg = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
-        wgj = 0.5 * (hi - lo) * wg
-        t = (rg - c0) / h
-        Vinv = np.linalg.inv(np.vander((r[idx] - c0) / h, m, increasing=True).T)
-        mom = np.array([np.sum(wgj * t**k * rg**(d - 1)) for k in range(m)])
-        lam = Vinv @ mom
-        w[idx] += lam
-        mom2 = np.array([np.sum(wgj * t**k * rg**(d - 3)) for k in range(m)])
-        w_inv2[idx] += Vinv @ mom2
-        stencil_start[c] = s0
-        stencil_len[c] = m
-        cell_lam[c, :m] = lam
-
-    return RadialGrid(d=d, n=n, r_max=float(r_max), r=r, w=w, w_inv2=w_inv2,
-                      edges=edges, h=h, stencil_start=stencil_start,
-                      stencil_len=stencil_len, cell_lam=cell_lam)
+    grid = RadialGrid(d=d, n=n, r_max=float(r_max), r=(cells + 0.5) * h,
+                      w=np.zeros(n), w_inv2=np.zeros(n),
+                      edges=np.arange(n + 1) * h, h=h, stencil_start=start,
+                      stencil_inv=inv[which.reshape(-1)])
+    _spread(grid, h**d * _power_moments(n, d - 1), grid.w)
+    _spread(grid, h**(d - 2) * _power_moments(n, d - 3), grid.w_inv2)
+    return grid
 
 
 def integrate(grid: RadialGrid, f: np.ndarray) -> float:

@@ -12,18 +12,21 @@ in d = 4; in d >= 5, A is the Gegenbauer-weighted average
 The discrete operator is a precomputed n x n matrix built by product
 integration: for each collocation radius r_i the s-integral over each grid
 cell is computed against the same 8-node sliding-stencil polynomial
-interpolation the quadrature weights use, with the kernel handled exactly:
+interpolation the quadrature weights use, with the kernel handled exactly.
+Each row is a set of cell moments of t^k A(r_i, s) s^{d-1}, spread onto the
+nodes by the grid's own stencils (`grid._spread`); this module holds no
+stencil layout.
 
-  d = 3: ln((r+s)/|r-s|) = ln(t + b2) - ln|t - b| on each cell, with t in
+  d = 3: ln((r+s)/|r-s|) = ln|t + b2| - ln|t - b| on each cell, with t in
          [-1/2, 1/2] the cell-local coordinate.  On the uniform midpoint
          grid r_j = (j + 1/2) h the offsets of cell c seen from node r_i are
-         the exact integers b = i - c and b2 = i + c + 1 (h cancels), so
-         the build computes two moment tables once: ln|t - b| for
-         b = -(n-1)..n-1 and ln(t + b2) for b2 = 1..2n-1, each row of the
-         matrix being one slice-and-subtract of them.  Offsets within NEAR
-         of the singularity (b = -1, 0, 1 and b2 = 1) take the analytic
-         moments, the rest Gauss-Legendre, where the binomial expansion of
-         the analytic moments would lose precision.
+         the exact integers b = i - c and b2 = i + c + 1 (h cancels), and
+         ln(t + b2) = ln|t - (-b2)|, so the build computes one moment table
+         of ln|t - b| for b = -(2n-1)..n-1, each row of the matrix being one
+         slice-and-subtract of it.  Offsets within NEAR of the singularity
+         (b = -1, 0, 1) take the analytic moments, the rest Gauss-Legendre,
+         where the binomial expansion of the analytic moments would lose
+         precision.
   d = 4: the kernel is piecewise polynomial-weighted; the diagonal cell is
          split exactly at s = r, Gauss-Legendre everywhere (exact).
   d >= 5: fixed-order Gauss-Jacobi for A plus subdivided Gauss-Legendre on
@@ -57,13 +60,14 @@ are wanted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .grid import STENCIL, RadialGrid
+from .grid import STENCIL, RadialGrid, _spread
 from .params import ModelParams
 
 #: integer cell offsets |b| <= NEAR from the singularity use the analytic
@@ -120,99 +124,52 @@ def _ln_abs_moments(b: float) -> np.ndarray:
     return out
 
 
-def _ln_pos_moments(beta: float) -> np.ndarray:
-    """I_m = int_{-1/2}^{1/2} t^m ln(t + beta) dt for integer beta >= 1, closed form."""
-    out = np.zeros(_MMAX)
-    for m in range(_MMAX):
-        acc = 0.0
-        for q in range(m + 1):
-            cb = math.comb(m, q) * (-beta)**(m - q)
-            for sgn, tau in ((1.0, 0.5 + beta), (-1.0, -0.5 + beta)):
-                acc += sgn * cb * tau**(q + 1) * (math.log(tau) - 1.0 / (q + 1)) / (q + 1)
-        out[m] = acc
-    return out
+def _log_moment_table(n: int) -> np.ndarray:
+    """U[b + 2n - 1] = cell moments of ln|t - b| for b = -(2n-1)..n-1.
 
-
-def _stencil_inverses(grid: RadialGrid):
-    """Inverse Vandermonde (transposed) per stencil pattern, in cell-local coords.
-
-    Interior cells share the centered 8-node pattern; the first and last
-    STENCIL//2 cells deviate (one-sided and, at the outer boundary, reduced
-    stencils) and get per-cell inverses of their actual stencil size.
-    """
-    n = grid.n
-    toff = np.arange(-(STENCIL // 2 - 1), STENCIL // 2 + 1, dtype=float)
-    Vint_inv = np.linalg.inv(np.vander(toff, STENCIL, increasing=True).T)
-    Vb = {}
-    for c in list(range(STENCIL // 2)) + list(range(n - STENCIL // 2, n)):
-        s0, m = grid.stencil_start[c], grid.stencil_len[c]
-        off = np.arange(s0, s0 + m) - c
-        Vb[c] = np.linalg.inv(np.vander(off.astype(float), m, increasing=True).T)
-    return Vint_inv, Vb
-
-
-def _log_moment_tables(n: int):
-    """Cell moments of the two logarithms in ln((r+s)/|r-s|) on the midpoint grid.
-
-    T[b + n - 1] holds the moments of ln|t - b| for b = -(n-1)..n-1 and
-    P[b - 1] those of ln(t + b) for b = 1..2n-1: closed forms within NEAR of
-    the singularity, 12-point Gauss-Legendre elsewhere.
+    Closed forms within NEAR of the singularity, 12-point Gauss-Legendre
+    elsewhere.  With b = i - c and b = -(i + c + 1) the table covers both
+    logarithms of ln((r_i + s)/|r_i - s|) over every cell c.
     """
     xg, wg = np.polynomial.legendre.leggauss(_GLQ)
     tg = 0.5 * xg
-    G = 0.5 * wg[:, None] * tg[:, None]**np.arange(_MMAX)[None, :]
-    b = np.arange(-(n - 1), n)
-    T = np.log(np.abs(tg[None, :] - b[:, None])) @ G
+    b = np.arange(-(2 * n - 1), n)
+    U = np.log(np.abs(tg[None, :] - b[:, None])) @ \
+        (0.5 * wg[:, None] * tg[:, None]**np.arange(_MMAX)[None, :])
     for k in np.where(np.abs(b) <= NEAR)[0]:
-        T[k] = _ln_abs_moments(float(b[k]))
-    b2 = np.arange(1, 2 * n)
-    P = np.log(tg[None, :] + b2[:, None]) @ G
-    for k in np.where(b2 <= NEAR)[0]:
-        P[k] = _ln_pos_moments(float(b2[k]))
-    return T, P
+        U[k] = _ln_abs_moments(float(b[k]))
+    return U
 
 
-def _rows_d3(grid: RadialGrid) -> np.ndarray:
+def _rows_d3(grid: RadialGrid):
+    """Cell moments of A(r_i, s) s^2 for each row i, on the d = 3 kernel."""
     n, r, h = grid.n, grid.r, grid.h
-    T, P = _log_moment_tables(n)
-    Vint_inv, Vb = _stencil_inverses(grid)
-    half = STENCIL // 2
-    Kw = np.zeros((n, n))
+    U = _log_moment_table(n)
     for i in range(n):
         # (r_i + s)/h = i + c + 1 + t and (r_i - s)/h = (i - c) - t on cell c
-        Lm = P[i:i + n] - T[i:i + n][::-1]
+        Lm = (U[n - 1 - i:2 * n - 1 - i] - U[n + i:2 * n + i])[::-1]
         # A s^2 = s ln((r+s)/|r-s|) / (2 r): fold s = r_c + t h into the moments
-        mom = (h / (2 * r[i])) * (r[:, None] * Lm[:, :STENCIL] + h * Lm[:, 1:STENCIL + 1])
-        lam = mom[half:n - half] @ Vint_inv.T
-        for q in range(STENCIL):
-            Kw[i, 1 + q:n - STENCIL + 1 + q] += lam[:, q]
-        for c in list(range(half)) + list(range(n - half, n)):
-            s0, m = grid.stencil_start[c], grid.stencil_len[c]
-            Kw[i, s0:s0 + m] += Vb[c] @ mom[c, :m]
-    return Kw
+        yield (h / (2 * r[i])) * (r[:, None] * Lm[:, :STENCIL] + h * Lm[:, 1:])
 
 
-def _rows_general(grid: RadialGrid, d: int) -> np.ndarray:
-    """d = 4 (exact piecewise kernel) and d >= 5 (Gauss-Jacobi sphere average)."""
+def _rows_general(grid: RadialGrid, d: int):
+    """Cell moments of A(r_i, s) s^{d-1} for each row i: d = 4 (exact
+    piecewise kernel) and d >= 5 (Gauss-Jacobi sphere average)."""
     n, r, h = grid.n, grid.r, grid.h
     xg, wg = np.polynomial.legendre.leggauss(_GLQ)
     tg, wgt = 0.5 * xg, 0.5 * wg
-    Tp = tg[None, :]**np.arange(_MMAX - 1)[:, None]   # t^0..t^{STENCIL-1}
-    Vint_inv, Vb = _stencil_inverses(grid)
-    half = STENCIL // 2
+    Tp = tg[None, :]**np.arange(STENCIL)[:, None]   # t^0..t^{STENCIL-1}
 
     if d == 4:
         def Avals(ri, s):
             return 1.0 / np.maximum(ri, s)**2
     else:
-        p = (d - 3) / 2
-        xj, wj = special.roots_jacobi(64, p, p)
+        xj, wj = _jacobi_rule(d, 64)
         wj = wj * surface_area(d - 1) / surface_area(d)
         def Avals(ri, s):
             denom = ri * ri + s * s - 2 * ri * s * xj[:, None]
             return np.sum(wj[:, None] / denom, axis=0)
 
-    Kw = np.zeros((n, n))
     s_nodes = r[:, None] + tg[None, :] * h
     for i in range(n):
         ri = r[i]
@@ -223,7 +180,7 @@ def _rows_general(grid: RadialGrid, d: int) -> np.ndarray:
         for c in band:
             lo, hi = grid.edges[c], grid.edges[c + 1]
             pieces = [(lo, ri), (ri, hi)] if lo < ri < hi else [(lo, hi)]
-            acc = np.zeros(_MMAX - 1)
+            acc = np.zeros(STENCIL)
             for (aa, bb) in pieces:
                 if bb <= aa:
                     continue
@@ -231,15 +188,9 @@ def _rows_general(grid: RadialGrid, d: int) -> np.ndarray:
                 wq = 0.5 * (bb - aa) * wg
                 tloc = (sg - r[c]) / h
                 vals = Avals(ri, sg) * sg**(d - 1)
-                acc += (tloc[None, :]**np.arange(_MMAX - 1)[:, None]) @ (wq * vals)
+                acc += (tloc[None, :]**np.arange(STENCIL)[:, None]) @ (wq * vals)
             mom[c] = acc
-        lam = mom[half:n - half] @ Vint_inv.T
-        for q in range(STENCIL):
-            Kw[i, 1 + q:n - STENCIL + 1 + q] += lam[:, q]
-        for c in list(range(half)) + list(range(n - half, n)):
-            s0, m = grid.stencil_start[c], grid.stencil_len[c]
-            Kw[i, s0:s0 + m] += Vb[c] @ mom[c, :m]
-    return Kw
+        yield mom
 
 
 def _refined_segments(a: float, b: float, left: bool, right: bool):
@@ -251,6 +202,16 @@ def _refined_segments(a: float, b: float, left: bool, right: bool):
     return bps[:-1][keep], bps[1:][keep]
 
 
+@functools.cache
+def _jacobi_rule(d: int, nodes: int):
+    """Gauss-Jacobi rule for the weight (1 - x^2)^{(d-3)/2} (read-only arrays)."""
+    p = (d - 3) / 2
+    rule = special.roots_jacobi(nodes, p, p)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _kernel_vals(d: int, ri: float, s: np.ndarray) -> np.ndarray:
     """Vectorized sphere-average kernel A(ri, s) away from the diagonal
     (d >= 5: 96-node Gauss-Jacobi quadrature of the Gegenbauer average)."""
@@ -258,8 +219,7 @@ def _kernel_vals(d: int, ri: float, s: np.ndarray) -> np.ndarray:
         return np.log((ri + s) / np.abs(ri - s)) / (2 * ri * s)
     if d == 4:
         return 1.0 / np.maximum(ri, s)**2
-    p = (d - 3) / 2
-    xj, wj = special.roots_jacobi(96, p, p)
+    xj, wj = _jacobi_rule(d, 96)
     denom = ri * ri + s[None, :]**2 - 2 * ri * s[None, :] * xj[:, None]
     return np.sum(wj[:, None] / denom, axis=0) * surface_area(d - 1) / surface_area(d)
 
@@ -321,10 +281,9 @@ def build_kernel(grid: RadialGrid, params: ModelParams | None = None) -> KernelM
     d = grid.d
     if params is not None and params.d != d:
         raise ValueError(f"params dimension {params.d} != grid dimension {d}")
-    if d == 3:
-        Kw = _rows_d3(grid)
-    else:
-        Kw = _rows_general(grid, d)
+    Kw = np.zeros((grid.n, grid.n))
+    for i, mom in enumerate(_rows_d3(grid) if d == 3 else _rows_general(grid, d)):
+        _spread(grid, mom, Kw[i])
     # symmetrize the bilinear form (quadratic forms are unchanged by this);
     # a zero-weight node (possible clamped origin weight, d >= 6) keeps its raw row
     w = grid.w

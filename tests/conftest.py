@@ -7,7 +7,6 @@ Oracle policy used throughout the suite (tags in test comments):
   [PAPER]    checks a stated identity/inequality of the underlying theory
 """
 
-import numpy as np
 import pytest
 
 from hartreelab import (build_grid, build_kernel, build_plan, make_params,
@@ -48,21 +47,3 @@ def gs3(ctx3):
     return solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                               GroundStateOptions(residual_tol=1e-4))
 
-
-def random_fields(params, grid, rng, count, complex_valued=False):
-    """Seeded smooth radial fields in the natural r^{-rho} class."""
-    r = grid.r
-    env = r**(-params.rho)
-    fields = []
-    for _ in range(count):
-        u = np.zeros(grid.n, dtype=complex if complex_valued else float)
-        for _ in range(3):
-            u = u + rng.uniform(0.2, 1.0) * env * \
-                np.exp(-r**2 / (2 * rng.uniform(0.5, 2.0)**2))
-            s0 = rng.uniform(1.0, 0.4 * grid.r_max)
-            u = u + rng.uniform(-0.5, 0.5) * \
-                np.exp(-(r - s0)**2 / (2 * rng.uniform(0.3, 1.0)**2))
-        if complex_valued:
-            u = u * np.exp(1j * rng.uniform(0, 2 * np.pi) * np.tanh(r))
-        fields.append(u)
-    return fields

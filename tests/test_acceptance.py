@@ -16,12 +16,13 @@ from hartreelab import (IntegratorConfig, build_grid, build_kernel, build_plan,
                         gn_audit, hardy_ratio, lv_value, make_params,
                         pseudo_conformal_family, rearrange_decreasing, rescale,
                         rotated_energy_check, solve_ground_state)
+from hartreelab.cli import _random_fields
 from hartreelab.ground_state import GroundStateOptions
 from hartreelab.hartree import surface_area
 from hartreelab.transform import radial_derivative, transform_forward, \
     transform_inverse
 
-from conftest import Ctx, random_fields
+from conftest import Ctx
 
 CASES = [(3, -0.1, 12.0), (3, -0.2, 12.0), (4, -0.5, 14.0)]
 
@@ -84,7 +85,7 @@ def test_02_sharp_gn_inequality(cases_1024):
     # [PAPER] J(u) >= M_gs(1 - 1e-6) over 100 seeded smooth fields per case
     for i, c in enumerate(cases_1024):
         rng = np.random.default_rng(100 + i)
-        fields = random_fields(c.params, c.grid, rng, 100)
+        fields = _random_fields(c.params, c.grid, rng, 100)
         report = gn_audit(fields, c.gs.m_gs, c.plan, c.km)
         assert report.violations == 0, (c.params.d, c.params.a)
 
@@ -215,8 +216,8 @@ def test_10_inequality_audits(case3_512):
     # energy quadratic at threshold mass - zero violations
     c = case3_512
     rng = np.random.default_rng(77)
-    real = random_fields(c.params, c.grid, rng, 50)
-    cplx = random_fields(c.params, c.grid, rng, 50, complex_valued=True)
+    real = _random_fields(c.params, c.grid, rng, 50)
+    cplx = _random_fields(c.params, c.grid, rng, 50, complex_valued=True)
     bound = (2.0 / (c.params.d - 2))**2
     for u in real:
         assert hardy_ratio(u, c.plan) <= bound * (1 + 1e-9)

@@ -128,7 +128,8 @@ def test_error_captured_in_summary(tmp_path):
 def test_main_exit_codes(tmp_path, capsys):
     # [TRIVIAL] 0 on pass, 2 on config error: a bad value, a removed key
     # (grid.stretch), an end time that is not a whole number of steps, a
-    # non-finite radius, bad solver options, zero sweep workers
+    # non-finite radius, bad solver options, a concentration radius that is
+    # not positive and finite, zero sweep workers
     out = str(tmp_path / "cli")
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(FAST_GRID + FAST_GS)
@@ -150,7 +151,10 @@ def test_main_exit_codes(tmp_path, capsys):
             ("ground-state", "ground_state.max_iter=-1", "max_iter"),
             ("ground-state", "ground_state.newton_iters=0", "newton_iters"),
             ("ground-state", "ground_state.guess=bogus", "bogus"),
-            ("evolve", "model.d=x", "model.d")):
+            ("evolve", "model.d=x", "model.d"),
+            ("evolve", "concentrate.lambdas=nan", "concentrate.lambdas"),
+            ("concentrate", "concentrate.lambdas=1.0,0", "concentrate.lambdas"),
+            ("evolve", "concentrate.lambdas=-1,inf", "concentrate.lambdas")):
         assert main([scenario, "--out", out, "--override", override]) == 2, override
         assert named in capsys.readouterr().err, override
     assert main(["sweep", "--out", out, "--override", "sweep.key=model.a",

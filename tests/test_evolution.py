@@ -171,6 +171,18 @@ def test_concentration_limits(ctx3, gs3):
     assert np.all(np.diff(vals) > 0)
 
 
+def test_concentration_radius_edge_cases(ctx3, gs3):
+    # [TRIVIAL] lam <= 0 (a blow-up window past the fitted T*) encloses
+    # nothing, lam beyond r_max encloses the whole mass, NaN is an error
+    g = ctx3.grid
+    u = gs3.Q.astype(complex)
+    assert concentration(u, 0.0, g) == 0.0
+    assert concentration(u, -1.0, g) == 0.0
+    assert concentration(u, 2 * g.r_max, g) == concentration(u, g.r_max, g)
+    with pytest.raises(ValueError):
+        concentration(u, math.nan, g)
+
+
 def test_rotated_energy_basics(ctx3, gs3):
     # [TRIVIAL] s = 0 -> both sides E(u); real u -> linear coefficient 0
     g = ctx3.grid

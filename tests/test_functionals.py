@@ -5,9 +5,9 @@ import pytest
 
 from hartreelab import (functionals, hardy_ratio, lv_value, make_params,
                         rearrange_decreasing, rescale)
+from hartreelab.cli import _random_fields
 from hartreelab.functionals import lp_norm
 
-from conftest import random_fields
 
 
 def test_zero_field(ctx3):
@@ -166,7 +166,7 @@ def test_rearrange_monotonicity_properties(ctx3):
     rng = np.random.default_rng(5)
     from hartreelab.transform import radial_derivative
     g = ctx3.grid
-    for u in random_fields(ctx3.params, ctx3.grid, rng, 10):
+    for u in _random_fields(ctx3.params, ctx3.grid, rng, 10):
         v = rearrange_decreasing(u, g)
         M_u = float(np.sum(g.w * np.abs(u)**2))
         M_v = float(np.sum(g.w * v**2))
@@ -191,7 +191,7 @@ def test_lv_continuity_fitted_constant(ctx3):
     p_exp = 2 * ctx3.params.d / (ctx3.params.d - 1)
     om = ctx3.km.omega
     ratios = []
-    for u in random_fields(ctx3.params, ctx3.grid, rng, 20):
+    for u in _random_fields(ctx3.params, ctx3.grid, rng, 20):
         v = u * (1 + 0.1 * np.sin(ctx3.grid.r))
         lhs = abs(lv_value(ctx3.km, u) - lv_value(ctx3.km, v))
         dn = lp_norm(u - v, ctx3.grid, p_exp, om)

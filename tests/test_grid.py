@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,3 +74,58 @@ def test_degenerate_parameters_rejected():
         build_grid(3, 64, -1.0)
     with pytest.raises(ValueError):
         build_grid(2, 64, 10.0)
+
+
+def _exact_inverse(offsets):
+    """Inverse of the transposed Vandermonde matrix of the integer offsets,
+    by Gauss-Jordan elimination in rationals."""
+    m = len(offsets)
+    A = [[Fraction(o)**k for o in offsets] + [Fraction(int(i == k)) for i in range(m)]
+         for k in range(m)]
+    for col in range(m):
+        piv = next(row for row in range(col, m) if A[row][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for row in range(m):
+            if row != col and A[row][col] != 0:
+                f = A[row][col]
+                A[row] = [x - f * y for x, y in zip(A[row], A[col])]
+    return [row[m:] for row in A]
+
+
+def _exact_weights(d, n, r_max):
+    """Weights for int f r^{d-1} dr in exact rational arithmetic: centred
+    8-node stencils, one-sided on nodes 0..7 at the origin, 6 nodes on the
+    last 4 cells."""
+    h = Fraction(r_max) / n
+    p = d - 1
+    mu = [Fraction(1, 2**q * (q + 1)) if q % 2 == 0 else 0 for q in range(p + 8)]
+    w = [Fraction(0)] * n
+    inverses = {}
+    for c in range(n):
+        if c >= n - 4:
+            nodes = range(n - 6, n)
+        else:
+            s0 = min(max(c - 3, 0), n - 8)
+            nodes = range(s0, s0 + 8)
+        offsets = tuple(j - c for j in nodes)
+        if offsets not in inverses:
+            inverses[offsets] = _exact_inverse(offsets)
+        inv = inverses[offsets]
+        # int_{-1/2}^{1/2} t^k (c + 1/2 + t)^p dt, expanded in powers of t
+        x = Fraction(2 * c + 1, 2)
+        mom = [sum(math.comb(p, j) * x**(p - j) * mu[k + j] for j in range(p + 1))
+               for k in range(len(nodes))]
+        for a, j in enumerate(nodes):
+            w[j] += sum(inv[a][k] * mom[k] for k in range(len(nodes)))
+    return np.array([float(v * h**d) for v in w])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_weights_match_exact_rational_rule(d):
+    # [DERIVED] the weights are the interpolatory rule to round-off: against
+    # the same rule in exact rational arithmetic (n = 512, r_max = 12, so h
+    # is a dyadic rational), max-norm relative error <= 4e-15
+    g = build_grid(d, 512, 12.0)
+    exact = _exact_weights(d, 512, 12.0)
+    assert np.max(np.abs(g.w - exact)) / np.max(exact) <= 4e-15

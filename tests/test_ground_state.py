@@ -3,11 +3,11 @@ import pytest
 
 from hartreelab import (el_residual, functionals, gn_audit, load_ground_state,
                         rescale, save_ground_state, solve_ground_state)
+from hartreelab.cli import _random_fields
 from hartreelab.ground_state import (GroundStateError, GroundStateOptions,
                                      initial_guess)
 from hartreelab.transform import resample
 
-from conftest import random_fields
 
 
 def test_pohozaev_chain(ctx3, gs3):
@@ -79,7 +79,7 @@ def test_residual_grows_off_balance(ctx3, gs3):
 def test_gn_audit(ctx3, gs3):
     # [PAPER] J(u) >= M_gs (1 - 1e-6) across seeded smooth fields
     rng = np.random.default_rng(11)
-    fields = random_fields(ctx3.params, ctx3.grid, rng, 30)
+    fields = _random_fields(ctx3.params, ctx3.grid, rng, 30)
     report = gn_audit(fields, gs3.m_gs, ctx3.plan, ctx3.km)
     assert report.violations == 0
     assert len(report.entries) == 30

@@ -144,44 +144,59 @@ def _cell_moments_quad(f, sing=None):
 
 
 def test_log_moment_tables_oracle():
-    # [DERIVED] every d = 3 table entry near the singularity (analytic and
-    # Gauss-Legendre alike) and at the far ends, against quadrature
+    # [DERIVED] the d = 3 table entries near the singularity (analytic and
+    # Gauss-Legendre alike) and at both far ends, against quadrature
     n = 64
-    T, P = hartree._log_moment_tables(n)
-    for b in list(range(-8, 9)) + [-(n - 1), n - 1]:
+    U = hartree._log_moment_table(n)
+    assert U.shape == (3 * n - 1, hartree._MMAX)
+    for b in list(range(-8, 9)) + [-(2 * n - 1), n - 1]:
         ref = _cell_moments_quad(lambda t: math.log(abs(t - b)), [0.0] if b == 0 else None)
-        assert np.max(np.abs(T[b + n - 1] - ref)) < 1e-12, b
-    for b2 in list(range(1, 9)) + [2 * n - 1]:
-        ref = _cell_moments_quad(lambda t: math.log(t + b2))
-        assert np.max(np.abs(P[b2 - 1] - ref)) < 1e-12, b2
+        assert np.max(np.abs(U[b + 2 * n - 1] - ref)) < 1e-12, b
 
 
 def test_d3_table_moments_match_cell_quadrature():
-    # [DERIVED] translation invariance of the midpoint grid: the table entry
-    # P[i + c] - T[i - c + n - 1] is the moment of ln((r_i + s)/|r_i - s|)
-    # over cell c, s = r_c + t h, for near, far and boundary pairs (i, c)
+    # [DERIVED] translation invariance of the midpoint grid: the table entries
+    # at b = -(i + c + 1) and b = i - c give the moment of
+    # ln((r_i + s)/|r_i - s|) over cell c, s = r_c + t h, for near, far and
+    # boundary pairs (i, c)
     n = 64
     g = build_grid(3, n, 10.0)
-    T, P = hartree._log_moment_tables(n)
+    U = hartree._log_moment_table(n)
     for i, c in ((0, 0), (3, 5), (20, 20), (20, 24), (40, 10), (63, 0), (63, 63)):
         ri, rc, h = g.r[i], g.r[c], g.h
         ref = _cell_moments_quad(lambda t: math.log((ri + rc + t * h) / abs(ri - rc - t * h)),
                                  [(ri - rc) / h] if i == c else None)
-        assert np.max(np.abs(P[i + c] - T[i - c + n - 1] - ref)) < 1e-12, (i, c)
+        got = U[-(i + c + 1) + 2 * n - 1] - U[i - c + 2 * n - 1]
+        assert np.max(np.abs(got - ref)) < 1e-12, (i, c)
 
 
 def test_d3_build_takes_closed_forms_once_per_offset(monkeypatch):
-    # [TRIVIAL] the d = 3 build evaluates each analytic moment once per
-    # integer offset within NEAR: 2 NEAR + 1 of ln|t - b|, NEAR of ln(t + b)
-    calls = {"abs": 0, "pos": 0}
+    # [TRIVIAL] the d = 3 build evaluates the analytic moments of ln|t - b|
+    # once per integer offset within NEAR, b = -1 serving both logarithms
+    calls = {"abs": 0}
 
-    def counted(name, fn):
-        def wrapper(b):
-            calls[name] += 1
-            return fn(b)
-        return wrapper
+    def counted(b):
+        calls["abs"] += 1
+        return ln_abs_moments(b)
 
-    monkeypatch.setattr(hartree, "_ln_abs_moments", counted("abs", hartree._ln_abs_moments))
-    monkeypatch.setattr(hartree, "_ln_pos_moments", counted("pos", hartree._ln_pos_moments))
+    ln_abs_moments = hartree._ln_abs_moments
+    monkeypatch.setattr(hartree, "_ln_abs_moments", counted)
     build_kernel(build_grid(3, 64, 10.0))
-    assert calls == {"abs": 2 * hartree.NEAR + 1, "pos": hartree.NEAR}
+    assert calls == {"abs": 2 * hartree.NEAR + 1}
+
+
+def test_gauss_jacobi_rule_computed_once_per_build(monkeypatch):
+    # [TRIVIAL] the d = 5 build with the singularity correction evaluates
+    # the sphere average at ~1,000 radii but takes each Gauss-Jacobi rule
+    # (64 nodes for the rows, 96 for the correction) from one computation
+    calls = []
+
+    def counted(nodes, alpha, beta):
+        calls.append(nodes)
+        return roots_jacobi(nodes, alpha, beta)
+
+    roots_jacobi = hartree.special.roots_jacobi
+    monkeypatch.setattr(hartree.special, "roots_jacobi", counted)
+    hartree._jacobi_rule.cache_clear()
+    build_kernel(build_grid(5, 64, 12.0), make_params(5, -0.5))
+    assert len(calls) <= 2, calls

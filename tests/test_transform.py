@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_fields
 from hartreelab import build_grid, build_plan, make_params
+from hartreelab.cli import _random_fields
 from hartreelab.transform import (apply_la, radial_derivative, resample,
                                   transform_forward, transform_inverse)
 
@@ -149,7 +149,7 @@ def test_complex_fields_act_by_parts(ctx3):
     # [DERIVED] real operators on complex u agree with f(Re u) + i f(Im u),
     # also for a reversed (non-contiguous) view and a complex64 field
     rng = np.random.default_rng(3)
-    us = random_fields(ctx3.params, ctx3.grid, rng, 4, complex_valued=True)
+    us = _random_fields(ctx3.params, ctx3.grid, rng, 4, complex_valued=True)
     for u in us + [us[0][::-1], us[1].astype(np.complex64)]:
         u128 = np.asarray(u, dtype=np.complex128)
         for f, tol in REAL_OPERATORS:
@@ -162,7 +162,7 @@ def test_complex_fields_act_by_parts(ctx3):
 def test_real_fields_take_plain_real_product(ctx3):
     # [TRIVIAL] real input: float64 result bit-identical to the matrix product
     plan = ctx3.plan
-    u = random_fields(ctx3.params, ctx3.grid, np.random.default_rng(4), 1)[0]
+    u = _random_fields(ctx3.params, ctx3.grid, np.random.default_rng(4), 1)[0]
     cases = [(transform_forward(plan, u), plan.PsiTw @ u),
              (transform_inverse(plan, u), plan.Psi @ u),
              (apply_la(plan, u), plan.Psi @ (plan.k**2 * (plan.PsiTw @ u)))]
