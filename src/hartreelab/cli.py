@@ -191,6 +191,10 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     if values.get("init.profile") not in PROFILE_NAMES + ("file",):
         errors.append(f"key init.profile: must be one of {PROFILE_NAMES + ('file',)}, "
                       f"got {values.get('init.profile')!r}")
+    if (values.get("scenario") in ("blowup", "concentrate")
+            and values.get("init.profile") not in ("pseudo-conformal", "file")):
+        errors.append(f"key init.profile: the {values['scenario']} scenario needs "
+                      f"pseudo-conformal or file, got {values.get('init.profile')!r}")
     if values.get("init.profile") == "file" and not os.path.exists(values.get("init.file", "")):
         errors.append(f"key init.file: file {values.get('init.file')!r} does not exist")
     if not all(0 < lam < math.inf for lam in values.get("concentrate.lambdas", [])):
@@ -365,9 +369,6 @@ def _scenario_evolve(cfg, out_dir):
 
 def _scenario_blowup(cfg, out_dir, want_concentration=False):
     params, grid, plan, km = _build(cfg)
-    if cfg["init.profile"] not in ("pseudo-conformal", "file"):
-        raise ValueError("blowup/concentrate scenarios need init.profile = "
-                         "pseudo-conformal (or a field file)")
     u0, _ = _initial_data(cfg, params, grid, plan, km)
     traj = evolve(u0, _integrator(cfg), plan, km)
     E0 = traj.quantities[0].E

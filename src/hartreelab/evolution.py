@@ -15,9 +15,11 @@ second order) and `midpoint-relaxation` (the nonlinear potential frozen at a
 fixed-point approximation of its midpoint value, wrapped around the same
 exact linear flow; also second order).
 
-Diagnostics follow the virial machinery: Gamma = int |x|^2 |u|^2,
-Gamma' = -4 Im int conj(u) (x . grad u), and for this equation
-Gamma'' = 16 E along solutions.
+Diagnostics follow the virial machinery: Gamma = int |x|^2 |u|^2, its
+derivative Gamma' = -4 Im int conj(u) (x . grad u) = -2 Im int |x|^2 conj(u)
+L_a u, and Gamma'' = 16 E along solutions.  On the grid the last form is the
+exact time derivative of the discrete Gamma under the discrete flow: the
+nonlinear rotation leaves |u| alone and apply_la is self-adjoint in the w-metric.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .functionals import Quantities, functionals
 from .hartree import KernelMatrix, potential, surface_area
-from .transform import (TransformPlan, radial_derivative, resample,
+from .transform import (TransformPlan, apply_la, radial_derivative, resample,
                         transform_forward, transform_inverse)
 
 
@@ -108,7 +110,7 @@ def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
 
 def virial(u: np.ndarray, plan: TransformPlan,
            boundary_tol: float = 1e-8) -> VirialResult:
-    """Gamma = int |x|^2 |u|^2 and Gamma' = -4 Im int conj(u) (x . grad u).
+    """Gamma = int |x|^2 |u|^2 and Gamma' = -2 Im int |x|^2 conj(u) L_a u.
 
     The boundary flag is raised when the relative mass in the outermost cells
     exceeds `boundary_tol` (the truncated variance is then untrustworthy).
@@ -117,8 +119,8 @@ def virial(u: np.ndarray, plan: TransformPlan,
     om = surface_area(g.d)
     f = np.abs(u)**2
     gamma = om * float(np.sum(g.w * g.r**2 * f))
-    du = radial_derivative(plan, u)
-    gamma_p = -4 * om * float(np.sum(g.w * g.r * np.imag(np.conj(u) * du)))
+    lau = apply_la(plan, u)
+    gamma_p = -2 * om * float(np.sum(g.w * g.r**2 * np.imag(np.conj(u) * lau)))
     total = float(np.sum(g.w * f))
     tail = float(np.sum(g.w[-5:] * f[-5:]))
     flag = bool(total > 0 and tail / total > boundary_tol)

@@ -103,9 +103,12 @@ def build_grid(d: int, n: int, r_max: float) -> RadialGrid:
                                 return_inverse=True)
     inv = np.zeros((len(patterns), STENCIL, STENCIL))
     for p, (off, m) in enumerate(patterns):
-        # a reduced stencil uses the last m nodes of its window
-        t = np.arange(off + STENCIL - m, off + STENCIL, dtype=float)
-        inv[p, STENCIL - m:, :m] = np.linalg.inv(np.vander(t, m, increasing=True).T)
+        # a reduced stencil uses the last m nodes of its window; row a holds the
+        # integer coefficients of node a's Lagrange polynomial over one divisor
+        t = np.arange(off + STENCIL - m, off + STENCIL)
+        for a in range(m):
+            others = np.delete(t, a)
+            inv[p, STENCIL - m + a, :m] = np.poly(others)[::-1] / np.prod(t[a] - others)
 
     grid = RadialGrid(d=d, n=n, r_max=float(r_max), r=(cells + 0.5) * h,
                       w=np.zeros(n), w_inv2=np.zeros(n),

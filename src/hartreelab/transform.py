@@ -8,16 +8,19 @@ the Bessel operator of order nu = sqrt(((d-2)/2)^2 + a) on the half line, so
 with j_{nu,m} the positive zeros of J_nu (Dirichlet condition at r_max) are
 exact eigenfunctions: L_a phi_m = k_m^2 phi_m.
 
-The discrete modes psi_m are the phi_m orthonormalized (by Cholesky of their
-Gram matrix, so low modes are perturbed least) in the quadrature inner
-product <u, v>_w = sum_j w_j conj(u_j) v_j.  Consequences, all exact to
-round-off rather than merely to quadrature accuracy:
+The discrete modes psi_m are the phi_m orthonormalized in the quadrature
+inner product <u, v>_w = sum_j w_j conj(u_j) v_j by a Householder QR of the
+samples sqrt(w_j) phi_m(r_j) (Gram-Schmidt order: low modes are perturbed
+least).  Consequences, all exact to round-off rather than merely to
+quadrature accuracy:
 
   - round trip inverse(forward(u)) = u,
   - Parseval: sum_m |c_m|^2 = sum_j w_j |u_j|^2,
   - L_a is self-adjoint and positive (eigenvalues exactly k_m^2 > 0),
   - the evolution's linear flow c_m -> e^{i k_m^2 t} c_m is unitary, so it
-    conserves the discrete mass and the discrete H per step.
+    conserves the discrete mass and the discrete H per step (the round-off
+    left in Psi^T W Psi - I, a few times less from QR than from Cholesky of
+    the Gram matrix, biases the mass alike in every step).
 
 All plan matrices are real.  They act on a complex field as one real
 two-column product on its (re, im) pairs, never by upcasting the n x n
@@ -25,9 +28,10 @@ matrix to complex; real fields take the plain real product.
 
 apply_La keeps spectral accuracy: the orthonormalization correction acts at
 the quadrature-error level of mode products and vanishes under grid
-refinement.  The derivative and resampling helpers use the raw collocation
-basis (B and its inverse), which is the more accurate route for pointwise
-evaluation off the quadrature metric.
+refinement.  The derivative and resampling helpers evaluate the raw Bessel
+series sum_m c_m phi_m, more accurate pointwise off the quadrature metric,
+with c = R^{-1} forward(u) and no inverse of the collocation matrix B:
+diag(r^{-(d-2)/2}) B = Psi R (R the QR triangle) and Psi^T W Psi = I.
 
 If the grid carries a non-positive quadrature weight (possible at the first
 node for d >= 6 and for pathologically coarse grids), the orthonormalization
@@ -73,37 +77,31 @@ class TransformPlan:
     grid: RadialGrid
     k: np.ndarray              # spectral nodes, k_m^2 = eigenvalues of L_a
     B: np.ndarray              # collocation matrix J_nu(k_m r_j)
-    Binv: np.ndarray           # its inverse (derivative/resample helpers)
-    ralpha: np.ndarray         # r^{(d-2)/2} gauge factor
+    R: np.ndarray              # upper triangular: B / r^{(d-2)/2} = Psi R
     Psi: np.ndarray            # orthonormal mode samples psi_m(r_j), n x n
     PsiTw: np.ndarray          # Psi^T diag(w_metric): the forward transform
     metric_clipped: bool       # True if a non-positive weight was clipped
     _deriv_matrix: np.ndarray | None = field(default=None, repr=False)
-    _la_matrix: np.ndarray | None = field(default=None, repr=False)
 
 
 def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
     if params.d != grid.d:
         raise ValueError(f"params dimension {params.d} != grid dimension {grid.d}")
-    nu, R = params.nu, grid.r_max
-    z = bessel_zeros(nu, grid.n)
-    k = z / R
+    nu = params.nu
+    k = bessel_zeros(nu, grid.n) / grid.r_max
     B = special.jv(nu, k[None, :] * grid.r[:, None])
-    Binv = np.linalg.inv(B)
-    ralpha = grid.r**((params.d - 2) / 2)
 
     w = grid.w
     clipped = bool(np.any(w <= 0))
     if clipped:
         w = np.maximum(w, 1e-14 * np.max(w))
-    F = B / ralpha[:, None]
-    gram = F.T @ (w[:, None] * F)
-    R_chol = np.linalg.cholesky(gram).T          # gram = R^T R, upper triangular
-    Psi = solve_triangular(R_chol, F.T, trans='T', lower=False).T
+    sw = np.sqrt(w)
+    Y, R = np.linalg.qr(sw[:, None] * B / grid.r[:, None]**((params.d - 2) / 2))
+    sign = np.sign(np.diag(R))        # flip to the R with positive diagonal
+    Psi = Y * sign / sw[:, None]
     PsiTw = Psi.T * w[None, :]
-    return TransformPlan(params=params, grid=grid, k=k, B=B, Binv=Binv,
-                         ralpha=ralpha, Psi=Psi, PsiTw=PsiTw,
-                         metric_clipped=clipped)
+    return TransformPlan(params=params, grid=grid, k=k, B=B, R=sign[:, None] * R,
+                         Psi=Psi, PsiTw=PsiTw, metric_clipped=clipped)
 
 
 def _check(plan: TransformPlan, v: np.ndarray) -> np.ndarray:
@@ -139,10 +137,8 @@ def apply_la(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
 
 
 def la_matrix(plan: TransformPlan) -> np.ndarray:
-    """Dense matrix of apply_la (cached); used by the ground-state Newton polish."""
-    if plan._la_matrix is None:
-        plan._la_matrix = (plan.Psi * plan.k[None, :]**2) @ plan.PsiTw
-    return plan._la_matrix
+    """Dense matrix of apply_la; used once per ground-state Newton polish."""
+    return (plan.Psi * plan.k[None, :]**2) @ plan.PsiTw
 
 
 def radial_derivative(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
@@ -151,19 +147,17 @@ def radial_derivative(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
     d/dr [J_nu(k r) r^{-alpha}] = k J_nu'(k r) r^{-alpha} - alpha J_nu(k r) r^{-alpha-1}
     with J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x), reusing J_nu = B; the
     positive order nu+1 costs scipy less than nu-1 (negative for nu < 1).
-    Uses the collocation coefficients, which track pointwise values most
-    accurately.
+    Uses the raw series coefficients R^{-1} forward(u), which track pointwise
+    values most accurately.
     """
     if plan._deriv_matrix is None:
         nu, r, k = plan.params.nu, plan.grid.r, plan.k
         kr = k[None, :] * r[:, None]
         Jp = (nu / kr) * plan.B - special.jv(nu + 1, kr)
         alpha = (plan.params.d - 2) / 2
-        A2 = (k[None, :] * Jp) / plan.ralpha[:, None] \
-            - alpha * plan.B / (plan.ralpha * r)[:, None]
-        plan._deriv_matrix = A2 @ plan.Binv
-    # the matrix acts on the gauge samples ralpha*u
-    return _matvec(plan._deriv_matrix, plan.ralpha * _check(plan, u))
+        A2 = (k[None, :] * Jp - (alpha / r)[:, None] * plan.B) / r[:, None]**alpha
+        plan._deriv_matrix = A2 @ solve_triangular(plan.R, plan.PsiTw)
+    return _matvec(plan._deriv_matrix, _check(plan, u))
 
 
 def resample(plan: TransformPlan, u: np.ndarray, nu_s: float) -> np.ndarray:
@@ -174,7 +168,7 @@ def resample(plan: TransformPlan, u: np.ndarray, nu_s: float) -> np.ndarray:
     """
     if nu_s == 1.0:
         return np.array(u, copy=True)
-    c = _matvec(plan.Binv, plan.ralpha * _check(plan, u))
+    c = solve_triangular(plan.R, transform_forward(plan, u))
     rr = nu_s * plan.grid.r
     B2 = special.jv(plan.params.nu, plan.k[None, :] * rr[:, None])
     alpha = (plan.params.d - 2) / 2

@@ -115,9 +115,12 @@ def test_determinism_bit_identical(tmp_path):
 
 
 def test_error_captured_in_summary(tmp_path):
-    # [TRIVIAL] scenario failure lands in summary.json, pass = false
-    cfg = parse_config(FAST_GRID + "scenario = blowup\n"   # wrong profile
-                       "init.profile = gaussian\nintegrator.t_end = 0.01\n")
+    # [TRIVIAL] scenario failure lands in summary.json, pass = false: a field
+    # file saved on another grid (n = 32) is rejected once it is read
+    field = tmp_path / "q32.txt"
+    field.write_text("3 -0.1 32 10.0 1.0 0.0\n" + "0.1 1.0\n" * 32)
+    cfg = parse_config(FAST_GRID + "scenario = blowup\ninit.profile = file\n"
+                       f"init.file = {field}\nintegrator.t_end = 0.01\n")
     out = str(tmp_path / "bad")
     summary = run_scenario(cfg, out)
     assert summary["pass"] is False
@@ -129,7 +132,8 @@ def test_main_exit_codes(tmp_path, capsys):
     # [TRIVIAL] 0 on pass, 2 on config error: a bad value, a removed key
     # (grid.stretch), an end time that is not a whole number of steps, a
     # non-finite radius, bad solver options, a concentration radius that is
-    # not positive and finite, zero sweep workers
+    # not positive and finite, a blow-up run without pseudo-conformal data,
+    # zero sweep workers
     out = str(tmp_path / "cli")
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(FAST_GRID + FAST_GS)
@@ -154,7 +158,8 @@ def test_main_exit_codes(tmp_path, capsys):
             ("evolve", "model.d=x", "model.d"),
             ("evolve", "concentrate.lambdas=nan", "concentrate.lambdas"),
             ("concentrate", "concentrate.lambdas=1.0,0", "concentrate.lambdas"),
-            ("evolve", "concentrate.lambdas=-1,inf", "concentrate.lambdas")):
+            ("evolve", "concentrate.lambdas=-1,inf", "concentrate.lambdas"),
+            ("concentrate", "grid.n=32", "init.profile")):
         assert main([scenario, "--out", out, "--override", override]) == 2, override
         assert named in capsys.readouterr().err, override
     assert main(["sweep", "--out", out, "--override", "sweep.key=model.a",

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from hartreelab import (FitRejected, IntegratorConfig, Quantities, Trajectory,
                         concentration, evolve, fit_blowup, functionals,
                         pseudo_conformal_family, rotated_energy_check, step,
-                        virial)
+                        transform, virial)
+from hartreelab.cli import _random_fields
 from hartreelab.evolution import linear_flow
+from hartreelab.hartree import surface_area
 
 
 def test_zero_data(ctx3):
@@ -95,6 +98,40 @@ def test_virial_boundary_flag(ctx3):
     g = ctx3.grid
     u = np.exp(-(g.r - g.r_max)**2).astype(complex)
     assert virial(u, ctx3.plan).boundary_flag
+
+
+@pytest.mark.parametrize("name", ["ctx3", "ctx4"])
+def test_gamma_prime_is_derivative_of_discrete_gamma(name, request, monkeypatch):
+    # [DERIVED] Gamma' is the time derivative of the discrete Gamma under the
+    # discrete flow (the nonlinear rotation leaves |u| alone, so the linear
+    # flow alone moves Gamma): Richardson centred difference within 1e-9
+    # relative; and evolve never builds the spectral derivative
+    c = request.getfixturevalue(name)
+    g = c.grid
+    u = _random_fields(c.params, g, np.random.default_rng(7), 1, complex_valued=True)[0]
+
+    def gamma(t):
+        ut = linear_flow(u, t, c.plan)
+        return surface_area(g.d) * float(np.sum(g.w * g.r**2 * np.abs(ut)**2))
+
+    def centred(delta):
+        return (gamma(delta) - gamma(-delta)) / (2 * delta)
+
+    ref = (4 * centred(5e-4) - centred(1e-3)) / 3
+    assert abs(virial(u, c.plan).gamma_prime - ref) <= 1e-9 * abs(ref)
+
+    calls = []
+
+    def counting(plan, v):
+        calls.append(1)
+        return transform.radial_derivative(plan, v)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("hartreelab") and \
+                getattr(mod, "radial_derivative", None) is transform.radial_derivative:
+            monkeypatch.setattr(mod, "radial_derivative", counting)
+    evolve(u, IntegratorConfig(dt=1e-3, t_end=5e-3, output_stride=2), c.plan, c.km)
+    assert calls == []
 
 
 def test_pc_family_mass_and_free_energy(ctx3, gs3):

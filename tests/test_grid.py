@@ -93,12 +93,11 @@ def _exact_inverse(offsets):
     return [row[m:] for row in A]
 
 
-def _exact_weights(d, n, r_max):
-    """Weights for int f r^{d-1} dr in exact rational arithmetic: centred
+def _exact_weights(p, n, r_max):
+    """Weights for int f r^p dr in exact rational arithmetic: centred
     8-node stencils, one-sided on nodes 0..7 at the origin, 6 nodes on the
     last 4 cells."""
     h = Fraction(r_max) / n
-    p = d - 1
     mu = [Fraction(1, 2**q * (q + 1)) if q % 2 == 0 else 0 for q in range(p + 8)]
     w = [Fraction(0)] * n
     inverses = {}
@@ -118,14 +117,18 @@ def _exact_weights(d, n, r_max):
                for k in range(len(nodes))]
         for a, j in enumerate(nodes):
             w[j] += sum(inv[a][k] * mom[k] for k in range(len(nodes)))
-    return np.array([float(v * h**d) for v in w])
+    return np.array([float(v * h**(p + 1)) for v in w])
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_weights_match_exact_rational_rule(d):
-    # [DERIVED] the weights are the interpolatory rule to round-off: against
+    # [DERIVED] both rules are the interpolatory rule to round-off: against
     # the same rule in exact rational arithmetic (n = 512, r_max = 12, so h
-    # is a dyadic rational), max-norm relative error <= 4e-15
+    # is a dyadic rational), max-norm relative error of w <= 4e-15 and
+    # per-node relative error of w and w_inv2 <= 1e-14
     g = build_grid(d, 512, 12.0)
-    exact = _exact_weights(d, 512, 12.0)
+    exact = _exact_weights(d - 1, 512, 12.0)
     assert np.max(np.abs(g.w - exact)) / np.max(exact) <= 4e-15
+    assert np.max(np.abs(g.w - exact) / np.abs(exact)) <= 1e-14
+    exact_inv2 = _exact_weights(d - 3, 512, 12.0)
+    assert np.max(np.abs(g.w_inv2 - exact_inv2) / np.abs(exact_inv2)) <= 1e-14

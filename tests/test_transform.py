@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import special
 
 from hartreelab import build_grid, build_plan, make_params
 from hartreelab.cli import _random_fields
@@ -169,6 +170,28 @@ def test_real_fields_take_plain_real_product(ctx3):
     for out, ref in cases:
         assert out.dtype == np.float64
         assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("d,a,n", [(3, -0.1, 256), (3, -0.1, 512), (4, -0.5, 256),
+                                   (4, -0.5, 512), (5, -0.5, 256)])
+def test_series_coefficients_match_collocation_inverse(d, a, n):
+    # [DERIVED] resample and radial_derivative take the raw Bessel series
+    # coefficients as R^{-1} forward(u); against the collocation solve
+    # c = B^{-1} r^alpha u, evaluated in closed form, within 1e-10
+    params = make_params(d, a)
+    grid = build_grid(d, n, 12.0)
+    plan = build_plan(params, grid)
+    r, k, nu, alpha = grid.r, plan.k, params.nu, (d - 2) / 2
+    for u in _random_fields(params, grid, np.random.default_rng(6), 2):
+        c = np.linalg.solve(plan.B, r**alpha * u)
+        for nu_s in (0.7, 1.3):
+            rr = nu_s * r
+            ref = special.jv(nu, k[None, :] * rr[:, None]) @ c / rr**alpha
+            assert _rel_err(resample(plan, u, nu_s), ref) <= 1e-10, nu_s
+        kr = k[None, :] * r[:, None]
+        dphi = (k[None, :] * special.jvp(nu, kr) - (alpha / r)[:, None] * plan.B) \
+            / r[:, None]**alpha
+        assert _rel_err(radial_derivative(plan, u), dphi @ c) <= 1e-10
 
 
 def test_plan_grid_mismatch(ctx3):
