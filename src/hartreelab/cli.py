@@ -205,15 +205,35 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     if values.get("scenario") == "sweep":
         if values.get("sweep.key") not in SCHEMA:
             errors.append(f"key sweep.key: unknown target key {values.get('sweep.key')!r}")
+        elif values["sweep.key"] in ("scenario", "output.dir") \
+                or values["sweep.key"].startswith("sweep."):
+            errors.append(f"key sweep.key: cannot sweep {values['sweep.key']!r}; "
+                          f"a sub-run sets its own scenario, output.dir and sweep.*")
         if not values.get("sweep.values"):
             errors.append("key sweep.values: sweep requires a non-empty value list")
         if values.get("sweep.scenario") not in SCENARIOS or values.get("sweep.scenario") == "sweep":
             errors.append("key sweep.scenario: must be a non-sweep scenario")
         if values.get("sweep.workers", 1) < 1:
             errors.append(f"key sweep.workers: must be >= 1, got {values['sweep.workers']}")
+        if not errors:          # else every sub-run would repeat the base's errors
+            raw = _resolved_raw(values)
+            for idx, val in enumerate(values["sweep.values"]):
+                try:
+                    parse_config(_sweep_text(raw, values["sweep.key"], val))
+                except ConfigError as exc:
+                    errors += [f"key sweep.values: value {idx} ({val!r}): {err}"
+                               for err in exc.errors]
     if errors:
         raise ConfigError(errors)
     return RunConfig(values=values, raw=_resolved_raw(values))
+
+
+def _sweep_text(raw: dict, key: str, val: str) -> str:
+    """Config text of one sweep sub-run: the resolved base config with the
+    sub-run's scenario and the swept key set, and no output location."""
+    sub = dict(raw, scenario=raw["sweep.scenario"])
+    sub[key] = val
+    return "\n".join(f"{k} = {v}" for k, v in sub.items() if k != "output.dir")
 
 
 def _fmt(x) -> str:
@@ -345,7 +365,10 @@ def _scenario_ground_state(cfg, out_dir):
             "pohozaev_defects": {"MH": abs(q.M - q.H) / res.m_gs,
                                  "ML_V": abs(q.M - q.L_V) / res.m_gs,
                                  "HL_V": abs(q.H - q.L_V) / res.m_gs},
-            "iterations": res.iterations, "checks": checks}
+            "iterations": res.iterations,
+            "diagnostics": {"newton_residuals": res.newton_residuals,
+                            "nu_entry": res.nu_entry, "nu_final": res.nu_final},
+            "checks": checks}
 
 
 def _scenario_evolve(cfg, out_dir):
@@ -500,17 +523,13 @@ def _scenario_verify(cfg, out_dir):
 
 def _scenario_sweep(cfg, out_dir):
     key, values = cfg["sweep.key"], cfg["sweep.values"]
-    base = dict(cfg.raw)
-    base["scenario"] = cfg["sweep.scenario"]
     results = {}
 
     def one(idx_val):
         idx, val = idx_val
-        raw = dict(base)
-        raw[key] = val
         sub_dir = os.path.join(out_dir, f"sweep-{idx:03d}")
-        text = "\n".join(f"{k} = {v}" for k, v in raw.items() if k != "output.dir")
-        sub = parse_config(text, overrides=[f"output.dir = {sub_dir}"])
+        sub = parse_config(_sweep_text(cfg.raw, key, val),
+                           overrides=[f"output.dir = {sub_dir}"])
         return idx, val, run_scenario(sub, sub_dir)
 
     with ThreadPoolExecutor(max_workers=cfg["sweep.workers"]) as pool:

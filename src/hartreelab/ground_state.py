@@ -10,20 +10,29 @@ J(u) = M(u) H(u) / L_V(u) in three phases:
    renormalized: the step is amplitude-equivariant (u -> c u maps every
    iterate to c times itself), and phase 2 fixes the scale anyway.  A stalled
    line search ends the descent.
-2. Newton polish: once the descent residual is small, the iterate is rescaled
+2. Newton polish: once the descent residual is small, the iterate is dilated
    to the unit-coefficient Euler-Lagrange form and refined by a dense Newton
-   iteration on F(u) = L_a u + u - Phi[u^2] u, which converges quadratically
-   to round-off.
+   iteration on F(u) = L_a u + u - Phi[u^2] u.  The entry dilation is a
+   not-a-knot cubic spline of the regular part r^rho u (extrapolated inside
+   the first node, zero beyond r_max); Newton removes whatever error it
+   leaves.  Newton converges quadratically and stops at its round-off floor,
+   the first iterate whose |F| fails to halve (newton_iters is only a cap).
 3. Balanced Pohozaev rescale.  The discrete functionals carry a small scaling
    anomaly delta = (M - H)/M at the unit-coefficient solution (quadrature
    error of the singular class r^{-rho} near the origin; it shrinks with
    resolution).  A full rescale to M = H = L_V pushes the whole anomaly into
    the Euler-Lagrange residual, while skipping it pushes it all into the
    Pohozaev defect.  Instead the final step takes a half-step dilation
-   nu_s = (M/H)^{1/4} followed by the exact amplitude mu = sqrt(M/L_V) (which
-   enforces M = L_V to round-off), splitting the anomaly evenly: the returned
-   Q has Euler-Lagrange residual and |M - H| both ~delta/2, and M = L_V
-   exactly.  J (hence m_gs) is invariant under the whole scaling family.
+   nu = (M/H)^{1/4} = 1 + delta/4 + ... followed by the exact amplitude
+   mu = sqrt(M/L_V) (which enforces M = L_V to round-off), splitting the
+   anomaly evenly: the returned Q has Euler-Lagrange residual and |M - H|
+   both ~delta/2, and M = L_V exactly.  Since nu - 1 is tiny (2e-9 at n = 1024
+   to 1.4e-6 at n = 512, a = -0.2), the dilation is one first-order step
+   u + ln(nu) r u_r, with r u_r from the grid's cell stencils applied to the
+   regular part r^rho u; the dropped term is O((nu - 1)^2).
+   J (hence m_gs) is invariant under the whole scaling family.
+
+The solve evaluates no Bessel function: it only applies the plan's matrices.
 """
 
 from __future__ import annotations
@@ -32,12 +41,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
-from .grid import RadialGrid, build_grid
+from .grid import STENCIL, RadialGrid
 from .hartree import KernelMatrix, build_kernel, potential
 from .params import ModelParams
 from .transform import (TransformPlan, apply_la, build_plan, la_matrix,
-                        resample, transform_forward, transform_inverse)
+                        transform_forward, transform_inverse)
 
 
 class GroundStateError(RuntimeError):
@@ -75,6 +85,9 @@ class GroundStateResult:
     residual: float
     iterations: int
     trace: list  # (iteration, J) pairs
+    newton_residuals: list  # relative |F| at each Newton iterate
+    nu_entry: float         # dilation factor at the Newton entry
+    nu_final: float         # balanced Pohozaev factor; nu_final - 1 ~ anomaly / 4
 
 
 def initial_guess(params: ModelParams, grid: RadialGrid, kind: str) -> np.ndarray:
@@ -108,6 +121,26 @@ def el_residual(Q: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> float:
     F = apply_la(plan, Q) + Q - Phi * Q
     w = plan.grid.w
     return float(np.sqrt(np.sum(w * np.abs(F)**2) / np.sum(w * np.abs(Q)**2)))
+
+
+def _dilate(grid: RadialGrid, rho: float, u: np.ndarray, nu_s: float) -> np.ndarray:
+    """u(nu_s r) by a not-a-knot cubic spline of the regular part r^rho u,
+    extrapolated inside the first node and zero beyond r_max."""
+    x = nu_s * grid.r
+    g = CubicSpline(grid.r, grid.r**rho * u)(x)
+    return np.where(x <= grid.r_max, g * x**(-rho), 0.0)
+
+
+def _dilate_first_order(grid: RadialGrid, rho: float, u: np.ndarray,
+                        nu: float) -> np.ndarray:
+    """u(nu r) to first order in ln nu: u + ln(nu) r u_r, with
+    r u_r = r^{-rho} (r g' - rho g) and g' the derivative of the regular part
+    g = r^rho u at each node from the interpolating polynomial of its cell
+    stencil."""
+    g = grid.r**rho * u
+    nodes = grid.stencil_start[:, None] + np.arange(STENCIL)
+    dg = np.sum(grid.stencil_inv[:, :, 1] * g[nodes], axis=1) / grid.h
+    return u + math.log(nu) * grid.r**(-rho) * (grid.r * dg - rho * g)
 
 
 def solve_ground_state(params: ModelParams, grid: RadialGrid,
@@ -163,20 +196,21 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
 
     # Newton polish on the unit-coefficient Euler-Lagrange equation
     alpha, beta = H / M, H / LV
-    nu_s = 1.0 / math.sqrt(alpha)
-    mu = math.sqrt(beta) * nu_s**(params.d / 2)
-    u = mu * resample(plan, u, nu_s)
+    nu_entry = 1.0 / math.sqrt(alpha)
+    mu = math.sqrt(beta) * nu_entry**(params.d / 2)
+    u = mu * _dilate(grid, params.rho, u, nu_entry)
     La = la_matrix(plan)
     eye = np.eye(grid.n)
+    newton: list = []
     for jt in range(opts.newton_iters):
         f = u * u
         Phi = km.omega * (km.Kw @ f)
         F = La @ u + u - Phi * u
-        resn = float(np.sqrt(np.sum(grid.w * F**2) / np.sum(grid.w * u**2)))
+        newton.append(float(np.sqrt(np.sum(grid.w * F**2) / np.sum(grid.w * u**2))))
         M, H, LV, _, _ = _quantities(plan, km, u)
         trace.append((it + jt + 1, M * H / LV))
-        if resn < 1e-12:
-            break
+        if jt and newton[-1] > 0.5 * newton[-2]:
+            break                         # round-off floor: |F| no longer halves
         Jac = La + eye - np.diag(Phi) - 2 * km.omega * (u[:, None] * km.Kw * u[None, :])
         u = u - np.linalg.solve(Jac, F)
     iterations = it + jt + 1
@@ -184,7 +218,8 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     # balanced Pohozaev rescale: half-step dilation splits the scaling anomaly
     # between the residual and |M - H|; the amplitude makes M = L_V exact
     M, H, LV, _, _ = _quantities(plan, km, u)
-    v = resample(plan, u, (M / H)**0.25)
+    nu_final = (M / H)**0.25
+    v = _dilate_first_order(grid, params.rho, u, nu_final)
     Mv, _, LVv, _, _ = _quantities(plan, km, v)
     Q = math.sqrt(Mv / LVv) * v
     Q = np.where(np.abs(Q) < 1e-300, 0.0, Q)
@@ -199,7 +234,9 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     if np.min(Q) < -1e-12:
         raise GroundStateError(f"minimizer has negative samples (min {np.min(Q):.2e})", trace)
     return GroundStateResult(Q=Q, m_gs=m_gs, residual=residual,
-                             iterations=iterations, trace=trace)
+                             iterations=iterations, trace=trace,
+                             newton_residuals=newton, nu_entry=nu_entry,
+                             nu_final=nu_final)
 
 
 @dataclass

@@ -163,8 +163,10 @@ def radial_derivative(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
 def resample(plan: TransformPlan, u: np.ndarray, nu_s: float) -> np.ndarray:
     """Spectral evaluation of u(nu_s * r) on the same grid via the Bessel series.
 
-    Exact for fields in the span of the transform basis; used internally by the
-    ground-state solver where spectral-grade rescaling accuracy is needed.
+    Exact for fields in the span of the transform basis.  Each call evaluates
+    an n x n Bessel matrix; the pseudo-conformal family uses it, while the
+    ground-state solver dilates without it (a spline into Newton, then a
+    first-order step for its tiny final dilation).
     """
     if nu_s == 1.0:
         return np.array(u, copy=True)

@@ -75,6 +75,11 @@ def test_ground_state_scenario_artifacts(tmp_path):
         on_disk = json.load(fh)
     assert on_disk["m_gs"] == summary["m_gs"]
     assert on_disk["config_hash"] == config_hash(cfg)
+    # how the solver converged: the Newton |F| history and both dilations
+    diag = on_disk["diagnostics"]
+    assert set(diag) == {"newton_residuals", "nu_entry", "nu_final"}
+    assert 1 <= len(diag["newton_residuals"]) <= 10
+    assert diag["nu_entry"] > 0 and abs(diag["nu_final"] - 1) < 1e-3
 
 
 def test_evolve_scenario_trajectory(tmp_path):
@@ -165,6 +170,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--out", out, "--override", "sweep.key=model.a",
                  "--override", "sweep.values=-0.1", "--override", "sweep.workers=0"]) == 2
     assert "sweep.workers" in capsys.readouterr().err
+    # a sweep over its own scenario, output location or sweep.* keys would
+    # re-run itself; the parse_config guard keeps main from ever starting one
+    for key, vals in (("scenario", "sweep"), ("output.dir", "a,b"),
+                      ("sweep.values", "x"), ("sweep.scenario", "sweep")):
+        overrides = [f"sweep.key={key}", f"sweep.values={vals}"]
+        with pytest.raises(ConfigError):
+            parse_config("scenario = sweep", overrides)
+        args = [x for o in overrides for x in ("--override", o)]
+        assert main(["sweep", "--out", out] + args) == 2, key
+        assert "sweep.key" in capsys.readouterr().err, key
 
 
 def test_sweep_scenario(tmp_path):
@@ -179,6 +194,29 @@ def test_sweep_scenario(tmp_path):
     assert len(summary["runs"]) == 2
     for idx in (0, 1):
         assert os.path.exists(os.path.join(out, f"sweep-{idx:03d}", "summary.json"))
+
+
+def test_sweep_values_checked_at_parse_time(tmp_path, capsys):
+    # [TRIVIAL] every sub-run's config is parsed with the base config, so a
+    # bad swept value exits 2, named with its index, before any sub-run starts
+    text = "scenario = sweep\nsweep.key = model.a\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text + "sweep.values = -0.1,abc,-9\n")
+    errs = exc.value.errors
+    assert len(errs) == 2
+    assert "value 1 ('abc')" in errs[0] and "model.a" in errs[0]
+    assert "value 2 ('-9')" in errs[1] and "-0.25" in errs[1]
+    # cross-key checks of the sub-run's scenario apply too
+    with pytest.raises(ConfigError) as exc:
+        parse_config("scenario = sweep\nsweep.scenario = blowup\n"
+                     "sweep.key = init.profile\nsweep.values = pseudo-conformal,gaussian\n")
+    assert len(exc.value.errors) == 1 and "value 1 ('gaussian')" in exc.value.errors[0]
+    parse_config(text + "sweep.values = -0.1,-0.2\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--out", str(out), "--override", "sweep.key=model.a",
+                 "--override", "sweep.values=-0.1,abc"]) == 2
+    assert "value 1 ('abc')" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_config_validation():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy import special
 
+from conftest import Ctx
 from hartreelab import (el_residual, functionals, gn_audit, load_ground_state,
                         rescale, save_ground_state, solve_ground_state)
 from hartreelab.cli import _random_fields
 from hartreelab.ground_state import (GroundStateError, GroundStateOptions,
-                                     initial_guess)
+                                     _dilate_first_order, initial_guess)
 from hartreelab.transform import resample
 
 
@@ -108,19 +110,78 @@ def test_bad_inputs(ctx3):
     assert exc.value.trace    # the trace rides on the error
 
 
-def test_two_dilations_per_solve(monkeypatch, ctx3):
-    # [TRIVIAL] the descent never dilates: resample runs only at the Newton
-    # entry and in the balanced Pohozaev rescale
+def test_solve_evaluates_no_bessel_function(monkeypatch, ctx3):
+    # [TRIVIAL] both dilations and the Newton polish work from the grid and
+    # the plan's matrices: a solve makes no scipy.special.jv call
     calls = []
+    jv = special.jv
 
-    def counting(plan, u, nu_s):
-        calls.append(nu_s)
-        return resample(plan, u, nu_s)
+    def counting(*args):
+        calls.append(args)
+        return jv(*args)
 
-    monkeypatch.setattr("hartreelab.ground_state.resample", counting)
+    monkeypatch.setattr(special, "jv", counting)
     solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                        GroundStateOptions(residual_tol=1e-4))
-    assert len(calls) == 2
+    assert calls == []
+    resample(ctx3.plan, ctx3.grid.r, 1.1)     # the counter does see the transform
+    assert calls
+
+
+@pytest.fixture(scope="module")
+def ctx512():
+    return Ctx(3, -0.1, 512, 12.0)
+
+
+@pytest.mark.parametrize("guess,m_gs", [("gaussian", 1.1784600506431986),
+                                        ("sech", 1.1784600506431981)])
+def test_m_gs_pinned_and_few_dense_solves(monkeypatch, ctx512, guess, m_gs):
+    # [DERIVED] the threshold at (3, -0.1), n = 512, default options, as the
+    # Bessel-series dilations gave it, within 1e-12; Newton stops at its
+    # round-off floor after at most 5 dense solves (the cap is 10)
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    res = solve_ground_state(ctx512.params, ctx512.grid, ctx512.plan, ctx512.km,
+                             GroundStateOptions(guess=guess))
+    assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
+    assert len(calls) <= 5
+    # the |F| history: each entry halves the last, except the final one,
+    # which is where Newton stopped without taking a step
+    hist = res.newton_residuals
+    assert len(hist) == len(calls) + 1
+    assert all(b <= 0.5 * a for a, b in zip(hist[:-2], hist[1:-1]))
+    assert hist[-1] > 0.5 * hist[-2]
+    assert res.nu_entry > 0 and abs(res.nu_final - 1) < 1e-6
+
+
+def test_first_order_dilation_matches_resample(ctx512):
+    # [DERIVED] for |nu - 1| <= 3e-7 the first-order step of the final
+    # dilation agrees with the spectral Bessel-series resample within 1e-12
+    # relative in the quadrature L^2 norm
+    grid = ctx512.grid
+    Q = solve_ground_state(ctx512.params, grid, ctx512.plan, ctx512.km).Q
+    for nu in (1 + 3e-7, 1 - 3e-7, 1 + 1e-9):
+        ref = resample(ctx512.plan, Q, nu)
+        err = _dilate_first_order(grid, ctx512.params.rho, Q, nu) - ref
+        assert np.sqrt(np.sum(grid.w * err**2) / np.sum(grid.w * ref**2)) <= 1e-12, nu
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+@pytest.mark.parametrize("guess", ["gaussian", "sech"])
+@pytest.mark.parametrize("ctx_name", ["ctx3", "ctx4"])
+def test_newton_from_the_guess_reaches_tolerance(request, ctx_name, guess, max_iter):
+    # [DERIVED] with (almost) no descent, Newton starts far from its quadratic
+    # basin; the halving stop must not end it before the default residual_tol
+    ctx = request.getfixturevalue(ctx_name)
+    opts = GroundStateOptions(max_iter=max_iter, guess=guess)
+    res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km, opts)
+    assert res.residual < opts.residual_tol
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e5])
