@@ -371,14 +371,37 @@ def _scenario_ground_state(cfg, out_dir):
             "checks": checks}
 
 
+def _drifts(traj):
+    """Per-sample |M - M0|/M0 and |E - E0|/|E0| (0 and |E - E0| when M0 or
+    E0 is 0)."""
+    q0 = traj.quantities[0]
+    M = np.array([q.M for q in traj.quantities])
+    E = np.array([q.E for q in traj.quantities])
+    dm = np.abs(M - q0.M) / q0.M if q0.M > 0 else np.zeros_like(M)
+    de = np.abs(E - q0.E) / abs(q0.E) if q0.E != 0 else np.abs(E - q0.E)
+    return dm, de
+
+
+def _evolution_diagnostics(traj) -> dict:
+    """Why an evolution stopped and how its invariants drifted on the way."""
+    def worst(drift):
+        i = int(np.argmax(drift))
+        return {"value": float(drift[i]), "t": traj.times[i]}
+
+    dm, de = _drifts(traj)
+    return {"boundary_flagged_samples": int(sum(traj.boundary_flags)),
+            "max_mass_drift": worst(dm), "max_energy_drift": worst(de),
+            "stop_value": traj.stop_value}
+
+
 def _scenario_evolve(cfg, out_dir):
     params, grid, plan, km = _build(cfg)
     u0, _ = _initial_data(cfg, params, grid, plan, km)
     traj = evolve(u0, _integrator(cfg), plan, km)
     _export_trajectory(out_dir, cfg, traj, grid, lambdas=cfg["concentrate.lambdas"])
-    q0, qT = traj.quantities[0], traj.quantities[-1]
-    mass_drift = abs(qT.M - q0.M) / q0.M if q0.M > 0 else 0.0
-    energy_drift = abs(qT.E - q0.E) / abs(q0.E) if q0.E != 0 else abs(qT.E - q0.E)
+    q0 = traj.quantities[0]
+    dm, de = _drifts(traj)
+    mass_drift, energy_drift = float(dm[-1]), float(de[-1])
     checks = {
         "times_increasing": bool(np.all(np.diff(traj.times) > 0)),
         "finite": all(np.isfinite([q.M, q.H, q.E]).all() for q in traj.quantities),
@@ -387,7 +410,8 @@ def _scenario_evolve(cfg, out_dir):
         checks["mass_conserved"] = mass_drift < 1e-10
     return {"stop_reason": traj.stop_reason, "stop_time": traj.stop_time,
             "mass_drift": mass_drift, "energy_drift": energy_drift,
-            "M0": q0.M, "E0": q0.E, "checks": checks}
+            "M0": q0.M, "E0": q0.E, "diagnostics": _evolution_diagnostics(traj),
+            "checks": checks}
 
 
 def _scenario_blowup(cfg, out_dir, want_concentration=False):
@@ -396,7 +420,8 @@ def _scenario_blowup(cfg, out_dir, want_concentration=False):
     traj = evolve(u0, _integrator(cfg), plan, km)
     E0 = traj.quantities[0].E
     summary = {"stop_reason": traj.stop_reason, "stop_time": traj.stop_time,
-               "E0": E0, "T_star_config": cfg["init.T_star"]}
+               "E0": E0, "T_star_config": cfg["init.T_star"],
+               "diagnostics": _evolution_diagnostics(traj)}
     checks = {"blowup_stop": traj.stop_reason in
               ("blowup-suspected", "blowup-resolved-limit", "h-threshold")}
     lam_of_t = None

@@ -101,15 +101,19 @@ def initial_guess(params: ModelParams, grid: RadialGrid, kind: str) -> np.ndarra
     raise ValueError(f"unknown initial guess kind {kind!r}")
 
 
-def _quantities(plan, km, u):
-    w, om = plan.grid.w, km.omega
-    f = np.abs(u)**2
+def _moments(w, om, u, f, Phi, Lau):
+    """M, H and L_V of u from f = |u|^2, Phi = Phi[f] and Lau = L_a u."""
     M = 0.5 * om * float(np.sum(w * f))
-    Lau = apply_la(plan, u)
     H = 0.5 * om * float(np.real(np.sum(w * np.conj(u) * Lau)))
-    Phi = km.omega * (km.Kw @ f)
     LV = 0.25 * om * float(np.sum(w * Phi * f))
-    return M, H, LV, Phi, Lau
+    return M, H, LV
+
+
+def _quantities(plan, km, u):
+    f = np.abs(u)**2
+    Lau = apply_la(plan, u)
+    Phi = km.omega * (km.Kw @ f)
+    return (*_moments(plan.grid.w, km.omega, u, f, Phi, Lau), Phi, Lau)
 
 
 def el_residual(Q: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> float:
@@ -205,19 +209,21 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     for jt in range(opts.newton_iters):
         f = u * u
         Phi = km.omega * (km.Kw @ f)
-        F = La @ u + u - Phi * u
+        Lau = La @ u
+        F = Lau + u - Phi * u
         newton.append(float(np.sqrt(np.sum(grid.w * F**2) / np.sum(grid.w * u**2))))
-        M, H, LV, _, _ = _quantities(plan, km, u)
+        M, H, LV = _moments(grid.w, km.omega, u, f, Phi, Lau)
         trace.append((it + jt + 1, M * H / LV))
         if jt and newton[-1] > 0.5 * newton[-2]:
             break                         # round-off floor: |F| no longer halves
         Jac = La + eye - np.diag(Phi) - 2 * km.omega * (u[:, None] * km.Kw * u[None, :])
         u = u - np.linalg.solve(Jac, F)
+    else:                                 # the cap: u moved after its last M, H
+        M, H, LV, _, _ = _quantities(plan, km, u)
     iterations = it + jt + 1
 
     # balanced Pohozaev rescale: half-step dilation splits the scaling anomaly
     # between the residual and |M - H|; the amplitude makes M = L_V exact
-    M, H, LV, _, _ = _quantities(plan, km, u)
     nu_final = (M / H)**0.25
     v = _dilate_first_order(grid, params.rho, u, nu_final)
     Mv, _, LVv, _, _ = _quantities(plan, km, v)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -98,6 +99,53 @@ def test_evolve_scenario_trajectory(tmp_path):
     assert lines[-1].endswith("completed")
     for mid in lines[1:-1]:
         assert mid.endswith(",")
+    diag, _ = _check_diagnostics(out)
+    assert diag["boundary_flagged_samples"] == 0
+    assert diag["stop_value"] is None
+    assert summary["mass_drift"] <= diag["max_mass_drift"]["value"] < 1e-10
+
+
+def _check_diagnostics(out):
+    """The diagnostics block of summary.json and the H column of
+    trajectory.csv, with the block's worst relative mass and energy drifts
+    and their times checked against the samples in the CSV."""
+    with open(os.path.join(out, "summary.json")) as fh:
+        diag = json.load(fh)["diagnostics"]
+    with open(os.path.join(out, "trajectory.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    t, M, H, E = (np.array([float(r[i]) for r in rows]) for i in (0, 1, 2, 3))
+    for key, x in (("max_mass_drift", M), ("max_energy_drift", E)):
+        drift = np.abs(x - x[0]) / abs(x[0])
+        i = int(np.argmax(drift))
+        assert diag[key] == {"value": drift[i], "t": t[i]}, key
+    assert set(diag) == {"boundary_flagged_samples", "max_mass_drift",
+                         "max_energy_drift", "stop_value"}
+    assert 0 <= diag["boundary_flagged_samples"] <= len(rows)
+    return diag, H
+
+
+@pytest.mark.parametrize("scenario,extra,reason", [
+    ("blowup", "integrator.h_threshold = 1.5\n", "h-threshold"),
+    ("concentrate", "", "blowup-resolved-limit")])
+def test_blowup_diagnostics(tmp_path, scenario, extra, reason):
+    # [DERIVED] why a blow-up run stopped: the value that triggered the stop
+    # (H, or 1/sqrt(H) in cells) is the last sample's; the coarse grid lets
+    # mass reach the outer cells, and the flagged samples are counted
+    cfg = parse_config(FAST_GRID + FAST_GS + f"scenario = {scenario}\n"
+                       "init.profile = pseudo-conformal\nintegrator.dt = 2e-3\n"
+                       "integrator.output_stride = 5\n" + extra)
+    out = str(tmp_path / scenario)
+    summary = run_scenario(cfg, out)
+    assert summary["stop_reason"] == reason
+    diag, H = _check_diagnostics(out)
+    H = H[-1]
+    if reason == "h-threshold":
+        assert diag["stop_value"] == H > 1.5
+    else:
+        h = cfg["grid.r_max"] / cfg["grid.n"]
+        assert diag["stop_value"] == pytest.approx(1 / math.sqrt(H) / h, rel=1e-15)
+        assert diag["stop_value"] < cfg["integrator.min_scale_cells"]
+    assert diag["boundary_flagged_samples"] > 0
 
 
 def test_determinism_bit_identical(tmp_path):

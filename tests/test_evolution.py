@@ -9,7 +9,8 @@ from hartreelab import (FitRejected, IntegratorConfig, Quantities, Trajectory,
                         pseudo_conformal_family, rotated_energy_check, step,
                         transform, virial)
 from hartreelab.cli import _random_fields
-from hartreelab.evolution import linear_flow
+from hartreelab import evolution
+from hartreelab.evolution import _phases, linear_flow
 from hartreelab.hartree import surface_area
 
 
@@ -38,7 +39,7 @@ def test_mass_per_step(ctx3, gs3, scheme):
     # [PAPER] |M(after) - M(before)|/M < 1e-13 per step
     u = gs3.Q.astype(complex)
     q0 = functionals(u, ctx3.plan, ctx3.km)
-    v = step(u, 1e-3, ctx3.plan, ctx3.km, scheme)
+    v, _ = step(u, 1e-3, ctx3.plan, ctx3.km, scheme)
     q1 = functionals(v, ctx3.plan, ctx3.km)
     assert abs(q1.M - q0.M) / q0.M < 1e-13
 
@@ -57,12 +58,81 @@ def test_solitary_wave(ctx3, gs3):
     assert max(hs) - min(hs) < 1e-4 * hs[0]
 
 
+def _subcritical(c):
+    g = c.grid
+    return (0.45 * g.r**(-c.params.rho) * np.exp(-g.r**2 / 2)
+            * np.exp(0.3j * np.tanh(g.r))).astype(complex)
+
+
+@pytest.mark.parametrize("scheme", ["strang-split", "midpoint-relaxation"])
+def test_evolve_matches_one_shot_steps(ctx3, scheme):
+    # [DERIVED] evolve, which carries the end rotation and forms the flow
+    # phases once, matches a loop of one-shot steps at every sample (300
+    # steps, 6 samples) to 1e-12 relative
+    dt, stride, nsteps = 1e-4, 60, 300
+    u = _subcritical(ctx3)
+    traj = evolve(u, IntegratorConfig(dt=dt, t_end=nsteps * dt, scheme=scheme,
+                                      output_stride=stride), ctx3.plan, ctx3.km)
+    assert traj.stop_reason == "completed" and len(traj.fields) == 6
+    ref = [u]
+    for i in range(1, nsteps + 1):
+        u, _ = step(u, dt, ctx3.plan, ctx3.km, scheme)
+        if i % stride == 0:
+            ref.append(u)
+    for got, want in zip(traj.fields, ref):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_one_potential_per_strang_step(ctx3, monkeypatch):
+    # [TRIVIAL] a strang-split step reuses the potential that ended the step
+    # before: one call per step, one more for the first step, and the calls
+    # the diagnostic samples make
+    calls = []
+    original = evolution.potential
+
+    def counting(km, v):
+        calls.append(1)
+        return original(km, v)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("hartreelab") and getattr(mod, "potential", None) is original:
+            monkeypatch.setattr(mod, "potential", counting)
+    u = _subcritical(ctx3)
+    functionals(u, ctx3.plan, ctx3.km)
+    virial(u, ctx3.plan)
+    per_sample = len(calls)
+    assert per_sample >= 1
+    calls.clear()
+    nsteps = 40
+    traj = evolve(u, IntegratorConfig(dt=1e-4, t_end=nsteps * 1e-4, output_stride=10),
+                  ctx3.plan, ctx3.km)
+    assert len(traj.times) == 5
+    assert len(calls) == nsteps + 1 + per_sample * len(traj.times)
+
+
+@pytest.mark.parametrize("scheme", ["strang-split", "midpoint-relaxation"])
+def test_step_with_carried_state_is_bit_identical(ctx3, scheme):
+    # [TRIVIAL] given the rotation and phases a one-shot step forms itself,
+    # step returns the same bits as without them
+    dt = 1e-4
+    u = _subcritical(ctx3)
+    rot = np.exp(-0.5j * dt * evolution.potential(ctx3.km, u)) \
+        if scheme == "strang-split" else None
+    a, rot_a = step(u, dt, ctx3.plan, ctx3.km, scheme)
+    b, rot_b = step(u, dt, ctx3.plan, ctx3.km, scheme, rot, _phases(ctx3.plan, dt, scheme))
+    assert np.array_equal(a, b)
+    if scheme == "strang-split":
+        assert np.array_equal(rot_a, rot_b)
+    else:
+        assert rot_a is None and rot_b is None
+
+
 def test_phase_equivariance(ctx3, gs3):
     # [TRIVIAL] evolving e^{i theta0} u0 equals e^{i theta0} x evolving u0
     u = gs3.Q.astype(complex) * np.exp(-(ctx3.grid.r - 1) ** 2 / 9)
     th = 0.8
-    a = step(u * np.exp(1j * th), 1e-3, ctx3.plan, ctx3.km)
-    b = step(u, 1e-3, ctx3.plan, ctx3.km) * np.exp(1j * th)
+    a, _ = step(u * np.exp(1j * th), 1e-3, ctx3.plan, ctx3.km)
+    b = step(u, 1e-3, ctx3.plan, ctx3.km)[0] * np.exp(1j * th)
     assert np.max(np.abs(a - b)) < 1e-13 * max(1.0, np.max(np.abs(b)))
 
 

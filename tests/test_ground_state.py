@@ -5,6 +5,7 @@ from scipy import special
 from conftest import Ctx
 from hartreelab import (el_residual, functionals, gn_audit, load_ground_state,
                         rescale, save_ground_state, solve_ground_state)
+from hartreelab import ground_state
 from hartreelab.cli import _random_fields
 from hartreelab.ground_state import (GroundStateError, GroundStateOptions,
                                      _dilate_first_order, initial_guess)
@@ -182,6 +183,26 @@ def test_newton_from_the_guess_reaches_tolerance(request, ctx_name, guess, max_i
     opts = GroundStateOptions(max_iter=max_iter, guess=guess)
     res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km, opts)
     assert res.residual < opts.residual_tol
+
+
+@pytest.mark.parametrize("guess", ["gaussian", "sech"])
+def test_newton_reuses_its_quantities(monkeypatch, ctx3, guess):
+    # [TRIVIAL] Newton logs J from the Phi and L_a u it formed for F, and the
+    # final rescale reuses the last iterate's M and H: with no descent, a
+    # solve applies L_a four times (the guess's quantities, the rescaled
+    # field, the returned Q, its EL residual), however many Newton iterates
+    calls = []
+    apply_la = ground_state.apply_la
+
+    def counting(plan, v):
+        calls.append(1)
+        return apply_la(plan, v)
+
+    monkeypatch.setattr(ground_state, "apply_la", counting)
+    res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
+                             GroundStateOptions(max_iter=0, guess=guess))
+    assert len(res.newton_residuals) >= 3
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e5])
