@@ -68,12 +68,9 @@ SCHEMA = {
     "integrator.output_stride": (int, 10),
     "integrator.h_threshold": (float, math.inf),
     "integrator.min_scale_cells": (float, 4.0),
-    "ground_state.step0": (float, 1e-2),
-    "ground_state.max_iter": (int, 500),
-    "ground_state.descent_tol": (float, 1e-4),
     "ground_state.newton_iters": (int, 10),
     "ground_state.residual_tol": (float, 1e-5),
-    "ground_state.guess": (str, "gaussian"),
+    "ground_state.guess": (str, "sech"),
     "init.profile": (str, "gaussian"),
     "init.file": (str, ""),
     "init.sigma": (float, 1.0),
@@ -186,8 +183,8 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     if not 0 < values.get("grid.r_max", 1.0) < math.inf:
         errors.append(f"key grid.r_max: must be positive and finite, "
                       f"got {values['grid.r_max']}")
-    check("integrator.dt", lambda: _integrator(values))
-    check("ground_state", lambda: _gs_options(values))
+    check("integrator.dt", lambda: _options(values, "integrator", IntegratorConfig))
+    check("ground_state", lambda: _options(values, "ground_state", GroundStateOptions))
     if values.get("init.profile") not in PROFILE_NAMES + ("file",):
         errors.append(f"key init.profile: must be one of {PROFILE_NAMES + ('file',)}, "
                       f"got {values.get('init.profile')!r}")
@@ -264,22 +261,10 @@ def _build(cfg: RunConfig):
     return params, grid, plan, km
 
 
-def _gs_options(cfg) -> GroundStateOptions:
-    return GroundStateOptions(
-        step0=cfg["ground_state.step0"], max_iter=cfg["ground_state.max_iter"],
-        descent_tol=cfg["ground_state.descent_tol"],
-        newton_iters=cfg["ground_state.newton_iters"],
-        residual_tol=cfg["ground_state.residual_tol"],
-        guess=cfg["ground_state.guess"])
-
-
-def _integrator(cfg) -> IntegratorConfig:
-    return IntegratorConfig(
-        dt=cfg["integrator.dt"], t_end=cfg["integrator.t_end"],
-        scheme=cfg["integrator.scheme"],
-        output_stride=cfg["integrator.output_stride"],
-        h_threshold=cfg["integrator.h_threshold"],
-        min_scale_cells=cfg["integrator.min_scale_cells"])
+def _options(cfg, section: str, cls=dict, skip=()):
+    """cls(**fields) from the SCHEMA keys `section.<field>` of cfg, less `skip`."""
+    return cls(**{k.split(".", 1)[1]: cfg[k] for k in SCHEMA
+                  if k.startswith(section + ".") and k not in skip})
 
 
 def _initial_data(cfg, params, grid, plan, km):
@@ -300,19 +285,11 @@ def _initial_data(cfg, params, grid, plan, km):
         return np.asarray(Q, dtype=complex), None
     gs = None
     if name in ("ground-state", "pseudo-conformal"):
-        gs = solve_ground_state(params, grid, plan, km, _gs_options(cfg))
-        u0 = make_initial_data(name, _profile_opts(cfg), params, grid, plan, gs.Q)
-    else:
-        u0 = make_initial_data(name, _profile_opts(cfg), params, grid, plan)
+        gs = solve_ground_state(params, grid, plan, km,
+                                _options(cfg, "ground_state", GroundStateOptions))
+    u0 = make_initial_data(name, _options(cfg, "init", skip=("init.profile", "init.file")),
+                           params, grid, plan, None if gs is None else gs.Q)
     return np.asarray(u0, dtype=complex), gs
-
-
-def _profile_opts(cfg) -> dict:
-    return {"sigma": cfg["init.sigma"], "amplitude": cfg["init.amplitude"],
-            "mu": cfg["init.mu"], "nu_s": cfg["init.nu_s"],
-            "T_star": cfg["init.T_star"], "theta": cfg["init.theta"],
-            "t0": cfg["init.t0"], "s0": cfg["init.s0"],
-            "width": cfg["init.width"]}
 
 
 def _sidecar(cfg, extra=None):
@@ -348,7 +325,7 @@ def _export_trajectory(out_dir, cfg, traj, grid, lambdas=None, lam_of_t=None):
 
 def _scenario_ground_state(cfg, out_dir):
     params, grid, plan, km = _build(cfg)
-    opts = _gs_options(cfg)
+    opts = _options(cfg, "ground_state", GroundStateOptions)
     res = solve_ground_state(params, grid, plan, km, opts)
     q = functionals(res.Q, plan, km)
     tol = opts.residual_tol
@@ -367,7 +344,8 @@ def _scenario_ground_state(cfg, out_dir):
                                  "HL_V": abs(q.H - q.L_V) / res.m_gs},
             "iterations": res.iterations,
             "diagnostics": {"newton_residuals": res.newton_residuals,
-                            "nu_entry": res.nu_entry, "nu_final": res.nu_final},
+                            "nu_entry": res.nu_entry, "nu_final": res.nu_final,
+                            "trace": res.trace},
             "checks": checks}
 
 
@@ -397,7 +375,7 @@ def _evolution_diagnostics(traj) -> dict:
 def _scenario_evolve(cfg, out_dir):
     params, grid, plan, km = _build(cfg)
     u0, _ = _initial_data(cfg, params, grid, plan, km)
-    traj = evolve(u0, _integrator(cfg), plan, km)
+    traj = evolve(u0, _options(cfg, "integrator", IntegratorConfig), plan, km)
     _export_trajectory(out_dir, cfg, traj, grid, lambdas=cfg["concentrate.lambdas"])
     q0 = traj.quantities[0]
     dm, de = _drifts(traj)
@@ -417,7 +395,7 @@ def _scenario_evolve(cfg, out_dir):
 def _scenario_blowup(cfg, out_dir, want_concentration=False):
     params, grid, plan, km = _build(cfg)
     u0, _ = _initial_data(cfg, params, grid, plan, km)
-    traj = evolve(u0, _integrator(cfg), plan, km)
+    traj = evolve(u0, _options(cfg, "integrator", IntegratorConfig), plan, km)
     E0 = traj.quantities[0].E
     summary = {"stop_reason": traj.stop_reason, "stop_time": traj.stop_time,
                "E0": E0, "T_star_config": cfg["init.T_star"],
@@ -481,7 +459,8 @@ def _scenario_verify(cfg, out_dir):
     params, grid, plan, km = _build(cfg)
     rng = np.random.default_rng(cfg["seed"])
     count = cfg["verify.fields"]
-    gs = solve_ground_state(params, grid, plan, km, _gs_options(cfg))
+    gs = solve_ground_state(params, grid, plan, km,
+                            _options(cfg, "ground_state", GroundStateOptions))
     m_gs = gs.m_gs
     hardy_bound = (2.0 / (params.d - 2))**2
 

@@ -1,22 +1,18 @@
 """Ground states Q of L_a Q + Q = (|.|^{-2} * Q^2) Q and the threshold M_gs.
 
-The solver minimizes the scale-invariant Weinstein quotient
-J(u) = M(u) H(u) / L_V(u) in three phases:
+The threshold M_gs = M(Q) = min J, with J(u) = M(u) H(u) / L_V(u) the
+scale-invariant Weinstein quotient, is the same for every ground state, so the
+solver only needs a positive Euler-Lagrange solution; that it minimizes J is
+what gn_audit checks.  From a positive guess with the r^{-rho} origin envelope
+the solve takes three steps:
 
-1. Preconditioned J-descent: steps along the scale-invariant J-gradient,
-   preconditioned by (k^2 + H/M)^{-1} and rescaled to the norm of the
-   iterate, accepted only if J decreases (adaptive step, halved on increase),
-   with projection of negative samples to zero.  The iterate is never
-   renormalized: the step is amplitude-equivariant (u -> c u maps every
-   iterate to c times itself), and phase 2 fixes the scale anyway.  A stalled
-   line search ends the descent.
-2. Newton polish: once the descent residual is small, the iterate is dilated
-   to the unit-coefficient Euler-Lagrange form and refined by a dense Newton
-   iteration on F(u) = L_a u + u - Phi[u^2] u.  The entry dilation is a
-   not-a-knot cubic spline of the regular part r^rho u (extrapolated inside
-   the first node, zero beyond r_max); Newton removes whatever error it
-   leaves.  Newton converges quadratically and stops at its round-off floor,
-   the first iterate whose |F| fails to halve (newton_iters is only a cap).
+1. Entry dilation: the guess is dilated and scaled to the unit-coefficient
+   Euler-Lagrange form, u -> mu u(nu r) with nu = (M/H)^{1/2} and
+   mu = (H/L_V)^{1/2} nu^{d/2}, by a not-a-knot cubic spline of the regular
+   part r^rho u (extrapolated inside the first node, zero beyond r_max).
+2. Dense Newton on F(u) = L_a u + u - Phi[u^2] u.  Newton converges
+   quadratically and stops at its round-off floor, the first iterate whose
+   |F| fails to halve (newton_iters is only a cap).
 3. Balanced Pohozaev rescale.  The discrete functionals carry a small scaling
    anomaly delta = (M - H)/M at the unit-coefficient solution (quadrature
    error of the singular class r^{-rho} near the origin; it shrinks with
@@ -46,8 +42,7 @@ from scipy.interpolate import CubicSpline
 from .grid import STENCIL, RadialGrid
 from .hartree import KernelMatrix, build_kernel, potential
 from .params import ModelParams
-from .transform import (TransformPlan, apply_la, build_plan, la_matrix,
-                        transform_forward, transform_inverse)
+from .transform import TransformPlan, apply_la, build_plan, la_matrix
 
 
 class GroundStateError(RuntimeError):
@@ -58,20 +53,14 @@ class GroundStateError(RuntimeError):
 
 @dataclass
 class GroundStateOptions:
-    step0: float = 1e-2          # initial descent step (adaptive, halved on J increase)
-    max_iter: int = 500          # descent iteration budget
-    descent_tol: float = 1e-4    # residual at which the Newton polish takes over
     newton_iters: int = 10
     residual_tol: float = 1e-5   # final Euler-Lagrange residual demanded
-    guess: str = "gaussian"      # "gaussian" | "sech", or pass init= explicitly
+    guess: str = "sech"          # "gaussian" | "sech", or pass init= explicitly
 
     def __post_init__(self):
-        for name in ("step0", "descent_tol", "residual_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, "
-                                 f"got {getattr(self, name)!r}")
-        if self.max_iter < 0:      # 0 is a working setting: Newton from the guess
-            raise ValueError(f"max_iter must be >= 0, got {self.max_iter!r}")
+        if not 0 < self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be positive and finite, "
+                             f"got {self.residual_tol!r}")
         if self.newton_iters < 1:
             raise ValueError(f"newton_iters must be >= 1, got {self.newton_iters!r}")
         if self.guess not in ("gaussian", "sech"):
@@ -160,67 +149,33 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     if np.any(u < 0) or not np.any(u > 0):
         raise ValueError("initial guess must be non-negative and nonzero")
 
-    trace: list = []
-    M, H, LV, Phi, Lau = _quantities(plan, km, u)
+    M, H, LV, _, _ = _quantities(plan, km, u)
     if LV <= 0 or M <= 0:
-        raise GroundStateError("initial guess has vanishing mass or L_V", trace)
-    M0 = M
-    J = M * H / LV
-    tau = opts.step0
-    it = 0
-    for it in range(1, opts.max_iter + 1):
-        # scale-invariant J-gradient
-        g = (H / LV) * u + (M / LV) * Lau - (M * H / LV**2) * Phi * u
-        z = transform_inverse(plan, transform_forward(plan, g) / (plan.k**2 + H / M))
-        zn = float(np.sqrt(np.sum(plan.grid.w * z**2)))
-        un_norm = float(np.sqrt(np.sum(plan.grid.w * u**2)))
-        if zn > 0:
-            z *= un_norm / zn
-        for _ in range(30):
-            un = np.maximum(u - tau * z, 0.0)
-            Mn, Hn, LVn, Phin, Laun = _quantities(plan, km, un)
-            if LVn > 0 and Mn > 0 and Mn * Hn / LVn < J:
-                break
-            tau *= 0.5
-        else:
-            break                         # line search stalled
-        u, M, H, LV, Phi, Lau = un, Mn, Hn, LVn, Phin, Laun
-        J = M * H / LV
-        trace.append((it, J))
-        tau = min(tau * 1.5, 1.0)
-        alpha, beta = H / M, H / LV
-        res = Lau + alpha * u - beta * Phi * u
-        resn = float(np.sqrt(np.sum(plan.grid.w * res**2) /
-                             np.sum(plan.grid.w * u**2))) / alpha
-        if resn < opts.descent_tol:
-            break
+        raise GroundStateError("initial guess has vanishing mass or L_V")
 
-    if LV <= 0 or M <= 1e-12 * M0:
-        raise GroundStateError("descent collapsed to the zero field", trace)
-
-    # Newton polish on the unit-coefficient Euler-Lagrange equation
-    alpha, beta = H / M, H / LV
-    nu_entry = 1.0 / math.sqrt(alpha)
-    mu = math.sqrt(beta) * nu_entry**(params.d / 2)
+    # dilate to the unit-coefficient Euler-Lagrange form, then Newton
+    nu_entry = 1.0 / math.sqrt(H / M)
+    mu = math.sqrt(H / LV) * nu_entry**(params.d / 2)
     u = mu * _dilate(grid, params.rho, u, nu_entry)
     La = la_matrix(plan)
     eye = np.eye(grid.n)
+    trace: list = []
     newton: list = []
-    for jt in range(opts.newton_iters):
+    for it in range(opts.newton_iters):
         f = u * u
         Phi = km.omega * (km.Kw @ f)
         Lau = La @ u
         F = Lau + u - Phi * u
         newton.append(float(np.sqrt(np.sum(grid.w * F**2) / np.sum(grid.w * u**2))))
         M, H, LV = _moments(grid.w, km.omega, u, f, Phi, Lau)
-        trace.append((it + jt + 1, M * H / LV))
-        if jt and newton[-1] > 0.5 * newton[-2]:
+        trace.append((it + 1, M * H / LV))
+        if it and newton[-1] > 0.5 * newton[-2]:
             break                         # round-off floor: |F| no longer halves
         Jac = La + eye - np.diag(Phi) - 2 * km.omega * (u[:, None] * km.Kw * u[None, :])
         u = u - np.linalg.solve(Jac, F)
     else:                                 # the cap: u moved after its last M, H
         M, H, LV, _, _ = _quantities(plan, km, u)
-    iterations = it + jt + 1
+    iterations = it + 1
 
     # balanced Pohozaev rescale: half-step dilation splits the scaling anomaly
     # between the residual and |M - H|; the amplitude makes M = L_V exact
@@ -236,9 +191,10 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     if residual > opts.residual_tol:
         raise GroundStateError(
             f"solver did not reach residual {opts.residual_tol:.1e} "
-            f"(got {residual:.2e}) within {opts.max_iter} descent iterations", trace)
+            f"(got {residual:.2e}) after {iterations} Newton iterations", trace)
     if np.min(Q) < -1e-12:
-        raise GroundStateError(f"minimizer has negative samples (min {np.min(Q):.2e})", trace)
+        raise GroundStateError(
+            f"ground state has negative samples (min {np.min(Q):.2e})", trace)
     return GroundStateResult(Q=Q, m_gs=m_gs, residual=residual,
                              iterations=iterations, trace=trace,
                              newton_residuals=newton, nu_entry=nu_entry,

@@ -35,8 +35,8 @@ diag(r^{-(d-2)/2}) B = Psi R (R the QR triangle) and Psi^T W Psi = I.
 
 If the grid carries a non-positive quadrature weight (possible at the first
 node for d >= 6 and for pathologically coarse grids), the orthonormalization
-metric clips it to a tiny positive value and the plan records it; conservation
-statements then hold in the clipped metric.
+metric clips it to a tiny positive value; conservation statements then hold in
+the clipped metric.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class TransformPlan:
     R: np.ndarray              # upper triangular: B / r^{(d-2)/2} = Psi R
     Psi: np.ndarray            # orthonormal mode samples psi_m(r_j), n x n
     PsiTw: np.ndarray          # Psi^T diag(w_metric): the forward transform
-    metric_clipped: bool       # True if a non-positive weight was clipped
     _deriv_matrix: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -92,8 +91,7 @@ def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
     B = special.jv(nu, k[None, :] * grid.r[:, None])
 
     w = grid.w
-    clipped = bool(np.any(w <= 0))
-    if clipped:
+    if np.any(w <= 0):
         w = np.maximum(w, 1e-14 * np.max(w))
     sw = np.sqrt(w)
     Y, R = np.linalg.qr(sw[:, None] * B / grid.r[:, None]**((params.d - 2) / 2))
@@ -101,7 +99,7 @@ def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
     Psi = Y * sign / sw[:, None]
     PsiTw = Psi.T * w[None, :]
     return TransformPlan(params=params, grid=grid, k=k, B=B, R=sign[:, None] * R,
-                         Psi=Psi, PsiTw=PsiTw, metric_clipped=clipped)
+                         Psi=Psi, PsiTw=PsiTw)
 
 
 def _check(plan: TransformPlan, v: np.ndarray) -> np.ndarray:

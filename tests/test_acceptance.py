@@ -94,9 +94,9 @@ def test_03_initialization_and_grid_independence(cases_1024, case3_512):
     # [DERIVED] M_gs independent of the initial guess to 1e-6 and of grid
     # doubling (n = 512 -> 1024) to 1e-5
     c = case3_512
-    sech = solve_ground_state(c.params, c.grid, c.plan, c.km,
-                              GroundStateOptions(residual_tol=1e-6, guess="sech"))
-    assert sech.m_gs == pytest.approx(c.gs.m_gs, rel=1e-6)
+    gaussian = solve_ground_state(c.params, c.grid, c.plan, c.km,
+                                  GroundStateOptions(residual_tol=1e-6, guess="gaussian"))
+    assert gaussian.m_gs == pytest.approx(c.gs.m_gs, rel=1e-6)
     fine = cases_1024[0]
     assert c.gs.m_gs == pytest.approx(fine.gs.m_gs, rel=1e-5)
 

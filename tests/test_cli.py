@@ -9,8 +9,7 @@ from hartreelab.cli import (ConfigError, SCHEMA, config_hash, main,
                             parse_config, run_scenario)
 
 FAST_GRID = "grid.n = 64\ngrid.r_max = 10.0\n"
-FAST_GS = ("ground_state.residual_tol = 1e-2\n"
-           "ground_state.descent_tol = 1e-3\n")
+FAST_GS = "ground_state.residual_tol = 1e-2\n"
 
 
 def test_parse_defaults():
@@ -76,10 +75,13 @@ def test_ground_state_scenario_artifacts(tmp_path):
         on_disk = json.load(fh)
     assert on_disk["m_gs"] == summary["m_gs"]
     assert on_disk["config_hash"] == config_hash(cfg)
-    # how the solver converged: the Newton |F| history and both dilations
+    # how the solver converged: the Newton |F| history, both dilations and
+    # the (iteration, J) trace, one pair per Newton iterate and the final Q
     diag = on_disk["diagnostics"]
-    assert set(diag) == {"newton_residuals", "nu_entry", "nu_final"}
+    assert set(diag) == {"newton_residuals", "nu_entry", "nu_final", "trace"}
     assert 1 <= len(diag["newton_residuals"]) <= 10
+    assert len(diag["trace"]) == len(diag["newton_residuals"]) + 1
+    assert diag["trace"][-1][1] == on_disk["m_gs"]
     assert diag["nu_entry"] > 0 and abs(diag["nu_final"] - 1) < 1e-3
 
 
@@ -182,8 +184,8 @@ def test_error_captured_in_summary(tmp_path):
 
 
 def test_main_exit_codes(tmp_path, capsys):
-    # [TRIVIAL] 0 on pass, 2 on config error: a bad value, a removed key
-    # (grid.stretch), an end time that is not a whole number of steps, a
+    # [TRIVIAL] 0 on pass, 2 on config error: a bad value, removed keys
+    # (grid.stretch and the descent's ground_state.*), an end time that is not a whole number of steps, a
     # non-finite radius, bad solver options, a concentration radius that is
     # not positive and finite, a blow-up run without pseudo-conformal data,
     # zero sweep workers
@@ -195,8 +197,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert json.loads(line)["pass"] is True
     assert main(["evolve", "--override", "model.a=-9"]) == 2
     assert "model.a" in capsys.readouterr().err
-    assert main(["evolve", "--override", "grid.stretch=1.0"]) == 2
-    assert "grid.stretch" in capsys.readouterr().err
+    for key in ("grid.stretch", "ground_state.step0", "ground_state.max_iter",
+                "ground_state.descent_tol"):
+        assert main(["ground-state", "--out", out, "--override", f"{key}=1"]) == 2, key
+        assert key in capsys.readouterr().err, key
     assert main(["evolve", "--override", "integrator.dt=3e-3",
                  "--override", "integrator.t_end=0.01"]) == 2
     assert "integrator.dt" in capsys.readouterr().err
@@ -205,7 +209,6 @@ def test_main_exit_codes(tmp_path, capsys):
             ("evolve", "grid.r_max=nan", "grid.r_max"),
             ("evolve", "grid.r_max=inf", "grid.r_max"),
             ("ground-state", "ground_state.residual_tol=-1", "residual_tol"),
-            ("ground-state", "ground_state.max_iter=-1", "max_iter"),
             ("ground-state", "ground_state.newton_iters=0", "newton_iters"),
             ("ground-state", "ground_state.guess=bogus", "bogus"),
             ("evolve", "model.d=x", "model.d"),
@@ -307,7 +310,7 @@ def test_file_profile_model_mismatch(tmp_path):
 def test_ground_state_failure_keeps_trace(tmp_path):
     # [TRIVIAL] a failed solve keeps its (iteration, J) trace in summary.json
     cfg = parse_config(FAST_GRID + "ground_state.residual_tol = 1e-15\n"
-                       "ground_state.newton_iters = 1\nground_state.max_iter = 3\n")
+                       "ground_state.newton_iters = 1\n")
     out = str(tmp_path / "gs")
     summary = run_scenario(cfg, out)
     assert summary["pass"] is False

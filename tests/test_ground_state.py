@@ -40,7 +40,7 @@ def test_nonnegative_and_trace_monotone(gs3):
 def test_initialization_independence(ctx3, gs3):
     # [DERIVED] gaussian vs sech initial guesses agree on M_gs to 1e-6
     res2 = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
-                              GroundStateOptions(residual_tol=1e-4, guess="sech"))
+                              GroundStateOptions(residual_tol=1e-4, guess="gaussian"))
     assert res2.m_gs == pytest.approx(gs3.m_gs, rel=1e-6)
 
 
@@ -106,8 +106,7 @@ def test_bad_inputs(ctx3):
                            init=np.zeros(ctx3.grid.n))
     with pytest.raises(GroundStateError) as exc:
         solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
-                           GroundStateOptions(residual_tol=1e-15, newton_iters=1,
-                                              max_iter=3))
+                           GroundStateOptions(residual_tol=1e-15, newton_iters=1))
     assert exc.value.trace    # the trace rides on the error
 
 
@@ -138,8 +137,9 @@ def ctx512():
                                         ("sech", 1.1784600506431981)])
 def test_m_gs_pinned_and_few_dense_solves(monkeypatch, ctx512, guess, m_gs):
     # [DERIVED] the threshold at (3, -0.1), n = 512, default options, as the
-    # Bessel-series dilations gave it, within 1e-12; Newton stops at its
-    # round-off floor after at most 5 dense solves (the cap is 10)
+    # Bessel-series dilations gave it, within 1e-12; Newton from the guess
+    # stops at its round-off floor after at most 5 (sech) or 6 (gaussian)
+    # dense solves (the cap is 10)
     calls = []
     solve = np.linalg.solve
 
@@ -151,7 +151,7 @@ def test_m_gs_pinned_and_few_dense_solves(monkeypatch, ctx512, guess, m_gs):
     res = solve_ground_state(ctx512.params, ctx512.grid, ctx512.plan, ctx512.km,
                              GroundStateOptions(guess=guess))
     assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
-    assert len(calls) <= 5
+    assert len(calls) <= {"gaussian": 6, "sech": 5}[guess]
     # the |F| history: each entry halves the last, except the final one,
     # which is where Newton stopped without taking a step
     hist = res.newton_residuals
@@ -159,6 +159,24 @@ def test_m_gs_pinned_and_few_dense_solves(monkeypatch, ctx512, guess, m_gs):
     assert all(b <= 0.5 * a for a, b in zip(hist[:-2], hist[1:-1]))
     assert hist[-1] > 0.5 * hist[-2]
     assert res.nu_entry > 0 and abs(res.nu_final - 1) < 1e-6
+
+
+@pytest.fixture(scope="module")
+def ctx6():
+    return Ctx(6, -1.0, 256, 12.0)
+
+
+@pytest.mark.parametrize("ctx_name,guess,m_gs", [
+    ("ctx3_free", "gaussian", 1.4263921549247587), ("ctx3_free", "sech", 1.4263921549247582),
+    ("ctx4", "gaussian", 2.652021473834231), ("ctx4", "sech", 2.652021473834232),
+    ("ctx6", "gaussian", 9.497177756599095), ("ctx6", "sech", 9.49717775659909)])
+def test_m_gs_pinned_across_dimensions(request, ctx_name, guess, m_gs):
+    # [DERIVED] the threshold at (3, 0), (4, -0.5) and (6, -1.0), n = 256,
+    # default options, as the J-descent into Newton gave it, within 1e-12
+    ctx = request.getfixturevalue(ctx_name)
+    res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km,
+                             GroundStateOptions(guess=guess))
+    assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
 
 
 def test_first_order_dilation_matches_resample(ctx512):
@@ -173,14 +191,13 @@ def test_first_order_dilation_matches_resample(ctx512):
         assert np.sqrt(np.sum(grid.w * err**2) / np.sum(grid.w * ref**2)) <= 1e-12, nu
 
 
-@pytest.mark.parametrize("max_iter", [0, 1])
 @pytest.mark.parametrize("guess", ["gaussian", "sech"])
 @pytest.mark.parametrize("ctx_name", ["ctx3", "ctx4"])
-def test_newton_from_the_guess_reaches_tolerance(request, ctx_name, guess, max_iter):
-    # [DERIVED] with (almost) no descent, Newton starts far from its quadratic
+def test_newton_from_the_guess_reaches_tolerance(request, ctx_name, guess):
+    # [DERIVED] Newton starts from the dilated guess, far from its quadratic
     # basin; the halving stop must not end it before the default residual_tol
     ctx = request.getfixturevalue(ctx_name)
-    opts = GroundStateOptions(max_iter=max_iter, guess=guess)
+    opts = GroundStateOptions(guess=guess)
     res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km, opts)
     assert res.residual < opts.residual_tol
 
@@ -188,8 +205,8 @@ def test_newton_from_the_guess_reaches_tolerance(request, ctx_name, guess, max_i
 @pytest.mark.parametrize("guess", ["gaussian", "sech"])
 def test_newton_reuses_its_quantities(monkeypatch, ctx3, guess):
     # [TRIVIAL] Newton logs J from the Phi and L_a u it formed for F, and the
-    # final rescale reuses the last iterate's M and H: with no descent, a
-    # solve applies L_a four times (the guess's quantities, the rescaled
+    # final rescale reuses the last iterate's M and H: a solve applies L_a
+    # four times (the guess's quantities, the rescaled
     # field, the returned Q, its EL residual), however many Newton iterates
     calls = []
     apply_la = ground_state.apply_la
@@ -200,15 +217,16 @@ def test_newton_reuses_its_quantities(monkeypatch, ctx3, guess):
 
     monkeypatch.setattr(ground_state, "apply_la", counting)
     res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
-                             GroundStateOptions(max_iter=0, guess=guess))
+                             GroundStateOptions(guess=guess))
     assert len(res.newton_residuals) >= 3
     assert len(calls) == 4
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e5])
 def test_amplitude_of_guess_is_irrelevant(ctx3, gs3, c):
-    # [DERIVED] the descent is amplitude-equivariant and the collapse test is
-    # relative to the initial mass, so a scaled guess reaches the same M_gs
+    # [DERIVED] the entry dilation maps c u to the unit-coefficient field it
+    # maps u to (its amplitude factor scales as 1/c), so a scaled guess
+    # reaches the same M_gs
     init = c * initial_guess(ctx3.params, ctx3.grid, "gaussian")
     res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                              GroundStateOptions(residual_tol=1e-4), init=init)
