@@ -154,18 +154,20 @@ def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
     return linear_flow(u * rot, dt, plan, full) * rot, None
 
 
-def virial(u: np.ndarray, plan: TransformPlan,
-           boundary_tol: float = 1e-8) -> VirialResult:
+def virial(u: np.ndarray, plan: TransformPlan, boundary_tol: float = 1e-8,
+           lau: np.ndarray | None = None) -> VirialResult:
     """Gamma = int |x|^2 |u|^2 and Gamma' = -2 Im int |x|^2 conj(u) L_a u.
 
     The boundary flag is raised when the relative mass in the outermost cells
     exceeds `boundary_tol` (the truncated variance is then untrustworthy).
+    `lau` is L_a u when the caller has it.
     """
     g = plan.grid
     om = surface_area(g.d)
     f = np.abs(u)**2
     gamma = om * float(np.sum(g.w * g.r**2 * f))
-    lau = apply_la(plan, u)
+    if lau is None:
+        lau = apply_la(plan, u)
     gamma_p = -2 * om * float(np.sum(g.w * g.r**2 * np.imag(np.conj(u) * lau)))
     total = float(np.sum(g.w * f))
     tail = float(np.sum(g.w[-5:] * f[-5:]))
@@ -183,8 +185,10 @@ def evolve(u0: np.ndarray, cfg: IntegratorConfig, plan: TransformPlan,
     t = 0.0
 
     def record(tcur, ucur):
-        q = functionals(ucur, plan, km)
-        v = virial(ucur, plan)
+        # one L_a u serves both H and Gamma'
+        lau = apply_la(plan, ucur)
+        q = functionals(ucur, plan, km, lau)
+        v = virial(ucur, plan, lau=lau)
         traj.times.append(tcur)
         traj.quantities.append(q)
         traj.gamma.append(v.gamma)

@@ -41,11 +41,15 @@ def _check_finite(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def functionals(u: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> Quantities:
+def functionals(u: np.ndarray, plan: TransformPlan, km: KernelMatrix,
+                lau: np.ndarray | None = None) -> Quantities:
+    """M, H, E, L_V and J of u; `lau` is L_a u when the caller has it."""
     u = _check_finite(u)
     w, om = plan.grid.w, km.omega
+    if lau is None:
+        lau = apply_la(plan, u)
     M = 0.5 * om * float(np.sum(w * np.abs(u)**2))
-    H = 0.5 * om * float(np.real(np.sum(w * np.conj(u) * apply_la(plan, u))))
+    H = 0.5 * om * float(np.real(np.sum(w * np.conj(u) * lau)))
     LV = lv_value(km, u)
     E = H - LV
     J = (M * H / LV) if LV > 0 else None

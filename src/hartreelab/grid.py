@@ -66,15 +66,16 @@ def _centred(n: int) -> tuple[int, int]:
 
 
 def _spread(grid: RadialGrid, mom: np.ndarray, out: np.ndarray) -> None:
-    """Add to out the node weights of the cell moments mom[c, k] of t^k."""
+    """Add to out[..., :] the node weights of the cell moments mom[..., c, k]
+    of t^k; leading axes (rows of a matrix) are spread together."""
     lo, hi = _centred(grid.n)
     # the centred cells share one inverse: one product and STENCIL shifted adds
-    lam = mom[lo:hi] @ grid.stencil_inv[lo].T
+    lam = mom[..., lo:hi, :] @ grid.stencil_inv[lo].T
     for q in range(STENCIL):
-        out[q:q + hi - lo] += lam[:, q]
+        out[..., q:q + hi - lo] += lam[..., q]
     for c in (*range(lo), *range(hi, grid.n)):
         s0 = grid.stencil_start[c]
-        out[s0:s0 + STENCIL] += grid.stencil_inv[c] @ mom[c]
+        out[..., s0:s0 + STENCIL] += mom[..., c, :] @ grid.stencil_inv[c].T
 
 
 def _power_moments(n: int, p: int) -> np.ndarray:

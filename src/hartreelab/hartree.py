@@ -14,8 +14,8 @@ integration: for each collocation radius r_i the s-integral over each grid
 cell is computed against the same 8-node sliding-stencil polynomial
 interpolation the quadrature weights use, with the kernel handled exactly.
 Each row is a set of cell moments of t^k A(r_i, s) s^{d-1}, spread onto the
-nodes by the grid's own stencils (`grid._spread`); this module holds no
-stencil layout.
+nodes by the grid's own stencils (`grid._spread`, which takes a block of rows
+at once); this module holds no stencil layout.
 
   d = 3: ln((r+s)/|r-s|) = ln|t + b2| - ln|t - b| on each cell, with t in
          [-1/2, 1/2] the cell-local coordinate.  On the uniform midpoint
@@ -23,7 +23,8 @@ stencil layout.
          the exact integers b = i - c and b2 = i + c + 1 (h cancels), and
          ln(t + b2) = ln|t - (-b2)|, so the build computes one moment table
          of ln|t - b| for b = -(2n-1)..n-1, each row of the matrix being one
-         slice-and-subtract of it.  Offsets within NEAR of the singularity
+         slice-and-subtract of it (a block of rows: two strided views of the
+         table and one subtraction).  Offsets within NEAR of the singularity
          (b = -1, 0, 1) take the analytic moments, the rest Gauss-Legendre,
          where the binomial expansion of the analytic moments would lose
          precision.
@@ -49,6 +50,16 @@ refined Gauss-Legendre panels; the remainder (~ r^{2-2 rho} x smooth) is
 left to the stencil rule, which handles it well.  The whole correction is
 bilinear in the fields, so it stays inside a fixed matrix.
 
+The psi-integrals int A(x, s) psi(s) s^{d-1} ds, at the n nodes and at the
+~500 outer panel nodes of the psi-psi entry, are one array pass over fixed
+panel patterns, split at s = x.  The panels of (0, x) are x times one
+pattern on (0, 1), and A is homogeneous of degree -2 (x^2 A(x, x p) =
+A(1, p) in every d), so the kernel factor A(1, p) p^{d-1-2 rho} is evaluated
+once per build and each node only adds e^{-x^2 p^2}.  The panels of (x, R)
+are x + (R - x) times a second pattern; A is evaluated there for blocks of
+64 nodes, so the temporaries stay at a few MiB (d >= 5 also accumulates
+over the Gauss-Jacobi nodes instead of materialising them).
+
 The correction targets the quadratic form (L_V, the energy, the ground-state
 equation); the pointwise potential at the first few nodes is perturbed at the
 percent level for fields far outside the singular class, because rank-one
@@ -65,6 +76,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from .grid import STENCIL, RadialGrid, _spread
@@ -82,6 +94,10 @@ _RHO2_MIN = 0.05
 _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
 #: refined-panel breakpoints at 2^-1 .. 2^-30 of the panel length from an end
 _HALVINGS = 0.5**np.arange(1, 31)
+#: rows per block of the psi-integrals (64 x ~1,000 panel nodes per temporary)
+_BLOCK = 64
+#: cells per block of d = 3 kernel rows spread onto the matrix at once
+_BLOCK_CELLS = 2**13
 
 
 def surface_area(d: int) -> float:
@@ -142,19 +158,30 @@ def _log_moment_table(n: int) -> np.ndarray:
 
 
 def _rows_d3(grid: RadialGrid):
-    """Cell moments of A(r_i, s) s^2 for each row i, on the d = 3 kernel."""
+    """Cell moments of A(r_i, s) s^2 for blocks of rows: yields (i0, mom) with
+    mom[i - i0, c] the moments of row i over cell c, on the d = 3 kernel."""
     n, r, h = grid.n, grid.r, grid.h
-    U = _log_moment_table(n)
-    for i in range(n):
-        # (r_i + s)/h = i + c + 1 + t and (r_i - s)/h = (i - c) - t on cell c
-        Lm = (U[n - 1 - i:2 * n - 1 - i] - U[n + i:2 * n + i])[::-1]
+    # T[k, c] = U[3n - 2 - k - c]: each row of a block is a window of the
+    # table, so a block is two strided views and one subtraction
+    T = sliding_window_view(_log_moment_table(n)[::-1], n, axis=0).transpose(0, 2, 1)
+    rows = max(1, _BLOCK_CELLS // n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        # (r_i + s)/h = i + c + 1 + t and (r_i - s)/h = (i - c) - t on cell c:
+        # table offsets b = -(i + c + 1) at k = n + i and b = i - c at k = n - 1 - i
+        Lm = np.subtract(T[n + i0:n + i1], T[n - i1:n - i0][::-1],
+                         out=np.empty((i1 - i0, n, _MMAX)))
         # A s^2 = s ln((r+s)/|r-s|) / (2 r): fold s = r_c + t h into the moments
-        yield (h / (2 * r[i])) * (r[:, None] * Lm[:, :STENCIL] + h * Lm[:, 1:])
+        mom = r[:, None] * Lm[..., :STENCIL]
+        mom += h * Lm[..., 1:]
+        mom *= h / (2 * r[i0:i1, None, None])
+        yield i0, mom
 
 
 def _rows_general(grid: RadialGrid, d: int):
-    """Cell moments of A(r_i, s) s^{d-1} for each row i: d = 4 (exact
-    piecewise kernel) and d >= 5 (Gauss-Jacobi sphere average)."""
+    """Cell moments of A(r_i, s) s^{d-1}, one row per block of `_rows_d3`'s
+    form: d = 4 (exact piecewise kernel) and d >= 5 (Gauss-Jacobi sphere
+    average)."""
     n, r, h = grid.n, grid.r, grid.h
     xg, wg = np.polynomial.legendre.leggauss(_GLQ)
     tg, wgt = 0.5 * xg, 0.5 * wg
@@ -190,16 +217,18 @@ def _rows_general(grid: RadialGrid, d: int):
                 vals = Avals(ri, sg) * sg**(d - 1)
                 acc += (tloc[None, :]**np.arange(STENCIL)[:, None]) @ (wq * vals)
             mom[c] = acc
-        yield mom
+        yield i, mom[None]
 
 
-def _refined_segments(a: float, b: float, left: bool, right: bool):
-    """Panels of [a, b] geometrically refined toward the marked endpoints."""
-    L = b - a
-    bps = np.sort(np.concatenate(([a, b], a + L * _HALVINGS if left else [],
-                                  b - L * _HALVINGS if right else [])))
-    keep = np.diff(bps) > 1e-15 * L
-    return bps[:-1][keep], bps[1:][keep]
+def _panel_rule(left: bool, right: bool):
+    """16-point Gauss-Legendre nodes and weights on [0, 1] over panels
+    geometrically refined toward the marked ends; the panels of [a, b] are
+    a + (b - a) times these."""
+    bps = np.unique(np.concatenate(([0.0, 1.0], _HALVINGS if left else [],
+                                    1 - _HALVINGS if right else [])))
+    mid = 0.5 * (bps[1:] + bps[:-1])[:, None]
+    haf = 0.5 * np.diff(bps)[:, None]
+    return (mid + haf * _XG16).ravel(), (haf * _WG16).ravel()
 
 
 @functools.cache
@@ -212,34 +241,39 @@ def _jacobi_rule(d: int, nodes: int):
     return rule
 
 
-def _kernel_vals(d: int, ri: float, s: np.ndarray) -> np.ndarray:
-    """Vectorized sphere-average kernel A(ri, s) away from the diagonal
-    (d >= 5: 96-node Gauss-Jacobi quadrature of the Gegenbauer average)."""
+def _kernel_vals(d: int, r, s: np.ndarray) -> np.ndarray:
+    """Sphere-average kernel A(r, s) away from the diagonal, broadcasting r
+    against s (d >= 5: 96-node Gauss-Jacobi quadrature of the Gegenbauer
+    average, accumulated node by node so no node axis is materialised)."""
     if d == 3:
-        return np.log((ri + s) / np.abs(ri - s)) / (2 * ri * s)
+        return np.log((r + s) / np.abs(r - s)) / (2 * r * s)
     if d == 4:
-        return 1.0 / np.maximum(ri, s)**2
+        return 1.0 / np.maximum(r, s)**2
     xj, wj = _jacobi_rule(d, 96)
-    denom = ri * ri + s[None, :]**2 - 2 * ri * s[None, :] * xj[:, None]
-    return np.sum(wj[:, None] / denom, axis=0) * surface_area(d - 1) / surface_area(d)
+    rr, rs = r * r + s * s, 2 * r * s
+    acc = np.zeros(rr.shape)
+    for x, wx in zip(xj, wj):
+        acc += wx / (rr - rs * x)
+    return acc * (surface_area(d - 1) / surface_area(d))
 
 
-def _psi_integral(d: int, ri: float, r_max: float, rho2: float) -> float:
-    """int_0^{r_max} A(ri, s) psi(s) s^{d-1} ds, psi = s^{-rho2} e^{-s^2},
-    by geometrically refined composite Gauss-Legendre (handles the origin
-    power and the diagonal log singularity to near machine accuracy)."""
-    total = 0.0
-    for (a, b, lft, rgt) in ((0.0, ri, True, True), (ri, r_max, True, False)):
-        if b <= a:
-            continue
-        los, his = _refined_segments(a, b, lft, rgt)
-        mid = 0.5 * (los + his)[:, None]
-        haf = 0.5 * (his - los)[:, None]
-        s = (mid + haf * _XG16[None, :]).ravel()
-        wq = (haf * _WG16[None, :]).ravel()
-        total += float(np.sum(wq * _kernel_vals(d, ri, s) * s**(d - 1 - rho2)
-                              * np.exp(-s**2)))
-    return total
+def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float) -> np.ndarray:
+    """int_0^{r_max} A(x_i, s) psi(s) s^{d-1} ds for every radius x_i,
+    psi = s^{-rho2} e^{-s^2}, by geometrically refined composite
+    Gauss-Legendre split at s = x_i (see the module docstring)."""
+    p, wp = _panel_rule(True, True)
+    q, wq = _panel_rule(True, False)
+    inner = wp * _kernel_vals(d, 1.0, p) * p**(d - 1 - rho2)
+    out = np.empty(len(x))
+    for i0 in range(0, len(x), _BLOCK):
+        xb = x[i0:i0 + _BLOCK, None]
+        # (0, x): x^{d-2-rho2} int A(1, p) p^{d-1-rho2} e^{-x^2 p^2} dp
+        out[i0:i0 + _BLOCK] = xb[:, 0]**(d - 2 - rho2) * (np.exp(-(xb * p)**2) @ inner)
+        L = r_max - xb
+        s = xb + L * q
+        out[i0:i0 + _BLOCK] += L[:, 0] * ((_kernel_vals(d, xb, s) * s**(d - 1 - rho2)
+                                            * np.exp(-s * s)) @ wq)
+    return out
 
 
 def _singularity_correction(grid: RadialGrid, rho2: float, S: np.ndarray) -> np.ndarray:
@@ -247,16 +281,13 @@ def _singularity_correction(grid: RadialGrid, rho2: float, S: np.ndarray) -> np.
     n, d, R = grid.n, grid.d, grid.r_max
     r, w = grid.r, grid.w
     psi = r**(-rho2) * np.exp(-r**2)
-    vex = np.array([_psi_integral(d, ri, R, rho2) for ri in r])
-    # Wex = iint psi A psi, outer integral by the same refined panels with the
-    # inner integral evaluated exactly at the panel nodes
-    los, his = _refined_segments(0.0, R, True, False)
-    mid = 0.5 * (los + his)[:, None]
-    haf = 0.5 * (his - los)[:, None]
-    snod = (mid + haf * _XG16[None, :]).ravel()
-    wq = (haf * _WG16[None, :]).ravel()
-    vv = np.array([_psi_integral(d, t, R, rho2) for t in snod])
-    Wex = float(np.sum(wq * vv * snod**(d - 1 - rho2) * np.exp(-snod**2)))
+    # Wex = iint psi A psi, outer integral by the panels of (0, R) refined at
+    # the origin, with the inner integral evaluated exactly at their nodes
+    q, wq = _panel_rule(True, False)
+    snod = R * q
+    v = _psi_integrals(d, np.concatenate((r, snod)), R, rho2)
+    vex = v[:n]
+    Wex = R * float(np.sum(wq * v[n:] * snod**(d - 1 - rho2) * np.exp(-snod**2)))
     # linear extraction of the r^{-rho2} coefficient from the origin samples
     m = 12
     X = np.vstack([r[:m]**(-rho2), r[:m]**(2 - rho2), np.ones(m), r[:m]**2]).T
@@ -282,8 +313,9 @@ def build_kernel(grid: RadialGrid, params: ModelParams | None = None) -> KernelM
     if params is not None and params.d != d:
         raise ValueError(f"params dimension {params.d} != grid dimension {d}")
     Kw = np.zeros((grid.n, grid.n))
-    for i, mom in enumerate(_rows_d3(grid) if d == 3 else _rows_general(grid, d)):
-        _spread(grid, mom, Kw[i])
+    for i0, mom in _rows_d3(grid) if d == 3 else _rows_general(grid, d):
+        _spread(grid, mom, Kw[i0:i0 + len(mom)])
+    del mom   # not held through the symmetrization, the peak of the build
     # symmetrize the bilinear form (quadratic forms are unchanged by this);
     # a zero-weight node (possible clamped origin weight, d >= 6) keeps its raw row
     w = grid.w

@@ -110,6 +110,54 @@ def test_one_potential_per_strang_step(ctx3, monkeypatch):
     assert len(calls) == nsteps + 1 + per_sample * len(traj.times)
 
 
+def test_one_la_per_diagnostic_sample(ctx3, monkeypatch):
+    # [TRIVIAL] a diagnostic sample forms L_a u once, for both H and Gamma';
+    # the steps themselves never apply L_a
+    calls = []
+    original = transform.apply_la
+
+    def counting(plan, v):
+        calls.append(1)
+        return original(plan, v)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("hartreelab") and getattr(mod, "apply_la", None) is original:
+            monkeypatch.setattr(mod, "apply_la", counting)
+    for scheme in ("strang-split", "midpoint-relaxation"):
+        calls.clear()
+        traj = evolve(_subcritical(ctx3), IntegratorConfig(
+            dt=1e-4, t_end=40e-4, scheme=scheme, output_stride=10), ctx3.plan, ctx3.km)
+        assert len(traj.times) == 5
+        assert len(calls) == len(traj.times), scheme
+
+
+def test_shared_la_artifacts_bit_identical(tmp_path, monkeypatch):
+    # [TRIVIAL] trajectory.csv and summary.json of an evolve run are
+    # bit-identical to those of a run whose samples call functionals and
+    # virial each with its own L_a u: the shared product is the same product
+    from hartreelab.cli import parse_config, run_scenario
+    text = ("grid.n = 64\ngrid.r_max = 10.0\nscenario = evolve\n"
+            "init.amplitude = 0.4\nintegrator.dt = 1e-3\nintegrator.t_end = 0.02\n"
+            "integrator.output_stride = 2\nseed = 3\n")
+
+    def run(tag):
+        out = str(tmp_path / tag)
+        run_scenario(parse_config(text, [f"output.dir = {out}"]), out)
+        blobs = []
+        for name in ("summary.json", "trajectory.csv"):
+            with open(f"{out}/{name}", "rb") as fh:
+                blobs.append(fh.read().replace(out.encode(), b"X"))
+        return blobs
+
+    shared = run("shared")
+    fn, vir = evolution.functionals, evolution.virial
+    monkeypatch.setattr(evolution, "functionals",
+                        lambda u, plan, km, lau=None: fn(u, plan, km))
+    monkeypatch.setattr(evolution, "virial",
+                        lambda u, plan, boundary_tol=1e-8, lau=None: vir(u, plan, boundary_tol))
+    assert run("separate") == shared
+
+
 @pytest.mark.parametrize("scheme", ["strang-split", "midpoint-relaxation"])
 def test_step_with_carried_state_is_bit_identical(ctx3, scheme):
     # [TRIVIAL] given the rotation and phases a one-shot step forms itself,

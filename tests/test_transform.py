@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from scipy import special
 
+from scipy.optimize import brentq
+
 from hartreelab import build_grid, build_plan, make_params
 from hartreelab.cli import _random_fields
-from hartreelab.transform import (apply_la, radial_derivative, resample,
-                                  transform_forward, transform_inverse)
+from hartreelab.transform import (apply_la, bessel_zeros, radial_derivative,
+                                  resample, transform_forward, transform_inverse)
 
 
 def smooth_field(params, grid, rng=None):
@@ -192,6 +194,37 @@ def test_series_coefficients_match_collocation_inverse(d, a, n):
         dphi = (k[None, :] * special.jvp(nu, kr) - (alpha / r)[:, None] * plan.B) \
             / r[:, None]**alpha
         assert _rel_err(radial_derivative(plan, u), dphi @ c) <= 1e-10
+
+
+@pytest.mark.parametrize("d,a", [(3, -0.2499), (3, -0.1), (7, -3.0)])
+def test_bessel_zeros_stop_when_converged(d, a, monkeypatch):
+    # [DERIVED] Newton stops once its steps are at round-off relative to the
+    # zeros (an absolute 1e-14 test is below one ulp of the large zeros and
+    # ran all 60 steps, 180 evaluations); each zero lies within 4 ulp of an
+    # independent bracketing root find of J_nu.  nu = 0.01, 0.39 and 1.80.
+    nu = make_params(d, a).nu
+    calls = []
+    jv = special.jv
+
+    def counting(order, x):
+        calls.append(1)
+        return jv(order, x)
+
+    monkeypatch.setattr(special, "jv", counting)
+    z = bessel_zeros(nu, 512)
+    monkeypatch.undo()
+    assert len(calls) <= 15, len(calls)
+    assert np.all(np.diff(z) > 3) and np.all(np.diff(z) < 3.3)
+    for m in (0, 1, 255, 500, 511):
+        ref = brentq(lambda x: jv(nu, x), z[m] - 1, z[m] + 1, xtol=1e-300, rtol=1e-15)
+        assert abs(z[m] - ref) <= 4 * np.spacing(ref), m
+
+
+def test_bessel_zeros_half_order_exact():
+    # [DERIVED] J_{1/2}(x) = sqrt(2/(pi x)) sin x: the zeros are m pi
+    z = bessel_zeros(0.5, 512)
+    ref = np.pi * np.arange(1, 513)
+    assert np.max(np.abs(z - ref) / np.spacing(ref)) <= 2
 
 
 def test_plan_grid_mismatch(ctx3):
