@@ -24,13 +24,24 @@ exact linear flow; also second order).
     potential call and one rotation exp instead of two.  The carried Phi is
     that of the field before its end rotation, so `evolve` matches a loop of
     one-shot steps to round-off (|e^{i theta}| = 1 to an ulp), not bit for bit.
-  - The linear-flow phases e^{i k^2 tau}, once per run: tau = dt, and for
-    midpoint-relaxation also tau = dt/2.  The dt phase has its own exp
-    rather than being the square of the dt/2 phase: the square doubles the
-    phase's rounding, and on the acceptance-04 field run by
-    midpoint-relaxation at dt = 1e-4 it raised the mass drift over t = 1
+  - The linear-flow matrices U_tau = Psi diag(e^{i k^2 tau}) PsiTw, once
+    per run: tau = dt, and for midpoint-relaxation also tau = dt/2.  Each
+    linear flow is then one complex product U_tau @ v in place of a forward
+    transform, a phase multiply and an inverse transform.  The flops and
+    bytes are the same (one complex n x n matrix against two real ones), but
+    it is one BLAS call instead of two, and OpenBLAS runs the complex
+    matrix-vector product on all its threads where the real (n, 2) product
+    of the transforms runs on one: at n = 512 a flow takes 81 us against
+    230 us (2 shared cores, OpenBLAS 0.3.31).  Forming U_tau takes 2, 14 and
+    100 ms at n = 256, 512 and 1024, once per run.  On the acceptance-04
+    field the mass drift over t = 1 at dt = 1e-4 / 5e-5 is 3.8e-13 / 2.7e-12
+    (strang-split) and 3.9e-13 / 2.7e-12 (midpoint-relaxation), against
+    gates of 1e-11 / 2e-11 (`tools/propagator_drift.py`); the symmetric form
+    w^{-1/2} (Y D Y^T) w^{1/2} drifts more, 1.1e-12 at dt = 1e-4.  Each
+    U_tau has its own exp rather than the dt phases being the square of the
+    dt/2 ones: squaring raised the midpoint-relaxation drift at dt = 1e-4
     from 1.7e-13 to 8.9e-13.
-  Given the rotation and the phases a one-shot step forms itself, `step` is
+  Given the rotation and the flows a one-shot step forms itself, `step` is
   bit-identical to that one-shot step.
 
 Diagnostics follow the virial machinery: Gamma = int |x|^2 |u|^2, its
@@ -49,8 +60,7 @@ import numpy as np
 
 from .functionals import Quantities, functionals
 from .hartree import KernelMatrix, potential, surface_area
-from .transform import (TransformPlan, apply_la, radial_derivative, resample,
-                        transform_forward, transform_inverse)
+from .transform import TransformPlan, apply_la, radial_derivative, resample
 
 
 @dataclass
@@ -100,52 +110,60 @@ class Trajectory:
     stop_value: float | None = None
 
 
-def _phases(plan: TransformPlan, dt: float, scheme: str) -> tuple:
-    """The linear-flow phases e^{i k^2 tau} of one step: tau = dt, and for
-    midpoint-relaxation also tau = dt/2, each from its own exp."""
+def _flow_matrix(plan: TransformPlan, tau: float) -> np.ndarray:
+    """U_tau = Psi diag(e^{i k^2 tau}) PsiTw, the matrix of e^{+i tau L_a}."""
+    return (plan.Psi * np.exp(1j * plan.k**2 * tau)) @ plan.PsiTw
+
+
+def _flows(plan: TransformPlan, dt: float, scheme: str) -> tuple:
+    """The linear-flow matrices of one step: U_dt, and for
+    midpoint-relaxation also U_{dt/2}, each from its own exp."""
     taus = (dt, 0.5 * dt) if scheme == "midpoint-relaxation" else (dt,)
-    return tuple(np.exp(1j * plan.k**2 * tau) for tau in taus)
+    return tuple(_flow_matrix(plan, tau) for tau in taus)
 
 
 def linear_flow(u: np.ndarray, dt: float, plan: TransformPlan,
-                phase: np.ndarray | None = None) -> np.ndarray:
-    """Exact linear propagator e^{+i t L_a} u on the discrete operator.
+                flow: np.ndarray | None = None) -> np.ndarray:
+    """Exact linear propagator e^{+i dt L_a} u on the discrete operator.
 
     The diagonal flow in the orthonormal mode basis is unitary in the
     quadrature inner product, so it conserves the discrete mass and the
-    discrete H to round-off per step.  `phase` is e^{i k^2 dt} when the
-    caller has formed it already.
+    discrete H to round-off per step.  `flow` is U_dt when the caller has
+    formed it already; a loop of flows should pass it, since forming it costs
+    hundreds of products.
     """
-    if phase is None:
-        phase = np.exp(1j * plan.k**2 * dt)
-    return transform_inverse(plan, phase * transform_forward(plan, u))
+    if flow is None:
+        flow = _flow_matrix(plan, dt)
+    return flow @ u
 
 
 def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
          scheme: str = "strang-split", rot: np.ndarray | None = None,
-         phases: tuple | None = None) -> tuple:
+         flows: tuple | None = None) -> tuple:
     """One time step; mass is conserved to round-off by construction.
 
     Returns (u, rot): the new field and, for strang-split, the end rotation
     e^{-i Phi dt/2} (None for midpoint-relaxation).  Passing that rotation
     back as `rot` lets the next strang-split step skip its first potential;
-    `phases` are the linear-flow phases `evolve` forms once per run.  Both
-    are formed here when not given, so a one-shot step needs neither.
+    `flows` are the linear-flow matrices of `_flows`, which `evolve` forms
+    once per run.  Both are formed here when not given, so a one-shot step
+    needs neither; a loop of steps should pass `flows`, which cost hundreds
+    of steps' products to form.
     """
     if scheme not in ("strang-split", "midpoint-relaxation"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if phases is None:
-        phases = _phases(plan, dt, scheme)
+    if flows is None:
+        flows = _flows(plan, dt, scheme)
     if scheme == "strang-split":
         if rot is None:
             rot = np.exp(-0.5j * dt * potential(km, u))
-        u = linear_flow(u * rot, dt, plan, phases[0])
+        u = linear_flow(u * rot, dt, plan, flows[0])
         rot = np.exp(-0.5j * dt * potential(km, u))
         return u * rot, rot
     # midpoint-relaxation: freeze the potential at a fixed-point approximation
     # of its midpoint value: iterate v_half = L(dt/2) e^{-i Phi dt/2} u,
     # Phi = Phi[|v_half|^2]
-    full, half = phases
+    full, half = flows
     Phi = potential(km, u)
     for _ in range(2):
         v = linear_flow(u * np.exp(-0.5j * dt * Phi), 0.5 * dt, plan, half)
@@ -197,11 +215,11 @@ def evolve(u0: np.ndarray, cfg: IntegratorConfig, plan: TransformPlan,
         traj.boundary_flags.append(v.boundary_flag)
         return q
 
-    phases = _phases(plan, cfg.dt, cfg.scheme)
+    flows = _flows(plan, cfg.dt, cfg.scheme)
     rot = None
     q = record(t, u)
     for i in range(1, nsteps + 1):
-        u, rot = step(u, cfg.dt, plan, km, cfg.scheme, rot, phases)
+        u, rot = step(u, cfg.dt, plan, km, cfg.scheme, rot, flows)
         t = i * cfg.dt
         if not np.all(np.isfinite(u)):
             traj.stop_reason = "blowup-suspected"

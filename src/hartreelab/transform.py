@@ -24,7 +24,9 @@ quadrature accuracy:
 
 All plan matrices are real.  They act on a complex field as one real
 two-column product on its (re, im) pairs, never by upcasting the n x n
-matrix to complex; real fields take the plain real product.
+matrix to complex; real fields take the plain real product.  The one complex
+n x n matrix is the evolution's linear flow Psi diag(e^{i k^2 tau}) PsiTw,
+which `evolution.evolve` forms once per run and keeps only for that run.
 
 apply_La keeps spectral accuracy: the orthonormalization correction acts at
 the quadrature-error level of mode products and vanishes under grid

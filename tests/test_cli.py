@@ -21,6 +21,14 @@ def test_parse_defaults():
     assert set(cfg.values) == set(SCHEMA)
 
 
+def test_default_sweep_runs_serially():
+    # [TRIVIAL] a sweep config that names no worker count runs its sub-runs
+    # one at a time: the default is the constant 1, which the config hash sees
+    cfg = parse_config("scenario = sweep\nsweep.key = model.a\nsweep.values = -0.1, -0.2\n")
+    assert cfg["sweep.workers"] == 1
+    assert SCHEMA["sweep.workers"] == (int, 1)
+
+
 def test_parse_values_comments_overrides():
     # [TRIVIAL] comments, whitespace, and override precedence
     text = "model.d = 4   # dimension\n\nmodel.a = -0.5\ngrid.n = 128\n"

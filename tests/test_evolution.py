@@ -10,7 +10,7 @@ from hartreelab import (FitRejected, IntegratorConfig, Quantities, Trajectory,
                         transform, virial)
 from hartreelab.cli import _random_fields
 from hartreelab import evolution
-from hartreelab.evolution import _phases, linear_flow
+from hartreelab.evolution import _flow_matrix, _flows, linear_flow
 from hartreelab.hartree import surface_area
 
 
@@ -66,17 +66,19 @@ def _subcritical(c):
 
 @pytest.mark.parametrize("scheme", ["strang-split", "midpoint-relaxation"])
 def test_evolve_matches_one_shot_steps(ctx3, scheme):
-    # [DERIVED] evolve, which carries the end rotation and forms the flow
-    # phases once, matches a loop of one-shot steps at every sample (300
-    # steps, 6 samples) to 1e-12 relative
+    # [DERIVED] evolve, which carries the end rotation, matches a loop of
+    # steps that each recompute the rotation at every sample (300 steps,
+    # 6 samples) to 1e-12 relative; the loop is given the run's flow
+    # matrices, which cost hundreds of steps to form
     dt, stride, nsteps = 1e-4, 60, 300
     u = _subcritical(ctx3)
     traj = evolve(u, IntegratorConfig(dt=dt, t_end=nsteps * dt, scheme=scheme,
                                       output_stride=stride), ctx3.plan, ctx3.km)
     assert traj.stop_reason == "completed" and len(traj.fields) == 6
+    flows = _flows(ctx3.plan, dt, scheme)
     ref = [u]
     for i in range(1, nsteps + 1):
-        u, _ = step(u, dt, ctx3.plan, ctx3.km, scheme)
+        u, _ = step(u, dt, ctx3.plan, ctx3.km, scheme, flows=flows)
         if i % stride == 0:
             ref.append(u)
     for got, want in zip(traj.fields, ref):
@@ -108,6 +110,65 @@ def test_one_potential_per_strang_step(ctx3, monkeypatch):
                   ctx3.plan, ctx3.km)
     assert len(traj.times) == 5
     assert len(calls) == nsteps + 1 + per_sample * len(traj.times)
+
+
+@pytest.mark.parametrize("name", ["ctx3", "ctx4"])
+def test_flow_matrix_matches_transforms(name, request):
+    # [DERIVED] one product with U_tau = Psi diag(e^{i k^2 tau}) PsiTw equals
+    # the forward transform, the phase multiply and the inverse transform, to
+    # 1e-11 max-relative on seeded complex fields
+    c = request.getfixturevalue(name)
+    fields = _random_fields(c.params, c.grid, np.random.default_rng(11), 3,
+                            complex_valued=True)
+    for tau in (5e-5, 1e-4, 1e-2):
+        flow = _flow_matrix(c.plan, tau)
+        phase = np.exp(1j * c.plan.k**2 * tau)
+        for u in fields:
+            want = transform.transform_inverse(
+                c.plan, phase * transform.transform_forward(c.plan, u))
+            got = linear_flow(u, tau, c.plan, flow)
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_flow_matrix_keeps_mass(ctx3):
+    # [TRIVIAL] U_tau is unitary in the w-metric: one application keeps the
+    # discrete mass sum w |u|^2 to 2e-15 relative
+    w = ctx3.grid.w
+    fields = _random_fields(ctx3.params, ctx3.grid, np.random.default_rng(5), 4,
+                            complex_valued=True)
+    for tau in (5e-5, 1e-4):
+        flow = _flow_matrix(ctx3.plan, tau)
+        for u in fields:
+            m0 = np.sum(w * np.abs(u)**2)
+            m1 = np.sum(w * np.abs(linear_flow(u, tau, ctx3.plan, flow))**2)
+            assert abs(m1 - m0) <= 2e-15 * m0
+
+
+def test_flow_matrices_formed_once_per_run(ctx3, monkeypatch):
+    # [TRIVIAL] evolve forms U_dt once (strang-split) or U_dt and U_{dt/2}
+    # once each (midpoint-relaxation), and no step transforms: each linear
+    # flow is one product with a matrix of the run
+    built, transforms = [], []
+    monkeypatch.setattr(evolution, "_flow_matrix",
+                        lambda plan, tau: built.append(tau) or _flow_matrix(plan, tau))
+    for fname in ("transform_forward", "transform_inverse"):
+        original = getattr(transform, fname)
+
+        def counting(plan, v, original=original):
+            transforms.append(1)
+            return original(plan, v)
+
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("hartreelab") and getattr(mod, fname, None) is original:
+                monkeypatch.setattr(mod, fname, counting)
+    dt = 1e-4
+    for scheme, taus in (("strang-split", [dt]), ("midpoint-relaxation", [dt, dt / 2])):
+        built.clear()
+        traj = evolve(_subcritical(ctx3), IntegratorConfig(
+            dt=dt, t_end=40 * dt, scheme=scheme, output_stride=10), ctx3.plan, ctx3.km)
+        assert traj.stop_reason == "completed" and len(traj.times) == 5
+        assert built == taus, scheme
+    assert transforms == []
 
 
 def test_one_la_per_diagnostic_sample(ctx3, monkeypatch):
@@ -160,14 +221,14 @@ def test_shared_la_artifacts_bit_identical(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["strang-split", "midpoint-relaxation"])
 def test_step_with_carried_state_is_bit_identical(ctx3, scheme):
-    # [TRIVIAL] given the rotation and phases a one-shot step forms itself,
-    # step returns the same bits as without them
+    # [TRIVIAL] given the rotation and flow matrices a one-shot step forms
+    # itself, step returns the same bits as without them
     dt = 1e-4
     u = _subcritical(ctx3)
     rot = np.exp(-0.5j * dt * evolution.potential(ctx3.km, u)) \
         if scheme == "strang-split" else None
     a, rot_a = step(u, dt, ctx3.plan, ctx3.km, scheme)
-    b, rot_b = step(u, dt, ctx3.plan, ctx3.km, scheme, rot, _phases(ctx3.plan, dt, scheme))
+    b, rot_b = step(u, dt, ctx3.plan, ctx3.km, scheme, rot, _flows(ctx3.plan, dt, scheme))
     assert np.array_equal(a, b)
     if scheme == "strang-split":
         assert np.array_equal(rot_a, rot_b)
