@@ -11,7 +11,7 @@ e^{-it} Q where Q >= 0 solves L_a Q + Q = (|.|^{-2} * Q^2) Q.
 
 Modules:
     params       physical parameters (d, a) and derived exponents rho, nu
-    grid         radial quadrature grid on (0, r_max]
+    grid         radial quadrature grid on (0, r_max], dilation and d/dr
     transform    Fourier-Bessel transform diagonalizing L_a
     hartree      nonlocal potential Phi = |.|^{-2} * |u|^2 and L_V
     functionals  M, H, E, L_V, J plus scaling/rearrangement utilities

@@ -38,11 +38,11 @@ from .functionals import functionals, hardy_ratio, rearrange_decreasing
 from .ground_state import (GroundStateError, GroundStateOptions, gn_audit,
                            load_ground_state, solve_ground_state,
                            save_ground_state)
-from .grid import build_grid
+from .grid import build_grid, radial_derivative
 from .hartree import build_kernel, lv_value
 from .params import make_params
 from .profiles import PROFILE_NAMES, make_initial_data
-from .transform import build_plan, radial_derivative
+from .transform import build_plan
 
 SCENARIOS = ("ground-state", "evolve", "blowup", "verify", "concentrate", "sweep")
 
@@ -348,6 +348,7 @@ def _scenario_ground_state(cfg, out_dir):
             "iterations": res.iterations,
             "diagnostics": {"newton_residuals": res.newton_residuals,
                             "nu_entry": res.nu_entry, "nu_final": res.nu_final,
+                            "boundary_mass_fraction": res.boundary_mass_fraction,
                             "trace": res.trace},
             "checks": checks}
 
@@ -480,8 +481,9 @@ def _scenario_verify(cfg, out_dir):
         v = rearrange_decreasing(u, grid)
         M_u = float(np.sum(grid.w * np.abs(u)**2))
         M_v = float(np.sum(grid.w * v**2))
-        g_u = float(np.sum(grid.w * np.abs(radial_derivative(plan, u))**2))
-        g_v = float(np.sum(grid.w * np.abs(radial_derivative(plan, v))**2))
+        du, dv = (radial_derivative(grid, params.rho, x) for x in (u, v))
+        g_u = float(np.sum(grid.w * np.abs(du)**2))
+        g_v = float(np.sum(grid.w * np.abs(dv)**2))
         lv_u, lv_v = lv_value(km, np.abs(u)), lv_value(km, v)
         slack = 1e-9
         if abs(M_v - M_u) > slack * M_u or g_v > g_u * (1 + slack) \

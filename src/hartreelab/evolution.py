@@ -59,8 +59,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functionals import Quantities, functionals
+from .grid import boundary_mass_fraction, dilate, radial_derivative
 from .hartree import KernelMatrix, potential, surface_area
-from .transform import TransformPlan, apply_la, radial_derivative, resample
+from .transform import TransformPlan, apply_la
+
+BOUNDARY_TOL = 1e-8      # virial flags a field with more mass in the outer cells
+FIT_MIN_SAMPLES = 10     # fewest growing samples fit_blowup accepts
 
 
 @dataclass
@@ -172,12 +176,12 @@ def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
     return linear_flow(u * rot, dt, plan, full) * rot, None
 
 
-def virial(u: np.ndarray, plan: TransformPlan, boundary_tol: float = 1e-8,
+def virial(u: np.ndarray, plan: TransformPlan,
            lau: np.ndarray | None = None) -> VirialResult:
     """Gamma = int |x|^2 |u|^2 and Gamma' = -2 Im int |x|^2 conj(u) L_a u.
 
     The boundary flag is raised when the relative mass in the outermost cells
-    exceeds `boundary_tol` (the truncated variance is then untrustworthy).
+    exceeds BOUNDARY_TOL (the truncated variance is then untrustworthy).
     `lau` is L_a u when the caller has it.
     """
     g = plan.grid
@@ -187,9 +191,7 @@ def virial(u: np.ndarray, plan: TransformPlan, boundary_tol: float = 1e-8,
     if lau is None:
         lau = apply_la(plan, u)
     gamma_p = -2 * om * float(np.sum(g.w * g.r**2 * np.imag(np.conj(u) * lau)))
-    total = float(np.sum(g.w * f))
-    tail = float(np.sum(g.w[-5:] * f[-5:]))
-    flag = bool(total > 0 and tail / total > boundary_tol)
+    flag = boundary_mass_fraction(g, u) > BOUNDARY_TOL
     return VirialResult(gamma=gamma, gamma_prime=gamma_p, boundary_flag=flag)
 
 
@@ -262,7 +264,7 @@ def pseudo_conformal_family(Q: np.ndarray, T_star: float, theta: float,
     lam0 = 1.0 / T_star
     s = T_star - t
     scale = lam0 * s
-    prof = resample(plan, Q, 1.0 / scale) * scale**(-d / 2)
+    prof = dilate(plan.grid, plan.params.rho, Q, 1.0 / scale) * scale**(-d / 2)
     r = plan.grid.r
     return prof * np.exp(1j * (theta - 1.0 / (lam0**2 * s) + r**2 / (4 * s)))
 
@@ -271,7 +273,7 @@ class FitRejected(RuntimeError):
     pass
 
 
-def fit_blowup(traj: Trajectory, min_samples: int = 10):
+def fit_blowup(traj: Trajectory):
     """Fit H(t) = C (T*-t)^{-p}; returns (T_star_est, rate_exponent).
 
     Uses the growing tail of H; the location of the pole is found by a scalar
@@ -286,12 +288,12 @@ def fit_blowup(traj: Trajectory, min_samples: int = 10):
     # growing tail: from the last local minimum of H onward
     imin = int(np.argmin(Hs))
     t, Hs = t[imin:], Hs[imin:]
-    if len(t) < min_samples:
-        raise FitRejected(f"need >= {min_samples} growing samples, got {len(t)}")
+    if len(t) < FIT_MIN_SAMPLES:
+        raise FitRejected(f"need >= {FIT_MIN_SAMPLES} growing samples, got {len(t)}")
     if np.any(np.diff(Hs) <= 0):
         raise FitRejected("H tail is not monotonically growing")
     decade = Hs >= Hs[-1] / 10.0
-    if int(np.sum(decade)) >= min_samples:
+    if int(np.sum(decade)) >= FIT_MIN_SAMPLES:
         t, Hs = t[decade], Hs[decade]
 
     logH = np.log(Hs)
@@ -366,13 +368,14 @@ def rotated_energy_check(u: np.ndarray, theta_vals: np.ndarray, s: float,
     theta, and (at mass m_gs) the discriminant inequality |b| <= sqrt(2 E c).
 
     Pass `theta_prime` when the derivative of theta is known in closed form;
-    otherwise it is computed spectrally (which limits how small a mismatch
-    can be resolved)."""
+    otherwise it is taken from the grid stencils as for a smooth field (which
+    limits how small a mismatch can be resolved); u' is taken through u's
+    regular part r^rho u."""
     g = plan.grid
     om = km.omega
     theta_p = theta_prime if theta_prime is not None \
-        else radial_derivative(plan, theta_vals)
-    du = radial_derivative(plan, u)
+        else radial_derivative(g, 0.0, theta_vals)
+    du = radial_derivative(g, plan.params.rho, u)
     b = om * float(np.sum(g.w * theta_p * np.imag(np.conj(u) * du)))
     cquad = om * float(np.sum(g.w * theta_p**2 * np.abs(u)**2))
     qu = functionals(u, plan, km)

@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .grid import RadialGrid
+from .grid import RadialGrid, boundary_mass_fraction, dilate, radial_derivative
 from .hartree import KernelMatrix, lv_value
-from .transform import TransformPlan, apply_la, radial_derivative
+from .transform import TransformPlan, apply_la
+
+RESCALE_TAIL_TOL = 1e-10   # largest mass share rescale leaves in the outer cells
 
 
 @dataclass(frozen=True)
@@ -56,43 +57,33 @@ def functionals(u: np.ndarray, plan: TransformPlan, km: KernelMatrix,
     return Quantities(M=M, H=H, E=E, L_V=LV, J=J)
 
 
-def rescale(u: np.ndarray, grid: RadialGrid, mu: float, nu_s: float,
-            tail_tol: float = 1e-10) -> np.ndarray:
-    """mu * u(nu_s * r), resampled by cubic interpolation with endpoint clamping.
+def rescale(u: np.ndarray, grid: RadialGrid, rho: float, mu: float,
+            nu_s: float) -> np.ndarray:
+    """mu * u(nu_s * r) for a field with the r^{-rho} origin envelope, by
+    `grid.dilate` (zero beyond r_max: the Dirichlet truncation).
 
-    The field is treated as zero beyond r_max (Dirichlet truncation).  If the
-    rescaled field carries more than `tail_tol` of its mass in the outermost
-    cells, the content is escaping the grid and an error is raised.
+    If the rescaled field carries more than RESCALE_TAIL_TOL of its mass in
+    the outermost cells, the content is escaping the grid and an error is
+    raised.
     """
     u = _check_finite(u)
     if mu <= 0 or nu_s <= 0:
         raise ValueError("mu and nu_s must be positive")
     if mu == 1.0 and nu_s == 1.0:
         return np.array(u, copy=True)
-    r = grid.r
-    spl_re = CubicSpline(r, np.real(u), extrapolate=False)
-    out = spl_re(nu_s * r)
-    if np.iscomplexobj(u):
-        out = out + 1j * CubicSpline(r, np.imag(u), extrapolate=False)(nu_s * r)
-    # clamp: inside the first node use the first sample, beyond r_max use zero
-    inner = nu_s * r < r[0]
-    out[inner] = u[0]
-    out = np.where(np.isnan(out), 0.0, out)
-    out = mu * out
-    f = np.abs(out)**2
-    total = np.sum(grid.w * f)
-    tail = np.sum(grid.w[-3:] * f[-3:])
-    if total > 0 and tail / total > tail_tol:
+    out = mu * dilate(grid, rho, u, nu_s)
+    tail = boundary_mass_fraction(grid, out)
+    if tail > RESCALE_TAIL_TOL:
         raise ValueError(
-            f"rescaled field escapes the grid: tail mass fraction {tail/total:.2e} "
-            f"exceeds tolerance {tail_tol:.1e}")
+            f"rescaled field escapes the grid: tail mass fraction {tail:.2e} "
+            f"exceeds tolerance {RESCALE_TAIL_TOL:.1e}")
     return out
 
 
 def hardy_ratio(u: np.ndarray, plan: TransformPlan) -> float:
     """(int |u|^2/|x|^2) / (int |grad u|^2); Hardy bounds this by (2/(d-2))^2."""
     u = _check_finite(u)
-    du = radial_derivative(plan, u)
+    du = radial_derivative(plan.grid, plan.params.rho, u)
     grad2 = float(np.sum(plan.grid.w * np.abs(du)**2))
     if grad2 == 0.0 or not np.any(u):
         raise ValueError("hardy_ratio requires a nonzero field with finite gradient")

@@ -8,8 +8,9 @@ the solve takes three steps:
 
 1. Entry dilation: the guess is dilated and scaled to the unit-coefficient
    Euler-Lagrange form, u -> mu u(nu r) with nu = (M/H)^{1/2} and
-   mu = (H/L_V)^{1/2} nu^{d/2}, by a not-a-knot cubic spline of the regular
-   part r^rho u (extrapolated inside the first node, zero beyond r_max).
+   mu = (H/L_V)^{1/2} nu^{d/2}, by `grid.dilate` (a not-a-knot cubic spline
+   of the regular part r^rho u, extrapolated inside the first node, zero
+   beyond r_max).
 2. Dense Newton on F(u) = L_a u + u - Phi[u^2] u.  Newton converges
    quadratically and stops at its round-off floor, the first iterate whose
    |F| fails to halve (newton_iters is only a cap).
@@ -24,11 +25,15 @@ the solve takes three steps:
    anomaly evenly: the returned Q has Euler-Lagrange residual and |M - H|
    both ~delta/2, and M = L_V exactly.  Since nu - 1 is tiny (2e-9 at n = 1024
    to 1.4e-6 at n = 512, a = -0.2), the dilation is one first-order step
-   u + ln(nu) r u_r, with r u_r from the grid's cell stencils applied to the
-   regular part r^rho u; the dropped term is O((nu - 1)^2).
-   J (hence m_gs) is invariant under the whole scaling family.
+   u + ln(nu) r u_r, with u_r from `grid.radial_derivative` (the cell
+   stencils applied to the regular part r^rho u); the dropped term is
+   O((nu - 1)^2).  J (hence m_gs) is invariant under the whole scaling family.
 
 The solve evaluates no Bessel function: it only applies the plan's matrices.
+The result records Q's mass fraction in the outermost cells, and a solve that
+misses residual_tol names it, since r_max can limit the residual: (6, 0, 256)
+misses 1e-5 with 5.0e-9 of M(Q) there at r_max = 12 and meets it with 1.9e-10
+at r_max = 14.
 """
 
 from __future__ import annotations
@@ -37,12 +42,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .grid import STENCIL, RadialGrid
+from .grid import RadialGrid, boundary_mass_fraction, dilate, radial_derivative
 from .hartree import KernelMatrix, build_kernel, potential
 from .params import ModelParams
 from .transform import TransformPlan, apply_la, build_plan, la_matrix
+
+GN_REL_TOL = 1e-6   # relative slack of the gn_audit check J(u) >= M_gs
 
 
 class GroundStateError(RuntimeError):
@@ -77,6 +83,7 @@ class GroundStateResult:
     newton_residuals: list  # relative |F| at each Newton iterate
     nu_entry: float         # dilation factor at the Newton entry
     nu_final: float         # balanced Pohozaev factor; nu_final - 1 ~ anomaly / 4
+    boundary_mass_fraction: float  # share of M(Q) in the outermost cells
 
 
 def initial_guess(params: ModelParams, grid: RadialGrid, kind: str) -> np.ndarray:
@@ -116,26 +123,6 @@ def el_residual(Q: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> float:
     return float(np.sqrt(np.sum(w * np.abs(F)**2) / np.sum(w * np.abs(Q)**2)))
 
 
-def _dilate(grid: RadialGrid, rho: float, u: np.ndarray, nu_s: float) -> np.ndarray:
-    """u(nu_s r) by a not-a-knot cubic spline of the regular part r^rho u,
-    extrapolated inside the first node and zero beyond r_max."""
-    x = nu_s * grid.r
-    g = CubicSpline(grid.r, grid.r**rho * u)(x)
-    return np.where(x <= grid.r_max, g * x**(-rho), 0.0)
-
-
-def _dilate_first_order(grid: RadialGrid, rho: float, u: np.ndarray,
-                        nu: float) -> np.ndarray:
-    """u(nu r) to first order in ln nu: u + ln(nu) r u_r, with
-    r u_r = r^{-rho} (r g' - rho g) and g' the derivative of the regular part
-    g = r^rho u at each node from the interpolating polynomial of its cell
-    stencil."""
-    g = grid.r**rho * u
-    nodes = grid.stencil_start[:, None] + np.arange(STENCIL)
-    dg = np.sum(grid.stencil_inv[:, :, 1] * g[nodes], axis=1) / grid.h
-    return u + math.log(nu) * grid.r**(-rho) * (grid.r * dg - rho * g)
-
-
 def solve_ground_state(params: ModelParams, grid: RadialGrid,
                        plan: TransformPlan | None = None,
                        km: KernelMatrix | None = None,
@@ -156,7 +143,7 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     # dilate to the unit-coefficient Euler-Lagrange form, then Newton
     nu_entry = 1.0 / math.sqrt(H / M)
     mu = math.sqrt(H / LV) * nu_entry**(params.d / 2)
-    u = mu * _dilate(grid, params.rho, u, nu_entry)
+    u = mu * dilate(grid, params.rho, u, nu_entry)
     La = la_matrix(plan)
     eye = np.eye(grid.n)
     trace: list = []
@@ -180,7 +167,7 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     # balanced Pohozaev rescale: half-step dilation splits the scaling anomaly
     # between the residual and |M - H|; the amplitude makes M = L_V exact
     nu_final = (M / H)**0.25
-    v = _dilate_first_order(grid, params.rho, u, nu_final)
+    v = u + math.log(nu_final) * grid.r * radial_derivative(grid, params.rho, u)
     Mv, _, LVv, _, _ = _quantities(plan, km, v)
     Q = math.sqrt(Mv / LVv) * v
     Q = np.where(np.abs(Q) < 1e-300, 0.0, Q)
@@ -188,17 +175,19 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     m_gs = M * H / LV
     trace.append((iterations + 1, m_gs))
     residual = el_residual(Q, plan, km)
+    boundary = boundary_mass_fraction(grid, Q)
     if residual > opts.residual_tol:
         raise GroundStateError(
             f"solver did not reach residual {opts.residual_tol:.1e} "
-            f"(got {residual:.2e}) after {iterations} Newton iterations", trace)
+            f"(got {residual:.2e}) after {iterations} Newton iterations; "
+            f"boundary mass fraction {boundary:.1e}", trace)
     if np.min(Q) < -1e-12:
         raise GroundStateError(
             f"ground state has negative samples (min {np.min(Q):.2e})", trace)
     return GroundStateResult(Q=Q, m_gs=m_gs, residual=residual,
                              iterations=iterations, trace=trace,
                              newton_residuals=newton, nu_entry=nu_entry,
-                             nu_final=nu_final)
+                             nu_final=nu_final, boundary_mass_fraction=boundary)
 
 
 @dataclass
@@ -213,9 +202,9 @@ class GNAuditReport:
     violations: int
 
 
-def gn_audit(fields, m_gs: float, plan: TransformPlan, km: KernelMatrix,
-             rel_tol: float = 1e-6) -> GNAuditReport:
-    """Check J(u) >= M_gs (1 - rel_tol) for each field (sharp GN inequality)."""
+def gn_audit(fields, m_gs: float, plan: TransformPlan,
+             km: KernelMatrix) -> GNAuditReport:
+    """Check J(u) >= M_gs (1 - GN_REL_TOL) for each field (sharp GN inequality)."""
     entries = []
     nviol = 0
     for u in fields:
@@ -224,7 +213,7 @@ def gn_audit(fields, m_gs: float, plan: TransformPlan, km: KernelMatrix,
             entries.append(GNAuditEntry(J=None, violation=False))
             continue
         J = M * H / LV
-        bad = J < m_gs * (1 - rel_tol)
+        bad = J < m_gs * (1 - GN_REL_TOL)
         nviol += bad
         entries.append(GNAuditEntry(J=J, violation=bool(bad)))
     return GNAuditReport(entries=entries, violations=nviol)

@@ -34,11 +34,11 @@ def gaussian_profile(params: ModelParams, grid: RadialGrid,
     return amplitude * r**(-params.rho) * np.exp(-r**2 / (2 * sigma**2))
 
 
-def ground_state_profile(Q: np.ndarray, grid: RadialGrid,
+def ground_state_profile(params: ModelParams, grid: RadialGrid, Q: np.ndarray,
                          mu: float = 1.0, nu_s: float = 1.0) -> np.ndarray:
     """mu * Q(nu_s r); M scales as mu^2 nu_s^{-d}, so e.g. mu = 0.9 gives
     mass 0.81 M_gs."""
-    return rescale(Q, grid, mu, nu_s)
+    return rescale(Q, grid, params.rho, mu, nu_s)
 
 
 def shell_profile(params: ModelParams, grid: RadialGrid, s0: float,
@@ -67,7 +67,7 @@ def make_initial_data(name: str, opts: dict, params: ModelParams,
         if Q is None:
             raise ValueError(f"profile {name!r} requires a solved ground state")
         if name == "ground-state":
-            return ground_state_profile(Q, grid, opts.get("mu", 1.0),
+            return ground_state_profile(params, grid, Q, opts.get("mu", 1.0),
                                         opts.get("nu_s", 1.0))
         if plan is None:
             raise ValueError("pseudo-conformal profile requires a transform plan")

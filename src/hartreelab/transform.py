@@ -30,10 +30,11 @@ which `evolution.evolve` forms once per run and keeps only for that run.
 
 apply_La keeps spectral accuracy: the orthonormalization correction acts at
 the quadrature-error level of mode products and vanishes under grid
-refinement.  The derivative and resampling helpers evaluate the raw Bessel
-series sum_m c_m phi_m, more accurate pointwise off the quadrature metric,
-with c = R^{-1} forward(u) and no inverse of the collocation matrix B:
-diag(r^{-(d-2)/2}) B = Psi R (R the QR triangle) and Psi^T W Psi = I.
+refinement.  The plan keeps neither the collocation matrix B = J_nu(k_m r_j)
+nor the QR triangle R: the modes, their forward transform and the k_m are all
+that the package applies.  Dilating and differentiating a field is the
+grid's job (`grid.dilate`, `grid.radial_derivative`), which needs no Bessel
+function.
 
 If the grid carries a non-positive quadrature weight (possible at the first
 node for d >= 6 and for pathologically coarse grids), the orthonormalization
@@ -43,11 +44,10 @@ the clipped metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.linalg import solve_triangular
 
 from .grid import RadialGrid
 from .params import ModelParams
@@ -81,11 +81,8 @@ class TransformPlan:
     params: ModelParams
     grid: RadialGrid
     k: np.ndarray              # spectral nodes, k_m^2 = eigenvalues of L_a
-    B: np.ndarray              # collocation matrix J_nu(k_m r_j)
-    R: np.ndarray              # upper triangular: B / r^{(d-2)/2} = Psi R
     Psi: np.ndarray            # orthonormal mode samples psi_m(r_j), n x n
     PsiTw: np.ndarray          # Psi^T diag(w_metric): the forward transform
-    _deriv_matrix: np.ndarray | None = field(default=None, repr=False)
 
 
 def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
@@ -103,8 +100,7 @@ def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
     sign = np.sign(np.diag(R))        # flip to the R with positive diagonal
     Psi = Y * sign / sw[:, None]
     PsiTw = Psi.T * w[None, :]
-    return TransformPlan(params=params, grid=grid, k=k, B=B, R=sign[:, None] * R,
-                         Psi=Psi, PsiTw=PsiTw)
+    return TransformPlan(params=params, grid=grid, k=k, Psi=Psi, PsiTw=PsiTw)
 
 
 def _check(plan: TransformPlan, v: np.ndarray) -> np.ndarray:
@@ -142,39 +138,3 @@ def apply_la(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
 def la_matrix(plan: TransformPlan) -> np.ndarray:
     """Dense matrix of apply_la; used once per ground-state Newton polish."""
     return (plan.Psi * plan.k[None, :]**2) @ plan.PsiTw
-
-
-def radial_derivative(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
-    """Spectral d/dr of a field: differentiates the Bessel series term-by-term.
-
-    d/dr [J_nu(k r) r^{-alpha}] = k J_nu'(k r) r^{-alpha} - alpha J_nu(k r) r^{-alpha-1}
-    with J_nu'(x) = (nu/x) J_nu(x) - J_{nu+1}(x), reusing J_nu = B; the
-    positive order nu+1 costs scipy less than nu-1 (negative for nu < 1).
-    Uses the raw series coefficients R^{-1} forward(u), which track pointwise
-    values most accurately.
-    """
-    if plan._deriv_matrix is None:
-        nu, r, k = plan.params.nu, plan.grid.r, plan.k
-        kr = k[None, :] * r[:, None]
-        Jp = (nu / kr) * plan.B - special.jv(nu + 1, kr)
-        alpha = (plan.params.d - 2) / 2
-        A2 = (k[None, :] * Jp - (alpha / r)[:, None] * plan.B) / r[:, None]**alpha
-        plan._deriv_matrix = A2 @ solve_triangular(plan.R, plan.PsiTw)
-    return _matvec(plan._deriv_matrix, _check(plan, u))
-
-
-def resample(plan: TransformPlan, u: np.ndarray, nu_s: float) -> np.ndarray:
-    """Spectral evaluation of u(nu_s * r) on the same grid via the Bessel series.
-
-    Exact for fields in the span of the transform basis.  Each call evaluates
-    an n x n Bessel matrix; the pseudo-conformal family uses it, while the
-    ground-state solver dilates without it (a spline into Newton, then a
-    first-order step for its tiny final dilation).
-    """
-    if nu_s == 1.0:
-        return np.array(u, copy=True)
-    c = solve_triangular(plan.R, transform_forward(plan, u))
-    rr = nu_s * plan.grid.r
-    B2 = special.jv(plan.params.nu, plan.k[None, :] * rr[:, None])
-    alpha = (plan.params.d - 2) / 2
-    return _matvec(B2, c) / rr**alpha

@@ -19,8 +19,8 @@ from hartreelab import (IntegratorConfig, build_grid, build_kernel, build_plan,
 from hartreelab.cli import _random_fields
 from hartreelab.ground_state import GroundStateOptions
 from hartreelab.hartree import surface_area
-from hartreelab.transform import radial_derivative, transform_forward, \
-    transform_inverse
+from hartreelab.grid import radial_derivative
+from hartreelab.transform import transform_forward, transform_inverse
 
 from conftest import Ctx
 
@@ -134,7 +134,7 @@ def test_06_global_existence_bound(case3_512):
     # [PAPER] below threshold (M = 0.81 M_gs) the kinetic part stays bounded:
     # H(t) (1 - M/M_gs) <= E (1 + 1e-3) along the flow
     c = case3_512
-    u0 = rescale(c.gs.Q, c.grid, 0.9, 1.0).astype(complex)
+    u0 = rescale(c.gs.Q, c.grid, c.params.rho, 0.9, 1.0).astype(complex)
     cfg = IntegratorConfig(dt=5e-4, t_end=2.0, output_stride=100)
     traj = evolve(u0, cfg, c.plan, c.km)
     assert traj.stop_reason == "completed"
@@ -225,8 +225,10 @@ def test_10_inequality_audits(case3_512):
         M_u = float(np.sum(c.grid.w * np.abs(u)**2))
         M_v = float(np.sum(c.grid.w * v**2))
         assert M_v == pytest.approx(M_u, rel=1e-9)
-        g_u = float(np.sum(c.grid.w * np.abs(radial_derivative(c.plan, np.abs(u)))**2))
-        g_v = float(np.sum(c.grid.w * np.abs(radial_derivative(c.plan, v))**2))
+        du = radial_derivative(c.grid, c.params.rho, np.abs(u))
+        dv = radial_derivative(c.grid, c.params.rho, v)
+        g_u = float(np.sum(c.grid.w * np.abs(du)**2))
+        g_v = float(np.sum(c.grid.w * np.abs(dv)**2))
         assert g_v <= g_u * (1 + 1e-9)
         assert lv_value(c.km, v) >= lv_value(c.km, np.abs(u)) * (1 - 1e-9)
     r0 = 0.3 * c.grid.r_max

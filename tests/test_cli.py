@@ -5,8 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from hartreelab import build_grid, load_ground_state
 from hartreelab.cli import (ConfigError, SCHEMA, config_hash, main,
                             parse_config, run_scenario)
+from hartreelab.grid import boundary_mass_fraction
 
 FAST_GRID = "grid.n = 64\ngrid.r_max = 10.0\n"
 FAST_GS = "ground_state.residual_tol = 1e-2\n"
@@ -83,10 +85,15 @@ def test_ground_state_scenario_artifacts(tmp_path):
         on_disk = json.load(fh)
     assert on_disk["m_gs"] == summary["m_gs"]
     assert on_disk["config_hash"] == config_hash(cfg)
-    # how the solver converged: the Newton |F| history, both dilations and
-    # the (iteration, J) trace, one pair per Newton iterate and the final Q
+    # how the solver converged: the Newton |F| history, both dilations, the
+    # (iteration, J) trace, one pair per Newton iterate and the final Q, and
+    # the share of M(Q) in the outer cells
     diag = on_disk["diagnostics"]
-    assert set(diag) == {"newton_residuals", "nu_entry", "nu_final", "trace"}
+    assert set(diag) == {"newton_residuals", "nu_entry", "nu_final", "trace",
+                         "boundary_mass_fraction"}
+    _, _, Q = load_ground_state(os.path.join(out, "ground_state.txt"))
+    assert diag["boundary_mass_fraction"] == \
+        boundary_mass_fraction(build_grid(3, 64, 10.0), Q)
     assert 1 <= len(diag["newton_residuals"]) <= 10
     assert len(diag["trace"]) == len(diag["newton_residuals"]) + 1
     assert diag["trace"][-1][1] == on_disk["m_gs"]

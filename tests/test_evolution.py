@@ -10,6 +10,7 @@ from hartreelab import (FitRejected, IntegratorConfig, Quantities, Trajectory,
                         transform, virial)
 from hartreelab.cli import _random_fields
 from hartreelab import evolution
+from hartreelab import grid as radial_grid
 from hartreelab.evolution import _flow_matrix, _flows, linear_flow
 from hartreelab.hartree import surface_area
 
@@ -215,7 +216,7 @@ def test_shared_la_artifacts_bit_identical(tmp_path, monkeypatch):
     monkeypatch.setattr(evolution, "functionals",
                         lambda u, plan, km, lau=None: fn(u, plan, km))
     monkeypatch.setattr(evolution, "virial",
-                        lambda u, plan, boundary_tol=1e-8, lau=None: vir(u, plan, boundary_tol))
+                        lambda u, plan, lau=None: vir(u, plan))
     assert run("separate") == shared
 
 
@@ -284,7 +285,7 @@ def test_gamma_prime_is_derivative_of_discrete_gamma(name, request, monkeypatch)
     # [DERIVED] Gamma' is the time derivative of the discrete Gamma under the
     # discrete flow (the nonlinear rotation leaves |u| alone, so the linear
     # flow alone moves Gamma): Richardson centred difference within 1e-9
-    # relative; and evolve never builds the spectral derivative
+    # relative; and evolve never takes a radial derivative
     c = request.getfixturevalue(name)
     g = c.grid
     u = _random_fields(c.params, g, np.random.default_rng(7), 1, complex_valued=True)[0]
@@ -301,25 +302,24 @@ def test_gamma_prime_is_derivative_of_discrete_gamma(name, request, monkeypatch)
 
     calls = []
 
-    def counting(plan, v):
+    def counting(grid, rho, v):
         calls.append(1)
-        return transform.radial_derivative(plan, v)
+        return radial_grid.radial_derivative(grid, rho, v)
 
     for key, mod in list(sys.modules.items()):
         if key.startswith("hartreelab") and \
-                getattr(mod, "radial_derivative", None) is transform.radial_derivative:
+                getattr(mod, "radial_derivative", None) is radial_grid.radial_derivative:
             monkeypatch.setattr(mod, "radial_derivative", counting)
     evolve(u, IntegratorConfig(dt=1e-3, t_end=5e-3, output_stride=2), c.plan, c.km)
     assert calls == []
 
 
 def test_pc_family_mass_and_free_energy(ctx3, gs3):
-    # [TRIVIAL] M(family(t)) = M_gs for all t (up to resampling interpolation);
-    # [PAPER] E(family(t) e^{-i r^2/(4(T*-t))}) = 0
+    # [TRIVIAL] M(family(t)) = M_gs for all t (up to the dilation's
+    # interpolation), also past T*/2, where the dilated profile must be zero
+    # beyond r_max; [PAPER] E(family(t) e^{-i r^2/(4(T*-t))}) = 0
     T = 1.0
-    # compression by 1/scale needs spectral modes up to k_max/scale, so only
-    # scales close to 1 are resolvable on the n = 256 grid
-    for t in (0.0, 0.1, 0.2):
+    for t in (0.0, 0.1, 0.2, 0.3, 0.5, 0.6):
         u = pseudo_conformal_family(gs3.Q, T, 0.3, t, ctx3.plan)
         q = functionals(u, ctx3.plan, ctx3.km)
         assert q.M == pytest.approx(gs3.m_gs, rel=1e-5)

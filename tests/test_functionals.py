@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hartreelab import (functionals, hardy_ratio, lv_value, make_params,
-                        rearrange_decreasing, rescale)
+from hartreelab import (build_grid, functionals, hardy_ratio, lv_value,
+                        make_params, rearrange_decreasing, rescale)
 from hartreelab.cli import _random_fields
 from hartreelab.functionals import lp_norm
+from hartreelab.grid import radial_derivative
 
 
 
@@ -65,9 +66,9 @@ def test_rescale_identity_and_mass_scaling(ctx3):
     # [TRIVIAL] identity; [PAPER] M(mu u) = mu^2 M(u)
     g = ctx3.grid
     u = g.r**(-ctx3.params.rho) * np.exp(-g.r**2 / 2)
-    assert np.array_equal(rescale(u, g, 1.0, 1.0), u)
+    assert np.array_equal(rescale(u, g, ctx3.params.rho, 1.0, 1.0), u)
     q1 = functionals(u, ctx3.plan, ctx3.km)
-    q2 = functionals(rescale(u, g, 2.0, 1.0), ctx3.plan, ctx3.km)
+    q2 = functionals(rescale(u, g, ctx3.params.rho, 2.0, 1.0), ctx3.plan, ctx3.km)
     assert q2.M == pytest.approx(4 * q1.M, rel=1e-12)
 
 
@@ -78,7 +79,7 @@ def test_rescale_scaling_laws(ctx3):
     u = g.r**(-ctx3.params.rho) * np.exp(-g.r**2 / 2)
     mu, nu_s = 1.3, 1.15
     q1 = functionals(u, ctx3.plan, ctx3.km)
-    q2 = functionals(rescale(u, g, mu, nu_s), ctx3.plan, ctx3.km)
+    q2 = functionals(rescale(u, g, ctx3.params.rho, mu, nu_s), ctx3.plan, ctx3.km)
     assert q2.M == pytest.approx(mu**2 * nu_s**(-d) * q1.M, rel=1e-6)
     assert q2.H == pytest.approx(mu**2 * nu_s**(2 - d) * q1.H, rel=1e-4)
     assert q2.L_V == pytest.approx(mu**4 * nu_s**(2 - 2 * d) * q1.L_V, rel=1e-5)
@@ -90,10 +91,31 @@ def test_rescale_mass_preserving(ctx3_free):
     g = ctx3_free.grid
     u = np.exp(-g.r**2 / 2)
     nu_s = 1.2
-    v = rescale(u, g, nu_s**1.5, nu_s)
+    v = rescale(u, g, ctx3_free.params.rho, nu_s**1.5, nu_s)
     q1, q2 = (functionals(x, ctx3_free.plan, ctx3_free.km) for x in (u, v))
     assert q2.M == pytest.approx(q1.M, rel=1e-7)
     assert q2.J == pytest.approx(q1.J, rel=1e-4)
+
+
+def test_rescale_converges_to_closed_form():
+    # [DERIVED] mu u(nu_s r) of u = r^{-rho} e^{-r^2/2} against its closed
+    # form for r < 8, relative to the largest sample: <= 1e-7 at n = 512
+    # (observed 8.9e-9) and falling >= 8x from n = 256 (observed ~15x); a
+    # spline of u itself clamped to u[0] inside the first node is 1.2e-2 off
+    # at nu_s = 0.9 whatever n
+    p = make_params(3, -0.1)
+    errs = {}
+    for n in (256, 512):
+        g = build_grid(3, n, 12.0)
+        u = g.r**(-p.rho) * np.exp(-g.r**2 / 2)
+        for nu_s in (0.9, 1.1):
+            x = nu_s * g.r
+            exact = 1.3 * x**(-p.rho) * np.exp(-x**2 / 2)
+            err = np.abs(rescale(u, g, p.rho, 1.3, nu_s) - exact)[g.r < 8.0]
+            errs[n, nu_s] = np.max(err) / np.max(np.abs(exact))
+    for nu_s in (0.9, 1.1):
+        assert errs[512, nu_s] <= 1e-7
+        assert errs[256, nu_s] >= 8 * errs[512, nu_s]
 
 
 def test_rescale_escape_error(ctx3):
@@ -101,7 +123,7 @@ def test_rescale_escape_error(ctx3):
     g = ctx3.grid
     u = np.exp(-(g.r - 0.8 * g.r_max)**2)
     with pytest.raises(ValueError, match="escapes"):
-        rescale(u, g, 1.0, 0.3)
+        rescale(u, g, 0.0, 1.0, 0.3)
 
 
 def test_hardy_gaussian():
@@ -121,7 +143,7 @@ def test_hardy_rescale_invariant(ctx3):
     g = ctx3.grid
     u = g.r**(-ctx3.params.rho) * np.exp(-g.r**2 / 2)
     r1 = hardy_ratio(u, ctx3.plan)
-    r2 = hardy_ratio(rescale(u, g, 2.0, 1.1), ctx3.plan)
+    r2 = hardy_ratio(rescale(u, g, ctx3.params.rho, 2.0, 1.1), ctx3.plan)
     assert r2 == pytest.approx(r1, rel=1e-3)   # cubic-interpolation tolerance
 
 
@@ -164,15 +186,14 @@ def test_rearrange_two_shell_by_hand(ctx3):
 def test_rearrange_monotonicity_properties(ctx3):
     # [PAPER] M(u*) = M(u); gradient down; L_V up; Hardy term up; J(u*) <= J(u)
     rng = np.random.default_rng(5)
-    from hartreelab.transform import radial_derivative
-    g = ctx3.grid
+    g, rho = ctx3.grid, ctx3.params.rho
     for u in _random_fields(ctx3.params, ctx3.grid, rng, 10):
         v = rearrange_decreasing(u, g)
         M_u = float(np.sum(g.w * np.abs(u)**2))
         M_v = float(np.sum(g.w * v**2))
         assert M_v == pytest.approx(M_u, rel=1e-10)
-        g_u = float(np.sum(g.w * np.abs(radial_derivative(ctx3.plan, np.abs(u)))**2))
-        g_v = float(np.sum(g.w * np.abs(radial_derivative(ctx3.plan, v))**2))
+        g_u = float(np.sum(g.w * np.abs(radial_derivative(g, rho, np.abs(u)))**2))
+        g_v = float(np.sum(g.w * np.abs(radial_derivative(g, rho, v))**2))
         assert g_v <= g_u * (1 + 1e-9)
         assert lv_value(ctx3.km, v) >= lv_value(ctx3.km, np.abs(u)) * (1 - 1e-9)
         h_u = float(np.sum(g.w_inv2 * np.abs(u)**2))

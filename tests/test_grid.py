@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hartreelab import build_grid
-from hartreelab.grid import integrate
+from hartreelab import build_grid, make_params
+from hartreelab.grid import (TAIL_CELLS, boundary_mass_fraction, dilate, integrate,
+                             radial_derivative)
 
 
 @pytest.mark.parametrize("d,n,r_max", [(3, 64, 5.0), (4, 128, 10.0), (5, 100, 7.0)])
@@ -132,3 +133,58 @@ def test_weights_match_exact_rational_rule(d):
     assert np.max(np.abs(g.w - exact) / np.abs(exact)) <= 1e-14
     exact_inv2 = _exact_weights(d - 3, 512, 12.0)
     assert np.max(np.abs(g.w_inv2 - exact_inv2) / np.abs(exact_inv2)) <= 1e-14
+
+
+def test_radial_derivative(ctx3_free):
+    # [DERIVED] d/dr e^{-r^2/2} = -r e^{-r^2/2} within 1e-8
+    g = ctx3_free.grid
+    u = np.exp(-g.r**2 / 2)
+    du = radial_derivative(g, ctx3_free.params.rho, u)
+    assert np.max(np.abs(du - (-g.r * u))) < 1e-8
+
+
+def test_radial_derivative_singular_envelope(ctx3):
+    # [DERIVED] the r^{-rho} envelope goes through the regular part: no NaN at
+    # the smallest node, and d/dr r^{-rho} e^{-r^2/2} = -(rho/r + r) u within
+    # 1e-5 relative at every node (observed 2.0e-6 at n = 256)
+    g, rho = ctx3.grid, ctx3.params.rho
+    u = g.r**(-rho) * np.exp(-g.r**2 / 2)
+    du = radial_derivative(g, rho, u)
+    assert np.all(np.isfinite(du))
+    exact = -(rho / g.r + g.r) * u
+    mask = g.r < 8.0
+    assert np.max(np.abs(du - exact)[mask] / np.abs(exact[mask])) <= 1e-5
+
+
+def test_dilate_identity_and_scaling():
+    # [DERIVED] the regular-part spline against the closed form of
+    # u = r^{-rho} e^{-r^2/2} at nu_s = 0.9 and 1.1 for r < 8: a copy at
+    # nu_s = 1, max error <= 1e-7 at n = 512 (observed 1.5e-8) and observed
+    # order >= 3.5 from n = 256 to 512 (observed 3.9); zero beyond r_max
+    p = make_params(3, -0.1)
+    errs = {}
+    for n in (256, 512):
+        g = build_grid(3, n, 12.0)
+        u = g.r**(-p.rho) * np.exp(-g.r**2 / 2)
+        assert np.array_equal(dilate(g, p.rho, u, 1.0), u)
+        for nu_s in (0.9, 1.1):
+            x = nu_s * g.r
+            v = dilate(g, p.rho, u, nu_s)
+            exact = x**(-p.rho) * np.exp(-x**2 / 2)
+            errs[n, nu_s] = np.max(np.abs(v - exact)[g.r < 8.0])
+            assert np.all(v[x > g.r_max] == 0.0)
+    for nu_s in (0.9, 1.1):
+        assert errs[512, nu_s] <= 1e-7
+        assert math.log2(errs[256, nu_s] / errs[512, nu_s]) >= 3.5
+
+
+def test_boundary_mass_fraction():
+    # [TRIVIAL] the share of the discrete mass in the outer TAIL_CELLS cells
+    g = build_grid(3, 64, 10.0)
+    outer = np.zeros(g.n)
+    outer[-TAIL_CELLS:] = 2.0
+    assert boundary_mass_fraction(g, outer) == 1.0
+    assert boundary_mass_fraction(g, np.zeros(g.n)) == 0.0
+    u = np.ones(g.n, dtype=complex) * 1j
+    expected = np.sum(g.w[-TAIL_CELLS:]) / np.sum(g.w)
+    assert boundary_mass_fraction(g, u) == pytest.approx(expected, rel=1e-14)

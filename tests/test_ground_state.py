@@ -3,13 +3,14 @@ import pytest
 from scipy import special
 
 from conftest import Ctx
-from hartreelab import (el_residual, functionals, gn_audit, load_ground_state,
-                        rescale, save_ground_state, solve_ground_state)
+from hartreelab import (build_plan, el_residual, functionals, gn_audit,
+                        load_ground_state, rescale, save_ground_state,
+                        solve_ground_state)
 from hartreelab import ground_state
 from hartreelab.cli import _random_fields
+from hartreelab.grid import boundary_mass_fraction, radial_derivative
 from hartreelab.ground_state import (GroundStateError, GroundStateOptions,
-                                     _dilate_first_order, initial_guess)
-from hartreelab.transform import resample
+                                     initial_guess)
 
 
 
@@ -75,7 +76,7 @@ def test_residual_grows_off_balance(ctx3, gs3):
     # [TRIVIAL] Q is the fixed point of the (mu, nu_s) balance
     g = ctx3.grid
     base = el_residual(gs3.Q, ctx3.plan, ctx3.km)
-    off = rescale(gs3.Q, g, 1.1, 1.0)
+    off = rescale(gs3.Q, g, ctx3.params.rho, 1.1, 1.0)
     assert el_residual(off, ctx3.plan, ctx3.km) > 5 * base
 
 
@@ -110,6 +111,20 @@ def test_bad_inputs(ctx3):
     assert exc.value.trace    # the trace rides on the error
 
 
+def test_boundary_mass_recorded_and_named_in_residual_error():
+    # [DERIVED] a solve records Q's mass share in the outer grid cells, and
+    # one that misses residual_tol names it: (6, 0, 256) misses the default
+    # 1e-5 at r_max = 12 with 5.0e-9 of M(Q) there, and meets it at
+    # r_max = 14 with 1.9e-10
+    c = Ctx(6, 0.0, 256, 12.0)
+    with pytest.raises(GroundStateError, match=r"boundary mass fraction 5\.0e-09"):
+        solve_ground_state(c.params, c.grid, c.plan, c.km)
+    c = Ctx(6, 0.0, 256, 14.0)
+    res = solve_ground_state(c.params, c.grid, c.plan, c.km)
+    assert res.boundary_mass_fraction == boundary_mass_fraction(c.grid, res.Q)
+    assert 1e-10 < res.boundary_mass_fraction < 3e-10
+
+
 def test_solve_evaluates_no_bessel_function(monkeypatch, ctx3):
     # [TRIVIAL] both dilations and the Newton polish work from the grid and
     # the plan's matrices: a solve makes no scipy.special.jv call
@@ -124,7 +139,7 @@ def test_solve_evaluates_no_bessel_function(monkeypatch, ctx3):
     solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                        GroundStateOptions(residual_tol=1e-4))
     assert calls == []
-    resample(ctx3.plan, ctx3.grid.r, 1.1)     # the counter does see the transform
+    build_plan(ctx3.params, ctx3.grid)        # the counter does see the transform
     assert calls
 
 
@@ -179,15 +194,28 @@ def test_m_gs_pinned_across_dimensions(request, ctx_name, guess, m_gs):
     assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
 
 
+def _bessel_series_dilation(plan, u, nu_s):
+    """u(nu_s r) from the Bessel series of u, the collocation interpolant
+    sum_m c_m J_nu(k_m r) / r^{(d-2)/2}, zero beyond r_max."""
+    p, g, k = plan.params, plan.grid, plan.k
+    alpha = (p.d - 2) / 2
+    c = np.linalg.solve(special.jv(p.nu, np.outer(g.r, k)), g.r**alpha * u)
+    x = nu_s * g.r
+    return np.where(x <= g.r_max,
+                    special.jv(p.nu, np.outer(x, k)) @ c / x**alpha, 0.0)
+
+
 def test_first_order_dilation_matches_resample(ctx512):
     # [DERIVED] for |nu - 1| <= 3e-7 the first-order step of the final
-    # dilation agrees with the spectral Bessel-series resample within 1e-12
-    # relative in the quadrature L^2 norm
+    # dilation, u + ln(nu) r u' with the grid's stencil derivative, agrees
+    # with the Bessel-series dilation within 1e-12 relative in the quadrature
+    # L^2 norm (observed 1.8e-13)
     grid = ctx512.grid
     Q = solve_ground_state(ctx512.params, grid, ctx512.plan, ctx512.km).Q
+    dQ = radial_derivative(grid, ctx512.params.rho, Q)
     for nu in (1 + 3e-7, 1 - 3e-7, 1 + 1e-9):
-        ref = resample(ctx512.plan, Q, nu)
-        err = _dilate_first_order(grid, ctx512.params.rho, Q, nu) - ref
+        ref = _bessel_series_dilation(ctx512.plan, Q, nu)
+        err = Q + np.log(nu) * grid.r * dQ - ref
         assert np.sqrt(np.sum(grid.w * err**2) / np.sum(grid.w * ref**2)) <= 1e-12, nu
 
 

@@ -6,8 +6,8 @@ from scipy.optimize import brentq
 
 from hartreelab import build_grid, build_plan, make_params
 from hartreelab.cli import _random_fields
-from hartreelab.transform import (apply_la, bessel_zeros, radial_derivative,
-                                  resample, transform_forward, transform_inverse)
+from hartreelab.transform import (apply_la, bessel_zeros, transform_forward,
+                                  transform_inverse)
 
 
 def smooth_field(params, grid, rng=None):
@@ -111,37 +111,11 @@ def test_spectral_convergence():
     assert errs[2] < errs[1] / 10
 
 
-def test_radial_derivative(ctx3_free):
-    # [DERIVED] d/dr e^{-r^2/2} = -r e^{-r^2/2} within 1e-8
-    g = ctx3_free.grid
-    u = np.exp(-g.r**2 / 2)
-    du = radial_derivative(ctx3_free.plan, u)
-    assert np.max(np.abs(du - (-g.r * u))) < 1e-8
-
-
-def test_radial_derivative_singular_envelope(ctx3):
-    # [TRIVIAL] r^{-rho} bump handled without NaN at the smallest node
-    u = smooth_field(ctx3.params, ctx3.grid)
-    du = radial_derivative(ctx3.plan, u)
-    assert np.all(np.isfinite(du))
-
-
-def test_resample_identity_and_scaling(ctx3):
-    # [DERIVED] spectral resample agrees with pointwise evaluation
-    g = ctx3.grid
-    u = smooth_field(ctx3.params, g)
-    assert np.array_equal(resample(ctx3.plan, u, 1.0), u)
-    v = resample(ctx3.plan, u, 1.1)
-    exact = (1.1 * g.r)**(-ctx3.params.rho) * np.exp(-(1.1 * g.r)**2 / 2)
-    mask = g.r < 8.0
-    assert np.max(np.abs(v - exact)[mask]) < 1e-7
-
-
 # max-norm relative tolerance against the by-parts oracle; apply_la sums
 # k_m^2-weighted modes, so on rough fields both its summation orders (and
 # complexified matrices alike) drift apart by up to ~2e-13
 REAL_OPERATORS = ((transform_forward, 1e-13), (transform_inverse, 1e-13),
-                  (apply_la, 1e-12), (radial_derivative, 1e-13))
+                  (apply_la, 1e-12))
 
 
 def _rel_err(x, ref):
@@ -172,28 +146,6 @@ def test_real_fields_take_plain_real_product(ctx3):
     for out, ref in cases:
         assert out.dtype == np.float64
         assert np.array_equal(out, ref)
-
-
-@pytest.mark.parametrize("d,a,n", [(3, -0.1, 256), (3, -0.1, 512), (4, -0.5, 256),
-                                   (4, -0.5, 512), (5, -0.5, 256)])
-def test_series_coefficients_match_collocation_inverse(d, a, n):
-    # [DERIVED] resample and radial_derivative take the raw Bessel series
-    # coefficients as R^{-1} forward(u); against the collocation solve
-    # c = B^{-1} r^alpha u, evaluated in closed form, within 1e-10
-    params = make_params(d, a)
-    grid = build_grid(d, n, 12.0)
-    plan = build_plan(params, grid)
-    r, k, nu, alpha = grid.r, plan.k, params.nu, (d - 2) / 2
-    for u in _random_fields(params, grid, np.random.default_rng(6), 2):
-        c = np.linalg.solve(plan.B, r**alpha * u)
-        for nu_s in (0.7, 1.3):
-            rr = nu_s * r
-            ref = special.jv(nu, k[None, :] * rr[:, None]) @ c / rr**alpha
-            assert _rel_err(resample(plan, u, nu_s), ref) <= 1e-10, nu_s
-        kr = k[None, :] * r[:, None]
-        dphi = (k[None, :] * special.jvp(nu, kr) - (alpha / r)[:, None] * plan.B) \
-            / r[:, None]**alpha
-        assert _rel_err(radial_derivative(plan, u), dphi @ c) <= 1e-10
 
 
 @pytest.mark.parametrize("d,a", [(3, -0.2499), (3, -0.1), (7, -3.0)])
