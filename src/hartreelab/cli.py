@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import (FitRejected, IntegratorConfig, concentration, evolve,
-                        fit_blowup, rotated_energy_check)
+from .evolution import (BOUNDARY_TOL, FitRejected, IntegratorConfig,
+                        concentration, evolve, fit_blowup, rotated_energy_check)
 from .functionals import functionals, hardy_ratio, rearrange_decreasing
 from .ground_state import (GroundStateError, GroundStateOptions, gn_audit,
                            load_ground_state, solve_ground_state,
@@ -338,6 +338,7 @@ def _scenario_ground_state(cfg, out_dir):
         "pohozaev_ML_V": abs(q.M - q.L_V) / res.m_gs < tol,
         "pohozaev_HL_V": abs(q.H - q.L_V) / res.m_gs < tol,
         "nonnegative": bool(np.min(res.Q) > -1e-12),
+        "boundary_mass": res.boundary_mass_fraction <= BOUNDARY_TOL,
     }
     save_ground_state(os.path.join(out_dir, "ground_state.txt"), res, params, grid)
     return {"m_gs": res.m_gs, "el_residual": res.residual,

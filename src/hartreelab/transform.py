@@ -36,6 +36,18 @@ that the package applies.  Dilating and differentiating a field is the
 grid's job (`grid.dilate`, `grid.radial_derivative`), which needs no Bessel
 function.
 
+The build evaluates B once, by `_collocation`.  From x = k_m r_j >= x*(nu)
+on, 90-93 % of the entries at n = 512, it sums Hankel's asymptotic expansion
+(nine terms each of P and Q) instead of calling special.jv.  The switch x*
+is where a bound on the first omitted term falls to one ulp of the
+amplitude: 22.3 at nu = 0, growing with nu.  Below it, jv is used.  jv
+itself changes method at x = 21.8 and below that loses up to 4e-14 of the
+amplitude (nu = 0.387); nine terms keep the expansion where jv is accurate,
+so B matches jv to 1.4e-16 absolute.
+Against 30-digit mpmath both sides are within 3.5e-16 of
+min(1, sqrt(2/(pi x))).  This halves the plan build: 0.12-0.18 -> 0.07-0.10 s
+at n = 512 and 0.5-0.85 -> 0.3-0.5 s at n = 1024 (2 shared cores).
+
 If the grid carries a non-positive quadrature weight (possible at the first
 node for d >= 6 and for pathologically coarse grids), the orthonormalization
 metric clips it to a tiny positive value; conservation statements then hold in
@@ -76,6 +88,70 @@ def bessel_zeros(nu: float, n: int) -> np.ndarray:
     return z
 
 
+#: terms of each of Hankel's series P and Q
+_HANKEL_TERMS = 9
+#: bound on the first term each series omits, relative to the amplitude
+_HANKEL_TOL = np.finfo(float).eps
+#: rows of the collocation matrix evaluated at once
+_BLOCK = 32
+
+
+def _hankel_switch(nu: float) -> float:
+    """Smallest x from which Hankel's expansion of J_nu is exact to round-off.
+
+    There the first term each of P and Q omits, a_k(nu)/x^k with k = 2K and
+    2K + 1, is at most _HANKEL_TOL.  Each factor |4 nu^2 - (2j-1)^2| of a_k is
+    bounded by 4 nu^2 + (2j-1)^2, so the switch grows with nu and does not
+    collapse at half-integer orders, where the series terminates but would
+    cancel at small x.  It is 22.3 at nu = 0, 23.1 at nu = 0.387 and 32.6 at
+    nu = 2.5.  The omitted term bounds the remainder for nu <= 2K + 1/2 (DLMF
+    10.17(iii)); past that, jv is used throughout.
+    """
+    K = _HANKEL_TERMS
+    if nu > 2 * K + 0.5:
+        return np.inf
+    j = np.arange(1, 2 * K + 2)
+    b = np.cumprod((4 * nu**2 + (2 * j - 1)**2) / (8 * j))
+    return max((b[-2] / _HANKEL_TOL)**(1 / (2 * K)), (b[-1] / _HANKEL_TOL)**(1 / (2 * K + 1)))
+
+
+def _collocation(nu: float, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """B_jm = J_nu(k_m r_j) for increasing k > 0 and r > 0.
+
+    From the switch point x* of `_hankel_switch` on, Hankel's expansion
+    J_nu(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - (nu/2 + 1/4) pi,
+    with P and Q by Horner in 1/x^2; below x*, special.jv.  The phase enters
+    by angle addition, cos chi = cos x cos phi + sin x sin phi: forming x - phi
+    would cost ulp(x), 1.2e-13 of the amplitude at x ~ 3000.  The rows go in
+    blocks of _BLOCK; x grows along a row, so the entries below x* of a block
+    lie in the column prefix its first row has below x*.
+    """
+    K = _HANKEL_TERMS
+    j = np.arange(1, 2 * K)
+    a = np.cumprod(np.r_[1.0, (4 * nu**2 - (2 * j - 1)**2) / (8 * j)])   # a_0 .. a_{2K-1}
+    sign = (-1.0)**np.arange(K)
+    p, q = (sign * a[0::2])[::-1], (sign * a[1::2])[::-1]
+    phi = (nu / 2 + 0.25) * np.pi
+    c, s = np.cos(phi), np.sin(phi)
+    x_switch = _hankel_switch(nu)
+    B = np.empty((len(r), len(k)))
+    for i0 in range(0, len(r), _BLOCK):
+        x = r[i0:i0 + _BLOCK, None] * k
+        m = int(np.searchsorted(x[0], x_switch))
+        B[i0:i0 + _BLOCK, :m] = special.jv(nu, x[:, :m])
+        x = x[:, m:]
+        t = 1 / x
+        t2 = t * t
+        P = Q = 0.0
+        for cp, cq in zip(p, q):
+            P = P * t2 + cp
+            Q = Q * t2 + cq
+        Q = Q * t
+        B[i0:i0 + _BLOCK, m:] = np.sqrt(2 / np.pi * t) * (np.cos(x) * (P * c + Q * s)
+                                                          + np.sin(x) * (P * s - Q * c))
+    return B
+
+
 @dataclass
 class TransformPlan:
     params: ModelParams
@@ -90,7 +166,7 @@ def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
         raise ValueError(f"params dimension {params.d} != grid dimension {grid.d}")
     nu = params.nu
     k = bessel_zeros(nu, grid.n) / grid.r_max
-    B = special.jv(nu, k[None, :] * grid.r[:, None])
+    B = _collocation(nu, k, grid.r)
 
     w = grid.w
     if np.any(w <= 0):

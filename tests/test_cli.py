@@ -8,9 +8,13 @@ import pytest
 from hartreelab import build_grid, load_ground_state
 from hartreelab.cli import (ConfigError, SCHEMA, config_hash, main,
                             parse_config, run_scenario)
+from hartreelab.evolution import BOUNDARY_TOL
 from hartreelab.grid import boundary_mass_fraction
 
 FAST_GRID = "grid.n = 64\ngrid.r_max = 10.0\n"
+# a ground state on FAST_GRID keeps 4.6e-8 of its mass in the outer cells,
+# above evolution.BOUNDARY_TOL; at r_max = 12 it keeps 1.6e-9
+GS_GRID = "grid.n = 64\ngrid.r_max = 12.0\n"
 FAST_GS = "ground_state.residual_tol = 1e-2\n"
 
 
@@ -76,7 +80,7 @@ def test_config_hash_ignores_output_dir():
 
 def test_ground_state_scenario_artifacts(tmp_path):
     # [DERIVED] summary.json + ground_state.txt written; checks pass at n=64
-    cfg = parse_config(FAST_GRID + FAST_GS + "scenario = ground-state")
+    cfg = parse_config(GS_GRID + FAST_GS + "scenario = ground-state")
     out = str(tmp_path / "gs")
     summary = run_scenario(cfg, out)
     assert summary["pass"], summary
@@ -93,11 +97,23 @@ def test_ground_state_scenario_artifacts(tmp_path):
                          "boundary_mass_fraction"}
     _, _, Q = load_ground_state(os.path.join(out, "ground_state.txt"))
     assert diag["boundary_mass_fraction"] == \
-        boundary_mass_fraction(build_grid(3, 64, 10.0), Q)
+        boundary_mass_fraction(build_grid(3, 64, 12.0), Q)
     assert 1 <= len(diag["newton_residuals"]) <= 10
     assert len(diag["trace"]) == len(diag["newton_residuals"]) + 1
     assert diag["trace"][-1][1] == on_disk["m_gs"]
     assert diag["nu_entry"] > 0 and abs(diag["nu_final"] - 1) < 1e-3
+
+
+def test_ground_state_boundary_mass_fails(tmp_path):
+    # [TRIVIAL] a ground state with more than evolution.BOUNDARY_TOL of its
+    # mass in the outer cells fails its run: on FAST_GRID the share is 4.6e-8
+    # while every other check passes
+    summary = run_scenario(parse_config(FAST_GRID + FAST_GS), str(tmp_path / "gs"))
+    checks = summary["checks"]
+    assert checks["boundary_mass"] is False
+    assert all(v for key, v in checks.items() if key != "boundary_mass")
+    assert summary["diagnostics"]["boundary_mass_fraction"] > BOUNDARY_TOL
+    assert summary["pass"] is False
 
 
 def test_evolve_scenario_trajectory(tmp_path):
@@ -206,7 +222,7 @@ def test_main_exit_codes(tmp_path, capsys):
     # zero sweep workers
     out = str(tmp_path / "cli")
     cfg_path = tmp_path / "c.cfg"
-    cfg_path.write_text(FAST_GRID + FAST_GS)
+    cfg_path.write_text(GS_GRID + FAST_GS)
     assert main(["ground-state", "--config", str(cfg_path), "--out", out]) == 0
     line = capsys.readouterr().out.strip()
     assert json.loads(line)["pass"] is True
@@ -296,10 +312,10 @@ def test_sweep_config_validation():
 def test_file_profile_round_trip(tmp_path):
     # [DERIVED] ground-state output feeds back in as init.profile = file
     out_gs = str(tmp_path / "gs")
-    cfg = parse_config(FAST_GRID + FAST_GS)
+    cfg = parse_config(GS_GRID + FAST_GS)
     assert run_scenario(cfg, out_gs)["pass"]
     field = os.path.join(out_gs, "ground_state.txt")
-    cfg2 = parse_config(FAST_GRID + "scenario = evolve\ninit.profile = file\n"
+    cfg2 = parse_config(GS_GRID + "scenario = evolve\ninit.profile = file\n"
                         f"init.file = {field}\nintegrator.dt = 1e-3\n"
                         "integrator.t_end = 0.02\n")
     out_ev = str(tmp_path / "ev")
@@ -311,9 +327,9 @@ def test_file_profile_round_trip(tmp_path):
 def test_file_profile_model_mismatch(tmp_path):
     # [TRIVIAL] a field file saved for another coupling a is rejected
     out_gs = str(tmp_path / "gs")
-    assert run_scenario(parse_config(FAST_GRID + FAST_GS), out_gs)["pass"]
+    assert run_scenario(parse_config(GS_GRID + FAST_GS), out_gs)["pass"]
     field = os.path.join(out_gs, "ground_state.txt")
-    cfg = parse_config(FAST_GRID + "scenario = evolve\ninit.profile = file\n"
+    cfg = parse_config(GS_GRID + "scenario = evolve\ninit.profile = file\n"
                        f"init.file = {field}\nmodel.a = -0.2\n"
                        "integrator.dt = 1e-3\nintegrator.t_end = 0.02\n")
     summary = run_scenario(cfg, str(tmp_path / "ev"))

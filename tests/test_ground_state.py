@@ -29,13 +29,15 @@ def test_el_residual_gate(ctx3, gs3):
     assert el_residual(gs3.Q, ctx3.plan, ctx3.km) == pytest.approx(gs3.residual)
 
 
-def test_nonnegative_and_trace_monotone(gs3):
-    # [TRIVIAL] Q >= 0; [PAPER] J-trace non-increasing after burn-in
+def test_nonnegative_and_trace_above_m_gs(gs3):
+    # [TRIVIAL] Q >= 0 and the J-trace ends at m_gs; [PAPER] every iterate
+    # has J >= M_gs (Gagliardo-Nirenberg) up to the discrete residual.  Newton
+    # iterates need not descend: here they dip to m_gs - 2.5e-12 and the
+    # last step rises by 2.4e-12
     assert np.min(gs3.Q) > -1e-12
     js = [j for _, j in gs3.trace]
-    burn = len(js) // 4
-    diffs = np.diff(js[burn:])
-    assert np.all(diffs < 1e-9)
+    assert js[-1] == gs3.m_gs
+    assert min(js) >= gs3.m_gs * (1 - 1e-10)
 
 
 def test_initialization_independence(ctx3, gs3):

@@ -1,12 +1,16 @@
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
 from scipy.optimize import brentq
 
-from hartreelab import build_grid, build_plan, make_params
+from hartreelab import build_grid, build_plan, make_params, transform
 from hartreelab.cli import _random_fields
-from hartreelab.transform import (apply_la, bessel_zeros, transform_forward,
+from hartreelab.transform import (_collocation, _hankel_switch, apply_la,
+                                  bessel_zeros, transform_forward,
                                   transform_inverse)
 
 
@@ -183,3 +187,51 @@ def test_plan_grid_mismatch(ctx3):
     # [TRIVIAL] wrong-length field rejected
     with pytest.raises(ValueError):
         transform_forward(ctx3.plan, np.zeros(7))
+
+
+@pytest.mark.parametrize("nu", [0.005, 0.224, 0.387, 0.707, 1.323, 2.5, 3.0])
+def test_collocation_matches_mpmath(nu):
+    # [DERIVED] B = J_nu(x) within 2e-15 of min(1, sqrt(2/(pi x))) against
+    # 30-digit mpmath: by jv just below the switch point, by Hankel's
+    # expansion just above it, at ~100 and at ~3200 (the largest argument at
+    # n = 1024), where a phase x - phi formed directly is 1e-13 off
+    xs = _hankel_switch(nu)
+    x = np.array([xs - 0.5, xs * (1 - 1e-12), xs * (1 + 1e-12), xs + 0.5,
+                  99.7, 100.3, 3199.1, 3200.6, 3201.9])
+    B = _collocation(nu, x, np.array([1.0]))[0]
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselj(nu, mpmath.mpf(float(v)))) for v in x])
+    scale = np.minimum(1.0, np.sqrt(2 / (np.pi * x)))
+    err = np.abs(B - ref) / scale
+    assert np.all(err <= 2e-15), err
+
+
+@pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5), (5, -0.5), (7, 0.0)])
+def test_plan_matches_jv_plan(d, a, monkeypatch):
+    # [DERIVED] the plan built on Hankel's expansion matches the one built on
+    # special.jv over the whole matrix, through the same QR: Psi and PsiTw
+    # within 1e-13 max-relative, k bit-identical
+    p, g = make_params(d, a), build_grid(d, 512, 12.0)
+    plan = build_plan(p, g)
+    monkeypatch.setattr(transform, "_collocation",
+                        lambda nu, k, r: special.jv(nu, k[None, :] * r[:, None]))
+    ref = build_plan(p, g)
+    assert np.array_equal(plan.k, ref.k)
+    for name in ("Psi", "PsiTw"):
+        got, want = getattr(plan, name), getattr(ref, name)
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-13, name
+
+
+def test_plan_build_peak_memory():
+    # [TRIVIAL] the collocation matrix is evaluated in blocks of rows: the
+    # traced peak of an n = 512 build stays at the few n x n matrices of the
+    # QR (10.3 MiB), which a whole-matrix pass would exceed
+    p, g = make_params(3, -0.1), build_grid(3, 512, 12.0)
+    build_plan(p, g)
+    tracemalloc.start()
+    try:
+        build_plan(p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 2**20, peak / 2**20

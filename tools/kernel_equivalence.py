@@ -3,13 +3,16 @@
     python tools/kernel_equivalence.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the package `hartreelab`) builds, in its own
-subprocess, the bilinear form S = w_i Kw_ij of every case of CASES and solves
-the ground state on it with default options.  A "raw" case builds the kernel
-without model parameters (no singularity correction) and solves at a = 0,
-where rho = 0 and the corrected build is the raw one.  Prints, per case, the
-max-norm relative difference of S and the relative difference of `m_gs`, and
-exits 0 if every S is within 1e-13 and every `m_gs` within 1e-12 (a case
-whose solve raises GroundStateError must raise in both trees).
+subprocess, the bilinear form S = w_i Kw_ij and the transform plan of every
+case of CASES and solves the ground state on them with default options.  A
+"raw" case builds the kernel without model parameters (no singularity
+correction) and solves at a = 0, where rho = 0 and the corrected build is the
+raw one.  Prints, per case, the
+max-norm relative difference of S, that of the plan's modes Psi and the
+relative difference of `m_gs`, and exits 0 if every S is within 1e-13 and
+every `m_gs` within 1e-12 (a case whose solve raises GroundStateError must
+raise in both trees).  Psi is shown, not gated, so that a change of the plan
+is visible beside its effect on `m_gs`.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ S_TOL, M_TOL = 1e-13, 1e-12
 
 
 def build_all(src: str, out: str) -> None:
-    """Save S of each case to out/S<k>.npy and print one JSON line per case."""
+    """Save S and Psi of each case to out/S<k>.npy and out/Psi<k>.npy and
+    print one JSON line per case."""
     sys.path.insert(0, src)
     import hartreelab as hl
 
@@ -39,14 +43,21 @@ def build_all(src: str, out: str) -> None:
         params = hl.make_params(d, 0.0 if a is None else a)
         grid = hl.build_grid(d, n, r_max)
         km = hl.build_kernel(grid, None if a is None else params)
+        plan = hl.build_plan(params, grid)
         np.save(os.path.join(out, f"S{k}.npy"), grid.w[:, None] * km.Kw)
+        np.save(os.path.join(out, f"Psi{k}.npy"), plan.Psi)
         row = {"case": [d, a, n, r_max]}
         try:
-            res = hl.solve_ground_state(params, grid, hl.build_plan(params, grid), km)
+            res = hl.solve_ground_state(params, grid, plan, km)
             row["m_gs"] = res.m_gs
         except hl.GroundStateError as exc:
             row["error"] = str(exc)
         print(json.dumps(row), flush=True)
+
+
+def _rel_diff(old: np.ndarray, new: np.ndarray) -> float:
+    """Max-norm difference of new from old, relative to max |old|."""
+    return float(np.max(np.abs(new - old)) / np.max(np.abs(old)))
 
 
 def main(old_src: str, new_src: str) -> int:
@@ -63,11 +74,12 @@ def main(old_src: str, new_src: str) -> int:
         if any(p.returncode for p in procs) or len(old) != len(new):
             print("a build process failed", file=sys.stderr)
             return 1
-        bad, worst_s, worst_m = 0, 0.0, 0.0
+        bad, worst_s, worst_psi, worst_m = 0, 0.0, 0.0, 0.0
         for k, (o, w) in enumerate(zip(old, new)):
-            So, Sn = (np.load(os.path.join(out, f"S{k}.npy")) for out in outs)
-            ds = float(np.max(np.abs(Sn - So)) / np.max(np.abs(So)))
-            worst_s = max(worst_s, ds)
+            ds, dpsi = (_rel_diff(*(np.load(os.path.join(out, f"{name}{k}.npy"))
+                                    for out in outs))
+                        for name in ("S", "Psi"))
+            worst_s, worst_psi = max(worst_s, ds), max(worst_psi, dpsi)
             if "error" in o or "error" in w:
                 ok = "error" in o and "error" in w
                 solve = "both raise" if ok else "one raises"
@@ -80,9 +92,10 @@ def main(old_src: str, new_src: str) -> int:
             bad += not ok
             d, a, n, r_max = o["case"]
             label = f"d={d} {'raw' if a is None else f'a={a}'} n={n} r_max={r_max}"
-            print(f"{label:<32} S d_rel {ds:.1e}  {solve}{'' if ok else '  MISMATCH'}")
+            print(f"{label:<32} S d_rel {ds:.1e}  Psi d_rel {dpsi:.1e}  "
+                  f"{solve}{'' if ok else '  MISMATCH'}")
     print(f"{len(old) - bad} of {len(old)} match; worst relative S {worst_s:.1e}, "
-          f"m_gs {worst_m:.1e}")
+          f"Psi {worst_psi:.1e}, m_gs {worst_m:.1e}")
     return 1 if bad else 0
 
 
