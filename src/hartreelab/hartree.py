@@ -5,9 +5,15 @@ against the sphere average of |x - y|^{-2},
 
     Phi(r) = omega_{d-1} int_0^inf A(r, s) |u(s)|^2 s^{d-1} ds,
 
-with closed forms A = ln((r+s)/|r-s|)/(2 r s) in d = 3 and A = 1/max(r,s)^2
-in d = 4; in d >= 5, A is the Gegenbauer-weighted average
-(o_{d-2}/o_{d-1}) int_{-1}^{1} (1-x^2)^{(d-3)/2} / (r^2+s^2-2 r s x) dx.
+which in every d is A = 2F1(1, 2 - d/2; d/2; t^2) / R^2 with R = max(r, s),
+t = min(r, s)/R: ln((r+s)/|r-s|)/(2 r s) in d = 3 and 1/R^2 in d = 4.  In
+d >= 5 it is exact both ways: for t < 1/2 the series sum c_k t^{2k} / R^2
+(c_0 = 1, c_{k+1} = c_k (k + 2 - d/2)/(k + d/2), to |c_k| 4^-k < 1e-18; it
+ends for even d), for t >= 1/2 the recurrence from the d = 3 or 4 form
+A_{d+2} = d/(d-1) [r^2 + s^2 - (r^2 - s^2)^2 A_d] / (4 r^2 s^2), which
+1 - x^2 = (E^2 - D^2)/E^2 + (D - E x)(D + E x)/E^2 gives in the Gegenbauer
+average (o_{d-2}/o_{d-1}) int (1-x^2)^{(d-3)/2} / (D - E x) dx, D = r^2 + s^2,
+E = 2 r s; each step there loses at most a factor 4 to cancellation.
 
 The discrete operator is a precomputed n x n matrix built by product
 integration: for each collocation radius r_i the s-integral over each grid
@@ -28,11 +34,13 @@ at once); this module holds no stencil layout.
          (b = -1, 0, 1) take the analytic moments, the rest Gauss-Legendre,
          where the binomial expansion of the analytic moments would lose
          precision.
-  d = 4: the kernel is piecewise polynomial-weighted; the diagonal cell is
-         split exactly at s = r, Gauss-Legendre everywhere (exact).
-  d >= 5: fixed-order Gauss-Jacobi for A plus subdivided Gauss-Legendre on
-         the diagonal band (the kernel is continuous there, with mildly
-         singular higher derivatives).
+  d >= 4: blocks of rows, 12-point Gauss-Legendre on every cell (one
+         evaluation of A s^{d-1} and one product with weighted t^k), then 12
+         points on each half of the diagonal cell, whose centre is s = r_i.
+         Even d: A s^{d-1} t^k has degree <= 2d + 2 on either side, so the
+         rule is exact for d <= 10.  Odd d: the (s - r)^{d-3} ln|s - r| term
+         is left to the rule; the (5, -1.0, r_max 20) anomaly converges at
+         order ~4.3 in n.
 
 The bilinear L_V matrix w_i K_ij is symmetrized by averaging with its
 transpose.  This leaves every quadratic form (hence L_V) unchanged while
@@ -57,8 +65,7 @@ pattern on (0, 1), and A is homogeneous of degree -2 (x^2 A(x, x p) =
 A(1, p) in every d), so the kernel factor A(1, p) p^{d-1-2 rho} is evaluated
 once per build and each node only adds e^{-x^2 p^2}.  The panels of (x, R)
 are x + (R - x) times a second pattern; A is evaluated there for blocks of
-64 nodes, so the temporaries stay at a few MiB (d >= 5 also accumulates
-over the Gauss-Jacobi nodes instead of materialising them).
+64 nodes, so the temporaries stay at a few MiB.
 
 The correction targets the quadratic form (L_V, the energy, the ground-state
 equation); the pointwise potential at the first few nodes is perturbed at the
@@ -71,13 +78,11 @@ are wanted.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
 
 from .grid import STENCIL, RadialGrid, _spread
 from .params import ModelParams
@@ -96,7 +101,7 @@ _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
 _HALVINGS = 0.5**np.arange(1, 31)
 #: rows per block of the psi-integrals (64 x ~1,000 panel nodes per temporary)
 _BLOCK = 64
-#: cells per block of d = 3 kernel rows spread onto the matrix at once
+#: cells per block of kernel rows spread onto the matrix at once
 _BLOCK_CELLS = 2**13
 
 
@@ -179,45 +184,25 @@ def _rows_d3(grid: RadialGrid):
 
 
 def _rows_general(grid: RadialGrid, d: int):
-    """Cell moments of A(r_i, s) s^{d-1}, one row per block of `_rows_d3`'s
-    form: d = 4 (exact piecewise kernel) and d >= 5 (Gauss-Jacobi sphere
-    average)."""
+    """Cell moments of A(r_i, s) s^{d-1} for blocks of rows, in `_rows_d3`'s
+    form, for d >= 4: 12-point Gauss-Legendre on every cell, then 12 points
+    on each half of the diagonal cell, whose centre is s = r_i."""
     n, r, h = grid.n, grid.r, grid.h
     xg, wg = np.polynomial.legendre.leggauss(_GLQ)
-    tg, wgt = 0.5 * xg, 0.5 * wg
-    Tp = tg[None, :]**np.arange(STENCIL)[:, None]   # t^0..t^{STENCIL-1}
-
-    if d == 4:
-        def Avals(ri, s):
-            return 1.0 / np.maximum(ri, s)**2
-    else:
-        xj, wj = _jacobi_rule(d, 64)
-        wj = wj * surface_area(d - 1) / surface_area(d)
-        def Avals(ri, s):
-            denom = ri * ri + s * s - 2 * ri * s * xj[:, None]
-            return np.sum(wj[:, None] / denom, axis=0)
-
-    s_nodes = r[:, None] + tg[None, :] * h
-    for i in range(n):
-        ri = r[i]
-        kv = Avals(ri, s_nodes.ravel()).reshape(n, _GLQ) * s_nodes**(d - 1)
-        mom = h * np.einsum('g,kg,cg->ck', wgt, Tp, kv)
-        # diagonal cell (and band for d >= 5): subdivide at s = r_i for exactness
-        band = [i] if d == 4 else [j for j in (i - 1, i, i + 1) if 0 <= j < n]
-        for c in band:
-            lo, hi = grid.edges[c], grid.edges[c + 1]
-            pieces = [(lo, ri), (ri, hi)] if lo < ri < hi else [(lo, hi)]
-            acc = np.zeros(STENCIL)
-            for (aa, bb) in pieces:
-                if bb <= aa:
-                    continue
-                sg = 0.5 * (aa + bb) + 0.5 * (bb - aa) * xg
-                wq = 0.5 * (bb - aa) * wg
-                tloc = (sg - r[c]) / h
-                vals = Avals(ri, sg) * sg**(d - 1)
-                acc += (tloc[None, :]**np.arange(STENCIL)[:, None]) @ (wq * vals)
-            mom[c] = acc
-        yield i, mom[None]
+    # t on the whole cell, and on its halves [-1/2, 0] and [0, 1/2]
+    t1, t2 = 0.5 * xg, np.concatenate((0.25 * xg - 0.25, 0.25 * xg + 0.25))
+    P1 = 0.5 * h * wg[:, None] * t1[:, None]**np.arange(STENCIL)
+    P2 = 0.25 * h * np.tile(wg, 2)[:, None] * t2[:, None]**np.arange(STENCIL)
+    s1, s2 = r[:, None] + h * t1, r[:, None] + h * t2
+    m1, m2 = s1**(d - 1), s2**(d - 1)
+    rows = max(1, _BLOCK_CELLS // n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        ri = r[i0:i1, None]
+        mom = (_kernel_vals(d, ri[..., None], s1) * m1) @ P1
+        diag = np.arange(i1 - i0)
+        mom[diag, diag + i0] = (_kernel_vals(d, ri, s2[i0:i1]) * m2[i0:i1]) @ P2
+        yield i0, mom
 
 
 def _panel_rule(left: bool, right: bool):
@@ -231,30 +216,41 @@ def _panel_rule(left: bool, right: bool):
     return (mid + haf * _XG16).ravel(), (haf * _WG16).ravel()
 
 
-@functools.cache
-def _jacobi_rule(d: int, nodes: int):
-    """Gauss-Jacobi rule for the weight (1 - x^2)^{(d-3)/2} (read-only arrays)."""
-    p = (d - 3) / 2
-    rule = special.roots_jacobi(nodes, p, p)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
+def _series(d: int) -> list:
+    """c_k of 2F1(1, 2 - d/2; d/2; t^2) = sum c_k t^{2k}, up to the first
+    with |c_k| 4^-k < 1e-18 (for even d the series ends with a zero c_k)."""
+    c = [1.0]
+    while abs(c[-1]) * 0.25**(len(c) - 1) >= 1e-18:
+        k = len(c) - 1
+        c.append(c[-1] * (k + 2 - d / 2) / (k + d / 2))
+    return c
 
 
 def _kernel_vals(d: int, r, s: np.ndarray) -> np.ndarray:
     """Sphere-average kernel A(r, s) away from the diagonal, broadcasting r
-    against s (d >= 5: 96-node Gauss-Jacobi quadrature of the Gegenbauer
-    average, accumulated node by node so no node axis is materialised)."""
+    against s (d >= 5: the 2F1 series below t = 1/2, the recurrence in d
+    from d = 3 or 4 above it; see the module docstring)."""
     if d == 3:
         return np.log((r + s) / np.abs(r - s)) / (2 * r * s)
     if d == 4:
         return 1.0 / np.maximum(r, s)**2
-    xj, wj = _jacobi_rule(d, 96)
-    rr, rs = r * r + s * s, 2 * r * s
-    acc = np.zeros(rr.shape)
-    for x, wx in zip(xj, wj):
-        acc += wx / (rr - rs * x)
-    return acc * (surface_area(d - 1) / surface_area(d))
+    r, s = np.broadcast_arrays(r, s)
+    R = np.maximum(r, s)
+    t2 = (np.minimum(r, s) / R)**2
+    out = np.empty(R.shape)
+    near = t2 < 0.25
+    tn, acc = t2[near], 0.0
+    for c in reversed(_series(d)):
+        acc = acc * tn + c
+    out[near] = acc / R[near]**2
+    far = ~near
+    r2, s2 = r[far]**2, s[far]**2
+    e = 4 - d % 2
+    A = _kernel_vals(e, r[far], s[far])
+    for k in range(e, d, 2):
+        A = k / (k - 1) * (r2 + s2 - (r2 - s2)**2 * A) / (4 * r2 * s2)
+    out[far] = A
+    return out
 
 
 def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float) -> np.ndarray:

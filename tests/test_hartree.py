@@ -17,6 +17,13 @@ def test_kernel_closed_forms():
     assert kernel(4, 1.0, 2.0) == pytest.approx(0.25, rel=1e-12)
     # [DERIVED] d=3 closed form (1/(2rs)) ln((r+s)/|r-s|)
     assert kernel(3, 2.0, 1.0) == pytest.approx(math.log(3.0) / 4, rel=1e-12)
+    # [DERIVED] even d: the 2F1 series ends; with t = min/R, d=6 gives
+    # (1 - t^2/3)/R^2 and d=8 gives (1 - t^2/2 + t^4/10)/R^2
+    for r, s in ((2.0, 1.0), (1.0, 1.6), (3.0, 2.97)):
+        R, t = max(r, s), min(r, s) / max(r, s)
+        assert kernel(6, r, s) == pytest.approx((1 - t**2 / 3) / R**2, rel=1e-14)
+        assert kernel(8, r, s) == pytest.approx((1 - t**2 / 2 + t**4 / 10) / R**2,
+                                                rel=1e-14)
 
 
 def test_kernel_diagonal_is_error():
@@ -37,6 +44,21 @@ def test_kernel_d5_oracle():
     num = np.sum(w * np.sin(t)**(d - 2) / (r**2 - 2 * r * s * np.cos(t) + s**2))
     den = np.sum(w * np.sin(t)**(d - 2))
     assert kernel(d, r, s) == pytest.approx(float(num / den), rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_kernel_matches_hypergeometric_oracle(d):
+    # [DERIVED] A(r, s) = 2F1(1, 2 - d/2; d/2; t^2)/R^2, R = max(r, s),
+    # t = min/R, by 30-digit mpmath, on both sides of the t = 1/2 switch
+    # between the series and the recurrence and up to r/s = 0.999
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for q in (0.01, 0.3, 0.49, 0.51, 0.9, 0.99, 0.999):
+            for r, s in ((q, 1.0), (1 / q, 1.0)):
+                R = max(r, s)
+                t = mpmath.mpf(min(r, s)) / R
+                ref = mpmath.hyp2f1(1, 2 - mpmath.mpf(d) / 2, mpmath.mpf(d) / 2, t * t) / R**2
+                assert abs(kernel(d, r, s) - ref) <= 1e-14 * ref, (r, s)
 
 
 def test_potential_zero(ctx3):
@@ -186,23 +208,6 @@ def test_d3_build_takes_closed_forms_once_per_offset(monkeypatch):
     assert calls == {"abs": 2 * hartree.NEAR + 1}
 
 
-def test_gauss_jacobi_rule_computed_once_per_build(monkeypatch):
-    # [TRIVIAL] the d = 5 build with the singularity correction evaluates
-    # the sphere average at ~1,000 radii but takes each Gauss-Jacobi rule
-    # (64 nodes for the rows, 96 for the correction) from one computation
-    calls = []
-
-    def counted(nodes, alpha, beta):
-        calls.append(nodes)
-        return roots_jacobi(nodes, alpha, beta)
-
-    roots_jacobi = hartree.special.roots_jacobi
-    monkeypatch.setattr(hartree.special, "roots_jacobi", counted)
-    hartree._jacobi_rule.cache_clear()
-    build_kernel(build_grid(5, 64, 12.0), make_params(5, -0.5))
-    assert len(calls) <= 2, calls
-
-
 _PSI_NODES = ("first", "block-end", "block-start", "middle", "last")
 
 
@@ -240,11 +245,13 @@ def test_psi_integrals_match_adaptive_quadrature(d, a, node):
     assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
 
 
-def test_corrected_build_peak_memory():
-    # [TRIVIAL] the correction works through blocks of rows: the traced peak
-    # of a corrected n = 512 build stays at the few n x n matrices the form
-    # needs (10.2 MiB), which an unchunked pass over all nodes would exceed
-    g, p = build_grid(3, 512, 12.0), make_params(3, -0.1)
+@pytest.mark.parametrize("d,a", [(3, -0.1), (5, -0.5)])
+def test_corrected_build_peak_memory(d, a):
+    # [TRIVIAL] the rows and the correction work through blocks of rows: the
+    # traced peak of a corrected n = 512 build stays at the few n x n
+    # matrices the form needs (10.2 MiB), which an unchunked pass over all
+    # nodes (or, for d >= 4, all rows' Gauss-Legendre points) would exceed
+    g, p = build_grid(d, 512, 12.0), make_params(d, a)
     build_kernel(g, p)
     tracemalloc.start()
     try:

@@ -28,7 +28,8 @@ import numpy as np
 # (d, a or None for the raw build, n, r_max)
 CASES = (
     [(3, a, n, 12.0) for a in (None, -0.1, -0.2) for n in (256, 512, 1024)]
-    + [(4, -0.5, 512, 12.0), (5, None, 256, 12.0), (5, -0.5, 256, 12.0)]
+    + [(4, -0.5, 512, 12.0), (5, None, 256, 12.0), (5, -0.5, 256, 12.0),
+       (6, -1.0, 256, 12.0), (7, -3.0, 256, 12.0)]
 )
 S_TOL, M_TOL = 1e-13, 1e-12
 
