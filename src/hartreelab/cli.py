@@ -137,25 +137,16 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     """Parse and validate; raises ConfigError listing *all* problems."""
     errors = []
     pairs = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            errors.append(f"line {lineno}: expected 'key = value', got {stripped!r}")
-            continue
-        key, val = (part.strip() for part in stripped.split("=", 1))
-        if key not in SCHEMA:
-            errors.append(f"line {lineno}: unknown key {key!r}")
-            continue
-        pairs[key] = val
-    for item in overrides or []:
+    items = [(f"line {lineno}", body) for lineno, line in enumerate(text.splitlines(), 1)
+             if (body := line.split("#", 1)[0]).strip()]
+    items += [(f"override {item!r}", item) for item in overrides or []]
+    for where, item in items:
         if "=" not in item:
-            errors.append(f"override {item!r}: expected key=value")
+            errors.append(f"{where}: expected 'key = value', got {item.strip()!r}")
             continue
         key, val = (part.strip() for part in item.split("=", 1))
         if key not in SCHEMA:
-            errors.append(f"override: unknown key {key!r}")
+            errors.append(f"{where}: unknown key {key!r}")
             continue
         pairs[key] = val
 

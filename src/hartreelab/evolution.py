@@ -362,22 +362,17 @@ class RotatedEnergyReport:
 
 def rotated_energy_check(u: np.ndarray, theta_vals: np.ndarray, s: float,
                          plan: TransformPlan, km: KernelMatrix,
-                         m_gs: float | None = None,
-                         theta_prime: np.ndarray | None = None) -> RotatedEnergyReport:
+                         m_gs: float | None = None, *,
+                         theta_prime: np.ndarray) -> RotatedEnergyReport:
     """Check E(u e^{is theta}) = E(u) + s b + (s^2/2) c for a radial profile
-    theta, and (at mass m_gs) the discriminant inequality |b| <= sqrt(2 E c).
-
-    Pass `theta_prime` when the derivative of theta is known in closed form;
-    otherwise it is taken from the grid stencils as for a smooth field (which
-    limits how small a mismatch can be resolved); u' is taken through u's
-    regular part r^rho u."""
+    theta with derivative `theta_prime`, and (at mass m_gs) the discriminant
+    inequality |b| <= sqrt(2 E c); u' is taken through u's regular part
+    r^rho u."""
     g = plan.grid
     om = km.omega
-    theta_p = theta_prime if theta_prime is not None \
-        else radial_derivative(g, 0.0, theta_vals)
     du = radial_derivative(g, plan.params.rho, u)
-    b = om * float(np.sum(g.w * theta_p * np.imag(np.conj(u) * du)))
-    cquad = om * float(np.sum(g.w * theta_p**2 * np.abs(u)**2))
+    b = om * float(np.sum(g.w * theta_prime * np.imag(np.conj(u) * du)))
+    cquad = om * float(np.sum(g.w * theta_prime**2 * np.abs(u)**2))
     qu = functionals(u, plan, km)
     lhs = functionals(u * np.exp(1j * s * theta_vals), plan, km).E
     rhs = qu.E + s * b + 0.5 * s * s * cquad

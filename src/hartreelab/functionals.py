@@ -96,42 +96,32 @@ def hardy_ratio(u: np.ndarray, plan: TransformPlan) -> float:
 def rearrange_decreasing(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Radially non-increasing rearrangement of |u|, equimeasurable in volume.
 
-    Cells are treated as volume atoms (volume omega * w_j).  The sorted
-    (descending) profile of |u|^2 is poured into cells in increasing-radius
-    order, splitting source atoms across target cells proportionally to
-    volume; each target sample is the volume average of |u|^2 poured into it.
-    This conserves the discrete mass exactly and yields a non-increasing
-    profile.
+    Cells of positive weight are volume atoms (volume omega * w_j).  The
+    atoms, sorted by descending |u|^2, are poured into the cells in
+    increasing-radius order: merging the cumulative volumes of the sorted
+    atoms and of the cells cuts the volume axis into segments that each lie
+    in one atom and one cell, and each cell's sample is the volume average of
+    |u|^2 over its segments.  This conserves the discrete mass and yields a
+    non-increasing profile.  Each cell's mass is a sum of its own segments'
+    masses, never a difference of running mass totals, which would leave an
+    absolute error of the total mass's round-off in the small tail values.
+    A cell of non-positive weight (a one-sided boundary stencil, or the
+    origin in d >= 6) carries no volume and is interpolated from its
+    neighbours.
     """
     u = _check_finite(u)
-    vals = np.abs(u)**2
-    vols = grid.w
-    # the one-sided boundary stencils can produce a (single, outermost)
-    # non-positive weight; such cells carry no volume for rearrangement
-    pos = vols > 0
+    pos = grid.w > 0
+    vals, vols = np.abs(u[pos])**2, grid.w[pos]
     order = np.argsort(-vals, kind="stable")
-    order = order[pos[order]]
-    sv, svol = vals[order], vols[order]
-    out = np.zeros(grid.n)
-    k = 0                        # current source atom
-    rem = svol[0] if len(sv) else 0.0  # remaining volume of the source atom
-    for j in range(grid.n):
-        if not pos[j]:
-            out[j] = out[j - 1] if j > 0 else 0.0
-            continue
-        need = vols[j]
-        acc = 0.0
-        while need > 0 and k < len(sv):
-            take = min(need, rem)
-            acc += take * sv[k]
-            need -= take
-            rem -= take
-            if rem <= 0:
-                k += 1
-                if k < len(sv):
-                    rem = svol[k]
-        out[j] = max(acc, 0.0) / vols[j]
-    return np.sqrt(out)
+    atoms, cells = np.cumsum(vols[order]), np.cumsum(vols)
+    ends = np.union1d(atoms, cells)
+    # the two totals may differ in the last bit: clip the final segment
+    atom = np.minimum(np.searchsorted(atoms, ends), len(atoms) - 1)
+    cell = np.minimum(np.searchsorted(cells, ends), len(cells) - 1)
+    mass = np.bincount(cell, weights=np.diff(ends, prepend=0.0) * vals[order[atom]],
+                       minlength=len(cells))
+    # np.interp returns the positive cells' own values exactly
+    return np.sqrt(np.interp(grid.r, grid.r[pos], mass / vols))
 
 
 def lp_norm(u: np.ndarray, grid: RadialGrid, p: float, omega: float) -> float:

@@ -29,11 +29,13 @@ the solve takes three steps:
    stencils applied to the regular part r^rho u); the dropped term is
    O((nu - 1)^2).  J (hence m_gs) is invariant under the whole scaling family.
 
-The solve evaluates no Bessel function: it only applies the plan's matrices.
-The result records Q's mass fraction in the outermost cells, and a solve that
-misses residual_tol names it, since r_max can limit the residual: (6, 0, 256)
-misses 1e-5 with 5.0e-9 of M(Q) there at r_max = 12 and meets it with 1.9e-10
-at r_max = 14.
+Every M, H, L_V and J comes from `functionals` and every Phi from
+`hartree.potential`; a Newton iterate passes the L_a u it formed for F.  The
+solve needs the plan and the kernel matrix, and evaluates no Bessel function:
+it only applies their matrices.  The result records Q's mass fraction in the
+outermost cells, and a solve that misses residual_tol names it, since r_max
+can limit the residual: (6, 0, 256) misses 1e-5 with 5.0e-9 of M(Q) there at
+r_max = 12 and meets it with 1.9e-10 at r_max = 14.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RadialGrid, boundary_mass_fraction, dilate, radial_derivative
-from .hartree import KernelMatrix, build_kernel, potential
+from .functionals import functionals
+from .hartree import KernelMatrix, potential
 from .params import ModelParams
-from .transform import TransformPlan, apply_la, build_plan, la_matrix
+from .transform import TransformPlan, apply_la, la_matrix
 
 GN_REL_TOL = 1e-6   # relative slack of the gn_audit check J(u) >= M_gs
 
@@ -97,21 +100,6 @@ def initial_guess(params: ModelParams, grid: RadialGrid, kind: str) -> np.ndarra
     raise ValueError(f"unknown initial guess kind {kind!r}")
 
 
-def _moments(w, om, u, f, Phi, Lau):
-    """M, H and L_V of u from f = |u|^2, Phi = Phi[f] and Lau = L_a u."""
-    M = 0.5 * om * float(np.sum(w * f))
-    H = 0.5 * om * float(np.real(np.sum(w * np.conj(u) * Lau)))
-    LV = 0.25 * om * float(np.sum(w * Phi * f))
-    return M, H, LV
-
-
-def _quantities(plan, km, u):
-    f = np.abs(u)**2
-    Lau = apply_la(plan, u)
-    Phi = km.omega * (km.Kw @ f)
-    return (*_moments(plan.grid.w, km.omega, u, f, Phi, Lau), Phi, Lau)
-
-
 def el_residual(Q: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> float:
     """|| L_a Q + Q - Phi[Q^2] Q ||_{L^2} / || Q ||_{L^2} (discrete norms)."""
     Q = np.asarray(Q)
@@ -124,55 +112,50 @@ def el_residual(Q: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> float:
 
 
 def solve_ground_state(params: ModelParams, grid: RadialGrid,
-                       plan: TransformPlan | None = None,
-                       km: KernelMatrix | None = None,
+                       plan: TransformPlan, km: KernelMatrix,
                        opts: GroundStateOptions | None = None,
                        init: np.ndarray | None = None) -> GroundStateResult:
     opts = opts or GroundStateOptions()
-    plan = plan or build_plan(params, grid)
-    km = km or build_kernel(grid, params)
     u = np.array(init, dtype=float) if init is not None else \
         initial_guess(params, grid, opts.guess)
     if np.any(u < 0) or not np.any(u > 0):
         raise ValueError("initial guess must be non-negative and nonzero")
 
-    M, H, LV, _, _ = _quantities(plan, km, u)
-    if LV <= 0 or M <= 0:
+    q = functionals(u, plan, km)
+    if q.L_V <= 0 or q.M <= 0:
         raise GroundStateError("initial guess has vanishing mass or L_V")
 
     # dilate to the unit-coefficient Euler-Lagrange form, then Newton
-    nu_entry = 1.0 / math.sqrt(H / M)
-    mu = math.sqrt(H / LV) * nu_entry**(params.d / 2)
+    nu_entry = 1.0 / math.sqrt(q.H / q.M)
+    mu = math.sqrt(q.H / q.L_V) * nu_entry**(params.d / 2)
     u = mu * dilate(grid, params.rho, u, nu_entry)
     La = la_matrix(plan)
     eye = np.eye(grid.n)
     trace: list = []
     newton: list = []
     for it in range(opts.newton_iters):
-        f = u * u
-        Phi = km.omega * (km.Kw @ f)
+        Phi = potential(km, u)
         Lau = La @ u
         F = Lau + u - Phi * u
         newton.append(float(np.sqrt(np.sum(grid.w * F**2) / np.sum(grid.w * u**2))))
-        M, H, LV = _moments(grid.w, km.omega, u, f, Phi, Lau)
-        trace.append((it + 1, M * H / LV))
+        q = functionals(u, plan, km, Lau)
+        trace.append((it + 1, q.J))
         if it and newton[-1] > 0.5 * newton[-2]:
             break                         # round-off floor: |F| no longer halves
         Jac = La + eye - np.diag(Phi) - 2 * km.omega * (u[:, None] * km.Kw * u[None, :])
         u = u - np.linalg.solve(Jac, F)
     else:                                 # the cap: u moved after its last M, H
-        M, H, LV, _, _ = _quantities(plan, km, u)
+        q = functionals(u, plan, km)
     iterations = it + 1
 
     # balanced Pohozaev rescale: half-step dilation splits the scaling anomaly
     # between the residual and |M - H|; the amplitude makes M = L_V exact
-    nu_final = (M / H)**0.25
+    nu_final = (q.M / q.H)**0.25
     v = u + math.log(nu_final) * grid.r * radial_derivative(grid, params.rho, u)
-    Mv, _, LVv, _, _ = _quantities(plan, km, v)
-    Q = math.sqrt(Mv / LVv) * v
+    qv = functionals(v, plan, km)
+    Q = math.sqrt(qv.M / qv.L_V) * v
     Q = np.where(np.abs(Q) < 1e-300, 0.0, Q)
-    M, H, LV, _, _ = _quantities(plan, km, Q)
-    m_gs = M * H / LV
+    m_gs = functionals(Q, plan, km).J
     trace.append((iterations + 1, m_gs))
     residual = el_residual(Q, plan, km)
     boundary = boundary_mass_fraction(grid, Q)
@@ -208,11 +191,10 @@ def gn_audit(fields, m_gs: float, plan: TransformPlan,
     entries = []
     nviol = 0
     for u in fields:
-        M, H, LV, _, _ = _quantities(plan, km, u)
-        if LV <= 0:
+        J = functionals(u, plan, km).J
+        if J is None:                     # L_V <= 0
             entries.append(GNAuditEntry(J=None, violation=False))
             continue
-        J = M * H / LV
         bad = J < m_gs * (1 - GN_REL_TOL)
         nviol += bad
         entries.append(GNAuditEntry(J=J, violation=bool(bad)))

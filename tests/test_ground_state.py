@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import special
@@ -89,6 +91,13 @@ def test_gn_audit(ctx3, gs3):
     report = gn_audit(fields, gs3.m_gs, ctx3.plan, ctx3.km)
     assert report.violations == 0
     assert len(report.entries) == 30
+
+
+def test_gn_audit_zero_field(ctx3, gs3):
+    # [TRIVIAL] a zero field has L_V = 0: J is undefined and no violation
+    report = gn_audit([np.zeros(ctx3.grid.n)], gs3.m_gs, ctx3.plan, ctx3.km)
+    assert [(e.J, e.violation) for e in report.entries] == [(None, False)]
+    assert report.violations == 0
 
 
 def test_serialization_round_trip(tmp_path, ctx3, gs3):
@@ -261,7 +270,8 @@ def test_newton_reuses_its_quantities(monkeypatch, ctx3, guess):
         calls.append(1)
         return apply_la(plan, v)
 
-    monkeypatch.setattr(ground_state, "apply_la", counting)
+    for mod in (ground_state, sys.modules["hartreelab.functionals"]):
+        monkeypatch.setattr(mod, "apply_la", counting)
     res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                              GroundStateOptions(guess=guess))
     assert len(res.newton_residuals) >= 3

@@ -12,11 +12,14 @@ the residual is the scaling anomaly of the discrete functionals plus whatever
 Newton left at its floor, and two solves that stop at different iterates
 leave different round-off there (up to 3e-12 between the two guesses of one
 tree at n = 1024, against a residual of 6e-9).  Prints one line per case and
-guess and exits 0 if every case matches.
+guess, then how many match and how many are bit-identical (the same bytes of
+Q, by sha256, and the same m_gs and residual), and exits 0 if every case
+matches.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -55,7 +58,8 @@ def solve_all(src: str) -> None:
                 res = hl.solve_ground_state(params, grid, plan, km,
                                             hl.GroundStateOptions(guess=guess))
                 row.update(m_gs=res.m_gs, residual=res.residual,
-                           floor=res.newton_residuals[-1], iterations=res.iterations)
+                           floor=res.newton_residuals[-1], iterations=res.iterations,
+                           q_sha256=hashlib.sha256(res.Q.tobytes()).hexdigest())
             except hl.GroundStateError as exc:
                 row["error"] = str(exc)
             print(json.dumps(row), flush=True)
@@ -83,10 +87,12 @@ def main(old_src: str, new_src: str) -> int:
     if any(p.returncode for p in procs) or len(old) != len(new):
         print("a solver process failed", file=sys.stderr)
         return 1
-    bad, worst_m = 0, 0.0
+    bad, same, worst_m = 0, 0, 0.0
+    keys = ("q_sha256", "m_gs", "residual", "error")
     for o, w in zip(old, new):
         why = compare(o, w)
         bad += why is not None
+        same += all(o.get(k) == w.get(k) for k in keys)
         if "error" in o:
             status = "both raise" if why is None else why
         else:
@@ -98,7 +104,8 @@ def main(old_src: str, new_src: str) -> int:
                 f"{o['floor']:.1e}/{w['floor']:.1e}  iterations "
                 f"{o['iterations']} -> {w['iterations']}")
         print(f"{tuple(o['case'])!s:<28} {o['guess']:<8} {status}")
-    print(f"{len(old) - bad} of {len(old)} match; worst relative m_gs {worst_m:.1e}")
+    print(f"{len(old) - bad} of {len(old)} match; {same} of {len(old)} bit-identical; "
+          f"worst relative m_gs {worst_m:.1e}")
     return 1 if bad else 0
 
 
