@@ -122,8 +122,3 @@ def rearrange_decreasing(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
                        minlength=len(cells))
     # np.interp returns the positive cells' own values exactly
     return np.sqrt(np.interp(grid.r, grid.r[pos], mass / vols))
-
-
-def lp_norm(u: np.ndarray, grid: RadialGrid, p: float, omega: float) -> float:
-    """(omega int |u|^p r^{d-1} dr)^{1/p}; used by the HLS-continuity property."""
-    return float((omega * np.sum(grid.w * np.abs(u)**p))**(1.0 / p))

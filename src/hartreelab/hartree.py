@@ -20,23 +20,38 @@ integration: for each collocation radius r_i the s-integral over each grid
 cell is computed against the same 8-node sliding-stencil polynomial
 interpolation the quadrature weights use, with the kernel handled exactly.
 Each row is a set of cell moments of t^k A(r_i, s) s^{d-1}, spread onto the
-nodes by the grid's own stencils (`grid._spread`, which takes a block of rows
-at once); this module holds no stencil layout.
+nodes by the grid's own stencils (`grid._spread`, or in d = 3 the grid's
+centred stencil inverse read once); this module defines no stencil layout.
 
   d = 3: ln((r+s)/|r-s|) = ln|t + b2| - ln|t - b| on each cell, with t in
          [-1/2, 1/2] the cell-local coordinate.  On the uniform midpoint
          grid r_j = (j + 1/2) h the offsets of cell c seen from node r_i are
          the exact integers b = i - c and b2 = i + c + 1 (h cancels), and
          ln(t + b2) = ln|t - (-b2)|, so the build computes one moment table
-         of ln|t - b| for b = -(2n-1)..n-1, each row of the matrix being one
-         slice-and-subtract of it (a block of rows: two strided views of the
-         table and one subtraction).  Offsets within NEAR of the singularity
-         (b = -1, 0, 1) take the analytic moments, the rest Gauss-Legendre,
-         where the binomial expansion of the analytic moments would lose
-         precision.
-  d >= 4: blocks of rows, 12-point Gauss-Legendre on every cell (one
-         evaluation of A s^{d-1} and one product with weighted t^k), then 12
-         points on each half of the diagonal cell, whose centre is s = r_i.
+         U_k[b] of ln|t - b| for b = -(2n-1)..n-1.  Offsets within NEAR of
+         the singularity (b = -1, 0, 1) take the analytic moments, the rest
+         Gauss-Legendre, where the binomial expansion of the analytic moments
+         would lose precision.
+         The matrix is then structured in the nodes, not only in the cells.
+         A centred cell c (lo <= c < hi of `grid._centred`) spreads onto node
+         j = c - lo + q through the one inverse Sinv, and s = r_j + (lo - q
+         + t) h on it, so with m = i + j + lo + 1 (Hankel) or m = j - i + lo
+         (Toeplitz)
+             Z0(m) = sum_{q,k} Sinv[q,k] U_k[q - m],
+             Z1(m) = sum_{q,k} Sinv[q,k] ((lo - q) U_k[q - m] + U_{k+1}[q - m]),
+             K_ij = h/(2 r_i) {r_j [Z0(i+j+lo+1) - Z0(j-i+lo)]
+                               + h [Z1(i+j+lo+1) - Z1(j-i+lo)]}
+         on every column STENCIL <= j < n - STENCIL: two sequences of length
+         3n, two strided views of each and five n x n passes.  The first and
+         last STENCIL columns also take the one-sided and reduced stencils;
+         they are summed over the cells whose stencils reach them (cells 0-10
+         and n-12..n-1, each once: the two sets meet below n = 23).  The
+         build at n = 512 is half the cell-by-cell one, which the tests keep
+         as the reference.
+  d >= 4: blocks of _BLOCK_CELLS // n rows, 12-point Gauss-Legendre on
+         every cell (one evaluation of A s^{d-1} and one product with
+         weighted t^k), then 12 points on each half of the diagonal cell,
+         whose centre is s = r_i.
          Even d: A s^{d-1} t^k has degree <= 2d + 2 on either side, so the
          rule is exact for d <= 10.  Odd d: the (s - r)^{d-3} ln|s - r| term
          is left to the rule; the (5, -1.0, r_max 20) anomaly converges at
@@ -52,7 +67,10 @@ When model parameters with rho > 0 are supplied, a singularity subtraction
 is folded into the matrix: in-class fields have |u|^2 ~ r^{-2 rho} x smooth
 at the origin, which the polynomial stencils resolve poorly, so the form is
 corrected by splitting f = a0 psi + remainder with psi = r^{-2 rho} e^{-r^2}
-and a0 extracted linearly from the origin samples.  The psi-column and the
+and a0 extracted linearly from the first _ORIGIN_NODES = 12 samples.  The
+extraction vector is zero past them, so the correction forms and changes
+only those rows and columns of the form (12 x n blocks, no n x n product);
+every other entry keeps its uncorrected bits.  The psi-column and the
 psi-psi entry are integrated to near machine accuracy by geometrically
 refined Gauss-Legendre panels; the remainder (~ r^{2-2 rho} x smooth) is
 left to the stencil rule, which handles it well.  The whole correction is
@@ -84,7 +102,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import STENCIL, RadialGrid, _spread
+from .grid import STENCIL, RadialGrid, _centred, _spread
 from .params import ModelParams
 
 #: integer cell offsets |b| <= NEAR from the singularity use the analytic
@@ -101,8 +119,11 @@ _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
 _HALVINGS = 0.5**np.arange(1, 31)
 #: rows per block of the psi-integrals (64 x ~1,000 panel nodes per temporary)
 _BLOCK = 64
-#: cells per block of kernel rows spread onto the matrix at once
+#: cells per block of d >= 4 kernel rows spread onto the matrix at once
 _BLOCK_CELLS = 2**13
+#: origin nodes the r^{-2 rho} coefficient is extracted from; the singularity
+#: correction changes only these rows and columns of the form
+_ORIGIN_NODES = 12
 
 
 def surface_area(d: int) -> float:
@@ -162,31 +183,50 @@ def _log_moment_table(n: int) -> np.ndarray:
     return U
 
 
-def _rows_d3(grid: RadialGrid):
-    """Cell moments of A(r_i, s) s^2 for blocks of rows: yields (i0, mom) with
-    mom[i - i0, c] the moments of row i over cell c, on the d = 3 kernel."""
+def _kernel_d3(grid: RadialGrid) -> np.ndarray:
+    """The uncorrected d = 3 matrix Kw: a Hankel minus a Toeplitz part in the
+    nodes, with the edge columns spread cell by cell (see the module
+    docstring)."""
     n, r, h = grid.n, grid.r, grid.h
-    # T[k, c] = U[3n - 2 - k - c]: each row of a block is a window of the
-    # table, so a block is two strided views and one subtraction
-    T = sliding_window_view(_log_moment_table(n)[::-1], n, axis=0).transpose(0, 2, 1)
-    rows = max(1, _BLOCK_CELLS // n)
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        # (r_i + s)/h = i + c + 1 + t and (r_i - s)/h = (i - c) - t on cell c:
-        # table offsets b = -(i + c + 1) at k = n + i and b = i - c at k = n - 1 - i
-        Lm = np.subtract(T[n + i0:n + i1], T[n - i1:n - i0][::-1],
-                         out=np.empty((i1 - i0, n, _MMAX)))
-        # A s^2 = s ln((r+s)/|r-s|) / (2 r): fold s = r_c + t h into the moments
-        mom = r[:, None] * Lm[..., :STENCIL]
-        mom += h * Lm[..., 1:]
-        mom *= h / (2 * r[i0:i1, None, None])
-        yield i0, mom
+    lo, _ = _centred(n)
+    # zero rows past both ends of the table: only edge columns reach them
+    U = np.pad(_log_moment_table(n), ((STENCIL, STENCIL), (0, 0)))
+    at = 2 * n - 1 + STENCIL   # U[at + b] holds the moments of ln|t - b|
+    # Z[m + n - 1 - lo] = sum_{q,k} Sinv[q,k] U_k[q - m] for the Hankel offsets
+    # m = i + j + lo + 1 and the Toeplitz offsets m = j - i + lo; Z1 adds the
+    # weights lo - q and U_{k+1}, the part of s = r_j + (lo - q + t) h past r_j
+    q = np.arange(STENCIL)
+    Ub = U[at + q - (np.arange(3 * n) + lo - n + 1)[:, None]]
+    sinv = grid.stencil_inv[lo]
+    Z0 = np.einsum("mqk,qk->m", Ub[..., :STENCIL], sinv)
+    Z1 = h * np.einsum("mqk,qk->m", (lo - q)[:, None] * Ub[..., :STENCIL] + Ub[..., 1:], sinv)
+    # row i of the Hankel part is window n + i, of the Toeplitz part n - 1 - i
+    W0, W1 = sliding_window_view(Z0, n), sliding_window_view(Z1, n)
+    Kw = np.subtract(W0[n:2 * n], W0[n - 1::-1])
+    Kw *= r
+    Kw += W1[n:2 * n]
+    Kw -= W1[n - 1::-1]
+    Kw *= (h / (2 * r))[:, None]
+    # the first and last STENCIL columns also take one-sided and reduced
+    # stencils: sum them over every cell whose stencil reaches them, once each
+    edge = np.r_[:STENCIL, n - STENCIL:n]
+    hit = (grid.stencil_start[:, None] + q)[..., None] == edge
+    cells = np.flatnonzero(hit.any(axis=(1, 2)))
+    G = np.einsum("cqk,cqe->cke", grid.stencil_inv[cells], hit[cells])
+    i = np.arange(n)[:, None]
+    Lm = U[at - (i + cells + 1)] - U[at + i - cells]
+    mom = r[cells, None] * Lm[..., :STENCIL]
+    mom += h * Lm[..., 1:]
+    mom *= (h / (2 * r))[:, None, None]
+    Kw[:, edge] = mom.reshape(n, -1) @ G.reshape(-1, len(edge))
+    return Kw
 
 
 def _rows_general(grid: RadialGrid, d: int):
-    """Cell moments of A(r_i, s) s^{d-1} for blocks of rows, in `_rows_d3`'s
-    form, for d >= 4: 12-point Gauss-Legendre on every cell, then 12 points
-    on each half of the diagonal cell, whose centre is s = r_i."""
+    """Cell moments of A(r_i, s) s^{d-1} for blocks of rows, d >= 4: yields
+    (i0, mom) with mom[i - i0, c] the moments of row i over cell c, by
+    12-point Gauss-Legendre on every cell, then 12 points on each half of the
+    diagonal cell, whose centre is s = r_i."""
     n, r, h = grid.n, grid.r, grid.h
     xg, wg = np.polynomial.legendre.leggauss(_GLQ)
     # t on the whole cell, and on its halves [-1/2, 0] and [0, 1/2]
@@ -273,7 +313,8 @@ def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float) -> np.ndarr
 
 
 def _singularity_correction(grid: RadialGrid, rho2: float, S: np.ndarray) -> np.ndarray:
-    """Return the corrected symmetric form matrix S' (see module docstring)."""
+    """Correct the symmetric form matrix S in place and return it (see the
+    module docstring); only the first _ORIGIN_NODES rows and columns change."""
     n, d, R = grid.n, grid.d, grid.r_max
     r, w = grid.r, grid.w
     psi = r**(-rho2) * np.exp(-r**2)
@@ -285,18 +326,23 @@ def _singularity_correction(grid: RadialGrid, rho2: float, S: np.ndarray) -> np.
     vex = v[:n]
     Wex = R * float(np.sum(wq * v[n:] * snod**(d - 1 - rho2) * np.exp(-snod**2)))
     # linear extraction of the r^{-rho2} coefficient from the origin samples
-    m = 12
+    m = _ORIGIN_NODES
     X = np.vstack([r[:m]**(-rho2), r[:m]**(2 - rho2), np.ones(m), r[:m]**2]).T
     E = np.linalg.lstsq(X, np.eye(m), rcond=None)[0]
     e = np.zeros(n)
     e[:m] = E[0]
-    # S' = P^T S P + P^T vw e^T + e vw^T P + Wex e e^T with P = I - psi e^T
+    # S' = P^T S P + P^T vw e^T + e vw^T P + Wex e e^T with P = I - psi e^T;
+    # e vanishes past node m, so every other entry keeps S's bits
     vw = w * vex
-    Sp = S - np.outer(e, psi @ S) - np.outer(S @ psi, e) \
-        + (psi @ S @ psi) * np.outer(e, e)
+    psiS, Spsi = psi @ S, S @ psi
+    psiSpsi = psiS @ psi
     Pvw = vw - e * (psi @ vw)
-    Sp += np.outer(Pvw, e) + np.outer(e, Pvw) + Wex * np.outer(e, e)
-    return Sp
+    for rows, cols in ((slice(0, m), slice(None)), (slice(m, None), slice(0, m))):
+        er, ec = e[rows], e[cols]
+        S[rows, cols] = S[rows, cols] - np.outer(er, psiS[cols]) - np.outer(Spsi[rows], ec) \
+            + psiSpsi * np.outer(er, ec)
+        S[rows, cols] += np.outer(Pvw[rows], ec) + np.outer(er, Pvw[cols]) + Wex * np.outer(er, ec)
+    return S
 
 
 def build_kernel(grid: RadialGrid, params: ModelParams | None = None) -> KernelMatrix:
@@ -308,10 +354,13 @@ def build_kernel(grid: RadialGrid, params: ModelParams | None = None) -> KernelM
     d = grid.d
     if params is not None and params.d != d:
         raise ValueError(f"params dimension {params.d} != grid dimension {d}")
-    Kw = np.zeros((grid.n, grid.n))
-    for i0, mom in _rows_d3(grid) if d == 3 else _rows_general(grid, d):
-        _spread(grid, mom, Kw[i0:i0 + len(mom)])
-    del mom   # not held through the symmetrization, the peak of the build
+    if d == 3:
+        Kw = _kernel_d3(grid)
+    else:
+        Kw = np.zeros((grid.n, grid.n))
+        for i0, mom in _rows_general(grid, d):
+            _spread(grid, mom, Kw[i0:i0 + len(mom)])
+        del mom   # not held through the symmetrization, the peak of the build
     # symmetrize the bilinear form (quadratic forms are unchanged by this);
     # a zero-weight node (possible clamped origin weight, d >= 6) keeps its raw row
     w = grid.w

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from hartreelab import build_grid, make_params
-from hartreelab.grid import (TAIL_CELLS, boundary_mass_fraction, dilate, integrate,
-                             radial_derivative)
+from hartreelab.grid import TAIL_CELLS, boundary_mass_fraction, dilate, radial_derivative
 
 
 @pytest.mark.parametrize("d,n,r_max", [(3, 64, 5.0), (4, 128, 10.0), (5, 100, 7.0)])
@@ -14,7 +13,7 @@ def test_monomial_exact(d, n, r_max):
     # [TRIVIAL] int_0^R r^{d-1} dr = R^d/d within 1e-12 relative
     g = build_grid(d, n, r_max)
     exact = r_max**d / d
-    assert integrate(g, np.ones(n)) == pytest.approx(exact, rel=1e-12)
+    assert np.sum(g.w * np.ones(n)) == pytest.approx(exact, rel=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -23,14 +22,14 @@ def test_polynomial_exactness(d):
     g = build_grid(d, 96, 3.0)
     for k in range(5):
         exact = 3.0**(d + k) / (d + k)
-        assert integrate(g, g.r**k) == pytest.approx(exact, rel=1e-11)
+        assert np.sum(g.w * g.r**k) == pytest.approx(exact, rel=1e-11)
 
 
 def test_gaussian_moment():
     # [DERIVED] int_0^inf e^{-r^2} r^2 dr = sqrt(pi)/4 within 1e-8 for r_max >= 8
     for r_max in (8.0, 10.0, 16.0):
         g = build_grid(3, 256, r_max)
-        val = integrate(g, np.exp(-g.r**2))
+        val = np.sum(g.w * np.exp(-g.r**2))
         assert val == pytest.approx(math.sqrt(math.pi) / 4, rel=1e-8)
 
 
@@ -40,7 +39,7 @@ def test_singular_class_accuracy():
     rho2 = 0.55
     g = build_grid(3, 512, 12.0)
     exact = math.gamma((3 - rho2) / 2) / 2
-    val = integrate(g, g.r**(-rho2) * np.exp(-g.r**2))
+    val = np.sum(g.w * g.r**(-rho2) * np.exp(-g.r**2))
     assert val == pytest.approx(exact, rel=2e-6)   # observed ~7e-7 at n=512
 
 

@@ -7,6 +7,7 @@ from scipy import integrate
 
 from hartreelab import (build_grid, build_kernel, hartree, kernel, lv_value,
                         make_params, potential)
+from hartreelab.grid import STENCIL, _spread
 from hartreelab.hartree import surface_area
 
 
@@ -191,6 +192,48 @@ def test_d3_table_moments_match_cell_quadrature():
                                  [(ri - rc) / h] if i == c else None)
         got = U[-(i + c + 1) + 2 * n - 1] - U[i - c + 2 * n - 1]
         assert np.max(np.abs(got - ref)) < 1e-12, (i, c)
+
+
+def _cell_by_cell_d3(grid):
+    """The uncorrected d = 3 matrix cell by cell: the moments of
+    A(r_i, s) s^2 = s ln((r_i + s)/|r_i - s|)/(2 r_i) of every row over every
+    cell from the log-moment table, spread onto the nodes by `_spread`."""
+    n, r, h = grid.n, grid.r, grid.h
+    U = hartree._log_moment_table(n)
+    i, c = np.arange(n)[:, None], np.arange(n)
+    # (r_i + s)/h = i + c + 1 + t and (r_i - s)/h = (i - c) - t on cell c
+    Lm = U[2 * n - 1 - (i + c + 1)] - U[2 * n - 1 + i - c]
+    mom = (r[:, None] * Lm[..., :STENCIL] + h * Lm[..., 1:]) * (h / (2 * r))[:, None, None]
+    Kw = np.zeros((n, n))
+    _spread(grid, mom, Kw)
+    return Kw
+
+
+@pytest.mark.parametrize("n", [16, 17, 21, 22, 64, 65])
+def test_d3_toeplitz_hankel_build_matches_cell_by_cell(n):
+    # [DERIVED] translation invariance of the midpoint grid: the d = 3 matrix
+    # assembled from offset sequences (a Hankel part in i + j minus a
+    # Toeplitz part in i - j, the edge columns cell by cell) equals the
+    # cell-by-cell spread row by row to 1e-13 of the row's largest entry;
+    # below n = 23 the cells reaching the first and the last columns overlap,
+    # and counting one of them twice is off by up to a whole row maximum
+    g = build_grid(3, n, 10.0)
+    ref = _cell_by_cell_d3(g)
+    got = hartree._kernel_d3(g)
+    err = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
+    assert np.max(err) <= 1e-13, (np.argmax(err), np.max(err))
+
+
+@pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5)])
+def test_correction_changes_only_origin_rows_and_columns(d, a):
+    # [TRIVIAL] the extraction vector vanishes past the first _ORIGIN_NODES
+    # nodes, so the corrected form keeps the uncorrected one bit for bit
+    # everywhere else (Kw = S / w row by row in both builds)
+    g = build_grid(d, 128, 12.0)
+    m = hartree._ORIGIN_NODES
+    raw, corrected = build_kernel(g).Kw, build_kernel(g, make_params(d, a)).Kw
+    assert np.array_equal(corrected[m:, m:], raw[m:, m:])
+    assert not np.array_equal(corrected[:m, :m], raw[:m, :m])
 
 
 def test_d3_build_takes_closed_forms_once_per_offset(monkeypatch):
