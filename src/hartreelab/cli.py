@@ -89,9 +89,9 @@ SCHEMA = {
     "sweep.scenario": (str, "ground-state"),
     "sweep.key": (str, ""),
     "sweep.values": (_str_list, []),
-    # one sub-run at a time: each sub-run's BLAS products already use every
-    # core (a 5-coupling n = 512 sweep on 2 cores: median 1.09 / 0.92 / 1.80 s
-    # with 1 / 2 / 4 workers)
+    # a 5-coupling n = 512 sweep on 2 cores took a median 1.09 / 0.92 / 1.80 s
+    # with 1 / 2 / 4 workers; whether 2 beats 1 is open (ROADMAP item 5).  The
+    # default stays 1 because every config hash covers it.
     "sweep.workers": (int, 1),
 }
 

@@ -285,7 +285,7 @@ def fit_blowup(traj: Trajectory):
     """
     t = np.asarray(traj.times)
     Hs = np.array([q.H for q in traj.quantities])
-    # growing tail: from the last local minimum of H onward
+    # growing tail: from the first global minimum of H onward
     imin = int(np.argmin(Hs))
     t, Hs = t[imin:], Hs[imin:]
     if len(t) < FIT_MIN_SAMPLES:

@@ -46,8 +46,7 @@ centred stencil inverse read once); this module defines no stencil layout.
          last STENCIL columns also take the one-sided and reduced stencils;
          they are summed over the cells whose stencils reach them (cells 0-10
          and n-12..n-1, each once: the two sets meet below n = 23).  The
-         build at n = 512 is half the cell-by-cell one, which the tests keep
-         as the reference.
+         tests keep the cell-by-cell build as the reference.
   d >= 4: blocks of _BLOCK_CELLS // n rows, 12-point Gauss-Legendre on
          every cell (one evaluation of A s^{d-1} and one product with
          weighted t^k), then 12 points on each half of the diagonal cell,
@@ -63,7 +62,7 @@ making the discrete energy, its gradient, and the Euler-Lagrange residual
 mutually consistent; the pointwise potential inherits an O(h^2) collocation
 smear only at the few nodes nearest the origin and the outer boundary.
 
-When model parameters with rho > 0 are supplied, a singularity subtraction
+When the model parameters have rho > 0, a singularity subtraction
 is folded into the matrix: in-class fields have |u|^2 ~ r^{-2 rho} x smooth
 at the origin, which the polynomial stencils resolve poorly, so the form is
 corrected by splitting f = a0 psi + remainder with psi = r^{-2 rho} e^{-r^2}
@@ -90,8 +89,7 @@ equation); the pointwise potential at the first few nodes is perturbed at the
 percent level for fields far outside the singular class, because rank-one
 form corrections divided by the tiny origin weights act there.  Those nodes
 carry negligible measure, so the trade-off is invisible to every integrated
-quantity.  Build the kernel without params when uncorrected pointwise rows
-are wanted.
+quantity.
 """
 
 from __future__ import annotations
@@ -345,14 +343,15 @@ def _singularity_correction(grid: RadialGrid, rho2: float, S: np.ndarray) -> np.
     return S
 
 
-def build_kernel(grid: RadialGrid, params: ModelParams | None = None) -> KernelMatrix:
+def build_kernel(grid: RadialGrid, params: ModelParams) -> KernelMatrix:
     """Cell-integrated Hartree kernel matrix for the grid.
 
-    When `params` with rho > 0 is given, the origin singularity subtraction
-    for the in-class envelope r^{-2 rho} is folded into the matrix.
+    When `params` has 2 rho >= _RHO2_MIN, the origin singularity subtraction
+    for the in-class envelope r^{-2 rho} is folded into the matrix; the a = 0
+    build (rho = 0) is the uncorrected one.
     """
     d = grid.d
-    if params is not None and params.d != d:
+    if params.d != d:
         raise ValueError(f"params dimension {params.d} != grid dimension {d}")
     if d == 3:
         Kw = _kernel_d3(grid)
@@ -366,7 +365,7 @@ def build_kernel(grid: RadialGrid, params: ModelParams | None = None) -> KernelM
     w = grid.w
     S = w[:, None] * Kw
     S = 0.5 * (S + S.T)
-    rho2 = 2 * params.rho if params is not None else 0.0
+    rho2 = 2 * params.rho
     if rho2 >= _RHO2_MIN:
         S = _singularity_correction(grid, rho2, S)
     pos = w > 0

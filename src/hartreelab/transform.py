@@ -45,8 +45,7 @@ itself changes method at x = 21.8 and below that loses up to 4e-14 of the
 amplitude (nu = 0.387); nine terms keep the expansion where jv is accurate,
 so B matches jv to 1.4e-16 absolute.
 Against 30-digit mpmath both sides are within 3.5e-16 of
-min(1, sqrt(2/(pi x))).  This halves the plan build: 0.12-0.18 -> 0.07-0.10 s
-at n = 512 and 0.5-0.85 -> 0.3-0.5 s at n = 1024 (2 shared cores).
+min(1, sqrt(2/(pi x))).
 
 If the grid carries a non-positive quadrature weight (possible at the first
 node for d >= 6 and for pathologically coarse grids), the orthonormalization

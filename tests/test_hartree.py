@@ -73,7 +73,7 @@ def test_potential_origin_limit(ctx3):
     # correction deliberately trades pointwise accuracy at the first node for
     # form-level accuracy (see the hartree module docs).
     g = ctx3.grid
-    km_plain = build_kernel(g)
+    km_plain = build_kernel(g, make_params(3, 0.0))
     u = np.exp(-(g.r - 3.0)**2)          # supported away from the origin
     phi = potential(km_plain, u)
     exact = km_plain.omega * float(np.sum(g.w * u**2 / g.r**2))
@@ -231,7 +231,8 @@ def test_correction_changes_only_origin_rows_and_columns(d, a):
     # everywhere else (Kw = S / w row by row in both builds)
     g = build_grid(d, 128, 12.0)
     m = hartree._ORIGIN_NODES
-    raw, corrected = build_kernel(g).Kw, build_kernel(g, make_params(d, a)).Kw
+    raw = build_kernel(g, make_params(d, 0.0)).Kw
+    corrected = build_kernel(g, make_params(d, a)).Kw
     assert np.array_equal(corrected[m:, m:], raw[m:, m:])
     assert not np.array_equal(corrected[:m, :m], raw[:m, :m])
 
@@ -247,7 +248,7 @@ def test_d3_build_takes_closed_forms_once_per_offset(monkeypatch):
 
     ln_abs_moments = hartree._ln_abs_moments
     monkeypatch.setattr(hartree, "_ln_abs_moments", counted)
-    build_kernel(build_grid(3, 64, 10.0))
+    build_kernel(build_grid(3, 64, 10.0), make_params(3, 0.0))
     assert calls == {"abs": 2 * hartree.NEAR + 1}
 
 

@@ -1,0 +1,55 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "equivalence", Path(__file__).parents[1] / "tools" / "equivalence.py")
+equivalence = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(equivalence)
+
+SOLVE = {"m_gs": 1.0, "residual": 1e-6, "floor": 1e-12, "iterations": 6, "q_sha256": "0" * 64}
+RAISE = {"error": "residual above residual_tol"}
+
+
+def case(**solves):
+    """One case row of `equivalence.run_all`, each guess solving as SOLVE
+    unless given."""
+    return {"case": [3, -0.1, 256, 12.0], **{g: solves.get(g, SOLVE) for g in equivalence.GUESSES}}
+
+
+@pytest.mark.parametrize("ds,ok", [(0.9e-13, True), (1.1e-13, False)])
+def test_s_gate(ds, ok):
+    # [TRIVIAL] S must stay within 1e-13 relative of the old tree's
+    why = equivalence.compare(ds, case(), case())
+    assert (why["S"] is None) == ok
+    assert why["gaussian"] is None and why["sech"] is None
+
+
+@pytest.mark.parametrize("dm,ok", [(0.9e-12, True), (1.1e-12, False)])
+def test_m_gs_gate(dm, ok):
+    # [TRIVIAL] m_gs must stay within 1e-12 relative, per guess
+    why = equivalence.compare(0.0, case(), case(sech=dict(SOLVE, m_gs=1.0 + dm)))
+    assert (why["sech"] is None) == ok
+    assert why["S"] is None and why["gaussian"] is None
+
+
+@pytest.mark.parametrize("frac,ok", [(0.9, True), (1.1, False)])
+def test_residual_gate(frac, ok):
+    # [TRIVIAL] the residual may move by 1e-9 of the old one plus both
+    # Newton floors
+    new = dict(SOLVE, floor=2e-12)
+    bound = 1e-9 * SOLVE["residual"] + SOLVE["floor"] + new["floor"]
+    new["residual"] = SOLVE["residual"] + frac * bound
+    why = equivalence.compare(0.0, case(), case(gaussian=new))
+    assert (why["gaussian"] is None) == ok
+    assert why["S"] is None and why["sech"] is None
+
+
+@pytest.mark.parametrize("old,new,ok", [(RAISE, RAISE, True), (RAISE, SOLVE, False),
+                                        (SOLVE, RAISE, False)])
+def test_raise_gate(old, new, ok):
+    # [TRIVIAL] the new tree raises GroundStateError exactly where the old one does
+    why = equivalence.compare(0.0, case(sech=old), case(sech=new))
+    assert (why["sech"] is None) == ok
+    assert why["S"] is None and why["gaussian"] is None
