@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import math
@@ -28,6 +29,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,9 +91,12 @@ SCHEMA = {
     "sweep.scenario": (str, "ground-state"),
     "sweep.key": (str, ""),
     "sweep.values": (_str_list, []),
-    # a 5-coupling n = 512 sweep on 2 cores took a median 1.09 / 0.92 / 1.80 s
-    # with 1 / 2 / 4 workers; whether 2 beats 1 is open (ROADMAP item 5).  The
-    # default stays 1 because every config hash covers it.
+    # W = min(workers, values) > 1 concurrent sub-runs get max(1, T // W) of
+    # each OpenBLAS library's T threads, so a sub-run's results are those of a
+    # run at that count: `m_gs` can differ from a T-thread run in its last bits
+    # (<= 7e-16 relative), and reruns are bit-identical.  A 5-coupling n = 512
+    # sweep on 2 cores took a median 1.11 / 0.72 / 0.84 s with 1 / 2 / 4
+    # workers.  The default stays 1 because every config hash covers it.
     "sweep.workers": (int, 1),
 }
 
@@ -522,8 +527,64 @@ def _scenario_verify(cfg, out_dir):
             "checks": checks}
 
 
+#: (get, set) thread-count functions of OpenBLAS: the 64- and 32-bit integer
+#: builds numpy and scipy ship, then a plain OpenBLAS
+_OPENBLAS_THREAD_FNS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _blas_controls() -> list:
+    """(get, set) thread-count functions of every OpenBLAS library the
+    process has loaded; empty if none is found.  A module linked against a
+    library yields that library's pair again."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "blas" in line.lower() and ".so" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FNS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextmanager
+def _blas_threads_per_worker(workers: int):
+    """Share each OpenBLAS library's T threads among `workers` concurrent
+    sub-runs: max(1, T // workers) while the block runs, T again after it,
+    raising or not.  Every T is read before any count is set.  Yields the
+    count set (the largest, should libraries differ), or None when `workers`
+    is 1 or no library is found.  The caller enters and leaves the block
+    while no BLAS call runs."""
+    controls = _blas_controls() if workers > 1 else []
+    before = [get() for get, _ in controls]
+    shares = [max(1, t // workers) for t in before]
+    for (_, put), share in zip(controls, shares):
+        put(share)
+    try:
+        yield max(shares, default=None)
+    finally:
+        for (_, put), t in zip(controls, before):
+            put(t)
+
+
 def _scenario_sweep(cfg, out_dir):
     key, values = cfg["sweep.key"], cfg["sweep.values"]
+    workers = min(cfg["sweep.workers"], len(values))
     results = {}
 
     def one(idx_val):
@@ -533,12 +594,16 @@ def _scenario_sweep(cfg, out_dir):
                            overrides=[f"output.dir = {sub_dir}"])
         return idx, val, run_scenario(sub, sub_dir)
 
-    with ThreadPoolExecutor(max_workers=cfg["sweep.workers"]) as pool:
+    # concurrent sub-runs that each asked BLAS for every core would contend;
+    # the pool is shut down, every sub-run done, before the count is restored
+    with _blas_threads_per_worker(workers) as blas_threads, \
+            ThreadPoolExecutor(max_workers=workers) as pool:
         for idx, val, summary in pool.map(one, enumerate(values)):
             results[f"{idx:03d}:{key}={val}"] = {
                 "pass": summary["pass"], "out": f"sweep-{idx:03d}"}
     checks = {"all_runs_pass": all(v["pass"] for v in results.values())}
-    return {"swept_key": key, "runs": results, "checks": checks}
+    return {"swept_key": key, "runs": results, "blas_threads": blas_threads,
+            "checks": checks}
 
 
 _SCENARIO_FNS = {

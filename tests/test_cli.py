@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from hartreelab import build_grid, load_ground_state
+from hartreelab import build_grid, cli, load_ground_state
 from hartreelab.cli import (ConfigError, SCHEMA, config_hash, main,
                             parse_config, run_scenario)
 from hartreelab.evolution import BOUNDARY_TOL
@@ -276,6 +276,103 @@ def test_sweep_scenario(tmp_path):
     assert len(summary["runs"]) == 2
     for idx in (0, 1):
         assert os.path.exists(os.path.join(out, f"sweep-{idx:03d}", "summary.json"))
+
+
+class FakeBlas:
+    """One BLAS library's thread count, with every count set on it."""
+
+    def __init__(self, threads):
+        self.threads, self.sets = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, threads):
+        self.sets.append(threads)
+        self.threads = threads
+
+
+def _fake_sweep(monkeypatch, tmp_path, threads, workers, values, fail=False):
+    """A sweep on one fake BLAS library of `threads` threads whose sub-runs
+    only note the thread count they ran at, and raise if `fail`."""
+    blas, seen = FakeBlas(threads), []
+    monkeypatch.setattr(cli, "_blas_controls", lambda: [(blas.get, blas.set)])
+
+    def sub_run(cfg, out_dir=None):
+        seen.append(blas.threads)
+        if fail:
+            raise RuntimeError("sub-run failed")
+        return {"pass": True}
+
+    monkeypatch.setattr(cli, "run_scenario", sub_run)
+    cfg = parse_config("scenario = sweep\nsweep.key = model.a\n"
+                       f"sweep.values = {values}\nsweep.workers = {workers}\n")
+    summary = run_scenario(cfg, str(tmp_path / "sw"))
+    return blas, seen, summary
+
+
+@pytest.mark.parametrize("threads, workers, values, share", [
+    (2, 2, "-0.1,-0.2", 1),
+    (2, 4, "-0.1,-0.2,-0.15,-0.05", 1),
+    (8, 2, "-0.1,-0.2", 4),
+    (8, 4, "-0.1,-0.2", 4),         # two values run on two workers, not four
+])
+def test_sweep_shares_blas_threads_among_workers(monkeypatch, tmp_path, threads,
+                                                 workers, values, share):
+    # [TRIVIAL] W = min(sweep.workers, values) concurrent sub-runs each run
+    # at max(1, T // W) threads; T is back once the sweep ends
+    blas, seen, summary = _fake_sweep(monkeypatch, tmp_path, threads, workers, values)
+    assert summary["pass"] and summary["blas_threads"] == share
+    assert seen == [share] * len(values.split(","))
+    assert blas.sets == [share, threads] and blas.threads == threads
+
+
+@pytest.mark.parametrize("workers, values", [(1, "-0.1,-0.2"), (4, "-0.1")])
+def test_serial_sweep_keeps_blas_threads(monkeypatch, tmp_path, workers, values):
+    # [TRIVIAL] one sub-run at a time never sets the thread count
+    blas, seen, summary = _fake_sweep(monkeypatch, tmp_path, 2, workers, values)
+    assert summary["pass"] and summary["blas_threads"] is None
+    assert blas.sets == [] and seen == [2] * len(values.split(","))
+
+
+def test_sweep_without_blas_control_records_none(monkeypatch, tmp_path):
+    # [TRIVIAL] no OpenBLAS library found: the sweep runs as it is
+    monkeypatch.setattr(cli, "_blas_controls", lambda: [])
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg, out_dir=None: {"pass": True})
+    cfg = parse_config("scenario = sweep\nsweep.key = model.a\n"
+                       "sweep.values = -0.1,-0.2\nsweep.workers = 2\n")
+    summary = run_scenario(cfg, str(tmp_path / "sw"))
+    assert summary["pass"] and summary["blas_threads"] is None
+
+
+def test_sweep_restores_blas_threads_when_a_sub_run_raises(monkeypatch, tmp_path):
+    # [TRIVIAL] an exception out of the pool still restores T
+    blas, seen, summary = _fake_sweep(monkeypatch, tmp_path, 2, 2, "-0.1,-0.2",
+                                      fail=True)
+    assert summary["pass"] is False and summary["error"]["type"] == "RuntimeError"
+    assert seen and set(seen) == {1}
+    assert blas.sets == [1, 2] and blas.threads == 2
+
+
+def test_parallel_ground_state_sweep_is_reproducible(tmp_path):
+    # [DERIVED] a 2-worker sweep writes the same ground states on every run,
+    # and leaves each loaded OpenBLAS library at its thread count
+    controls = cli._blas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    before = [get() for get, _ in controls]
+    text = (GS_GRID + FAST_GS + "scenario = sweep\nsweep.key = model.a\n"
+            "sweep.values = -0.1,-0.2\nsweep.workers = 2\n")
+    fields = []
+    for rep in (0, 1):
+        out = tmp_path / f"sw{rep}"
+        summary = run_scenario(parse_config(text), str(out))
+        assert summary["pass"], summary
+        assert summary["blas_threads"] == max(max(1, t // 2) for t in before)
+        assert [get() for get, _ in controls] == before
+        fields.append([(out / f"sweep-{idx:03d}" / "ground_state.txt").read_bytes()
+                       for idx in (0, 1)])
+    assert fields[0] == fields[1]
 
 
 def test_sweep_values_checked_at_parse_time(tmp_path, capsys):
