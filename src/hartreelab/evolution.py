@@ -32,15 +32,18 @@ exact linear flow; also second order).
     it is one BLAS call instead of two, and OpenBLAS runs the complex
     matrix-vector product on all its threads where the real (n, 2) product
     of the transforms runs on one: at n = 512 a flow takes 81 us against
-    230 us (2 shared cores, OpenBLAS 0.3.31).  Forming U_tau takes 2, 14 and
-    100 ms at n = 256, 512 and 1024, once per run.  On the acceptance-04
-    field the mass drift over t = 1 at dt = 1e-4 / 5e-5 is 3.8e-13 / 2.7e-12
-    (strang-split) and 3.9e-13 / 2.7e-12 (midpoint-relaxation), against
-    gates of 1e-11 / 2e-11 (`tools/propagator_drift.py`); the symmetric form
-    w^{-1/2} (Y D Y^T) w^{1/2} drifts more, 1.1e-12 at dt = 1e-4.  Each
-    U_tau has its own exp rather than the dt phases being the square of the
-    dt/2 ones: squaring raised the midpoint-relaxation drift at dt = 1e-4
-    from 1.7e-13 to 8.9e-13.
+    230 us (2 shared cores, OpenBLAS 0.3.31).  Forming U_tau, as two real
+    products, takes 3, 14 and 70 ms at n = 256, 512 and 1024, once per run.
+    Its real part is the exact identity minus a rounded correction
+    (`_flow_matrix`): on the acceptance-04 field the mass drift over t = 1 at
+    dt = 1e-4 / 5e-5 is 3.0e-15 / 1.3e-13 (strang-split) and 6.5e-15 /
+    9.2e-14 (midpoint-relaxation), against gates of 1e-11 / 2e-11
+    (`tools/propagator_drift.py`).  The product with cos k^2 tau gave
+    3.7e-13 / 3.8e-12 there, the complex product 2.9e-13 / 1.1e-12, and the
+    symmetric form w^{-1/2} (Y D Y^T) w^{1/2} 1.1e-12 at dt = 1e-4.  Each
+    U_tau has its own phases rather than the dt phases being the square of
+    the dt/2 ones: squaring raised the midpoint-relaxation drift at
+    dt = 1e-4 from 1.7e-13 to 8.9e-13.
   Given the rotation and the flows a one-shot step forms itself, `step` is
   bit-identical to that one-shot step.
 
@@ -115,8 +118,18 @@ class Trajectory:
 
 
 def _flow_matrix(plan: TransformPlan, tau: float) -> np.ndarray:
-    """U_tau = Psi diag(e^{i k^2 tau}) PsiTw, the matrix of e^{+i tau L_a}."""
-    return (plan.Psi * np.exp(1j * plan.k**2 * tau)) @ plan.PsiTw
+    """U_tau = Psi diag(e^{i k^2 tau}) PsiTw, the matrix of e^{+i tau L_a}.
+
+    Its real and imaginary parts are two real products, with no complex copy
+    of PsiTw.  The real part is I - Psi diag(2 sin^2(k^2 tau / 2)) PsiTw
+    (Psi PsiTw = I for the square orthonormal modes), so the identity is
+    exact and only the small correction is rounded."""
+    phase = plan.k**2 * tau
+    U = np.empty(plan.Psi.shape, dtype=complex)
+    U.real = (plan.Psi * (-2 * np.sin(phase / 2)**2)) @ plan.PsiTw
+    U.real.flat[::len(phase) + 1] += 1
+    U.imag = (plan.Psi * np.sin(phase)) @ plan.PsiTw
+    return U
 
 
 def _flows(plan: TransformPlan, dt: float, scheme: str) -> tuple:

@@ -36,11 +36,14 @@ ulp of rounding.
 Fields with the r^{-rho} origin envelope are dilated and differentiated
 through their regular part g = r^rho u, which is smooth at the origin:
 
-  - `dilate` gives u(nu_s r) from a not-a-knot cubic spline of g,
-    extrapolated inside the first node and zero beyond r_max (the Dirichlet
-    truncation); its pointwise error falls at order ~4 with n.
+  - `dilate` gives u(nu_s r) from the interpolating polynomial of g on the
+    cell that holds nu_s r (cell 0's one-sided stencil inside the first
+    node), and zero beyond r_max (the Dirichlet truncation).  It is exact
+    for a polynomial g of degree <= 7, and on u = r^{-rho} e^{-r^2/2} at
+    (3, -0.1) its error for r < 8 falls at order ~7.7 with n: 2.3e-11 at
+    n = 256, 1.1e-13 at n = 512.
   - `radial_derivative` gives u' = r^{-rho} (g' - rho g / r), with g' at
-    each node from the cell stencil's interpolating polynomial.
+    each node from the same polynomial.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 STENCIL = 8  # nodes per cell stencil; rule exact for degree <= STENCIL-1
 BOUNDARY_CELLS = 4    # outermost cells with a reduced stencil
@@ -144,14 +146,28 @@ def boundary_mass_fraction(grid: RadialGrid, u: np.ndarray) -> float:
 
 
 def dilate(grid: RadialGrid, rho: float, u: np.ndarray, nu_s: float) -> np.ndarray:
-    """u(nu_s r) by a not-a-knot cubic spline of the regular part r^rho u,
-    extrapolated inside the first node and zero beyond r_max; nu_s = 1
-    returns a copy."""
+    """u(nu_s r) for nu_s > 0 from the regular part g = r^rho u: at x = nu_s r_j
+    in cell c, with t = x/h - c - 1/2, the value of sum_k a_k t^k, where
+    a_k = sum_q stencil_inv[c, q, k] g[stencil_start[c] + q] is the cell's
+    interpolating polynomial.  Zero beyond r_max; nu_s = 1 returns a copy."""
+    if not (nu_s > 0 and math.isfinite(nu_s)):
+        raise ValueError(f"dilation factor nu_s must be positive and finite, got {nu_s!r}")
     if nu_s == 1.0:
         return np.array(u, copy=True)
+    g = grid.r**rho * u
     x = nu_s * grid.r
-    g = CubicSpline(grid.r, grid.r**rho * u)(x)
-    return np.where(x <= grid.r_max, g * x**(-rho), 0.0)
+    inside = x <= grid.r_max
+    x = x[inside]
+    c = np.minimum((x / grid.h).astype(int), grid.n - 1)
+    t = x / grid.h - c - 0.5
+    nodes = grid.stencil_start[c, None] + np.arange(STENCIL)
+    a = (g[nodes][:, None, :] @ grid.stencil_inv[c])[:, 0]
+    val = a[:, -1]
+    for k in range(STENCIL - 2, -1, -1):
+        val = val * t + a[:, k]
+    out = np.zeros(grid.n, dtype=g.dtype)
+    out[inside] = val * x**(-rho)
+    return out
 
 
 def radial_derivative(grid: RadialGrid, rho: float, u: np.ndarray) -> np.ndarray:

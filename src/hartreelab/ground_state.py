@@ -8,12 +8,13 @@ the solve takes three steps:
 
 1. Entry dilation: the guess is dilated and scaled to the unit-coefficient
    Euler-Lagrange form, u -> mu u(nu r) with nu = (M/H)^{1/2} and
-   mu = (H/L_V)^{1/2} nu^{d/2}, by `grid.dilate` (a not-a-knot cubic spline
-   of the regular part r^rho u, extrapolated inside the first node, zero
-   beyond r_max).
+   mu = (H/L_V)^{1/2} nu^{d/2}, by `grid.dilate` (the cell stencil's
+   interpolating polynomial of the regular part r^rho u, zero beyond r_max).
 2. Dense Newton on F(u) = L_a u + u - Phi[u^2] u.  Newton converges
    quadratically and stops at its round-off floor, the first iterate whose
-   |F| fails to halve (newton_iters is only a cap).
+   |F| fails to halve (newton_iters is only a cap).  Every iterate forms
+   the Jacobian L_a + 1 - Phi - 2 omega u_i Kw_ij u_j in place in one n x n
+   array, with no identity or diagonal matrix beside it.
 3. Balanced Pohozaev rescale.  The discrete functionals carry a small scaling
    anomaly delta = (M - H)/M at the unit-coefficient solution (quadrature
    error of the singular class r^{-rho} near the origin; it shrinks with
@@ -130,7 +131,7 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     mu = math.sqrt(q.H / q.L_V) * nu_entry**(params.d / 2)
     u = mu * dilate(grid, params.rho, u, nu_entry)
     La = la_matrix(plan)
-    eye = np.eye(grid.n)
+    Jac = np.empty_like(La)
     trace: list = []
     newton: list = []
     for it in range(opts.newton_iters):
@@ -142,7 +143,10 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
         trace.append((it + 1, q.J))
         if it and newton[-1] > 0.5 * newton[-2]:
             break                         # round-off floor: |F| no longer halves
-        Jac = La + eye - np.diag(Phi) - 2 * km.omega * (u[:, None] * km.Kw * u[None, :])
+        np.multiply(u[:, None], km.Kw, out=Jac)
+        Jac *= -2 * km.omega * u
+        Jac += La
+        Jac.flat[::grid.n + 1] += 1 - Phi
         u = u - np.linalg.solve(Jac, F)
     else:                                 # the cap: u moved after its last M, H
         q = functionals(u, plan, km)

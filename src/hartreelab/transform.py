@@ -171,9 +171,13 @@ def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
     if np.any(w <= 0):
         w = np.maximum(w, 1e-14 * np.max(w))
     sw = np.sqrt(w)
-    Y, R = np.linalg.qr(sw[:, None] * B / grid.r[:, None]**((params.d - 2) / 2))
+    B *= sw[:, None]
+    B /= grid.r[:, None]**((params.d - 2) / 2)
+    Psi, R = np.linalg.qr(B)
     sign = np.sign(np.diag(R))        # flip to the R with positive diagonal
-    Psi = Y * sign / sw[:, None]
+    del B, R
+    Psi *= sign
+    Psi /= sw[:, None]
     PsiTw = Psi.T * w[None, :]
     return TransformPlan(params=params, grid=grid, k=k, Psi=Psi, PsiTw=PsiTw)
 

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hartreelab
 from hartreelab import build_grid, cli, load_ground_state
 from hartreelab.cli import (ConfigError, SCHEMA, config_hash, main,
                             parse_config, run_scenario)
@@ -446,3 +449,18 @@ def test_ground_state_failure_keeps_trace(tmp_path):
     with open(os.path.join(out, "summary.json")) as fh:
         trace = json.load(fh)["error"]["trace"]
     assert trace and all(len(entry) == 2 for entry in trace)
+
+
+def test_import_loads_only_scipy_special():
+    # [TRIVIAL] importing the package and its CLI loads no scipy subpackage
+    # the run never calls: scipy.interpolate alone would pull in sparse,
+    # spatial, optimize and linalg (about 26 MiB of resident memory)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hartreelab.__file__)))
+    code = ("import sys, hartreelab, hartreelab.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout.split()
+    for name in ("scipy.interpolate", "scipy.linalg", "scipy.sparse",
+                 "scipy.optimize", "scipy.spatial"):
+        assert name not in out, name
+    assert "scipy.special" in out

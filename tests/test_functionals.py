@@ -99,7 +99,7 @@ def test_rescale_mass_preserving(ctx3_free):
 def test_rescale_converges_to_closed_form():
     # [DERIVED] mu u(nu_s r) of u = r^{-rho} e^{-r^2/2} against its closed
     # form for r < 8, relative to the largest sample: <= 1e-7 at n = 512
-    # (observed 8.9e-9) and falling >= 8x from n = 256 (observed ~15x); a
+    # (observed 6.6e-14) and falling >= 8x from n = 256 (observed ~230x); a
     # spline of u itself clamped to u[0] inside the first node is 1.2e-2 off
     # at nu_s = 0.9 whatever n
     p = make_params(3, -0.1)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hartreelab import build_grid, make_params
-from hartreelab.grid import TAIL_CELLS, boundary_mass_fraction, dilate, radial_derivative
+from hartreelab.grid import (BOUNDARY_CELLS, BOUNDARY_STENCIL, TAIL_CELLS,
+                             boundary_mass_fraction, dilate, radial_derivative)
 
 
 @pytest.mark.parametrize("d,n,r_max", [(3, 64, 5.0), (4, 128, 10.0), (5, 100, 7.0)])
@@ -156,10 +157,10 @@ def test_radial_derivative_singular_envelope(ctx3):
 
 
 def test_dilate_identity_and_scaling():
-    # [DERIVED] the regular-part spline against the closed form of
+    # [DERIVED] the regular part's cell polynomial against the closed form of
     # u = r^{-rho} e^{-r^2/2} at nu_s = 0.9 and 1.1 for r < 8: a copy at
-    # nu_s = 1, max error <= 1e-7 at n = 512 (observed 1.5e-8) and observed
-    # order >= 3.5 from n = 256 to 512 (observed 3.9); zero beyond r_max
+    # nu_s = 1, max error <= 1e-7 at n = 512 (observed 1.1e-13) and observed
+    # order >= 3.5 from n = 256 to 512 (observed 7.7); zero beyond r_max
     p = make_params(3, -0.1)
     errs = {}
     for n in (256, 512):
@@ -175,6 +176,38 @@ def test_dilate_identity_and_scaling():
     for nu_s in (0.9, 1.1):
         assert errs[512, nu_s] <= 1e-7
         assert math.log2(errs[256, nu_s] / errs[512, nu_s]) >= 3.5
+
+
+@pytest.mark.parametrize("d,a", [(3, -0.1), (3, 0.0), (4, -0.5)])
+def test_dilate_exact_on_polynomial_regular_part(d, a):
+    # [TRIVIAL] a cell stencil interpolates a polynomial of degree below its
+    # node count exactly, so a regular part r^rho u that is a positive
+    # polynomial is reproduced to 1e-13 relative at every dilated point:
+    # degree 7 up to the reduced outer cells, also inside the first node
+    # (nu_s = 0.9), and degree BOUNDARY_STENCIL - 1 = 5 in those cells
+    # (nu_s = 1.1), whose 6-node stencils miss degree 6 and 7 by ~4e-10
+    p, g = make_params(d, a), build_grid(d, 64, 5.0)
+    outer = g.edges[-BOUNDARY_CELLS - 1]
+    for deg, nu_s in ((7, 0.9), (7, 1.1), (BOUNDARY_STENCIL - 1, 1.1)):
+        poly = lambda r: np.polyval(np.arange(deg + 1, 0, -1) / 8, r / g.r_max)
+        x = nu_s * g.r
+        inside = x <= g.r_max
+        check = inside & (x <= outer) if deg > BOUNDARY_STENCIL - 1 else inside & (x > outer)
+        assert np.any(check)
+        v = dilate(g, p.rho, g.r**(-p.rho) * poly(g.r), nu_s)
+        exact = x[check]**(-p.rho) * poly(x[check])
+        assert np.max(np.abs(v[check] - exact) / exact) <= 1e-13
+        assert np.all(v[~inside] == 0.0)
+
+
+@pytest.mark.parametrize("nu_s", [0.0, -0.5, math.inf, -math.inf, math.nan])
+def test_dilate_rejects_non_positive_or_non_finite_factor(nu_s):
+    # [TRIVIAL] a dilation factor outside (0, inf) raises instead of
+    # evaluating r^{-rho} at x <= 0 (NaN) or zeroing the field
+    p, g = make_params(3, -0.1), build_grid(3, 64, 5.0)
+    u = g.r**(-p.rho) * np.exp(-g.r**2 / 2)
+    with pytest.raises(ValueError, match="nu_s"):
+        dilate(g, p.rho, u, nu_s)
 
 
 def test_boundary_mass_fraction():
