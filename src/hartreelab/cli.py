@@ -528,7 +528,9 @@ def _scenario_verify(cfg, out_dir):
 
 
 #: (get, set) thread-count functions of OpenBLAS: the 64- and 32-bit integer
-#: builds numpy and scipy ship, then a plain OpenBLAS
+#: scipy-openblas builds that numpy wheels ship, then a plain OpenBLAS.  The
+#: package imports no scipy, so a CLI process maps numpy's OpenBLAS alone; a
+#: caller that imports scipy adds scipy's.
 _OPENBLAS_THREAD_FNS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),

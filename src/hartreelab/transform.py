@@ -36,16 +36,15 @@ that the package applies.  Dilating and differentiating a field is the
 grid's job (`grid.dilate`, `grid.radial_derivative`), which needs no Bessel
 function.
 
-The build evaluates B once, by `_collocation`.  From x = k_m r_j >= x*(nu)
-on, 90-93 % of the entries at n = 512, it sums Hankel's asymptotic expansion
-(nine terms each of P and Q) instead of calling special.jv.  The switch x*
-is where a bound on the first omitted term falls to one ulp of the
-amplitude: 22.3 at nu = 0, growing with nu.  Below it, jv is used.  jv
-itself changes method at x = 21.8 and below that loses up to 4e-14 of the
-amplitude (nu = 0.387); nine terms keep the expansion where jv is accurate,
-so B matches jv to 1.4e-16 absolute.
-Against 30-digit mpmath both sides are within 3.5e-16 of
-min(1, sqrt(2/(pi x))).
+The build evaluates B once, by `_collocation`, with numpy alone.  From
+x = k_m r_j >= x*(nu) on, 90-93 % of the entries at n = 512, it sums
+Hankel's asymptotic expansion (nine terms each of P and Q for nu <= 9).
+The switch x* is where a bound on the first omitted term falls to one ulp of
+the amplitude: 22.3 at nu = 0, growing with nu.  Below it, Miller's backward
+recurrence normalized by Neumann's expansion of (x/2)^nu, in one call for
+all those entries.  Against 30-digit mpmath, on dense samples at seven
+orders nu <= 3, both are within 2.1e-15 of min(1, sqrt(2/(pi x)));
+scipy.special.jv is up to 6.9e-14 off below x*.
 
 If the grid carries a non-positive quadrature weight (possible at the first
 node for d >= 6 and for pathologically coarse grids), the orthonormalization
@@ -55,44 +54,68 @@ the clipped metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .grid import RadialGrid
 from .params import ModelParams
 
 
 def bessel_zeros(nu: float, n: int) -> np.ndarray:
-    """First n positive zeros of J_nu for real order nu >= 0.
+    """First n positive zeros of J_nu for real order nu > 0.
 
-    McMahon's asymptotic expansion polished by Newton iteration with
-    J_nu' = (J_{nu-1} - J_{nu+1})/2.  It stops once every step is within
-    4 eps of its zero, relative; Newton from McMahon's start gets there in 1-4
-    steps.  An absolute tolerance below the round-off of the large zeros
-    (1.1e-13 at the 512th) would never be met and would run to the cap of 60.
+    Newton iteration with J_nu' = (nu/x) J_nu - J_{nu+1}, one `_jv_pair` call
+    per step, from the lower of two asymptotic starts: McMahon's expansion in
+    1/m, and Olver's uniform expansion in the zeros of Airy's Ai (DLMF
+    10.21.43), the better start for the first zeros of large orders.  For
+    nu <= 45 and m <= 30 Olver's start lay above every zero and the lower
+    start within 0.08 of a zero spacing; McMahon's alone is 2.2 above the
+    first zero of nu = 29, and Newton went from there to 2.67.  It stops once
+    every step is within 4 eps of its zero, relative, after 1-4 steps.  An
+    absolute tolerance below the round-off of the large zeros (1.1e-13 at the
+    512th) would never be met and would run to the cap of 60.
     """
     m = np.arange(1, n + 1)
     beta = (m + nu / 2 - 0.25) * np.pi
     mu = 4 * nu**2
     z = beta - (mu - 1) / (8 * beta) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta)**3)
+    t = 3 * np.pi / 8 * (4 * m - 1)
+    A = t**(2 / 3) * (1 + 5 / 48 / t**2)           # -(m-th zero of Airy's Ai)
+    z = np.minimum(z, nu + A * (nu / 2)**(1 / 3) + 0.15 * A**2 * (2 / nu)**(1 / 3))
     for _ in range(60):
-        fv = special.jv(nu, z)
-        fp = 0.5 * (special.jv(nu - 1, z) - special.jv(nu + 1, z))
-        dz = fv / fp
+        fv, fv1 = _jv_pair(nu, z)
+        dz = fv / (nu / z * fv - fv1)
         z -= dz
         if np.max(np.abs(dz) / z) <= 4 * np.finfo(float).eps:
             break
     return z
 
 
-#: terms of each of Hankel's series P and Q
+#: terms of each of Hankel's series P and Q, at least
 _HANKEL_TERMS = 9
 #: bound on the first term each series omits, relative to the amplitude
 _HANKEL_TOL = np.finfo(float).eps
-#: rows of the collocation matrix evaluated at once
+#: rows of the collocation matrix evaluated at once by Hankel's expansion
 _BLOCK = 32
+#: orders Miller's recurrence starts above the largest argument
+_MILLER_MARGIN = 40
+#: |J| past which Miller's recurrence rescales an argument's values
+_MILLER_BIG = 1e150
+
+
+def _hankel_terms(nu: float) -> int:
+    """K, the terms of each of P and Q: _HANKEL_TERMS, and nu from nu > 9 on.
+
+    The first omitted term bounds the remainder only for nu <= 2K + 1/2 (DLMF
+    10.17(iii)); K >= nu keeps that, and keeps the switch point finite and
+    small: 63.5 at nu = 19 and 71.4 at nu = 29, where nine terms would give
+    225 and 463.  Near the switch the terms of large orders grow before they
+    fall (to ~50 at nu = 29), so their sums round to 6.6e-15 of the
+    amplitude there, against 2.4e-15 at nu = 19.
+    """
+    return max(_HANKEL_TERMS, math.ceil(nu))
 
 
 def _hankel_switch(nu: float) -> float:
@@ -103,51 +126,105 @@ def _hankel_switch(nu: float) -> float:
     bounded by 4 nu^2 + (2j-1)^2, so the switch grows with nu and does not
     collapse at half-integer orders, where the series terminates but would
     cancel at small x.  It is 22.3 at nu = 0, 23.1 at nu = 0.387 and 32.6 at
-    nu = 2.5.  The omitted term bounds the remainder for nu <= 2K + 1/2 (DLMF
-    10.17(iii)); past that, jv is used throughout.
+    nu = 2.5.
     """
-    K = _HANKEL_TERMS
-    if nu > 2 * K + 0.5:
-        return np.inf
+    K = _hankel_terms(nu)
     j = np.arange(1, 2 * K + 2)
     b = np.cumprod((4 * nu**2 + (2 * j - 1)**2) / (8 * j))
     return max((b[-2] / _HANKEL_TOL)**(1 / (2 * K)), (b[-1] / _HANKEL_TOL)**(1 / (2 * K + 1)))
 
 
-def _collocation(nu: float, k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """B_jm = J_nu(k_m r_j) for increasing k > 0 and r > 0.
+def _hankel(nu: float, x: np.ndarray) -> np.ndarray:
+    """J_nu(x) for x >= _hankel_switch(nu), by Hankel's expansion.
 
-    From the switch point x* of `_hankel_switch` on, Hankel's expansion
     J_nu(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - (nu/2 + 1/4) pi,
-    with P and Q by Horner in 1/x^2; below x*, special.jv.  The phase enters
-    by angle addition, cos chi = cos x cos phi + sin x sin phi: forming x - phi
-    would cost ulp(x), 1.2e-13 of the amplitude at x ~ 3000.  The rows go in
-    blocks of _BLOCK; x grows along a row, so the entries below x* of a block
-    lie in the column prefix its first row has below x*.
+    with P and Q by Horner in 1/x^2.  The phase enters by angle addition,
+    cos chi = cos x cos phi + sin x sin phi: forming x - phi would cost
+    ulp(x), 1.2e-13 of the amplitude at x ~ 3000.
     """
-    K = _HANKEL_TERMS
+    K = _hankel_terms(nu)
     j = np.arange(1, 2 * K)
     a = np.cumprod(np.r_[1.0, (4 * nu**2 - (2 * j - 1)**2) / (8 * j)])   # a_0 .. a_{2K-1}
     sign = (-1.0)**np.arange(K)
     p, q = (sign * a[0::2])[::-1], (sign * a[1::2])[::-1]
     phi = (nu / 2 + 0.25) * np.pi
     c, s = np.cos(phi), np.sin(phi)
+    t = 1 / x
+    t2 = t * t
+    P = Q = 0.0
+    for cp, cq in zip(p, q):
+        P = P * t2 + cp
+        Q = Q * t2 + cq
+    Q = Q * t
+    return np.sqrt(2 / np.pi * t) * (np.cos(x) * (P * c + Q * s) + np.sin(x) * (P * s - Q * c))
+
+
+def _miller(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_nu(x) and J_{nu+1}(x) for 0 < x below the switch point, by Miller's
+    recurrence.
+
+    f_{k-1} = 2 (nu + k) f_k / x - f_{k+1} runs down from f_{N+1} = 0,
+    f_N = 1, with N the even order _MILLER_MARGIN above max x, and leaves
+    f_k proportional to J_{nu+k}(x) (DLMF 3.6(vi)).  Neumann's expansion
+    (x/2)^nu / Gamma(nu + 1) = sum_j c_j J_{nu+2j}(x) (DLMF 10.23.15), with
+    c_0 = 1, c_j = (nu + 2j) Gamma(nu + j) / (j! Gamma(nu + 1)) by their
+    product recurrence, fixes the scale.  Dividing by x in every step, rather
+    than multiplying by a rounded 2/x, keeps the argument exact: a rounded
+    2/x is a coherent relative shift of x, x eps of the amplitude.  Values
+    past _MILLER_BIG are rescaled, argument by argument, so f_k, which grows
+    as k falls toward the turning point k ~ x, never overflows.
+    """
+    N = 2 * ((int(np.max(x, initial=0.0)) + _MILLER_MARGIN + 1) // 2)
+    c = np.empty(N // 2 + 1)
+    c[0], g = 1.0, 1.0
+    for j in range(1, N // 2 + 1):       # g = Gamma(nu + j) / (j! Gamma(nu + 1))
+        c[j] = (nu + 2 * j) * g
+        g *= (nu + j) / (j + 1)
+    f_next, f = np.zeros_like(x), np.ones_like(x)
+    total = np.zeros_like(x)
+    for k in range(N, 0, -1):
+        if k % 2 == 0:
+            total += c[k // 2] * f
+        f_next, f = f, 2 * (nu + k) * f / x - f_next
+        if np.max(np.abs(f)) > _MILLER_BIG:
+            big = np.abs(f) > _MILLER_BIG
+            for v in (f, f_next, total):
+                v[big] /= _MILLER_BIG
+    total += f
+    scale = (x / 2)**nu / math.gamma(nu + 1) / total
+    return f * scale, f_next * scale
+
+
+def _jv_pair(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J_nu(x) and J_{nu+1}(x) for x > 0: `_hankel` from the switch point of
+    nu + 1 on, the higher of the two; below it, one `_miller` run gives both."""
+    low = x < _hankel_switch(nu + 1)
+    j0, j1 = np.empty_like(x), np.empty_like(x)
+    j0[~low], j1[~low] = _hankel(nu, x[~low]), _hankel(nu + 1, x[~low])
+    j0[low], j1[low] = _miller(nu, x[low])
+    return j0, j1
+
+
+def _collocation(nu: float, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """B_jm = J_nu(k_m r_j) for increasing k > 0 and r > 0.
+
+    From the switch point x* of `_hankel_switch` on, 90-93 % of the entries
+    at n = 512, `_hankel`; below it, `_miller`.  x grows along a row and down
+    a column, so row i lies below x* in its column prefix k_m < x*/r_i.  The
+    rows go in blocks of _BLOCK, and `_hankel` fills a block from its last
+    row's prefix on.  Then one `_miller` call overwrites every row's prefix,
+    including the few entries of each block's first rows that `_hankel` saw
+    below x*; one call per block would cost more in Python than the
+    recurrence itself.
+    """
     x_switch = _hankel_switch(nu)
+    prefix = np.searchsorted(k, x_switch / r)
     B = np.empty((len(r), len(k)))
     for i0 in range(0, len(r), _BLOCK):
-        x = r[i0:i0 + _BLOCK, None] * k
-        m = int(np.searchsorted(x[0], x_switch))
-        B[i0:i0 + _BLOCK, :m] = special.jv(nu, x[:, :m])
-        x = x[:, m:]
-        t = 1 / x
-        t2 = t * t
-        P = Q = 0.0
-        for cp, cq in zip(p, q):
-            P = P * t2 + cp
-            Q = Q * t2 + cq
-        Q = Q * t
-        B[i0:i0 + _BLOCK, m:] = np.sqrt(2 / np.pi * t) * (np.cos(x) * (P * c + Q * s)
-                                                          + np.sin(x) * (P * s - Q * c))
+        m = prefix[min(i0 + _BLOCK, len(r)) - 1]
+        B[i0:i0 + _BLOCK, m:] = _hankel(nu, r[i0:i0 + _BLOCK, None] * k[m:])
+    rows, cols = np.nonzero(np.arange(len(k)) < prefix[:, None])
+    B[rows, cols] = _miller(nu, r[rows] * k[cols])[0]
     return B
 
 

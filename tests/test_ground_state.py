@@ -8,7 +8,7 @@ from conftest import Ctx
 from hartreelab import (build_plan, el_residual, functionals, gn_audit,
                         load_ground_state, rescale, save_ground_state,
                         solve_ground_state)
-from hartreelab import ground_state
+from hartreelab import ground_state, transform
 from hartreelab.cli import _random_fields
 from hartreelab.grid import boundary_mass_fraction, radial_derivative
 from hartreelab.ground_state import (GroundStateError, GroundStateOptions,
@@ -138,15 +138,15 @@ def test_boundary_mass_recorded_and_named_in_residual_error():
 
 def test_solve_evaluates_no_bessel_function(monkeypatch, ctx3):
     # [TRIVIAL] both dilations and the Newton polish work from the grid and
-    # the plan's matrices: a solve makes no scipy.special.jv call
+    # the plan's matrices: a solve evaluates J_nu neither by Hankel's
+    # expansion nor by Miller's recurrence, the transform's two evaluations
     calls = []
-    jv = special.jv
+    for name in ("_hankel", "_miller"):
+        def counting(*args, _f=getattr(transform, name)):
+            calls.append(args)
+            return _f(*args)
 
-    def counting(*args):
-        calls.append(args)
-        return jv(*args)
-
-    monkeypatch.setattr(special, "jv", counting)
+        monkeypatch.setattr(transform, name, counting)
     solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                        GroundStateOptions(residual_tol=1e-4))
     assert calls == []

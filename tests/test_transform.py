@@ -1,10 +1,10 @@
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import special
-
 from scipy.optimize import brentq
 
 from hartreelab import build_grid, build_plan, make_params, transform
@@ -156,23 +156,24 @@ def test_real_fields_take_plain_real_product(ctx3):
 def test_bessel_zeros_stop_when_converged(d, a, monkeypatch):
     # [DERIVED] Newton stops once its steps are at round-off relative to the
     # zeros (an absolute 1e-14 test is below one ulp of the large zeros and
-    # ran all 60 steps, 180 evaluations); each zero lies within 4 ulp of an
-    # independent bracketing root find of J_nu.  nu = 0.01, 0.39 and 1.80.
+    # ran all 60 steps, 180 evaluations of J_nu and J_nu+-1); each zero lies
+    # within 4 ulp of an independent bracketing root find of scipy's J_nu.
+    # nu = 0.01, 0.39 and 1.80.
     nu = make_params(d, a).nu
     calls = []
-    jv = special.jv
+    jv_pair = transform._jv_pair
 
     def counting(order, x):
         calls.append(1)
-        return jv(order, x)
+        return jv_pair(order, x)
 
-    monkeypatch.setattr(special, "jv", counting)
+    monkeypatch.setattr(transform, "_jv_pair", counting)
     z = bessel_zeros(nu, 512)
     monkeypatch.undo()
     assert len(calls) <= 15, len(calls)
     assert np.all(np.diff(z) > 3) and np.all(np.diff(z) < 3.3)
     for m in (0, 1, 255, 500, 511):
-        ref = brentq(lambda x: jv(nu, x), z[m] - 1, z[m] + 1, xtol=1e-300, rtol=1e-15)
+        ref = brentq(lambda x: special.jv(nu, x), z[m] - 1, z[m] + 1, xtol=1e-300, rtol=1e-15)
         assert abs(z[m] - ref) <= 4 * np.spacing(ref), m
 
 
@@ -204,6 +205,66 @@ def test_collocation_matches_mpmath(nu):
     scale = np.minimum(1.0, np.sqrt(2 / (np.pi * x)))
     err = np.abs(B - ref) / scale
     assert np.all(err <= 2e-15), err
+
+
+def _mp_besselj(nu, x):
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.besselj(nu, mpmath.mpf(float(v)))) for v in x])
+
+
+def _amplitude_err(B, nu, x):
+    return np.abs(B - _mp_besselj(nu, x)) / np.minimum(1.0, np.sqrt(2 / (np.pi * x)))
+
+
+@pytest.mark.parametrize("nu", [0.005, 0.224, 0.387, 0.707, 1.323, 2.5, 3.0])
+def test_collocation_below_switch_matches_mpmath(nu):
+    # [DERIVED] below the switch point B comes from Miller's recurrence:
+    # on 200 points spread over (0, x*) it is within 4e-15 of
+    # min(1, sqrt(2/(pi x))) against 30-digit mpmath (scipy.special.jv, which
+    # covered these entries before, is up to 6.9e-14 off)
+    xs = _hankel_switch(nu)
+    x = np.sort(np.random.default_rng(20).uniform(0, xs, 200))
+    B = _collocation(nu, x, np.array([1.0]))[0]
+    err = _amplitude_err(B, nu, x)
+    assert np.all(err <= 4e-15), (err.max(), x[err.argmax()])
+
+
+def _mp_zeros(nu, ms):
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.besseljzero(nu, m)) for m in ms])
+
+
+@pytest.mark.parametrize("nu", [0.01, 0.387, 1.8, 0.5, 2.5])
+def test_bessel_zeros_match_mpmath(nu):
+    # [DERIVED] the first ten zeros and the n-th lie within 4 ulp of mpmath's
+    n = 512
+    ms = list(range(1, 11)) + [n]
+    z = bessel_zeros(nu, n)[np.array(ms) - 1]
+    ref = _mp_zeros(nu, ms)
+    assert np.all(np.abs(z - ref) <= 4 * np.spacing(ref)), (z - ref) / np.spacing(ref)
+
+
+@pytest.mark.parametrize("nu", [19.0, 29.0])
+def test_large_orders_match_mpmath(nu):
+    # [DERIVED] nu = 19 and 29 (d = 40 and 60 at a = 0) need more than nine
+    # Hankel terms, K >= nu, for the remainder bound to hold; the switch then
+    # stays finite (63.5 and 71.4).  Zeros within 4 ulp of mpmath's (McMahon's
+    # start alone led Newton from the first zero of nu = 29 to 2.67), B on
+    # both sides of the switch within 1e-14 of the amplitude (Hankel's terms
+    # near x* reach ~50 at nu = 29, so its sums round to ~30 ulp), no warning
+    n = 256
+    xs = _hankel_switch(nu)
+    assert xs < 80
+    ms = list(range(1, 11)) + [n]
+    x = np.sort(np.random.default_rng(21).uniform(0, 3 * xs, 200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = bessel_zeros(nu, n)[np.array(ms) - 1]
+        B = _collocation(nu, x, np.array([1.0]))[0]
+    ref = _mp_zeros(nu, ms)
+    assert np.all(np.abs(z - ref) <= 4 * np.spacing(ref)), (z - ref) / np.spacing(ref)
+    err = _amplitude_err(B, nu, x)
+    assert np.all(err <= 1e-14), (err.max(), x[err.argmax()])
 
 
 @pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5), (5, -0.5), (7, 0.0)])
