@@ -68,9 +68,7 @@ SCHEMA = {
     "integrator.t_end": (float, 1.0),
     "integrator.scheme": (str, "strang-split"),
     "integrator.output_stride": (int, 10),
-    "integrator.h_threshold": (float, math.inf),
     "integrator.min_scale_cells": (float, 4.0),
-    "ground_state.newton_iters": (int, 10),
     "ground_state.residual_tol": (float, 1e-5),
     "ground_state.guess": (str, "sech"),
     "init.profile": (str, "gaussian"),
@@ -166,12 +164,15 @@ def parse_config(text: str, overrides=None) -> RunConfig:
             values[key] = default
 
     def check(key, builder):
+        """Run builder; an error opening "<field> must" is reported under the
+        key `<key's section>.<field>` if there is one, any other under `key`."""
         try:
             builder()
         except KeyError:
             pass            # a value it needs did not parse; reported above
         except (ValueError, TypeError) as exc:
-            errors.append(f"key {key}: {exc}")
+            own = f"{key.split('.')[0]}.{str(exc).split(' must', 1)[0]}"
+            errors.append(f"key {own if own in SCHEMA else key}: {exc}")
 
     if values.get("scenario") not in SCENARIOS:
         errors.append(f"key scenario: must be one of {SCENARIOS}, "
@@ -182,6 +183,7 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     if not 0 < values.get("grid.r_max", 1.0) < math.inf:
         errors.append(f"key grid.r_max: must be positive and finite, "
                       f"got {values['grid.r_max']}")
+    # a t_end / dt mismatch names no single field and is reported under dt
     check("integrator.dt", lambda: _options(values, "integrator", IntegratorConfig))
     check("ground_state", lambda: _options(values, "ground_state", GroundStateOptions))
     if values.get("init.profile") not in PROFILE_NAMES + ("file",):
@@ -198,6 +200,8 @@ def parse_config(text: str, overrides=None) -> RunConfig:
                       f"and finite, got {values['concentrate.lambdas']}")
     if values.get("verify.fields", 1) < 1:
         errors.append("key verify.fields: must be >= 1")
+    if values.get("seed", 0) < 0:
+        errors.append(f"key seed: must be >= 0, got {values['seed']}")
     if values.get("scenario") == "sweep":
         if values.get("sweep.key") not in SCHEMA:
             errors.append(f"key sweep.key: unknown target key {values.get('sweep.key')!r}")
@@ -302,7 +306,8 @@ def _sidecar(cfg, extra=None):
 
 def _export_trajectory(out_dir, cfg, traj, grid, lambdas=None, lam_of_t=None):
     """trajectory.csv + sidecar.  `lambdas` are static window radii; if
-    `lam_of_t` is given the windows are lam_i(t) = lambdas[i]*lam_of_t(t)."""
+    `lam_of_t` is given the windows are lam_i(t) = lambdas[i]*lam_of_t(t).
+    Returns the last row, keyed by column."""
     lambdas = lambdas or []
     labels = [f"conc@{_fmt(lam)}" for lam in lambdas]
     header = ["t", "M", "H", "E", "L_V", "Gamma", "GammaPrime"] + labels + ["stop_reason"]
@@ -320,6 +325,7 @@ def _export_trajectory(out_dir, cfg, traj, grid, lambdas=None, lam_of_t=None):
     _write_json(os.path.join(out_dir, "trajectory.json"),
                 _sidecar(cfg, {"stop_reason": traj.stop_reason,
                                "stop_time": traj.stop_time, "samples": nsamp}))
+    return dict(zip(header, rows[-1]))
 
 
 def _scenario_ground_state(cfg, out_dir):
@@ -402,7 +408,7 @@ def _scenario_blowup(cfg, out_dir, want_concentration=False):
                "E0": E0, "T_star_config": cfg["init.T_star"],
                "diagnostics": _evolution_diagnostics(traj)}
     checks = {"blowup_stop": traj.stop_reason in
-              ("blowup-suspected", "blowup-resolved-limit", "h-threshold")}
+              ("blowup-suspected", "blowup-resolved-limit")}
     lam_of_t = None
     try:
         T_est, p = fit_blowup(traj)
@@ -419,17 +425,11 @@ def _scenario_blowup(cfg, out_dir, want_concentration=False):
     except FitRejected as exc:
         summary["fit"] = {"rejected": str(exc)}
         checks["fit_accepted"] = False
+    last = _export_trajectory(out_dir, cfg, traj, grid,
+                              lambdas=cfg["concentrate.lambdas"], lam_of_t=lam_of_t)
     if want_concentration:
-        lams = cfg["concentrate.lambdas"]
-        last = traj.fields[-1]
-        t_last = traj.times[-1]
-        conc = {}
-        for lam in lams:
-            eff = lam * lam_of_t(t_last) if lam_of_t else lam
-            conc[_fmt(lam)] = concentration(last, eff, grid)
-        summary["concentration_last_sample"] = conc
-    _export_trajectory(out_dir, cfg, traj, grid,
-                       lambdas=cfg["concentrate.lambdas"], lam_of_t=lam_of_t)
+        summary["concentration_last_sample"] = {
+            _fmt(lam): last[f"conc@{_fmt(lam)}"] for lam in cfg["concentrate.lambdas"]}
     summary["checks"] = checks
     return summary
 

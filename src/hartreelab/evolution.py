@@ -76,7 +76,6 @@ class IntegratorConfig:
     t_end: float
     scheme: str = "strang-split"      # or "midpoint-relaxation"
     output_stride: int = 10
-    h_threshold: float = np.inf       # stop when H exceeds this
     min_scale_cells: float = 4.0      # stop when 1/sqrt(H) < this many cells
 
     def __post_init__(self):
@@ -88,11 +87,13 @@ class IntegratorConfig:
             raise ValueError(f"t_end = {self.t_end!r} is not a whole number of "
                              f"steps dt = {self.dt!r}")
         if self.scheme not in ("strang-split", "midpoint-relaxation"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"scheme must be strang-split or midpoint-relaxation, "
+                             f"got {self.scheme!r}")
         if self.output_stride < 1:
-            raise ValueError("output stride must be >= 1")
-        if self.min_scale_cells <= 0 or self.h_threshold <= 0:
-            raise ValueError("blow-up stop thresholds must be positive")
+            raise ValueError(f"output_stride must be >= 1, got {self.output_stride!r}")
+        if not self.min_scale_cells > 0:
+            raise ValueError(f"min_scale_cells must be positive, "
+                             f"got {self.min_scale_cells!r}")
 
 
 @dataclass
@@ -112,8 +113,7 @@ class Trajectory:
     boundary_flags: list = field(default_factory=list)  # virial flag per sample
     stop_reason: str = "completed"
     stop_time: float = 0.0
-    # what triggered a threshold stop: H for "h-threshold", 1/sqrt(H) in
-    # cells for "blowup-resolved-limit"; None for any other stop
+    # 1/sqrt(H) in cells at a "blowup-resolved-limit" stop; None otherwise
     stop_value: float | None = None
 
 
@@ -242,11 +242,6 @@ def evolve(u0: np.ndarray, cfg: IntegratorConfig, plan: TransformPlan,
             return traj
         if i % cfg.output_stride == 0 or i == nsteps:
             q = record(t, u)
-            if q.H > cfg.h_threshold:
-                traj.stop_reason = "h-threshold"
-                traj.stop_time = t
-                traj.stop_value = q.H
-                return traj
             if q.H > 0 and 1.0 / math.sqrt(q.H) < cfg.min_scale_cells * h:
                 traj.stop_reason = "blowup-resolved-limit"
                 traj.stop_time = t

@@ -28,20 +28,20 @@ class ModelParams:
 def make_params(d: int, a: float) -> ModelParams:
     """Validate (d, a) and compute the derived exponents."""
     if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"dimension d must be an integer, got {d!r}")
+        raise ValueError(f"d must be an integer, got {d!r}")
     if d < 3:
-        raise ValueError(f"dimension d must be >= 3, got {d}")
+        raise ValueError(f"d must be >= 3, got {d}")
     a = float(a)
     if not math.isfinite(a):
-        raise ValueError(f"coupling a must be finite, got {a}")
+        raise ValueError(f"a must be finite, got {a}")
     half = (d - 2) / 2
     if a <= -(half * half):
         raise ValueError(
-            f"coupling a must satisfy a > -((d-2)/2)^2 = {-half*half} "
+            f"a must satisfy a > -((d-2)/2)^2 = {-half*half} "
             f"(operator not positive), got a = {a}"
         )
     if a > 0:
-        raise ValueError(f"coupling a must be <= 0 (focusing regime or free case), got {a}")
+        raise ValueError(f"a must be <= 0 (focusing regime or free case), got {a}")
     nu = math.sqrt(half * half + a)
     rho = half - nu
     return ModelParams(d=d, a=a, rho=rho, nu=nu)

@@ -34,13 +34,6 @@ def gaussian_profile(params: ModelParams, grid: RadialGrid,
     return amplitude * r**(-params.rho) * np.exp(-r**2 / (2 * sigma**2))
 
 
-def ground_state_profile(params: ModelParams, grid: RadialGrid, Q: np.ndarray,
-                         mu: float = 1.0, nu_s: float = 1.0) -> np.ndarray:
-    """mu * Q(nu_s r); M scales as mu^2 nu_s^{-d}, so e.g. mu = 0.9 gives
-    mass 0.81 M_gs."""
-    return rescale(Q, grid, params.rho, mu, nu_s)
-
-
 def shell_profile(params: ModelParams, grid: RadialGrid, s0: float,
                   width: float, amplitude: float = 1.0) -> np.ndarray:
     if s0 <= 0 or width <= 0:
@@ -67,8 +60,8 @@ def make_initial_data(name: str, opts: dict, params: ModelParams,
         if Q is None:
             raise ValueError(f"profile {name!r} requires a solved ground state")
         if name == "ground-state":
-            return ground_state_profile(params, grid, Q, opts.get("mu", 1.0),
-                                        opts.get("nu_s", 1.0))
+            return rescale(Q, grid, params.rho, opts.get("mu", 1.0),
+                           opts.get("nu_s", 1.0))
         if plan is None:
             raise ValueError("pseudo-conformal profile requires a transform plan")
         return pseudo_conformal_family(Q, opts.get("T_star", 1.0),

@@ -14,8 +14,8 @@ samples sqrt(w_j) phi_m(r_j) (Gram-Schmidt order: low modes are perturbed
 least).  Consequences, all exact to round-off rather than merely to
 quadrature accuracy:
 
-  - round trip inverse(forward(u)) = u,
-  - Parseval: sum_m |c_m|^2 = sum_j w_j |u_j|^2,
+  - round trip Psi (PsiTw u) = u,
+  - Parseval: the coefficients c = PsiTw u have sum_m |c_m|^2 = sum_j w_j |u_j|^2,
   - L_a is self-adjoint and positive (eigenvalues exactly k_m^2 > 0),
   - the evolution's linear flow c_m -> e^{i k_m^2 t} c_m is unitary, so it
     conserves the discrete mass and the discrete H per step (the round-off
@@ -276,18 +276,8 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
-def transform_forward(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
-    """Samples -> spectral coefficients c_m (adjoint of the orthonormal modes)."""
-    return _matvec(plan.PsiTw, _check(plan, u))
-
-
-def transform_inverse(plan: TransformPlan, c: np.ndarray) -> np.ndarray:
-    """Spectral coefficients -> samples."""
-    return _matvec(plan.Psi, _check(plan, c))
-
-
 def apply_la(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
-    """L_a u = inverse(k^2 * forward(u)); exactly self-adjoint and positive."""
+    """L_a u = Psi (k^2 PsiTw u); exactly self-adjoint and positive."""
     return _matvec(plan.Psi, plan.k**2 * _matvec(plan.PsiTw, _check(plan, u)))
 
 

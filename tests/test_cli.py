@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,9 @@ import hartreelab
 from hartreelab import build_grid, cli, load_ground_state
 from hartreelab.cli import (ConfigError, SCHEMA, config_hash, main,
                             parse_config, run_scenario)
-from hartreelab.evolution import BOUNDARY_TOL
+from hartreelab.evolution import BOUNDARY_TOL, IntegratorConfig
+from hartreelab.ground_state import GroundStateOptions
+from hartreelab.profiles import PROFILE_NAMES, make_initial_data
 from hartreelab.grid import boundary_mass_fraction
 
 FAST_GRID = "grid.n = 64\ngrid.r_max = 10.0\n"
@@ -28,6 +31,41 @@ def test_parse_defaults():
     assert cfg["model.d"] == 3 and cfg["model.a"] == -0.1
     assert cfg["grid.n"] == 256
     assert set(cfg.values) == set(SCHEMA)
+
+
+def test_schema_defaults_are_the_library_defaults(ctx3, gs3):
+    # [TRIVIAL] the integrator.* and ground_state.* keys are the fields of
+    # IntegratorConfig and GroundStateOptions, with the same defaults, and a
+    # profile given no options is the profile at the init.* defaults
+    for section, cls in (("integrator", IntegratorConfig),
+                         ("ground_state", GroundStateOptions)):
+        keys = {k.split(".", 1)[1]: default for k, (_, default) in SCHEMA.items()
+                if k.startswith(section + ".")}
+        fields = {f.name: f.default for f in dataclasses.fields(cls)}
+        assert list(keys) == list(fields), section
+        for name, default in fields.items():
+            assert default is dataclasses.MISSING or keys[name] == default, name
+    defaults = {k.split(".", 1)[1]: default for k, (_, default) in SCHEMA.items()
+                if k.startswith("init.") and k not in ("init.profile", "init.file")}
+    for name in PROFILE_NAMES:
+        args = (ctx3.params, ctx3.grid, ctx3.plan, gs3.Q)
+        assert np.array_equal(make_initial_data(name, {}, *args),
+                              make_initial_data(name, defaults, *args)), name
+
+
+def test_verify_scenario(tmp_path):
+    # [DERIVED] the verify scenario finds no violation of the paper's
+    # inequalities on 10 seeded fields, and a rerun writes the same summary
+    text = "grid.n = 128\nscenario = verify\nverify.fields = 10\nseed = 0\n"
+    for tag in ("r1", "r2"):
+        summary = run_scenario(parse_config(text), str(tmp_path / tag))
+        assert summary["pass"], summary
+        assert summary["fields"] == 10
+        assert summary["violations"] == {"hardy": 0, "gn": 0, "rearrangement": 0,
+                                         "hls": 0, "rotated_energy": 0,
+                                         "discriminant": 0}
+    blobs = [(tmp_path / tag / "summary.json").read_bytes() for tag in ("r1", "r2")]
+    assert blobs[0] == blobs[1]
 
 
 def test_default_sweep_runs_serially():
@@ -160,27 +198,36 @@ def _check_diagnostics(out):
     return diag, H
 
 
-@pytest.mark.parametrize("scenario,extra,reason", [
-    ("blowup", "integrator.h_threshold = 1.5\n", "h-threshold"),
-    ("concentrate", "", "blowup-resolved-limit")])
-def test_blowup_diagnostics(tmp_path, scenario, extra, reason):
-    # [DERIVED] why a blow-up run stopped: the value that triggered the stop
-    # (H, or 1/sqrt(H) in cells) is the last sample's; the coarse grid lets
-    # mass reach the outer cells, and the flagged samples are counted
+@pytest.mark.parametrize("scenario,h_bound", [("blowup", 3.0), ("concentrate", None)])
+def test_blowup_diagnostics(tmp_path, scenario, h_bound):
+    # [DERIVED] why a blow-up run stopped: 1/sqrt(H) in cells, the value that
+    # triggered the stop, is the last sample's; min_scale_cells = 1/(h sqrt(X))
+    # stops at the first sample whose H exceeds X (at t = 0.3 for X = 3); the
+    # coarse grid lets mass reach the outer cells, and the flagged samples
+    # are counted; the concentrate summary's last-sample windows are the
+    # conc@ cells of the CSV's last row
+    h = 10.0 / 64
+    cells = "" if h_bound is None else \
+        f"integrator.min_scale_cells = {1 / (h * math.sqrt(h_bound))!r}\n"
     cfg = parse_config(FAST_GRID + FAST_GS + f"scenario = {scenario}\n"
                        "init.profile = pseudo-conformal\nintegrator.dt = 2e-3\n"
-                       "integrator.output_stride = 5\n" + extra)
+                       "integrator.output_stride = 5\nconcentrate.lambdas = 0.5,1.0,3.0\n"
+                       + cells)
     out = str(tmp_path / scenario)
     summary = run_scenario(cfg, out)
-    assert summary["stop_reason"] == reason
+    assert summary["stop_reason"] == "blowup-resolved-limit"
     diag, H = _check_diagnostics(out)
-    H = H[-1]
-    if reason == "h-threshold":
-        assert diag["stop_value"] == H > 1.5
+    assert diag["stop_value"] == pytest.approx(1 / math.sqrt(H[-1]) / h, rel=1e-15)
+    assert diag["stop_value"] < cfg["integrator.min_scale_cells"]
+    if h_bound is not None:
+        assert H[-1] > h_bound >= H[-2] and summary["stop_time"] == 0.3
     else:
-        h = cfg["grid.r_max"] / cfg["grid.n"]
-        assert diag["stop_value"] == pytest.approx(1 / math.sqrt(H) / h, rel=1e-15)
-        assert diag["stop_value"] < cfg["integrator.min_scale_cells"]
+        with open(os.path.join(out, "trajectory.csv")) as fh:
+            header, *_, last = (line.split(",") for line in fh.read().splitlines())
+        assert summary["concentration_last_sample"] == {
+            label[len("conc@"):]: float(cell) for label, cell in zip(header, last)
+            if label.startswith("conc@")}
+        assert list(summary["concentration_last_sample"]) == ["0.5", "1.0", "3.0"]
     assert diag["boundary_flagged_samples"] > 0
 
 
@@ -219,7 +266,9 @@ def test_error_captured_in_summary(tmp_path):
 
 def test_main_exit_codes(tmp_path, capsys):
     # [TRIVIAL] 0 on pass, 2 on config error: a bad value, removed keys
-    # (grid.stretch and the descent's ground_state.*), an end time that is not a whole number of steps, a
+    # (grid.stretch, the descent's ground_state.*, integrator.h_threshold and
+    # ground_state.newton_iters), each named by its key, a negative seed, an
+    # end time that is not a whole number of steps, a
     # non-finite radius, bad solver options, a concentration radius that is
     # not positive and finite, a blow-up run without pseudo-conformal data,
     # zero sweep workers
@@ -232,20 +281,31 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["evolve", "--override", "model.a=-9"]) == 2
     assert "model.a" in capsys.readouterr().err
     for key in ("grid.stretch", "ground_state.step0", "ground_state.max_iter",
-                "ground_state.descent_tol"):
+                "ground_state.descent_tol", "integrator.h_threshold",
+                "ground_state.newton_iters"):
         assert main(["ground-state", "--out", out, "--override", f"{key}=1"]) == 2, key
         assert key in capsys.readouterr().err, key
     assert main(["evolve", "--override", "integrator.dt=3e-3",
                  "--override", "integrator.t_end=0.01"]) == 2
-    assert "integrator.dt" in capsys.readouterr().err
+    assert "key integrator.dt: t_end = 0.01 is not a whole number" in capsys.readouterr().err
+    # each integrator field's error names that field's key
+    for key, bad in (("integrator.output_stride", "0"), ("integrator.scheme", "euler"),
+                     ("integrator.min_scale_cells", "0"),
+                     ("integrator.min_scale_cells", "nan"), ("integrator.dt", "0"),
+                     ("integrator.t_end", "-1")):
+        assert main(["evolve", "--out", out, "--override", f"{key}={bad}"]) == 2, key
+        assert capsys.readouterr().err.startswith(f"config error: key {key}: "), key
+    assert main(["verify", "--out", out, "--seed", "-1"]) == 2
+    assert "key seed: must be >= 0" in capsys.readouterr().err
     # each is caught while parsing, before any build, solve or evolution
     for scenario, override, named in (
             ("evolve", "grid.r_max=nan", "grid.r_max"),
             ("evolve", "grid.r_max=inf", "grid.r_max"),
-            ("ground-state", "ground_state.residual_tol=-1", "residual_tol"),
-            ("ground-state", "ground_state.newton_iters=0", "newton_iters"),
-            ("ground-state", "ground_state.guess=bogus", "bogus"),
+            ("ground-state", "ground_state.residual_tol=-1",
+             "key ground_state.residual_tol:"),
+            ("ground-state", "ground_state.guess=bogus", "key ground_state.guess:"),
             ("evolve", "model.d=x", "model.d"),
+            ("evolve", "model.d=2", "key model.d: d must be >= 3"),
             ("evolve", "concentrate.lambdas=nan", "concentrate.lambdas"),
             ("concentrate", "concentrate.lambdas=1.0,0", "concentrate.lambdas"),
             ("evolve", "concentrate.lambdas=-1,inf", "concentrate.lambdas"),
@@ -440,8 +500,7 @@ def test_file_profile_model_mismatch(tmp_path):
 
 def test_ground_state_failure_keeps_trace(tmp_path):
     # [TRIVIAL] a failed solve keeps its (iteration, J) trace in summary.json
-    cfg = parse_config(FAST_GRID + "ground_state.residual_tol = 1e-15\n"
-                       "ground_state.newton_iters = 1\n")
+    cfg = parse_config(FAST_GRID + "ground_state.residual_tol = 1e-15\n")
     out = str(tmp_path / "gs")
     summary = run_scenario(cfg, out)
     assert summary["pass"] is False

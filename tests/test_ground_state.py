@@ -118,8 +118,25 @@ def test_bad_inputs(ctx3):
                            init=np.zeros(ctx3.grid.n))
     with pytest.raises(GroundStateError) as exc:
         solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
-                           GroundStateOptions(residual_tol=1e-15, newton_iters=1))
+                           GroundStateOptions(residual_tol=1e-15))
     assert exc.value.trace    # the trace rides on the error
+
+
+def test_newton_cap_ends_the_solve(ctx3, gs3, monkeypatch):
+    # [DERIVED] a solve that reaches NEWTON_CAP before its round-off floor
+    # rescales the last iterate: one Newton step from the sech guess leaves
+    # a residual of 3.2e-6 and an m_gs 1.7e-12 relative from the converged
+    # one
+    monkeypatch.setattr(ground_state, "NEWTON_CAP", 1)
+    res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km)
+    assert res.iterations == 1 and len(res.newton_residuals) == 1
+    assert [it for it, _ in res.trace] == [1, 2]
+    assert res.m_gs == functionals(res.Q, ctx3.plan, ctx3.km).J
+    assert res.m_gs == pytest.approx(gs3.m_gs, rel=1e-9)
+    assert res.residual < 1e-5
+    with pytest.raises(GroundStateError, match="after 1 Newton iterations"):
+        solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
+                           GroundStateOptions(residual_tol=1e-7))
 
 
 def test_boundary_mass_recorded_and_named_in_residual_error():

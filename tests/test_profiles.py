@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from hartreelab import functionals, make_initial_data
-from hartreelab.profiles import (PROFILE_NAMES, gaussian_profile,
-                                 ground_state_profile, shell_profile)
+from hartreelab.profiles import PROFILE_NAMES, gaussian_profile, shell_profile
 
 
 def test_gaussian_envelope(ctx3):
@@ -19,7 +18,8 @@ def test_gaussian_envelope(ctx3):
 def test_ground_state_profile_mass(ctx3, gs3):
     # [DERIVED] mu = 0.9 gives mass 0.81 M(Q); M(Q) matches M_gs to the
     # discrete Pohozaev tolerance
-    u = ground_state_profile(ctx3.params, ctx3.grid, gs3.Q, mu=0.9)
+    u = make_initial_data("ground-state", {"mu": 0.9}, ctx3.params, ctx3.grid,
+                          Q=gs3.Q)
     q = functionals(u, ctx3.plan, ctx3.km)
     q0 = functionals(gs3.Q, ctx3.plan, ctx3.km)
     assert q.M == pytest.approx(0.81 * q0.M, rel=1e-12)
