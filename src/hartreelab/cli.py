@@ -14,7 +14,9 @@ t, M, H, E, L_V, Gamma, GammaPrime, conc@lam..., stop_reason; RFC-style,
 header row, '.' decimal) with the run metadata in the JSON sidecar.
 
 Identical config + seed produce bit-identical CSV/JSON outputs: floats are
-serialized with shortest-roundtrip repr and JSON keys are sorted.
+serialized with shortest-roundtrip repr and JSON keys are sorted.  A failed
+run also writes ``traceback.txt``, whose source paths and line numbers put it
+outside that contract.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .ground_state import (GroundStateError, GroundStateOptions, gn_audit,
                            load_ground_state, solve_ground_state,
                            save_ground_state)
 from .grid import build_grid, radial_derivative
-from .hartree import build_kernel, lv_value
+from .hartree import apply_kernel, build_kernel, lv_value
 from .params import make_params
 from .profiles import PROFILE_NAMES, make_initial_data
 from .transform import build_plan
@@ -164,15 +166,17 @@ def parse_config(text: str, overrides=None) -> RunConfig:
             values[key] = default
 
     def check(key, builder):
-        """Run builder; an error opening "<field> must" is reported under the
-        key `<key's section>.<field>` if there is one, any other under `key`."""
+        """Run builder; each line of its error that opens "<field> must" is
+        reported under the key `<key's section>.<field>` if there is one, any
+        other under `key`."""
         try:
             builder()
         except KeyError:
             pass            # a value it needs did not parse; reported above
         except (ValueError, TypeError) as exc:
-            own = f"{key.split('.')[0]}.{str(exc).split(' must', 1)[0]}"
-            errors.append(f"key {own if own in SCHEMA else key}: {exc}")
+            for line in str(exc).splitlines():
+                own = f"{key.split('.')[0]}.{line.split(' must', 1)[0]}"
+                errors.append(f"key {own if own in SCHEMA else key}: {line}")
 
     if values.get("scenario") not in SCENARIOS:
         errors.append(f"key scenario: must be one of {SCENARIOS}, "
@@ -495,7 +499,7 @@ def _scenario_verify(cfg, out_dir):
         f, g = np.abs(u)**2, np.abs(v)**2
 
         def form(x):
-            return km.omega**2 / 4 * float(np.sum(grid.w * x * (km.Kw @ x)))
+            return km.omega**2 / 4 * float(np.sum(grid.w * x * apply_kernel(km, x)))
         lhs = abs(form(f) - form(g))
         rhs = math.sqrt(max(form(f + g), 0.0) * max(form(f - g), 0.0))
         if lhs > rhs * (1 + 1e-9) + 1e-12:
@@ -618,10 +622,21 @@ _SCENARIO_FNS = {
 }
 
 
+def _package_frames(exc: BaseException) -> list:
+    """The frames of exc's traceback in this package, outermost first, as
+    `hartreelab/<module>.py:<function>`."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    return [f"hartreelab/{os.path.basename(fr.filename)}:{fr.name}"
+            for fr in traceback.extract_tb(exc.__traceback__)
+            if os.path.dirname(os.path.abspath(fr.filename)) == here]
+
+
 def run_scenario(cfg: RunConfig, out_dir: str | None = None) -> dict:
     """Execute the configured scenario; writes artifacts and summary.json.
 
-    Module errors are captured into the summary (pass = False), never lost.
+    Module errors are captured into the summary (pass = False), never lost:
+    `error` holds the exception's type, message and package frames, and the
+    full traceback goes to `traceback.txt` beside it.
     """
     out_dir = out_dir or cfg["output.dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -631,8 +646,12 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None) -> dict:
         summary.update(_SCENARIO_FNS[cfg["scenario"]](cfg, out_dir))
         summary["pass"] = all(summary.get("checks", {}).values())
     except Exception as exc:  # noqa: BLE001 - captured into the summary by contract
+        # the full traceback holds source paths and line numbers, so it goes
+        # to a sidecar; the summary keeps what any checkout gives alike
         summary["error"] = {"type": type(exc).__name__, "message": str(exc),
-                            "traceback": traceback.format_exc()}
+                            "frames": _package_frames(exc)}
+        with open(os.path.join(out_dir, "traceback.txt"), "w") as fh:
+            fh.write(traceback.format_exc())
         if isinstance(exc, GroundStateError):
             summary["error"]["trace"] = exc.trace
         summary["pass"] = False

@@ -79,21 +79,26 @@ class IntegratorConfig:
     min_scale_cells: float = 4.0      # stop when 1/sqrt(H) < this many cells
 
     def __post_init__(self):
+        """Raises ValueError naming every failing field, one per line."""
+        errors = []
         if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+            errors.append(f"dt must be positive and finite, got {self.dt!r}")
         if not 0 <= self.t_end < math.inf:
-            raise ValueError(f"t_end must be non-negative and finite, got {self.t_end!r}")
-        if abs(round(self.t_end / self.dt) * self.dt - self.t_end) > 1e-9 * abs(self.t_end):
-            raise ValueError(f"t_end = {self.t_end!r} is not a whole number of "
-                             f"steps dt = {self.dt!r}")
+            errors.append(f"t_end must be non-negative and finite, got {self.t_end!r}")
+        elif not errors and abs(round(self.t_end / self.dt) * self.dt - self.t_end) \
+                > 1e-9 * abs(self.t_end):
+            errors.append(f"t_end = {self.t_end!r} is not a whole number of "
+                          f"steps dt = {self.dt!r}")
         if self.scheme not in ("strang-split", "midpoint-relaxation"):
-            raise ValueError(f"scheme must be strang-split or midpoint-relaxation, "
-                             f"got {self.scheme!r}")
+            errors.append(f"scheme must be strang-split or midpoint-relaxation, "
+                          f"got {self.scheme!r}")
         if self.output_stride < 1:
-            raise ValueError(f"output_stride must be >= 1, got {self.output_stride!r}")
+            errors.append(f"output_stride must be >= 1, got {self.output_stride!r}")
         if not self.min_scale_cells > 0:
-            raise ValueError(f"min_scale_cells must be positive, "
-                             f"got {self.min_scale_cells!r}")
+            errors.append(f"min_scale_cells must be positive, "
+                          f"got {self.min_scale_cells!r}")
+        if errors:
+            raise ValueError("\n".join(errors))
 
 
 @dataclass
@@ -139,21 +144,6 @@ def _flows(plan: TransformPlan, dt: float, scheme: str) -> tuple:
     return tuple(_flow_matrix(plan, tau) for tau in taus)
 
 
-def linear_flow(u: np.ndarray, dt: float, plan: TransformPlan,
-                flow: np.ndarray | None = None) -> np.ndarray:
-    """Exact linear propagator e^{+i dt L_a} u on the discrete operator.
-
-    The diagonal flow in the orthonormal mode basis is unitary in the
-    quadrature inner product, so it conserves the discrete mass and the
-    discrete H to round-off per step.  `flow` is U_dt when the caller has
-    formed it already; a loop of flows should pass it, since forming it costs
-    hundreds of products.
-    """
-    if flow is None:
-        flow = _flow_matrix(plan, dt)
-    return flow @ u
-
-
 def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
          scheme: str = "strang-split", rot: np.ndarray | None = None,
          flows: tuple | None = None) -> tuple:
@@ -174,7 +164,7 @@ def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
     if scheme == "strang-split":
         if rot is None:
             rot = np.exp(-0.5j * dt * potential(km, u))
-        u = linear_flow(u * rot, dt, plan, flows[0])
+        u = flows[0] @ (u * rot)
         rot = np.exp(-0.5j * dt * potential(km, u))
         return u * rot, rot
     # midpoint-relaxation: freeze the potential at a fixed-point approximation
@@ -183,10 +173,10 @@ def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
     full, half = flows
     Phi = potential(km, u)
     for _ in range(2):
-        v = linear_flow(u * np.exp(-0.5j * dt * Phi), 0.5 * dt, plan, half)
+        v = half @ (u * np.exp(-0.5j * dt * Phi))
         Phi = potential(km, v)
     rot = np.exp(-0.5j * dt * Phi)
-    return linear_flow(u * rot, dt, plan, full) * rot, None
+    return (full @ (u * rot)) * rot, None
 
 
 def virial(u: np.ndarray, plan: TransformPlan,

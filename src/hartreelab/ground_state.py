@@ -70,11 +70,15 @@ class GroundStateOptions:
     guess: str = "sech"          # "gaussian" | "sech", or pass init= explicitly
 
     def __post_init__(self):
+        """Raises ValueError naming every failing field, one per line."""
+        errors = []
         if not 0 < self.residual_tol < math.inf:
-            raise ValueError(f"residual_tol must be positive and finite, "
-                             f"got {self.residual_tol!r}")
+            errors.append(f"residual_tol must be positive and finite, "
+                          f"got {self.residual_tol!r}")
         if self.guess not in ("gaussian", "sech"):
-            raise ValueError(f"guess must be 'gaussian' or 'sech', got {self.guess!r}")
+            errors.append(f"guess must be 'gaussian' or 'sech', got {self.guess!r}")
+        if errors:
+            raise ValueError("\n".join(errors))
 
 
 @dataclass

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -68,6 +69,17 @@ def test_verify_scenario(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_verify_hls_count_is_that_of_the_real_product(tmp_path, monkeypatch):
+    # [TRIVIAL] the HLS audit's form, a complex product over Kw's column
+    # pairs at even n, counts what the real product Kw @ f counts at seed 0
+    text = "grid.n = 128\nscenario = verify\nverify.fields = 10\nseed = 0\n"
+    complex_run = run_scenario(parse_config(text), str(tmp_path / "c"))
+    monkeypatch.setattr(cli, "apply_kernel", lambda km, f: km.Kw @ f)
+    real_run = run_scenario(parse_config(text), str(tmp_path / "r"))
+    assert complex_run["violations"]["hls"] == real_run["violations"]["hls"] == 0
+    assert complex_run["violations"] == real_run["violations"]
+
+
 def test_default_sweep_runs_serially():
     # [TRIVIAL] a sweep config that names no worker count runs its sub-runs
     # one at a time: the default is the constant 1, which the config hash sees
@@ -108,6 +120,18 @@ def test_all_errors_collected():
     assert "grid.rmin" in errs and "model.a" in errs
     assert "integrator.dt" in errs and "bogus line" in errs
     assert len(exc.value.errors) >= 4
+
+
+def test_every_solver_and_integrator_error_named():
+    # [TRIVIAL] several bad integrator.* and ground_state.* values are each
+    # reported under their own key, not only the first of each section
+    bad = {"integrator.scheme": "euler", "integrator.output_stride": "0",
+           "integrator.min_scale_cells": "-1", "ground_state.guess": "foo",
+           "ground_state.residual_tol": "0"}
+    with pytest.raises(ConfigError) as exc:
+        parse_config("", [f"{k} = {v}" for k, v in bad.items()])
+    keys = sorted(err.split(":", 1)[0] for err in exc.value.errors)
+    assert keys == sorted(f"key {k}" for k in bad)
 
 
 def test_config_hash_ignores_output_dir():
@@ -262,6 +286,34 @@ def test_error_captured_in_summary(tmp_path):
     assert summary["pass"] is False
     assert summary["error"]["type"] == "ValueError"
     assert os.path.exists(os.path.join(out, "summary.json"))
+
+
+def test_failed_summary_is_the_same_from_two_checkouts(tmp_path):
+    # [TRIVIAL] a failing run's summary.json is bit-identical from two copies
+    # of the package: it names the package frames without paths or line
+    # numbers, and the full traceback goes to traceback.txt beside it
+    src = os.path.dirname(os.path.abspath(hartreelab.__file__))
+    args = ["ground-state", "--out", "out", "--override", "grid.n=64",
+            "--override", "ground_state.residual_tol=1e-15"]
+    outs = []
+    for tag in ("a", "b"):
+        root = tmp_path / tag
+        shutil.copytree(src, root / "src" / "hartreelab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        done = subprocess.run([sys.executable, "-m", "hartreelab.cli"] + args, cwd=root,
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(root / "src")})
+        assert done.returncode == 1, done.stderr
+        outs.append(root / "out")
+    blobs = [(out / "summary.json").read_bytes() for out in outs]
+    assert blobs[0] == blobs[1]
+    error = json.loads(blobs[0])["error"]
+    assert error["type"] == "GroundStateError"
+    assert error["frames"][0] == "hartreelab/cli.py:run_scenario"
+    assert error["frames"][-1] == "hartreelab/ground_state.py:solve_ground_state"
+    for tag, out in zip(("a", "b"), outs):
+        assert str(tmp_path / tag / "src" / "hartreelab" / "ground_state.py") in \
+            (out / "traceback.txt").read_text()
 
 
 def test_main_exit_codes(tmp_path, capsys):

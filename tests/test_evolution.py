@@ -11,7 +11,7 @@ from hartreelab import (FitRejected, IntegratorConfig, Quantities, Trajectory,
 from hartreelab.cli import _random_fields
 from hartreelab import evolution
 from hartreelab import grid as radial_grid
-from hartreelab.evolution import _flow_matrix, _flows, linear_flow
+from hartreelab.evolution import _flow_matrix, _flows
 from hartreelab.hartree import surface_area
 
 
@@ -29,7 +29,7 @@ def test_linear_flow_eigenmode(ctx3):
     plan = ctx3.plan
     m, dt = 4, 1e-2
     u = plan.Psi[:, m].astype(complex)
-    v = linear_flow(u, dt, plan)
+    v = _flow_matrix(plan, dt) @ u
     expected = np.exp(1j * plan.k[m]**2 * dt) * u
     assert np.max(np.abs(v - expected)) < 1e-12
     assert np.max(np.abs(np.abs(v) - np.abs(u))) < 1e-12   # modulus unchanged
@@ -86,6 +86,20 @@ def test_evolve_matches_one_shot_steps(ctx3, scheme):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("scheme", ["strang-split", "midpoint-relaxation"])
+def test_odd_n_evolve_meets_the_mass_gate(scheme):
+    # [PAPER] at odd n the potential takes the real product (no column
+    # pairs); the acceptance-04 run to t = 1 at dt = 1e-4 on n = 65 keeps its
+    # mass to 1e-11 relative
+    from conftest import Ctx
+    c = Ctx(3, -0.1, 65, 12.0)
+    traj = evolve(_subcritical(c), IntegratorConfig(dt=1e-4, t_end=1.0, scheme=scheme,
+                                                    output_stride=2000), c.plan, c.km)
+    assert traj.stop_reason == "completed"
+    q0, qT = traj.quantities[0], traj.quantities[-1]
+    assert abs(qT.M - q0.M) / q0.M < 1e-11
+
+
 def test_one_potential_per_strang_step(ctx3, monkeypatch):
     # [TRIVIAL] a strang-split step reuses the potential that ended the step
     # before: one call per step, one more for the first step, and the calls
@@ -127,7 +141,7 @@ def test_flow_matrix_matches_transforms(name, request):
         for u in fields:
             want = transform._matvec(c.plan.Psi,
                                      phase * transform._matvec(c.plan.PsiTw, u))
-            got = linear_flow(u, tau, c.plan, flow)
+            got = flow @ u
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
@@ -141,7 +155,7 @@ def test_flow_matrix_keeps_mass(ctx3):
         flow = _flow_matrix(ctx3.plan, tau)
         for u in fields:
             m0 = np.sum(w * np.abs(u)**2)
-            m1 = np.sum(w * np.abs(linear_flow(u, tau, ctx3.plan, flow))**2)
+            m1 = np.sum(w * np.abs(flow @ u)**2)
             assert abs(m1 - m0) <= 2e-15 * m0
 
 
@@ -286,7 +300,7 @@ def test_gamma_prime_is_derivative_of_discrete_gamma(name, request, monkeypatch)
     u = _random_fields(c.params, g, np.random.default_rng(7), 1, complex_valued=True)[0]
 
     def gamma(t):
-        ut = linear_flow(u, t, c.plan)
+        ut = _flow_matrix(c.plan, t) @ u
         return surface_area(g.d) * float(np.sum(g.w * g.r**2 * np.abs(ut)**2))
 
     def centred(delta):

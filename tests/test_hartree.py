@@ -7,6 +7,7 @@ from scipy import integrate
 
 from hartreelab import (build_grid, build_kernel, hartree, kernel, lv_value,
                         make_params, potential)
+from hartreelab.cli import _random_fields
 from hartreelab.grid import STENCIL, _spread
 from hartreelab.hartree import surface_area
 
@@ -90,6 +91,30 @@ def test_potential_shell_d4(ctx4):
     for r_probe, idx in ((1.0, np.searchsorted(g.r, 1.0)),
                          (6.0, np.searchsorted(g.r, 6.0))):
         assert phi[idx] == pytest.approx(W / max(g.r[idx], s0)**2, rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5)])
+def test_potential_is_the_real_product(d, a, n):
+    # [TRIVIAL] for even n the potential is one complex product over Kw's
+    # column pairs, equal to omega (Kw @ |u|^2) within 4 ulp of
+    # omega (|Kw| @ |u|^2) (measured: 1.6); odd n takes the real product
+    # itself.  Real and complex fields; Kw is C-ordered, as the view needs
+    params = make_params(d, a)
+    g = build_grid(d, n, 12.0)
+    km = build_kernel(g, params)
+    assert km.Kw.flags.c_contiguous
+    rng = np.random.default_rng(3)
+    fields = _random_fields(params, g, rng, 3) + \
+        _random_fields(params, g, rng, 3, complex_valued=True)
+    for u in fields:
+        f = np.abs(u)**2
+        got, want = potential(km, u), km.omega * (km.Kw @ f)
+        if n % 2:
+            assert np.array_equal(got, want)
+        else:
+            scale = km.omega * (np.abs(km.Kw) @ f)
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
 
 
 def test_lv_gaussian_closed_form(ctx3_free):
