@@ -44,8 +44,8 @@ exact linear flow; also second order).
     U_tau has its own phases rather than the dt phases being the square of
     the dt/2 ones: squaring raised the midpoint-relaxation drift at
     dt = 1e-4 from 1.7e-13 to 8.9e-13.
-  Given the rotation and the flows a one-shot step forms itself, `step` is
-  bit-identical to that one-shot step.
+  Given the rotation a one-shot step forms itself, `step` is bit-identical
+  to that one-shot step.
 
 Diagnostics follow the virial machinery: Gamma = int |x|^2 |u|^2, its
 derivative Gamma' = -4 Im int conj(u) (x . grad u) = -2 Im int |x|^2 conj(u)
@@ -145,22 +145,17 @@ def _flows(plan: TransformPlan, dt: float, scheme: str) -> tuple:
 
 
 def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
-         scheme: str = "strang-split", rot: np.ndarray | None = None,
-         flows: tuple | None = None) -> tuple:
+         scheme: str, rot: np.ndarray | None, flows: tuple) -> tuple:
     """One time step; mass is conserved to round-off by construction.
 
     Returns (u, rot): the new field and, for strang-split, the end rotation
     e^{-i Phi dt/2} (None for midpoint-relaxation).  Passing that rotation
     back as `rot` lets the next strang-split step skip its first potential;
-    `flows` are the linear-flow matrices of `_flows`, which `evolve` forms
-    once per run.  Both are formed here when not given, so a one-shot step
-    needs neither; a loop of steps should pass `flows`, which cost hundreds
-    of steps' products to form.
+    with rot None the step forms it.  `flows` are the linear-flow matrices
+    `_flows(plan, dt, scheme)`, which `evolve` forms once per run.
     """
     if scheme not in ("strang-split", "midpoint-relaxation"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if flows is None:
-        flows = _flows(plan, dt, scheme)
     if scheme == "strang-split":
         if rot is None:
             rot = np.exp(-0.5j * dt * potential(km, u))
@@ -272,17 +267,19 @@ class FitRejected(RuntimeError):
 
 
 def fit_blowup(traj: Trajectory):
-    """Fit H(t) = C (T*-t)^{-p}; returns (T_star_est, rate_exponent).
+    """Fit H(t) - E_0 = C (T*-t)^{-p}; returns (T_star_est, rate_exponent).
 
-    Uses the growing tail of H; the location of the pole is found by a scalar
-    search minimizing the residual of the log-log linear fit.  Rejects
-    trajectories whose H tail is not monotonically growing.  The fit window is
-    the last decade of H: near the pole H ~ C (T*-t)^{-2} + O(1) (the energy
-    is conserved, so an additive E-sized offset always rides on the power
-    law), and earlier samples would bias the measured exponent low.
+    E_0 is the first sample's energy.  The pseudo-conformal chirp adds
+    exactly the conserved energy to H, so the exact law is
+    H - E = C (T*-t)^{-2}; fitting H itself biases p low (1.8875 on the
+    exact solution at the `blowup` run's sample times).  Uses the growing
+    tail of H; the location of the pole is found by a scalar search
+    minimizing the residual of the log-log linear fit.  Rejects trajectories
+    whose H tail is not monotonically growing or does not stay above E_0.
+    The fit window is the last decade of H - E_0.
     """
     t = np.asarray(traj.times)
-    Hs = np.array([q.H for q in traj.quantities])
+    Hs = np.array([q.H for q in traj.quantities]) - traj.quantities[0].E
     # growing tail: from the first global minimum of H onward
     imin = int(np.argmin(Hs))
     t, Hs = t[imin:], Hs[imin:]
@@ -290,6 +287,8 @@ def fit_blowup(traj: Trajectory):
         raise FitRejected(f"need >= {FIT_MIN_SAMPLES} growing samples, got {len(t)}")
     if np.any(np.diff(Hs) <= 0):
         raise FitRejected("H tail is not monotonically growing")
+    if Hs[0] <= 0:
+        raise FitRejected("H tail does not stay above the initial energy")
     decade = Hs >= Hs[-1] / 10.0
     if int(np.sum(decade)) >= FIT_MIN_SAMPLES:
         t, Hs = t[decade], Hs[decade]

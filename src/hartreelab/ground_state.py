@@ -10,13 +10,17 @@ the solve takes three steps:
    Euler-Lagrange form, u -> mu u(nu r) with nu = (M/H)^{1/2} and
    mu = (H/L_V)^{1/2} nu^{d/2}, by `grid.dilate` (the cell stencil's
    interpolating polynomial of the regular part r^rho u, zero beyond r_max).
-2. Dense Newton on F(u) = L_a u + u - Phi[u^2] u.  Newton converges
+2. Newton on F(u) = L_a u + u - Phi[u^2] u.  Newton converges
    quadratically and stops at its round-off floor, the first iterate whose
    |F| fails to halve: after 5-7 iterates on every case of
    tools/equivalence.py.  NEWTON_CAP only bounds a solve that never reaches
-   that floor.  Every iterate forms
-   the Jacobian L_a + 1 - Phi - 2 omega u_i Kw_ij u_j in place in one n x n
-   array, with no identity or diagonal matrix beside it.
+   that floor.  Each step solves the Jacobian system by GMRES on the plan's
+   mode coefficients, where L_a + 1 is the diagonal k^2 + 1 and its inverse
+   preconditions (`_newton_step`): 10-13 iterations of three n^2 products
+   each, at every n and d measured, and no n x n array.  At (3, -0.1,
+   r_max 12), from the sech guess on one BLAS thread, the Newton floor is
+   1.5e-13 / 6.1e-13 / 2.3e-12 at n = 256 / 512 / 1024, where a dense LU
+   solve of the formed Jacobian left 5.4e-13 / 3.3e-12 / 1.8e-11.
 3. Balanced Pohozaev rescale.  The discrete functionals carry a small scaling
    anomaly delta = (M - H)/M at the unit-coefficient solution (quadrature
    error of the singular class r^{-rho} near the origin; it shrinks with
@@ -50,12 +54,14 @@ import numpy as np
 
 from .grid import RadialGrid, boundary_mass_fraction, dilate, radial_derivative
 from .functionals import functionals
-from .hartree import KernelMatrix, potential
+from .hartree import KernelMatrix, apply_kernel, potential
 from .params import ModelParams
-from .transform import TransformPlan, apply_la, la_matrix
+from .transform import TransformPlan, apply_la
 
 GN_REL_TOL = 1e-6   # relative slack of the gn_audit check J(u) >= M_gs
 NEWTON_CAP = 10     # most Newton iterates of one solve
+GMRES_TOL = 1e-14   # relative residual at which a Newton step's GMRES stops
+GMRES_CAP = 60      # most GMRES iterations of one Newton step
 
 
 class GroundStateError(RuntimeError):
@@ -116,6 +122,52 @@ def el_residual(Q: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> float:
     return float(np.sqrt(np.sum(w * np.abs(F)**2) / np.sum(w * np.abs(Q)**2)))
 
 
+def _newton_step(plan: TransformPlan, km: KernelMatrix, u: np.ndarray,
+                 Phi: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, int]:
+    """The Newton step x = Jac^{-1} F and its GMRES iterations, where
+    Jac x = (L_a + 1) x - Phi x - 2 omega u Kw (u x) is F's Jacobian at u.
+
+    GMRES (Saad and Schultz 1986) runs on the mode coefficients c = PsiTw x,
+    where L_a + 1 is the diagonal k^2 + 1, left-preconditioned by its
+    inverse: c -> c - (k^2 + 1)^{-1} PsiTw [Phi x + 2 omega u Kw (u x)] with
+    x = Psi c, three n^2 products and no n x n array.  Arnoldi orthogonalizes
+    by classical Gram-Schmidt, twice; Givens rotations of the Hessenberg
+    column give the residual, and the iteration stops once it is GMRES_TOL
+    of the preconditioned right-hand side, or at GMRES_CAP.
+    """
+    dinv = 1 / (plan.k**2 + 1)
+    b = dinv * (plan.PsiTw @ F)
+    beta = np.linalg.norm(b)
+    V = np.empty((GMRES_CAP + 1, len(b)))     # orthonormal Krylov basis
+    R = np.zeros((GMRES_CAP, GMRES_CAP))      # rotated Hessenberg triangle
+    g = np.zeros(GMRES_CAP + 1)               # rotated beta e_1
+    g[0] = beta
+    rot = []                                  # (cos, sin) of each Givens rotation
+    V[0] = b / beta
+    for j in range(GMRES_CAP):
+        x = plan.Psi @ V[j]
+        v = V[j] - dinv * (plan.PsiTw @ (Phi * x + 2 * km.omega * u * apply_kernel(km, u * x)))
+        h = np.zeros(j + 2)
+        for _ in range(2):
+            hj = V[:j + 1] @ v
+            v -= hj @ V[:j + 1]
+            h[:j + 1] += hj
+        h[j + 1] = np.linalg.norm(v)
+        for i, (c, s) in enumerate(rot):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rho = math.hypot(h[j], h[j + 1])
+        c, s = h[j] / rho, h[j + 1] / rho
+        rot.append((c, s))
+        R[:j, j], R[j, j] = h[:j], rho
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        if abs(g[j + 1]) <= GMRES_TOL * beta:
+            break
+        V[j + 1] = v / h[j + 1]
+    m = j + 1
+    y = np.linalg.solve(R[:m, :m], g[:m])
+    return plan.Psi @ (y @ V[:m]), m
+
+
 def solve_ground_state(params: ModelParams, grid: RadialGrid,
                        plan: TransformPlan, km: KernelMatrix,
                        opts: GroundStateOptions | None = None,
@@ -134,24 +186,18 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     nu_entry = 1.0 / math.sqrt(q.H / q.M)
     mu = math.sqrt(q.H / q.L_V) * nu_entry**(params.d / 2)
     u = mu * dilate(grid, params.rho, u, nu_entry)
-    La = la_matrix(plan)
-    Jac = np.empty_like(La)
     trace: list = []
     newton: list = []
     for it in range(NEWTON_CAP):
         Phi = potential(km, u)
-        Lau = La @ u
+        Lau = apply_la(plan, u)
         F = Lau + u - Phi * u
         newton.append(float(np.sqrt(np.sum(grid.w * F**2) / np.sum(grid.w * u**2))))
         q = functionals(u, plan, km, Lau)
         trace.append((it + 1, q.J))
         if it and newton[-1] > 0.5 * newton[-2]:
             break                         # round-off floor: |F| no longer halves
-        np.multiply(u[:, None], km.Kw, out=Jac)
-        Jac *= -2 * km.omega * u
-        Jac += La
-        Jac.flat[::grid.n + 1] += 1 - Phi
-        u = u - np.linalg.solve(Jac, F)
+        u = u - _newton_step(plan, km, u, Phi, F)[0]
     else:                                 # the cap: u moved after its last M, H
         q = functionals(u, plan, km)
     iterations = it + 1

@@ -279,8 +279,3 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 def apply_la(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
     """L_a u = Psi (k^2 PsiTw u); exactly self-adjoint and positive."""
     return _matvec(plan.Psi, plan.k**2 * _matvec(plan.PsiTw, _check(plan, u)))
-
-
-def la_matrix(plan: TransformPlan) -> np.ndarray:
-    """Dense matrix of apply_la; used once per ground-state Newton polish."""
-    return (plan.Psi * plan.k[None, :]**2) @ plan.PsiTw

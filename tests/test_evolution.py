@@ -1,13 +1,15 @@
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import Ctx
 from hartreelab import (FitRejected, IntegratorConfig, Quantities, Trajectory,
                         concentration, evolve, fit_blowup, functionals,
-                        pseudo_conformal_family, rotated_energy_check, step,
-                        transform, virial)
+                        pseudo_conformal_family, rotated_energy_check,
+                        solve_ground_state, step, transform, virial)
 from hartreelab.cli import _random_fields
 from hartreelab import evolution
 from hartreelab import grid as radial_grid
@@ -40,7 +42,7 @@ def test_mass_per_step(ctx3, gs3, scheme):
     # [PAPER] |M(after) - M(before)|/M < 1e-13 per step
     u = gs3.Q.astype(complex)
     q0 = functionals(u, ctx3.plan, ctx3.km)
-    v, _ = step(u, 1e-3, ctx3.plan, ctx3.km, scheme)
+    v, _ = step(u, 1e-3, ctx3.plan, ctx3.km, scheme, None, _flows(ctx3.plan, 1e-3, scheme))
     q1 = functionals(v, ctx3.plan, ctx3.km)
     assert abs(q1.M - q0.M) / q0.M < 1e-13
 
@@ -79,7 +81,7 @@ def test_evolve_matches_one_shot_steps(ctx3, scheme):
     flows = _flows(ctx3.plan, dt, scheme)
     ref = [u]
     for i in range(1, nsteps + 1):
-        u, _ = step(u, dt, ctx3.plan, ctx3.km, scheme, flows=flows)
+        u, _ = step(u, dt, ctx3.plan, ctx3.km, scheme, None, flows)
         if i % stride == 0:
             ref.append(u)
     for got, want in zip(traj.fields, ref):
@@ -231,14 +233,15 @@ def test_shared_la_artifacts_bit_identical(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["strang-split", "midpoint-relaxation"])
 def test_step_with_carried_state_is_bit_identical(ctx3, scheme):
-    # [TRIVIAL] given the rotation and flow matrices a one-shot step forms
-    # itself, step returns the same bits as without them
+    # [TRIVIAL] given the rotation a one-shot step forms itself, step
+    # returns the same bits as without it
     dt = 1e-4
     u = _subcritical(ctx3)
     rot = np.exp(-0.5j * dt * evolution.potential(ctx3.km, u)) \
         if scheme == "strang-split" else None
-    a, rot_a = step(u, dt, ctx3.plan, ctx3.km, scheme)
-    b, rot_b = step(u, dt, ctx3.plan, ctx3.km, scheme, rot, _flows(ctx3.plan, dt, scheme))
+    flows = _flows(ctx3.plan, dt, scheme)
+    a, rot_a = step(u, dt, ctx3.plan, ctx3.km, scheme, None, flows)
+    b, rot_b = step(u, dt, ctx3.plan, ctx3.km, scheme, rot, flows)
     assert np.array_equal(a, b)
     if scheme == "strang-split":
         assert np.array_equal(rot_a, rot_b)
@@ -250,8 +253,9 @@ def test_phase_equivariance(ctx3, gs3):
     # [TRIVIAL] evolving e^{i theta0} u0 equals e^{i theta0} x evolving u0
     u = gs3.Q.astype(complex) * np.exp(-(ctx3.grid.r - 1) ** 2 / 9)
     th = 0.8
-    a, _ = step(u * np.exp(1j * th), 1e-3, ctx3.plan, ctx3.km)
-    b = step(u, 1e-3, ctx3.plan, ctx3.km)[0] * np.exp(1j * th)
+    flows = _flows(ctx3.plan, 1e-3, "strang-split")
+    a, _ = step(u * np.exp(1j * th), 1e-3, ctx3.plan, ctx3.km, "strang-split", None, flows)
+    b = step(u, 1e-3, ctx3.plan, ctx3.km, "strang-split", None, flows)[0] * np.exp(1j * th)
     assert np.max(np.abs(a - b)) < 1e-13 * max(1.0, np.max(np.abs(b)))
 
 
@@ -374,8 +378,25 @@ def test_fit_blowup_exact_series():
     assert p == pytest.approx(2.0, abs=1e-6)
 
 
+def test_fit_blowup_exact_pseudo_conformal_law():
+    # [PAPER] the pseudo-conformal chirp adds exactly the conserved energy to
+    # H, so H - E = C (T* - t)^{-2}: on the exact solution at (3, -0.1),
+    # n = 512, sampled as the `blowup` run samples (t = 0, 0.01, ..., 0.9),
+    # the fit gives p within 1e-3 of 2 and T* within 1e-4 of 1 (a fit of H
+    # itself gave p = 1.8875, T* = 0.9936)
+    c = Ctx(3, -0.1, 512, 12.0)
+    Q = solve_ground_state(c.params, c.grid, c.plan, c.km).Q
+    traj = Trajectory()
+    traj.times = [0.01 * i for i in range(91)]
+    traj.quantities = [functionals(pseudo_conformal_family(Q, 1.0, 0.0, t, c.plan),
+                                   c.plan, c.km) for t in traj.times]
+    T, p = fit_blowup(traj)
+    assert abs(p - 2) < 1e-3
+    assert abs(T - 1) < 1e-4
+
+
 def test_fit_blowup_rejections():
-    # [TRIVIAL] non-monotone tail and short series are rejected
+    # [TRIVIAL] non-monotone tail, short series and H below E_0 are rejected
     ts = np.linspace(0, 1, 50)
     hs = 4.0 / (1.0 - 0.8 * ts)**2
     hs[-1] = hs[-2] * 0.5
@@ -383,6 +404,10 @@ def test_fit_blowup_rejections():
         fit_blowup(_synthetic_traj(ts, hs))
     with pytest.raises(FitRejected):
         fit_blowup(_synthetic_traj(ts[:5], 4.0 / (1.0 - 0.8 * ts[:5])**2))
+    traj = _synthetic_traj(ts, 4.0 / (1.0 - 0.8 * ts)**2)
+    traj.quantities[0] = dataclasses.replace(traj.quantities[0], E=5.0)  # H - E_0 < 0
+    with pytest.raises(FitRejected, match="initial energy"):
+        fit_blowup(traj)
 
 
 def test_concentration_limits(ctx3, gs3):

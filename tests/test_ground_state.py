@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hartreelab.cli import _random_fields
 from hartreelab.grid import boundary_mass_fraction, radial_derivative
 from hartreelab.ground_state import (GroundStateError, GroundStateOptions,
                                      initial_guess)
+from hartreelab.hartree import potential
+from hartreelab.transform import apply_la
 
 
 
@@ -176,32 +179,82 @@ def ctx512():
     return Ctx(3, -0.1, 512, 12.0)
 
 
+def _count_newton_steps(monkeypatch):
+    """Record the GMRES iterations of each Newton step a solve takes."""
+    iterations = []
+    newton_step = ground_state._newton_step
+
+    def counting(*args):
+        x, m = newton_step(*args)
+        iterations.append(m)
+        return x, m
+
+    monkeypatch.setattr(ground_state, "_newton_step", counting)
+    return iterations
+
+
 @pytest.mark.parametrize("guess,m_gs", [("gaussian", 1.1784600506431986),
                                         ("sech", 1.1784600506431981)])
-def test_m_gs_pinned_and_few_dense_solves(monkeypatch, ctx512, guess, m_gs):
+def test_m_gs_pinned_and_few_newton_steps(monkeypatch, ctx512, guess, m_gs):
     # [DERIVED] the threshold at (3, -0.1), n = 512, default options, as the
     # Bessel-series dilations gave it, within 1e-12; Newton from the guess
     # stops at its round-off floor after at most 5 (sech) or 6 (gaussian)
-    # dense solves (the cap is 10)
-    calls = []
-    solve = np.linalg.solve
-
-    def counting(*args):
-        calls.append(1)
-        return solve(*args)
-
-    monkeypatch.setattr(np.linalg, "solve", counting)
+    # steps (the cap is 10)
+    steps = _count_newton_steps(monkeypatch)
     res = solve_ground_state(ctx512.params, ctx512.grid, ctx512.plan, ctx512.km,
                              GroundStateOptions(guess=guess))
     assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
-    assert len(calls) <= {"gaussian": 6, "sech": 5}[guess]
+    assert len(steps) <= {"gaussian": 6, "sech": 5}[guess]
     # the |F| history: each entry halves the last, except the final one,
     # which is where Newton stopped without taking a step
     hist = res.newton_residuals
-    assert len(hist) == len(calls) + 1
+    assert len(hist) == len(steps) + 1
     assert all(b <= 0.5 * a for a, b in zip(hist[:-2], hist[1:-1]))
     assert hist[-1] > 0.5 * hist[-2]
     assert res.nu_entry > 0 and abs(res.nu_final - 1) < 1e-6
+
+
+@pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5)])
+def test_newton_step_matches_dense_solve(d, a):
+    # [DERIVED] the GMRES step solves the Newton system: against LU on the
+    # explicit Jacobian L_a + 1 - Phi - 2 omega u_i Kw_ij u_j, formed here,
+    # it agrees to 1e-12 relative in the quadrature L^2 norm, at a field off
+    # the ground state
+    c = Ctx(d, a, 64, 12.0)
+    Q = solve_ground_state(c.params, c.grid, c.plan, c.km,
+                           GroundStateOptions(residual_tol=1.0)).Q
+    u = Q * (1 + 0.1 * np.exp(-c.grid.r**2))
+    Phi = potential(c.km, u)
+    F = apply_la(c.plan, u) + u - Phi * u
+    La = (c.plan.Psi * c.plan.k**2) @ c.plan.PsiTw
+    Jac = La + np.diag(1 - Phi) - 2 * c.km.omega * u[:, None] * c.km.Kw * u
+    ref = np.linalg.solve(Jac, F)
+    x, iterations = ground_state._newton_step(c.plan, c.km, u, Phi, F)
+    w = c.grid.w
+    assert np.sqrt(np.sum(w * (x - ref)**2) / np.sum(w * ref**2)) <= 1e-12
+    assert iterations < ground_state.GMRES_CAP
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_newton_steps_take_few_gmres_iterations(monkeypatch, n):
+    # [DERIVED] (L_a + 1)^{-1} leaves GMRES a compact perturbation of the
+    # identity: 10-12 iterations per Newton step at (3, -0.1), whatever n
+    c = Ctx(3, -0.1, n, 12.0)
+    steps = _count_newton_steps(monkeypatch)
+    solve_ground_state(c.params, c.grid, c.plan, c.km)
+    assert steps and max(steps) <= 20, steps
+
+
+def test_solve_holds_no_dense_matrix(ctx512):
+    # [DERIVED] Newton forms no n x n array: the traced peak of a solve at
+    # n = 512, where one such array is 2 MiB, stays below 1 MiB
+    tracemalloc.start()
+    try:
+        solve_ground_state(ctx512.params, ctx512.grid, ctx512.plan, ctx512.km)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 @pytest.fixture(scope="module")
@@ -278,8 +331,8 @@ def test_d5_scaling_anomaly_converges():
 def test_newton_reuses_its_quantities(monkeypatch, ctx3, guess):
     # [TRIVIAL] Newton logs J from the Phi and L_a u it formed for F, and the
     # final rescale reuses the last iterate's M and H: a solve applies L_a
-    # four times (the guess's quantities, the rescaled
-    # field, the returned Q, its EL residual), however many Newton iterates
+    # once per Newton iterate (F) and four times besides (the guess's
+    # quantities, the rescaled field, the returned Q, its EL residual)
     calls = []
     apply_la = ground_state.apply_la
 
@@ -289,10 +342,11 @@ def test_newton_reuses_its_quantities(monkeypatch, ctx3, guess):
 
     for mod in (ground_state, sys.modules["hartreelab.functionals"]):
         monkeypatch.setattr(mod, "apply_la", counting)
+    steps = _count_newton_steps(monkeypatch)
     res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                              GroundStateOptions(guess=guess))
-    assert len(res.newton_residuals) >= 3
-    assert len(calls) == 4
+    assert len(res.newton_residuals) == len(steps) + 1 >= 3
+    assert len(calls) == 4 + len(res.newton_residuals)
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e5])

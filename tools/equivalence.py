@@ -26,10 +26,13 @@ that a change of the plan is visible beside its effect on `m_gs`.
 Prints per case the relative difference of S, whether the two S are
 bit-identical (with the first 12 hex digits of each one's sha256) and the
 relative difference of Psi; per guess `m_gs`, the residual, both floors, the
-iterations and whether the solve is bit-identical (the same bytes of Q by
-sha256, the same `m_gs` and residual, or the same error).  The last line
-counts the matching cases and solves and the bit-identical S and Q, with the
-worst relative S, Psi and `m_gs`.  Exits 0 if every case matches.
+iterations, whether the solve is bit-identical (the same bytes of Q by
+sha256, the same `m_gs` and residual, or the same error) and the wall time
+of the solve in OLD and in NEW.  The last line counts the matching cases and
+solves and the bit-identical S and Q, with the worst relative S, Psi and
+`m_gs`, and the summed solve wall time of NEW over that of OLD.  The times
+are shown, not gated: the two trees run at once on one BLAS thread each, so
+they share the machine.  Exits 0 if every case matches.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
@@ -77,6 +81,7 @@ def run_all(src: str, out: str) -> None:
         np.save(os.path.join(out, f"Psi{k}.npy"), plan.Psi)
         row = {"case": [d, a, n, r_max]}
         for guess in GUESSES:
+            start = time.perf_counter()
             try:
                 res = hl.solve_ground_state(params, grid, plan, km,
                                             hl.GroundStateOptions(guess=guess))
@@ -85,6 +90,7 @@ def run_all(src: str, out: str) -> None:
                                   q_sha256=hashlib.sha256(res.Q.tobytes()).hexdigest())
             except hl.GroundStateError as exc:
                 row[guess] = {"error": str(exc)}
+            row[guess]["wall_s"] = time.perf_counter() - start
         print(json.dumps(row), flush=True)
 
 
@@ -126,7 +132,7 @@ def main(old_src: str, new_src: str) -> int:
             print("a case process failed", file=sys.stderr)
             return 1
         cases_ok = solves_ok = s_same = q_same = 0
-        worst_s = worst_psi = worst_m = 0.0
+        worst_s = worst_psi = worst_m = wall_old = wall_new = 0.0
         for k, (o, w) in enumerate(zip(old, new)):
             (S_old, S_new), (Psi_old, Psi_new) = (
                 [np.load(os.path.join(out, f"{name}{k}.npy")) for out in outs]
@@ -146,6 +152,8 @@ def main(old_src: str, new_src: str) -> int:
                            for key in ("q_sha256", "m_gs", "residual", "error"))
                 q_same += same
                 solves_ok += why[guess] is None
+                wall_old, wall_new = wall_old + go["wall_s"], wall_new + gw["wall_s"]
+                wall = f"  wall {go['wall_s'] * 1e3:.1f} -> {gw['wall_s'] * 1e3:.1f} ms"
                 if "error" in go or "error" in gw:
                     status = f"MISMATCH: {why[guess]}" if why[guess] else "both raise"
                 else:
@@ -158,11 +166,12 @@ def main(old_src: str, new_src: str) -> int:
                               f"{go['iterations']} -> {gw['iterations']}  "
                               f"{'Q bit-identical' if same else 'Q differs'}"
                               f"{'  MISMATCH' if why[guess] else ''}")
-                print(f"    {guess:<8} {status}")
+                print(f"    {guess:<8} {status}{wall}")
     n = len(old)
     print(f"{cases_ok} of {n} cases match ({solves_ok} of {2 * n} solves); S bit-identical "
           f"in {s_same} of {n}, Q in {q_same} of {2 * n}; worst relative S {worst_s:.1e}, "
-          f"Psi {worst_psi:.1e}, m_gs {worst_m:.1e}")
+          f"Psi {worst_psi:.1e}, m_gs {worst_m:.1e}; solve wall time NEW/OLD "
+          f"{wall_new / wall_old:.3f} ({wall_old:.2f} -> {wall_new:.2f} s)")
     return 0 if cases_ok == n else 1
 
 
