@@ -356,6 +356,7 @@ def _scenario_ground_state(cfg, out_dir):
             "diagnostics": {"newton_residuals": res.newton_residuals,
                             "nu_entry": res.nu_entry, "nu_final": res.nu_final,
                             "boundary_mass_fraction": res.boundary_mass_fraction,
+                            "pohozaev_wall": res.pohozaev_wall,
                             "trace": res.trace},
             "checks": checks}
 

@@ -24,7 +24,7 @@ exact linear flow; also second order).
     potential call and one rotation exp instead of two.  The carried Phi is
     that of the field before its end rotation, so `evolve` matches a loop of
     one-shot steps to round-off (|e^{i theta}| = 1 to an ulp), not bit for bit.
-  - The linear-flow matrices U_tau = Psi diag(e^{i k^2 tau}) PsiTw, once
+  - The linear-flow matrices U_tau = Psi diag(e^{i k^2 tau}) Psi^T W, once
     per run: tau = dt, and for midpoint-relaxation also tau = dt/2.  Each
     linear flow is then one complex product U_tau @ v in place of a forward
     transform, a phase multiply and an inverse transform.  The flops and
@@ -32,12 +32,14 @@ exact linear flow; also second order).
     it is one BLAS call instead of two, and OpenBLAS runs the complex
     matrix-vector product on all its threads where the real (n, 2) product
     of the transforms runs on one: at n = 512 a flow takes 81 us against
-    230 us (2 shared cores, OpenBLAS 0.3.31).  Forming U_tau, as two real
-    products, takes 3, 14 and 70 ms at n = 256, 512 and 1024, once per run.
-    Its real part is the exact identity minus a rounded correction
-    (`_flow_matrix`): on the acceptance-04 field the mass drift over t = 1 at
-    dt = 1e-4 / 5e-5 is 3.0e-15 / 1.3e-13 (strang-split) and 6.5e-15 /
-    9.2e-14 (midpoint-relaxation), against gates of 1e-11 / 2e-11
+    230 us (2 shared cores, OpenBLAS 0.3.31).  Forming U_tau, as real
+    products of row blocks, takes 2, 14 and 96 ms at n = 256, 512 and 1024,
+    once per run (whole-matrix products took 2, 9 and 68 ms, but held two
+    more n x n arrays).  Its real part is the exact identity minus a rounded
+    correction (`_flow_matrix`): on the acceptance-04 field, with 2 BLAS
+    threads, the mass drift over t = 1 at dt = 1e-4 / 5e-5 is
+    4.2e-14 / 1.8e-15 (strang-split) and 3.0e-14 / 3.2e-14
+    (midpoint-relaxation), against gates of 1e-11 / 2e-11
     (`tools/propagator_drift.py`).  The product with cos k^2 tau gave
     3.7e-13 / 3.8e-12 there, the complex product 2.9e-13 / 1.1e-12, and the
     symmetric form w^{-1/2} (Y D Y^T) w^{1/2} 1.1e-12 at dt = 1e-4.  Each
@@ -68,6 +70,7 @@ from .transform import TransformPlan, apply_la
 
 BOUNDARY_TOL = 1e-8      # virial flags a field with more mass in the outer cells
 FIT_MIN_SAMPLES = 10     # fewest growing samples fit_blowup accepts
+_FLOW_ROWS = 64          # rows of a flow matrix formed by one product
 
 
 @dataclass
@@ -123,17 +126,23 @@ class Trajectory:
 
 
 def _flow_matrix(plan: TransformPlan, tau: float) -> np.ndarray:
-    """U_tau = Psi diag(e^{i k^2 tau}) PsiTw, the matrix of e^{+i tau L_a}.
+    """U_tau = Psi diag(e^{i k^2 tau}) Psi^T W, the matrix of e^{+i tau L_a}.
 
-    Its real and imaginary parts are two real products, with no complex copy
-    of PsiTw.  The real part is I - Psi diag(2 sin^2(k^2 tau / 2)) PsiTw
-    (Psi PsiTw = I for the square orthonormal modes), so the identity is
-    exact and only the small correction is rounded."""
+    Its real and imaginary parts are real products of Psi with Psi^T, with
+    no complex copy of Psi and the weights W applied to each product's
+    columns.  The real part is I - Psi diag(2 sin^2(k^2 tau / 2)) Psi^T W
+    (Psi Psi^T W = I for the square orthonormal modes), so the identity is
+    exact and only the small correction is rounded.  Both parts are formed
+    _FLOW_ROWS rows at a time, so U and two blocks are all the build holds."""
     phase = plan.k**2 * tau
-    U = np.empty(plan.Psi.shape, dtype=complex)
-    U.real = (plan.Psi * (-2 * np.sin(phase / 2)**2)) @ plan.PsiTw
-    U.real.flat[::len(phase) + 1] += 1
-    U.imag = (plan.Psi * np.sin(phase)) @ plan.PsiTw
+    n = len(phase)
+    U = np.empty((n, n), dtype=complex)
+    for part, scale in ((U.real, -2 * np.sin(phase / 2)**2), (U.imag, np.sin(phase))):
+        for i0 in range(0, n, _FLOW_ROWS):
+            blk = (plan.Psi[i0:i0 + _FLOW_ROWS] * scale) @ plan.Psi.T
+            blk *= plan.w
+            part[i0:i0 + _FLOW_ROWS] = blk
+    U.real.flat[::n + 1] += 1
     return U
 
 

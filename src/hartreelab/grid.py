@@ -104,6 +104,35 @@ def _power_moments(n: int, p: int) -> np.ndarray:
     return ((np.arange(n) + 0.5)[:, None] ** (p - j)) @ coef
 
 
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's first stencil node, and the key of its stencil pattern:
+    the node offset cell - start, plus STENCIL for a reduced stencil."""
+    cells = np.arange(n)
+    lo, _ = _centred(n)
+    start = np.clip(cells - lo, 0, n - STENCIL)
+    return start, cells - start + STENCIL * (cells >= n - BOUNDARY_CELLS)
+
+
+def _stencil_inverses() -> np.ndarray:
+    """The inverse of every pattern key of `_layout`: row a holds the integer
+    coefficients of node a's Lagrange polynomial over one divisor, and a
+    reduced stencil uses the last BOUNDARY_STENCIL nodes of its window.
+    Every n >= 2 STENCIL has the same 8 patterns; keys no grid uses stay
+    zero."""
+    inv = np.zeros((2 * STENCIL, STENCIL, STENCIL))
+    for key in np.unique(_layout(2 * STENCIL)[1]):
+        off, m = -(key % STENCIL), BOUNDARY_STENCIL if key >= STENCIL else STENCIL
+        t = np.arange(off + STENCIL - m, off + STENCIL)
+        for a in range(m):
+            others = np.delete(t, a)
+            inv[key, STENCIL - m + a, :m] = np.poly(others)[::-1] / np.prod(t[a] - others)
+    return inv
+
+
+#: the stencil inverses by pattern key, built once per process
+_STENCIL_INV = _stencil_inverses()
+
+
 def build_grid(d: int, n: int, r_max: float) -> RadialGrid:
     if n < 16:
         raise ValueError(f"grid size n must be >= 16, got {n}")
@@ -113,25 +142,11 @@ def build_grid(d: int, n: int, r_max: float) -> RadialGrid:
         raise ValueError(f"dimension d must be >= 3, got {d}")
 
     h = r_max / n
-    cells = np.arange(n)
-    lo, _ = _centred(n)
-    start = np.clip(cells - lo, 0, n - STENCIL)
-    size = np.where(cells < n - BOUNDARY_CELLS, STENCIL, BOUNDARY_STENCIL)
-    patterns, which = np.unique(np.stack([start - cells, size], axis=1), axis=0,
-                                return_inverse=True)
-    inv = np.zeros((len(patterns), STENCIL, STENCIL))
-    for p, (off, m) in enumerate(patterns):
-        # a reduced stencil uses the last m nodes of its window; row a holds the
-        # integer coefficients of node a's Lagrange polynomial over one divisor
-        t = np.arange(off + STENCIL - m, off + STENCIL)
-        for a in range(m):
-            others = np.delete(t, a)
-            inv[p, STENCIL - m + a, :m] = np.poly(others)[::-1] / np.prod(t[a] - others)
-
-    grid = RadialGrid(d=d, n=n, r_max=float(r_max), r=(cells + 0.5) * h,
+    start, key = _layout(n)
+    grid = RadialGrid(d=d, n=n, r_max=float(r_max), r=(np.arange(n) + 0.5) * h,
                       w=np.zeros(n), w_inv2=np.zeros(n),
                       edges=np.arange(n + 1) * h, h=h, stencil_start=start,
-                      stencil_inv=inv[which.reshape(-1)])
+                      stencil_inv=_STENCIL_INV[key])
     _spread(grid, h**d * _power_moments(n, d - 1), grid.w)
     _spread(grid, h**(d - 2) * _power_moments(n, d - 3), grid.w_inv2)
     return grid

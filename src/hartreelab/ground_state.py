@@ -40,9 +40,13 @@ Every M, H, L_V and J comes from `functionals` and every Phi from
 `hartree.potential`; a Newton iterate passes the L_a u it formed for F.  The
 solve needs the plan and the kernel matrix, and evaluates no Bessel function:
 it only applies their matrices.  The result records Q's mass fraction in the
-outermost cells, and a solve that misses residual_tol names it, since r_max
-can limit the residual: (6, 0, 256) misses 1e-5 with 5.0e-9 of M(Q) there at
-r_max = 12 and meets it with 1.9e-10 at r_max = 14.
+outermost cells and the Pohozaev term of the Dirichlet wall,
+P = omega r_max^d Q'(r_max)^2 / (4 M(Q)) with Q' from `grid.radial_derivative`
+at the last node, and a solve that misses residual_tol names both, since
+r_max can limit the residual: (6, 0, 256) misses 1e-5 with 5.0e-9 of M(Q)
+there at r_max = 12 and meets it with 1.9e-10 at r_max = 14.  A wall at r_max
+adds -2 P to the scaling anomaly 4(nu_final - 1): P = 6.9e-6 at (6, 0, 256,
+r_max 12), where the anomaly is -1.4e-5.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .grid import RadialGrid, boundary_mass_fraction, dilate, radial_derivative
 from .functionals import functionals
 from .hartree import KernelMatrix, apply_kernel, potential
 from .params import ModelParams
-from .transform import TransformPlan, apply_la
+from .transform import TransformPlan, _forward, apply_la
 
 GN_REL_TOL = 1e-6   # relative slack of the gn_audit check J(u) >= M_gs
 NEWTON_CAP = 10     # most Newton iterates of one solve
@@ -98,6 +102,7 @@ class GroundStateResult:
     nu_entry: float         # dilation factor at the Newton entry
     nu_final: float         # balanced Pohozaev factor; nu_final - 1 ~ anomaly / 4
     boundary_mass_fraction: float  # share of M(Q) in the outermost cells
+    pohozaev_wall: float    # the wall's Pohozaev term P; anomaly ~ -2 P at r_max
 
 
 def initial_guess(params: ModelParams, grid: RadialGrid, kind: str) -> np.ndarray:
@@ -127,16 +132,17 @@ def _newton_step(plan: TransformPlan, km: KernelMatrix, u: np.ndarray,
     """The Newton step x = Jac^{-1} F and its GMRES iterations, where
     Jac x = (L_a + 1) x - Phi x - 2 omega u Kw (u x) is F's Jacobian at u.
 
-    GMRES (Saad and Schultz 1986) runs on the mode coefficients c = PsiTw x,
-    where L_a + 1 is the diagonal k^2 + 1, left-preconditioned by its
-    inverse: c -> c - (k^2 + 1)^{-1} PsiTw [Phi x + 2 omega u Kw (u x)] with
-    x = Psi c, three n^2 products and no n x n array.  Arnoldi orthogonalizes
-    by classical Gram-Schmidt, twice; Givens rotations of the Hessenberg
-    column give the residual, and the iteration stops once it is GMRES_TOL
-    of the preconditioned right-hand side, or at GMRES_CAP.
+    GMRES (Saad and Schultz 1986) runs on the mode coefficients
+    c = Psi^T (w x), where L_a + 1 is the diagonal k^2 + 1, left-preconditioned
+    by its inverse: c -> c - (k^2 + 1)^{-1} Psi^T (w y) with
+    y = Phi x + 2 omega u Kw (u x) and x = Psi c, three n^2 products and no
+    n x n array.  Arnoldi orthogonalizes by classical Gram-Schmidt, twice;
+    Givens rotations of the Hessenberg column give the residual, and the
+    iteration stops once it is GMRES_TOL of the preconditioned right-hand
+    side, or at GMRES_CAP.
     """
     dinv = 1 / (plan.k**2 + 1)
-    b = dinv * (plan.PsiTw @ F)
+    b = dinv * _forward(plan, F)
     beta = np.linalg.norm(b)
     V = np.empty((GMRES_CAP + 1, len(b)))     # orthonormal Krylov basis
     R = np.zeros((GMRES_CAP, GMRES_CAP))      # rotated Hessenberg triangle
@@ -146,7 +152,8 @@ def _newton_step(plan: TransformPlan, km: KernelMatrix, u: np.ndarray,
     V[0] = b / beta
     for j in range(GMRES_CAP):
         x = plan.Psi @ V[j]
-        v = V[j] - dinv * (plan.PsiTw @ (Phi * x + 2 * km.omega * u * apply_kernel(km, u * x)))
+        y = Phi * x + 2 * km.omega * u * apply_kernel(km, u * x)
+        v = V[j] - dinv * _forward(plan, y)
         h = np.zeros(j + 2)
         for _ in range(2):
             hj = V[:j + 1] @ v
@@ -209,22 +216,27 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     qv = functionals(v, plan, km)
     Q = math.sqrt(qv.M / qv.L_V) * v
     Q = np.where(np.abs(Q) < 1e-300, 0.0, Q)
-    m_gs = functionals(Q, plan, km).J
+    qQ = functionals(Q, plan, km)
+    m_gs = qQ.J
     trace.append((iterations + 1, m_gs))
     residual = el_residual(Q, plan, km)
     boundary = boundary_mass_fraction(grid, Q)
+    wall = km.omega * grid.r_max**params.d \
+        * radial_derivative(grid, params.rho, Q)[-1]**2 / (4 * qQ.M)
     if residual > opts.residual_tol:
         raise GroundStateError(
             f"solver did not reach residual {opts.residual_tol:.1e} "
             f"(got {residual:.2e}) after {iterations} Newton iterations; "
-            f"boundary mass fraction {boundary:.1e}", trace)
+            f"boundary mass fraction {boundary:.1e}, "
+            f"Pohozaev wall term {wall:.1e}", trace)
     if np.min(Q) < -1e-12:
         raise GroundStateError(
             f"ground state has negative samples (min {np.min(Q):.2e})", trace)
     return GroundStateResult(Q=Q, m_gs=m_gs, residual=residual,
                              iterations=iterations, trace=trace,
                              newton_residuals=newton, nu_entry=nu_entry,
-                             nu_final=nu_final, boundary_mass_fraction=boundary)
+                             nu_final=nu_final, boundary_mass_fraction=boundary,
+                             pohozaev_wall=wall)
 
 
 @dataclass

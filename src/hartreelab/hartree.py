@@ -120,6 +120,7 @@ _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
 #: refined-panel breakpoints at 2^-1 .. 2^-30 of the panel length from an end
 _HALVINGS = 0.5**np.arange(1, 31)
 #: rows per block of the psi-integrals (64 x ~1,000 panel nodes per temporary)
+#: and of the in-place symmetrization
 _BLOCK = 64
 #: cells per block of d >= 4 kernel rows spread onto the matrix at once
 _BLOCK_CELLS = 2**13
@@ -314,9 +315,9 @@ def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float) -> np.ndarr
     return out
 
 
-def _singularity_correction(grid: RadialGrid, rho2: float, S: np.ndarray) -> np.ndarray:
-    """Correct the symmetric form matrix S in place and return it (see the
-    module docstring); only the first _ORIGIN_NODES rows and columns change."""
+def _singularity_correction(grid: RadialGrid, rho2: float, S: np.ndarray) -> None:
+    """Correct the symmetric form matrix S in place (see the module
+    docstring); only the first _ORIGIN_NODES rows and columns change."""
     n, d, R = grid.n, grid.d, grid.r_max
     r, w = grid.r, grid.w
     psi = r**(-rho2) * np.exp(-r**2)
@@ -344,7 +345,6 @@ def _singularity_correction(grid: RadialGrid, rho2: float, S: np.ndarray) -> np.
         S[rows, cols] = S[rows, cols] - np.outer(er, psiS[cols]) - np.outer(Spsi[rows], ec) \
             + psiSpsi * np.outer(er, ec)
         S[rows, cols] += np.outer(Pvw[rows], ec) + np.outer(er, Pvw[cols]) + Wex * np.outer(er, ec)
-    return S
 
 
 def build_kernel(grid: RadialGrid, params: ModelParams) -> KernelMatrix:
@@ -363,19 +363,34 @@ def build_kernel(grid: RadialGrid, params: ModelParams) -> KernelMatrix:
         Kw = np.zeros((grid.n, grid.n))
         for i0, mom in _rows_general(grid, d):
             _spread(grid, mom, Kw[i0:i0 + len(mom)])
-        del mom   # not held through the symmetrization, the peak of the build
-    # symmetrize the bilinear form (quadratic forms are unchanged by this);
-    # a zero-weight node (possible clamped origin weight, d >= 6) keeps its raw row
+        del mom   # not held through the symmetrization
+    # symmetrize the bilinear form S = w Kw (quadratic forms are unchanged by
+    # this), correct it and divide by w, all in Kw's own C-ordered buffer,
+    # which `apply_kernel` views as column pairs; a zero-weight node
+    # (possible clamped origin weight, d >= 6) keeps its raw row
     w = grid.w
-    S = w[:, None] * Kw
-    S = 0.5 * (S + S.T)
+    pos = w > 0
+    raw = Kw[~pos]
+    Kw *= w[:, None]
+    _symmetrize(Kw)
     rho2 = 2 * params.rho
     if rho2 >= _RHO2_MIN:
-        S = _singularity_correction(grid, rho2, S)
-    pos = w > 0
-    # a fresh C-ordered array: `apply_kernel` views its rows as column pairs
-    Kw = np.where(pos[:, None], S / np.where(pos, w, 1.0)[:, None], Kw)
+        _singularity_correction(grid, rho2, Kw)
+    Kw /= np.where(pos, w, 1.0)[:, None]
+    Kw[~pos] = raw
     return KernelMatrix(grid=grid, Kw=Kw, omega=surface_area(d))
+
+
+def _symmetrize(S: np.ndarray) -> None:
+    """S <- (S + S^T)/2 in place, _BLOCK rows and columns at a time, so that
+    one block is the only temporary.  Block [i0, i1) reads S only at rows
+    and columns >= i0, which the earlier blocks left alone."""
+    for i0 in range(0, len(S), _BLOCK):
+        i1 = i0 + _BLOCK
+        blk = S[i0:i1, i0:] + S[i0:, i0:i1].T
+        blk *= 0.5
+        S[i0:i1, i0:] = blk
+        S[i0:, i0:i1] = blk.T
 
 
 def apply_kernel(km: KernelMatrix, f: np.ndarray) -> np.ndarray:

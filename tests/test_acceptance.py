@@ -20,7 +20,7 @@ from hartreelab.cli import _random_fields
 from hartreelab.ground_state import GroundStateOptions
 from hartreelab.hartree import surface_area
 from hartreelab.grid import radial_derivative
-from hartreelab.transform import _matvec
+from hartreelab.transform import _forward, _matvec
 
 from conftest import Ctx
 
@@ -179,7 +179,7 @@ def test_09_operator_fidelity(case3_512):
     c = case3_512
     rng = np.random.default_rng(9)
     u = rng.standard_normal(c.grid.n) * np.exp(-c.grid.r)
-    v = _matvec(c.plan.Psi, _matvec(c.plan.PsiTw, u))
+    v = _matvec(c.plan.Psi, _forward(c.plan, u))
     assert np.max(np.abs(v - u)) < 1e-10 * max(1.0, np.max(np.abs(u)))
     from hartreelab.transform import apply_la
     w = c.grid.w

@@ -155,11 +155,12 @@ def test_ground_state_scenario_artifacts(tmp_path):
     assert on_disk["m_gs"] == summary["m_gs"]
     assert on_disk["config_hash"] == config_hash(cfg)
     # how the solver converged: the Newton |F| history, both dilations, the
-    # (iteration, J) trace, one pair per Newton iterate and the final Q, and
-    # the share of M(Q) in the outer cells
+    # (iteration, J) trace, one pair per Newton iterate and the final Q, the
+    # share of M(Q) in the outer cells and the wall's Pohozaev term
     diag = on_disk["diagnostics"]
     assert set(diag) == {"newton_residuals", "nu_entry", "nu_final", "trace",
-                         "boundary_mass_fraction"}
+                         "boundary_mass_fraction", "pohozaev_wall"}
+    assert diag["pohozaev_wall"] > 0
     _, _, Q = load_ground_state(os.path.join(out, "ground_state.txt"))
     assert diag["boundary_mass_fraction"] == \
         boundary_mass_fraction(build_grid(3, 64, 12.0), Q)

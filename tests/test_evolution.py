@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_one_potential_per_strang_step(ctx3, monkeypatch):
 
 @pytest.mark.parametrize("name", ["ctx3", "ctx4"])
 def test_flow_matrix_matches_transforms(name, request):
-    # [DERIVED] one product with U_tau = Psi diag(e^{i k^2 tau}) PsiTw equals
+    # [DERIVED] one product with U_tau = Psi diag(e^{i k^2 tau}) Psi^T W equals
     # the forward transform, the phase multiply and the inverse transform, to
     # 1e-11 max-relative on seeded complex fields
     c = request.getfixturevalue(name)
@@ -141,8 +142,7 @@ def test_flow_matrix_matches_transforms(name, request):
         flow = _flow_matrix(c.plan, tau)
         phase = np.exp(1j * c.plan.k**2 * tau)
         for u in fields:
-            want = transform._matvec(c.plan.Psi,
-                                     phase * transform._matvec(c.plan.PsiTw, u))
+            want = transform._matvec(c.plan.Psi, phase * transform._forward(c.plan, u))
             got = flow @ u
             assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -159,6 +159,21 @@ def test_flow_matrix_keeps_mass(ctx3):
             m0 = np.sum(w * np.abs(u)**2)
             m1 = np.sum(w * np.abs(flow @ u)**2)
             assert abs(m1 - m0) <= 2e-15 * m0
+
+
+def test_flow_matrix_built_in_row_blocks():
+    # [TRIVIAL] U_dt is formed a block of rows at a time: the traced peak of
+    # the strang-split flows at n = 512 is U (4 MiB) plus at most 1 MiB,
+    # where whole-matrix real products held U plus two n x n arrays
+    c = Ctx(3, -0.1, 512, 12.0)
+    _flows(c.plan, 1e-4, "strang-split")
+    tracemalloc.start()
+    try:
+        _flows(c.plan, 1e-4, "strang-split")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * c.grid.n**2 + 2**20, (peak - 16 * c.grid.n**2) / 2**20
 
 
 def test_flow_matrices_formed_once_per_run(ctx3, monkeypatch):

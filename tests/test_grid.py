@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hartreelab import build_grid, make_params
-from hartreelab.grid import (BOUNDARY_CELLS, BOUNDARY_STENCIL, TAIL_CELLS,
-                             boundary_mass_fraction, dilate, radial_derivative)
+from hartreelab.grid import (BOUNDARY_CELLS, BOUNDARY_STENCIL, STENCIL, TAIL_CELLS,
+                             _centred, boundary_mass_fraction, dilate,
+                             radial_derivative)
 
 
 @pytest.mark.parametrize("d,n,r_max", [(3, 64, 5.0), (4, 128, 10.0), (5, 100, 7.0)])
@@ -119,6 +120,35 @@ def _exact_weights(p, n, r_max):
         for a, j in enumerate(nodes):
             w[j] += sum(inv[a][k] * mom[k] for k in range(len(nodes)))
     return np.array([float(v * h**(p + 1)) for v in w])
+
+
+def _per_build_stencil_inverses(n):
+    """Each cell's stencil inverse by the integer Lagrange construction run
+    over the distinct stencil patterns of one grid."""
+    cells = np.arange(n)
+    lo, _ = _centred(n)
+    start = np.clip(cells - lo, 0, n - STENCIL)
+    size = np.where(cells < n - BOUNDARY_CELLS, STENCIL, BOUNDARY_STENCIL)
+    patterns, which = np.unique(np.stack([start - cells, size], axis=1), axis=0,
+                                return_inverse=True)
+    inv = np.zeros((len(patterns), STENCIL, STENCIL))
+    for p, (off, m) in enumerate(patterns):
+        t = np.arange(off + STENCIL - m, off + STENCIL)
+        for a in range(m):
+            others = np.delete(t, a)
+            inv[p, STENCIL - m + a, :m] = np.poly(others)[::-1] / np.prod(t[a] - others)
+    return start, inv[which.reshape(-1)]
+
+
+@pytest.mark.parametrize("n", [16, 23, 512])
+def test_stencil_inverses_built_once_match_per_build(n):
+    # [TRIVIAL] the stencil inverses the module builds once, for the 8
+    # patterns every n >= 16 has, are bit-identical to the construction run
+    # over each grid's own patterns
+    start, inv = _per_build_stencil_inverses(n)
+    g = build_grid(3, n, 12.0)
+    assert np.array_equal(g.stencil_start, start)
+    assert np.array_equal(g.stencil_inv, inv)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

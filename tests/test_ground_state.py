@@ -148,12 +148,28 @@ def test_boundary_mass_recorded_and_named_in_residual_error():
     # 1e-5 at r_max = 12 with 5.0e-9 of M(Q) there, and meets it at
     # r_max = 14 with 1.9e-10
     c = Ctx(6, 0.0, 256, 12.0)
-    with pytest.raises(GroundStateError, match=r"boundary mass fraction 5\.0e-09"):
+    with pytest.raises(GroundStateError, match=r"boundary mass fraction 5\.0e-09, "
+                                               r"Pohozaev wall term 6\.9e-06"):
         solve_ground_state(c.params, c.grid, c.plan, c.km)
     c = Ctx(6, 0.0, 256, 14.0)
     res = solve_ground_state(c.params, c.grid, c.plan, c.km)
     assert res.boundary_mass_fraction == boundary_mass_fraction(c.grid, res.Q)
     assert 1e-10 < res.boundary_mass_fraction < 3e-10
+
+
+def test_scaling_anomaly_is_the_wall_term():
+    # [DERIVED] at (6, 0, 256, r_max 12) the Dirichlet wall sets the scaling
+    # anomaly: 4(nu_final - 1) is within 10 % of -2 P, with the recorded
+    # Pohozaev term P = omega r_max^d Q'(r_max)^2 / (4 M) at 6.9e-6
+    c = Ctx(6, 0.0, 256, 12.0)
+    res = solve_ground_state(c.params, c.grid, c.plan, c.km,
+                             GroundStateOptions(residual_tol=1e-3))
+    M = functionals(res.Q, c.plan, c.km).M
+    dQ = radial_derivative(c.grid, c.params.rho, res.Q)
+    assert res.pohozaev_wall == c.km.omega * c.grid.r_max**6 * dQ[-1]**2 / (4 * M)
+    assert 6.8e-6 < res.pohozaev_wall < 7.0e-6
+    anomaly = 4 * (res.nu_final - 1)
+    assert abs(anomaly + 2 * res.pohozaev_wall) <= 0.1 * 2 * res.pohozaev_wall, anomaly
 
 
 def test_solve_evaluates_no_bessel_function(monkeypatch, ctx3):
@@ -226,7 +242,7 @@ def test_newton_step_matches_dense_solve(d, a):
     u = Q * (1 + 0.1 * np.exp(-c.grid.r**2))
     Phi = potential(c.km, u)
     F = apply_la(c.plan, u) + u - Phi * u
-    La = (c.plan.Psi * c.plan.k**2) @ c.plan.PsiTw
+    La = (c.plan.Psi * c.plan.k**2) @ transform._forward(c.plan, np.eye(c.grid.n))
     Jac = La + np.diag(1 - Phi) - 2 * c.km.omega * u[:, None] * c.km.Kw * u
     ref = np.linalg.solve(Jac, F)
     x, iterations = ground_state._newton_step(c.plan, c.km, u, Phi, F)

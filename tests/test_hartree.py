@@ -329,3 +329,19 @@ def test_corrected_build_peak_memory(d, a):
     finally:
         tracemalloc.stop()
     assert peak <= 11 * 2**20, peak / 2**20
+
+
+def test_d3_build_works_in_the_kernel_buffer():
+    # [TRIVIAL] the d = 3 build weights, symmetrizes, corrects and divides
+    # Kw in its own buffer: the traced peak of a corrected n = 512 build
+    # (one n x n array is 2 MiB) stays at 6 MiB, where forming S = w Kw, its
+    # symmetric part and the quotient as new arrays reached 8 MiB
+    g, p = build_grid(3, 512, 12.0), make_params(3, -0.1)
+    build_kernel(g, p)
+    tracemalloc.start()
+    try:
+        build_kernel(g, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, peak / 2**20

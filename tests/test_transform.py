@@ -9,13 +9,13 @@ from scipy.optimize import brentq
 
 from hartreelab import build_grid, build_plan, make_params, transform
 from hartreelab.cli import _random_fields
-from hartreelab.transform import (_collocation, _hankel_switch, _matvec, apply_la,
-                                  bessel_zeros)
+from hartreelab.transform import (_collocation, _forward, _hankel_switch, _matvec,
+                                  apply_la, bessel_zeros)
 
 
 def forward(plan, u):
-    """Spectral coefficients c = PsiTw u of the samples u."""
-    return _matvec(plan.PsiTw, u)
+    """Spectral coefficients c = Psi^T (w u) of the samples u."""
+    return _forward(plan, u)
 
 
 def inverse(plan, c):
@@ -153,9 +153,9 @@ def test_real_fields_take_plain_real_product(ctx3):
     # [TRIVIAL] real input: float64 result bit-identical to the matrix product
     plan = ctx3.plan
     u = _random_fields(ctx3.params, ctx3.grid, np.random.default_rng(4), 1)[0]
-    cases = [(forward(plan, u), plan.PsiTw @ u),
+    cases = [(forward(plan, u), plan.Psi.T @ (plan.w * u)),
              (inverse(plan, u), plan.Psi @ u),
-             (apply_la(plan, u), plan.Psi @ (plan.k**2 * (plan.PsiTw @ u)))]
+             (apply_la(plan, u), plan.Psi @ (plan.k**2 * (plan.Psi.T @ (plan.w * u))))]
     for out, ref in cases:
         assert out.dtype == np.float64
         assert np.array_equal(out, ref)
@@ -279,16 +279,17 @@ def test_large_orders_match_mpmath(nu):
 @pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5), (5, -0.5), (7, 0.0)])
 def test_plan_matches_jv_plan(d, a, monkeypatch):
     # [DERIVED] the plan built on Hankel's expansion matches the one built on
-    # special.jv over the whole matrix, through the same QR: Psi and PsiTw
-    # within 1e-13 max-relative, k bit-identical
+    # special.jv over the whole matrix, through the same QR: Psi and its
+    # forward transform Psi^T W within 1e-13 max-relative, k and w
+    # bit-identical
     p, g = make_params(d, a), build_grid(d, 512, 12.0)
     plan = build_plan(p, g)
     monkeypatch.setattr(transform, "_collocation",
                         lambda nu, k, r: special.jv(nu, k[None, :] * r[:, None]))
     ref = build_plan(p, g)
-    assert np.array_equal(plan.k, ref.k)
-    for name in ("Psi", "PsiTw"):
-        got, want = getattr(plan, name), getattr(ref, name)
+    assert np.array_equal(plan.k, ref.k) and np.array_equal(plan.w, ref.w)
+    for name, got, want in (("Psi", plan.Psi, ref.Psi),
+                            ("Psi^T W", plan.Psi.T * plan.w, ref.Psi.T * ref.w)):
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-13, name
 
 
@@ -305,3 +306,13 @@ def test_plan_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 11 * 2**20, peak / 2**20
+
+
+def test_plan_holds_one_mode_matrix(ctx3):
+    # [TRIVIAL] the plan keeps one n x n array, the modes Psi; the forward
+    # transform applies the metric weights to the field
+    plan = ctx3.plan
+    square = [name for name, v in vars(plan).items()
+              if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert square == ["Psi"]
+    assert plan.w.shape == (ctx3.grid.n,)
