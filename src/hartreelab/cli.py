@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import (BOUNDARY_TOL, FitRejected, IntegratorConfig,
-                        concentration, evolve, fit_blowup, rotated_energy_check)
+                        concentration, evolve, fit_blowup, pseudo_conformal_family,
+                        rotated_energy_check)
 from .functionals import functionals, hardy_ratio, rearrange_decreasing
 from .ground_state import (GroundStateError, GroundStateOptions, gn_audit,
                            load_ground_state, solve_ground_state,
@@ -372,16 +373,33 @@ def _drifts(traj):
     return dm, de
 
 
+def _worst(values, times) -> dict:
+    """The largest of `values` and the time of its first occurrence."""
+    i = int(np.argmax(values))
+    return {"value": float(values[i]), "t": times[i]}
+
+
 def _evolution_diagnostics(traj) -> dict:
     """Why an evolution stopped and how its invariants drifted on the way."""
-    def worst(drift):
-        i = int(np.argmax(drift))
-        return {"value": float(drift[i]), "t": traj.times[i]}
-
     dm, de = _drifts(traj)
     return {"boundary_flagged_samples": int(sum(traj.boundary_flags)),
-            "max_mass_drift": worst(dm), "max_energy_drift": worst(de),
+            "max_mass_drift": _worst(dm, traj.times),
+            "max_energy_drift": _worst(de, traj.times),
             "stop_value": traj.stop_value}
+
+
+def _max_exact_error(cfg, traj, plan, gs):
+    """The largest relative w-weighted L2 distance between a sample and the
+    exact pseudo-conformal solution the run started on, with its time, or
+    None for `file` data (gs None).  Samples at or past T* are left out."""
+    if gs is None:
+        return None
+    T, t0, w = cfg["init.T_star"], cfg["init.t0"], plan.grid.w
+    exact = (pseudo_conformal_family(gs.Q, T, cfg["init.theta"], t0 + t, plan)
+             for t in traj.times if t0 + t < T)
+    errs = [math.sqrt(np.sum(w * np.abs(u - v)**2) / np.sum(w * np.abs(v)**2))
+            for u, v in zip(traj.fields, exact)]
+    return _worst(errs, traj.times)
 
 
 def _scenario_evolve(cfg, out_dir):
@@ -406,27 +424,24 @@ def _scenario_evolve(cfg, out_dir):
 
 def _scenario_blowup(cfg, out_dir, want_concentration=False):
     params, grid, plan, km = _build(cfg)
-    u0, _ = _initial_data(cfg, params, grid, plan, km)
+    u0, gs = _initial_data(cfg, params, grid, plan, km)
     traj = evolve(u0, _options(cfg, "integrator", IntegratorConfig), plan, km)
     E0 = traj.quantities[0].E
     summary = {"stop_reason": traj.stop_reason, "stop_time": traj.stop_time,
                "E0": E0, "T_star_config": cfg["init.T_star"],
-               "diagnostics": _evolution_diagnostics(traj)}
+               "diagnostics": dict(_evolution_diagnostics(traj),
+                                   max_exact_error=_max_exact_error(cfg, traj, plan, gs))}
     checks = {"blowup_stop": traj.stop_reason in
               ("blowup-suspected", "blowup-resolved-limit")}
     lam_of_t = None
     try:
         T_est, p = fit_blowup(traj)
-        gam = np.asarray(traj.gamma)
-        ts = np.asarray(traj.times)
-        const = gam / (T_est - ts)**2
+        const = float(np.median(np.asarray(traj.gamma) / (T_est - np.asarray(traj.times))**2))
         summary["fit"] = {"T_star": T_est, "exponent": p,
-                          "gamma_parabola_constant": float(np.median(const)),
-                          "eight_E0": 8 * E0}
+                          "gamma_parabola_constant": const, "eight_E0": 8 * E0}
         checks["exponent_near_2"] = abs(p - 2.0) < 0.1
-        checks["gamma_parabola"] = abs(float(np.median(const)) - 8 * E0) \
-            <= 0.02 * abs(8 * E0)
-        lam_of_t = (lambda t: math.sqrt(max(T_est - t, 0.0)))
+        checks["gamma_parabola"] = abs(const - 8 * E0) <= 0.02 * abs(8 * E0)
+        lam_of_t = (lambda t: math.sqrt(T_est - t))   # T_est lies past every sample
     except FitRejected as exc:
         summary["fit"] = {"rejected": str(exc)}
         checks["fit_accepted"] = False

@@ -276,63 +276,43 @@ class FitRejected(RuntimeError):
 
 
 def fit_blowup(traj: Trajectory):
-    """Fit H(t) - E_0 = C (T*-t)^{-p}; returns (T_star_est, rate_exponent).
+    """Fit the pseudo-conformal laws; returns (T_star_est, rate_exponent).
 
-    E_0 is the first sample's energy.  The pseudo-conformal chirp adds
-    exactly the conserved energy to H, so the exact law is
-    H - E = C (T*-t)^{-2}; fitting H itself biases p low (1.8875 on the
-    exact solution at the `blowup` run's sample times).  Uses the growing
-    tail of H; the location of the pole is found by a scalar search
-    minimizing the residual of the log-log linear fit.  Rejects trajectories
-    whose H tail is not monotonically growing or does not stay above E_0.
-    The fit window is the last decade of H - E_0.
+    At threshold the blow-up solution obeys Gamma = 8 E (T* - t)^2 and
+    H - E = C (T* - t)^{-2} exactly (the chirp adds E to H, so a fit of H
+    itself biases p low).  With E_0 the first sample's energy, over the
+    growing tail of H - E_0 (from its first global minimum on), T* is where
+    the least-squares line through sqrt(Gamma) reaches zero, and p is minus
+    the least-squares slope of log(H - E_0) against log(T* - t) over the
+    last decade of H - E_0 (the whole tail if that holds fewer than
+    FIT_MIN_SAMPLES samples).  Rejects a short tail, an H tail that is not
+    growing or not above E_0, a Gamma that is not positive and decreasing,
+    and a T* at or before the last sample.  Above threshold Gamma(T*) > 0,
+    so sqrt(Gamma) is no line: pseudo-conformal data scaled by 1.01 / 1.03
+    gives p = 3.23 / 4.13 and fails the `blowup` checks.  The paper's laws
+    hold only at threshold, so no other fit is tried.
     """
     t = np.asarray(traj.times)
     Hs = np.array([q.H for q in traj.quantities]) - traj.quantities[0].E
-    # growing tail: from the first global minimum of H onward
+    gam = np.asarray(traj.gamma)
     imin = int(np.argmin(Hs))
-    t, Hs = t[imin:], Hs[imin:]
+    t, Hs, gam = t[imin:], Hs[imin:], gam[imin:]
     if len(t) < FIT_MIN_SAMPLES:
         raise FitRejected(f"need >= {FIT_MIN_SAMPLES} growing samples, got {len(t)}")
     if np.any(np.diff(Hs) <= 0):
         raise FitRejected("H tail is not monotonically growing")
     if Hs[0] <= 0:
         raise FitRejected("H tail does not stay above the initial energy")
+    if np.any(np.diff(gam) >= 0) or gam[-1] <= 0:
+        raise FitRejected("Gamma is not positive and strictly decreasing over the tail")
+    slope, icpt = np.polyfit(t, np.sqrt(gam), 1)
+    T_star = -icpt / slope
+    if not T_star > t[-1]:
+        raise FitRejected(f"T* = {T_star:.6g} is not past the last sample t = {t[-1]:.6g}")
     decade = Hs >= Hs[-1] / 10.0
     if int(np.sum(decade)) >= FIT_MIN_SAMPLES:
         t, Hs = t[decade], Hs[decade]
-
-    logH = np.log(Hs)
-
-    def sse(T):
-        x = np.log(T - t)
-        A = np.vstack([x, np.ones_like(x)]).T
-        coef, res2, *_ = np.linalg.lstsq(A, logH, rcond=None)
-        return (res2[0] if len(res2) else 0.0), coef
-
-    # bracket T* in (t_last, t_last + span] and golden-section the fit error
-    span = t[-1] - t[0]
-    lo = t[-1] + 1e-12 * max(1.0, span)
-    hi = t[-1] + 2 * span
-    gr = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c1 = b - gr * (b - a)
-    c2 = a + gr * (b - a)
-    f1, f2 = sse(c1)[0], sse(c2)[0]
-    for _ in range(200):
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - gr * (b - a)
-            f1 = sse(c1)[0]
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + gr * (b - a)
-            f2 = sse(c2)[0]
-        if b - a < 1e-12 * max(1.0, b):
-            break
-    T_star = 0.5 * (a + b)
-    _, coef = sse(T_star)
-    p = -coef[0]
+    p = -np.polyfit(np.log(T_star - t), np.log(Hs), 1)[0]
     return float(T_star), float(p)
 
 

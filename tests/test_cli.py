@@ -204,10 +204,11 @@ def test_evolve_scenario_trajectory(tmp_path):
     assert summary["mass_drift"] <= diag["max_mass_drift"]["value"] < 1e-10
 
 
-def _check_diagnostics(out):
+def _check_diagnostics(out, exact=False):
     """The diagnostics block of summary.json and the H column of
     trajectory.csv, with the block's worst relative mass and energy drifts
-    and their times checked against the samples in the CSV."""
+    and their times checked against the samples in the CSV.  `exact` runs
+    also record `max_exact_error`."""
     with open(os.path.join(out, "summary.json")) as fh:
         diag = json.load(fh)["diagnostics"]
     with open(os.path.join(out, "trajectory.csv")) as fh:
@@ -217,10 +218,53 @@ def _check_diagnostics(out):
         drift = np.abs(x - x[0]) / abs(x[0])
         i = int(np.argmax(drift))
         assert diag[key] == {"value": drift[i], "t": t[i]}, key
-    assert set(diag) == {"boundary_flagged_samples", "max_mass_drift",
-                         "max_energy_drift", "stop_value"}
+    keys = {"boundary_flagged_samples", "max_mass_drift", "max_energy_drift", "stop_value"}
+    assert set(diag) == (keys | {"max_exact_error"} if exact else keys)
     assert 0 <= diag["boundary_flagged_samples"] <= len(rows)
     return diag, H
+
+
+def _max_exact_error(cfg):
+    """The worst relative L2 distance of a pseudo-conformal run's samples
+    from the exact solution Q was dilated from (T* = 1, theta = t0 = 0),
+    recomputed from a second build, solve and evolution, and its time."""
+    params, grid, plan, km = cli._build(cfg)
+    u0, gs = cli._initial_data(cfg, params, grid, plan, km)
+    traj = hartreelab.evolve(u0, cli._options(cfg, "integrator", IntegratorConfig),
+                             plan, km)
+    errs = []
+    for t, u in zip(traj.times, traj.fields):
+        exact = hartreelab.pseudo_conformal_family(gs.Q, 1.0, 0.0, t, plan)
+        errs.append(math.sqrt(hartreelab.functionals(u - exact, plan, km).M
+                              / hartreelab.functionals(exact, plan, km).M))
+    return {"value": max(errs), "t": traj.times[int(np.argmax(errs))]}
+
+
+def test_coarse_blowup_fit_meets_the_law(tmp_path):
+    # [PAPER] bug fix: the coarse pseudo-conformal run stops at t = 0.22,
+    # far from T* = 1; a golden-section search of the log-log fit of H - E_0
+    # gave T* = 0.660 and p = 1.227 there and failed both checks, while the
+    # line through sqrt(Gamma) = sqrt(8 E_0) (T* - t) finds T* = 1
+    cfg = parse_config(FAST_GRID + FAST_GS + "scenario = blowup\n"
+                       "init.profile = pseudo-conformal\nintegrator.dt = 2e-3\n"
+                       "integrator.output_stride = 5\n")
+    summary = run_scenario(cfg, str(tmp_path / "blowup"))
+    assert abs(summary["fit"]["T_star"] - 1) < 1e-3
+    assert abs(summary["fit"]["exponent"] - 2) < 0.01
+    assert summary["checks"]["exponent_near_2"] and summary["checks"]["gamma_parabola"]
+
+
+def test_exact_error_leaves_out_samples_at_T_star(tmp_path):
+    # [TRIVIAL] with no resolution stop the coarse run reaches t_end = T* = 1,
+    # where the exact solution is not defined: that sample is left out of
+    # max_exact_error instead of failing the run
+    cfg = parse_config(FAST_GRID + FAST_GS + "scenario = blowup\n"
+                       "init.profile = pseudo-conformal\nintegrator.dt = 2e-3\n"
+                       "integrator.output_stride = 5\nintegrator.min_scale_cells = 0.01\n")
+    summary = run_scenario(cfg, str(tmp_path / "blowup"))
+    assert "error" not in summary
+    assert summary["stop_time"] == 1.0
+    assert summary["diagnostics"]["max_exact_error"]["t"] < 1.0
 
 
 @pytest.mark.parametrize("scenario,h_bound", [("blowup", 3.0), ("concentrate", None)])
@@ -241,7 +285,8 @@ def test_blowup_diagnostics(tmp_path, scenario, h_bound):
     out = str(tmp_path / scenario)
     summary = run_scenario(cfg, out)
     assert summary["stop_reason"] == "blowup-resolved-limit"
-    diag, H = _check_diagnostics(out)
+    diag, H = _check_diagnostics(out, exact=True)
+    assert diag["max_exact_error"] == pytest.approx(_max_exact_error(cfg), rel=1e-12)
     assert diag["stop_value"] == pytest.approx(1 / math.sqrt(H[-1]) / h, rel=1e-15)
     assert diag["stop_value"] < cfg["integrator.min_scale_cells"]
     if h_bound is not None:
@@ -535,6 +580,12 @@ def test_file_profile_round_trip(tmp_path):
     summary = run_scenario(cfg2, out_ev)
     assert summary["pass"], summary
     assert summary["mass_drift"] < 1e-10
+    # file data has no exact solution to be measured against
+    cfg3 = parse_config(GS_GRID + "scenario = blowup\ninit.profile = file\n"
+                        f"init.file = {field}\nintegrator.dt = 1e-3\n"
+                        "integrator.t_end = 0.02\n")
+    summary = run_scenario(cfg3, str(tmp_path / "bu"))
+    assert summary["diagnostics"]["max_exact_error"] is None
 
 
 def test_file_profile_model_mismatch(tmp_path):

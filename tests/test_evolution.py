@@ -377,52 +377,66 @@ def test_pc_family_domain_error(ctx3, gs3):
         pseudo_conformal_family(gs3.Q, 1.0, 0.0, 1.0, ctx3.plan)
 
 
-def _synthetic_traj(ts, hs):
+def _synthetic_traj(ts, hs, gammas):
     traj = Trajectory()
     traj.times = list(ts)
     traj.quantities = [Quantities(M=1.0, H=h, E=0.0, L_V=0.0, J=None) for h in hs]
+    traj.gamma = list(gammas)
     return traj
 
 
 def test_fit_blowup_exact_series():
-    # [TRIVIAL] H(t) = 4 (1-t)^{-2} -> T* = 1, p = 2 to round-off
+    # [TRIVIAL] H(t) = 4 (1-t)^{-2}, Gamma = 3 (1-t)^2 -> T* = 1, p = 2 to
+    # round-off
     ts = np.linspace(0.0, 0.95, 200)
-    traj = _synthetic_traj(ts, 4.0 / (1.0 - ts)**2)
+    traj = _synthetic_traj(ts, 4.0 / (1.0 - ts)**2, 3.0 * (1.0 - ts)**2)
     T, p = fit_blowup(traj)
     assert T == pytest.approx(1.0, abs=1e-8)
     assert p == pytest.approx(2.0, abs=1e-6)
 
 
 def test_fit_blowup_exact_pseudo_conformal_law():
-    # [PAPER] the pseudo-conformal chirp adds exactly the conserved energy to
-    # H, so H - E = C (T* - t)^{-2}: on the exact solution at (3, -0.1),
-    # n = 512, sampled as the `blowup` run samples (t = 0, 0.01, ..., 0.9),
-    # the fit gives p within 1e-3 of 2 and T* within 1e-4 of 1 (a fit of H
-    # itself gave p = 1.8875, T* = 0.9936)
+    # [PAPER] on the exact solution H - E = C (T* - t)^{-2} and
+    # Gamma = 8 E (T* - t)^2: at (3, -0.1), n = 512, sampled as the `blowup`
+    # run samples (t = 0, 0.01, ..., 0.9), the fit gives p within 1e-3 of 2
+    # and T* within 1e-4 of 1 (a fit of H itself gave p = 1.8875,
+    # T* = 0.9936)
     c = Ctx(3, -0.1, 512, 12.0)
     Q = solve_ground_state(c.params, c.grid, c.plan, c.km).Q
     traj = Trajectory()
     traj.times = [0.01 * i for i in range(91)]
-    traj.quantities = [functionals(pseudo_conformal_family(Q, 1.0, 0.0, t, c.plan),
-                                   c.plan, c.km) for t in traj.times]
+    fields = [pseudo_conformal_family(Q, 1.0, 0.0, t, c.plan) for t in traj.times]
+    traj.quantities = [functionals(u, c.plan, c.km) for u in fields]
+    traj.gamma = [virial(u, c.plan).gamma for u in fields]
     T, p = fit_blowup(traj)
     assert abs(p - 2) < 1e-3
     assert abs(T - 1) < 1e-4
 
 
 def test_fit_blowup_rejections():
-    # [TRIVIAL] non-monotone tail, short series and H below E_0 are rejected
+    # [TRIVIAL] non-monotone H tail, short series, H below E_0, a Gamma that
+    # does not decrease and a sqrt(Gamma) line that reaches zero before the
+    # last sample are rejected
     ts = np.linspace(0, 1, 50)
     hs = 4.0 / (1.0 - 0.8 * ts)**2
-    hs[-1] = hs[-2] * 0.5
+    gs = (1.0 - 0.8 * ts)**2
+    bad_h = hs.copy()
+    bad_h[-1] = bad_h[-2] * 0.5
     with pytest.raises(FitRejected):
-        fit_blowup(_synthetic_traj(ts, hs))
+        fit_blowup(_synthetic_traj(ts, bad_h, gs))
     with pytest.raises(FitRejected):
-        fit_blowup(_synthetic_traj(ts[:5], 4.0 / (1.0 - 0.8 * ts[:5])**2))
-    traj = _synthetic_traj(ts, 4.0 / (1.0 - 0.8 * ts)**2)
+        fit_blowup(_synthetic_traj(ts[:5], hs[:5], gs[:5]))
+    traj = _synthetic_traj(ts, hs, gs)
     traj.quantities[0] = dataclasses.replace(traj.quantities[0], E=5.0)  # H - E_0 < 0
     with pytest.raises(FitRejected, match="initial energy"):
         fit_blowup(traj)
+    flat = gs.copy()
+    flat[-1] = flat[-2]
+    with pytest.raises(FitRejected, match="strictly decreasing"):
+        fit_blowup(_synthetic_traj(ts, hs, flat))
+    # sqrt(Gamma) = e^{-4t} is convex: its line reaches zero at t = 0.81 < 1
+    with pytest.raises(FitRejected, match="not past the last sample"):
+        fit_blowup(_synthetic_traj(ts, hs, np.exp(-8.0 * ts)))
 
 
 def test_concentration_limits(ctx3, gs3):
