@@ -73,7 +73,6 @@ SCHEMA = {
     "integrator.output_stride": (int, 10),
     "integrator.min_scale_cells": (float, 4.0),
     "ground_state.residual_tol": (float, 1e-5),
-    "ground_state.guess": (str, "sech"),
     "init.profile": (str, "gaussian"),
     "init.file": (str, ""),
     "init.sigma": (float, 1.0),
@@ -339,23 +338,21 @@ def _scenario_ground_state(cfg, out_dir):
     res = solve_ground_state(params, grid, plan, km, opts)
     q = functionals(res.Q, plan, km)
     tol = opts.residual_tol
+    defects = {"MH": abs(q.M - q.H) / res.m_gs, "ML_V": abs(q.M - q.L_V) / res.m_gs,
+               "HL_V": abs(q.H - q.L_V) / res.m_gs}
     checks = {
         "el_residual": res.residual < tol,
-        "pohozaev_MH": abs(q.M - q.H) / res.m_gs < tol,
-        "pohozaev_ML_V": abs(q.M - q.L_V) / res.m_gs < tol,
-        "pohozaev_HL_V": abs(q.H - q.L_V) / res.m_gs < tol,
+        **{f"pohozaev_{pair}": defect < tol for pair, defect in defects.items()},
         "nonnegative": bool(np.min(res.Q) > -1e-12),
         "boundary_mass": res.boundary_mass_fraction <= BOUNDARY_TOL,
     }
     save_ground_state(os.path.join(out_dir, "ground_state.txt"), res, params, grid)
     return {"m_gs": res.m_gs, "el_residual": res.residual,
-            "M": q.M, "H": q.H, "L_V": q.L_V,
-            "pohozaev_defects": {"MH": abs(q.M - q.H) / res.m_gs,
-                                 "ML_V": abs(q.M - q.L_V) / res.m_gs,
-                                 "HL_V": abs(q.H - q.L_V) / res.m_gs},
+            "M": q.M, "H": q.H, "L_V": q.L_V, "pohozaev_defects": defects,
             "iterations": res.iterations,
             "diagnostics": {"newton_residuals": res.newton_residuals,
-                            "nu_entry": res.nu_entry, "nu_final": res.nu_final,
+                            "start_iterations": res.start_iterations,
+                            "nu_final": res.nu_final,
                             "boundary_mass_fraction": res.boundary_mass_fraction,
                             "pohozaev_wall": res.pohozaev_wall,
                             "trace": res.trace},

@@ -6,21 +6,31 @@ solver only needs a positive Euler-Lagrange solution; that it minimizes J is
 what gn_audit checks.  From a positive guess with the r^{-rho} origin envelope
 the solve takes three steps:
 
-1. Entry dilation: the guess is dilated and scaled to the unit-coefficient
-   Euler-Lagrange form, u -> mu u(nu r) with nu = (M/H)^{1/2} and
-   mu = (H/L_V)^{1/2} nu^{d/2}, by `grid.dilate` (the cell stencil's
-   interpolating polynomial of the regular part r^rho u, zero beyond r_max).
+1. Petviashvili start (V. I. Petviashvili, Sov. J. Plasma Phys. 2 (1976)
+   257; D. E. Pelinovsky and Yu. A. Stepanyants, SIAM J. Numer. Anal. 42
+   (2004) 1110) on the plan's mode coefficients c = Psi^T (w u), where
+   L_a + 1 is the diagonal k^2 + 1: with u = Psi c and
+   f = Psi^T (w Phi[u^2] u), c <- S^{3/2} f / (k^2 + 1) for
+   S = sum (k^2 + 1) c^2 / (c . f), three n^2 products and no n x n array.
+   It stops once |(k^2 + 1) c - f| < START_TOL |c|, the relative |F| by
+   Parseval, or at START_CAP, and hands u to Newton either way.  S^{3/2}
+   undoes the cube of the nonlinearity, so the guess's amplitude drops out,
+   and every positive guess lands in Newton's basin: 4-17 iterates on the
+   cases of tools/equivalence.py, and 5-22 from seeded multi-bump guesses,
+   which all reach the same m_gs to 7.8e-16.  The default guess is
+   r^{-rho} / cosh r.
 2. Newton on F(u) = L_a u + u - Phi[u^2] u.  Newton converges
    quadratically and stops at its round-off floor, the first iterate whose
-   |F| fails to halve: after 5-7 iterates on every case of
-   tools/equivalence.py.  NEWTON_CAP only bounds a solve that never reaches
-   that floor.  Each step solves the Jacobian system by GMRES on the plan's
-   mode coefficients, where L_a + 1 is the diagonal k^2 + 1 and its inverse
-   preconditions (`_newton_step`): 10-13 iterations of three n^2 products
-   each, at every n and d measured, and no n x n array.  At (3, -0.1,
-   r_max 12), from the sech guess on one BLAS thread, the Newton floor is
-   1.5e-13 / 6.1e-13 / 2.3e-12 at n = 256 / 512 / 1024, where a dense LU
-   solve of the formed Jacobian left 5.4e-13 / 3.3e-12 / 1.8e-11.
+   |F| fails to halve: after 5 iterates on every case of
+   tools/equivalence.py that solves.  NEWTON_CAP only bounds a solve that
+   never reaches that floor.  Each step solves the Jacobian system by GMRES
+   on the plan's mode coefficients, where L_a + 1 is the diagonal k^2 + 1
+   and its inverse preconditions (`_newton_step`): 10-13 iterations of
+   three n^2 products each, at every n and d measured, and no n x n array.
+   At (3, -0.1, r_max 12), from the default guess on one BLAS thread, the
+   Newton floor is 1.6e-13 / 5.8e-13 / 2.7e-12 at n = 256 / 512 / 1024,
+   where a dense LU solve of the formed Jacobian left 5.4e-13 / 3.3e-12 /
+   1.8e-11.
 3. Balanced Pohozaev rescale.  The discrete functionals carry a small scaling
    anomaly delta = (M - H)/M at the unit-coefficient solution (quadrature
    error of the singular class r^{-rho} near the origin; it shrinks with
@@ -56,13 +66,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialGrid, boundary_mass_fraction, dilate, radial_derivative
+from .grid import RadialGrid, boundary_mass_fraction, radial_derivative
 from .functionals import functionals
 from .hartree import KernelMatrix, apply_kernel, potential
 from .params import ModelParams
 from .transform import TransformPlan, _forward, apply_la
 
 GN_REL_TOL = 1e-6   # relative slack of the gn_audit check J(u) >= M_gs
+START_TOL = 1e-2    # relative |F| at which the Petviashvili start hands over
+START_CAP = 50      # most Petviashvili iterates of one solve
 NEWTON_CAP = 10     # most Newton iterates of one solve
 GMRES_TOL = 1e-14   # relative residual at which a Newton step's GMRES stops
 GMRES_CAP = 60      # most GMRES iterations of one Newton step
@@ -77,18 +89,12 @@ class GroundStateError(RuntimeError):
 @dataclass
 class GroundStateOptions:
     residual_tol: float = 1e-5   # final Euler-Lagrange residual demanded
-    guess: str = "sech"          # "gaussian" | "sech", or pass init= explicitly
 
     def __post_init__(self):
-        """Raises ValueError naming every failing field, one per line."""
-        errors = []
+        """Raises ValueError naming the failing field."""
         if not 0 < self.residual_tol < math.inf:
-            errors.append(f"residual_tol must be positive and finite, "
-                          f"got {self.residual_tol!r}")
-        if self.guess not in ("gaussian", "sech"):
-            errors.append(f"guess must be 'gaussian' or 'sech', got {self.guess!r}")
-        if errors:
-            raise ValueError("\n".join(errors))
+            raise ValueError(f"residual_tol must be positive and finite, "
+                             f"got {self.residual_tol!r}")
 
 
 @dataclass
@@ -99,21 +105,10 @@ class GroundStateResult:
     iterations: int
     trace: list  # (iteration, J) pairs
     newton_residuals: list  # relative |F| at each Newton iterate
-    nu_entry: float         # dilation factor at the Newton entry
+    start_iterations: int   # Petviashvili iterates before Newton
     nu_final: float         # balanced Pohozaev factor; nu_final - 1 ~ anomaly / 4
     boundary_mass_fraction: float  # share of M(Q) in the outermost cells
     pohozaev_wall: float    # the wall's Pohozaev term P; anomaly ~ -2 P at r_max
-
-
-def initial_guess(params: ModelParams, grid: RadialGrid, kind: str) -> np.ndarray:
-    """Positive guess with the known r^{-rho} origin envelope."""
-    r = grid.r
-    env = r**(-params.rho)
-    if kind == "gaussian":
-        return env * np.exp(-r**2 / 2)
-    if kind == "sech":
-        return env / np.cosh(r)
-    raise ValueError(f"unknown initial guess kind {kind!r}")
 
 
 def el_residual(Q: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> float:
@@ -181,7 +176,7 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
                        init: np.ndarray | None = None) -> GroundStateResult:
     opts = opts or GroundStateOptions()
     u = np.array(init, dtype=float) if init is not None else \
-        initial_guess(params, grid, opts.guess)
+        grid.r**(-params.rho) / np.cosh(grid.r)
     if np.any(u < 0) or not np.any(u > 0):
         raise ValueError("initial guess must be non-negative and nonzero")
 
@@ -189,10 +184,15 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     if q.L_V <= 0 or q.M <= 0:
         raise GroundStateError("initial guess has vanishing mass or L_V")
 
-    # dilate to the unit-coefficient Euler-Lagrange form, then Newton
-    nu_entry = 1.0 / math.sqrt(q.H / q.M)
-    mu = math.sqrt(q.H / q.L_V) * nu_entry**(params.d / 2)
-    u = mu * dilate(grid, params.rho, u, nu_entry)
+    # Petviashvili on the modes into Newton's basin, then Newton
+    c = _forward(plan, u)
+    d = plan.k**2 + 1
+    for start in range(START_CAP):
+        u = plan.Psi @ c
+        f = _forward(plan, potential(km, u) * u)
+        if np.linalg.norm(d * c - f) < START_TOL * np.linalg.norm(c):
+            break
+        c = (np.sum(d * c**2) / (c @ f))**1.5 * f / d
     trace: list = []
     newton: list = []
     for it in range(NEWTON_CAP):
@@ -234,7 +234,7 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
             f"ground state has negative samples (min {np.min(Q):.2e})", trace)
     return GroundStateResult(Q=Q, m_gs=m_gs, residual=residual,
                              iterations=iterations, trace=trace,
-                             newton_residuals=newton, nu_entry=nu_entry,
+                             newton_residuals=newton, start_iterations=start + 1,
                              nu_final=nu_final, boundary_mass_fraction=boundary,
                              pohozaev_wall=wall)
 

@@ -20,6 +20,7 @@ from hartreelab.cli import _random_fields
 from hartreelab.ground_state import GroundStateOptions
 from hartreelab.hartree import surface_area
 from hartreelab.grid import radial_derivative
+from hartreelab.profiles import gaussian_profile
 from hartreelab.transform import _forward, _matvec
 
 from conftest import Ctx
@@ -91,11 +92,13 @@ def test_02_sharp_gn_inequality(cases_1024):
 
 
 def test_03_initialization_and_grid_independence(cases_1024, case3_512):
-    # [DERIVED] M_gs independent of the initial guess to 1e-6 and of grid
+    # [DERIVED] M_gs independent of the initial guess (a gaussian start
+    # against the default) to 1e-6 and of grid
     # doubling (n = 512 -> 1024) to 1e-5
     c = case3_512
     gaussian = solve_ground_state(c.params, c.grid, c.plan, c.km,
-                                  GroundStateOptions(residual_tol=1e-6, guess="gaussian"))
+                                  GroundStateOptions(residual_tol=1e-6),
+                                  init=gaussian_profile(c.params, c.grid))
     assert gaussian.m_gs == pytest.approx(c.gs.m_gs, rel=1e-6)
     fine = cases_1024[0]
     assert c.gs.m_gs == pytest.approx(fine.gs.m_gs, rel=1e-5)

@@ -123,11 +123,10 @@ def test_all_errors_collected():
 
 
 def test_every_solver_and_integrator_error_named():
-    # [TRIVIAL] several bad integrator.* and ground_state.* values are each
-    # reported under their own key, not only the first of each section
+    # [TRIVIAL] several bad integrator.* values and a bad ground_state.* one
+    # are each reported under their own key, not only the first of a section
     bad = {"integrator.scheme": "euler", "integrator.output_stride": "0",
-           "integrator.min_scale_cells": "-1", "ground_state.guess": "foo",
-           "ground_state.residual_tol": "0"}
+           "integrator.min_scale_cells": "-1", "ground_state.residual_tol": "0"}
     with pytest.raises(ConfigError) as exc:
         parse_config("", [f"{k} = {v}" for k, v in bad.items()])
     keys = sorted(err.split(":", 1)[0] for err in exc.value.errors)
@@ -154,11 +153,12 @@ def test_ground_state_scenario_artifacts(tmp_path):
         on_disk = json.load(fh)
     assert on_disk["m_gs"] == summary["m_gs"]
     assert on_disk["config_hash"] == config_hash(cfg)
-    # how the solver converged: the Newton |F| history, both dilations, the
+    # how the solver converged: the Newton |F| history, the Petviashvili
+    # start's iterate count, the final balanced dilation, the
     # (iteration, J) trace, one pair per Newton iterate and the final Q, the
     # share of M(Q) in the outer cells and the wall's Pohozaev term
     diag = on_disk["diagnostics"]
-    assert set(diag) == {"newton_residuals", "nu_entry", "nu_final", "trace",
+    assert set(diag) == {"newton_residuals", "start_iterations", "nu_final", "trace",
                          "boundary_mass_fraction", "pohozaev_wall"}
     assert diag["pohozaev_wall"] > 0
     _, _, Q = load_ground_state(os.path.join(out, "ground_state.txt"))
@@ -167,7 +167,7 @@ def test_ground_state_scenario_artifacts(tmp_path):
     assert 1 <= len(diag["newton_residuals"]) <= 10
     assert len(diag["trace"]) == len(diag["newton_residuals"]) + 1
     assert diag["trace"][-1][1] == on_disk["m_gs"]
-    assert diag["nu_entry"] > 0 and abs(diag["nu_final"] - 1) < 1e-3
+    assert diag["start_iterations"] >= 1 and abs(diag["nu_final"] - 1) < 1e-3
 
 
 def test_ground_state_boundary_mass_fails(tmp_path):
@@ -380,7 +380,7 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "model.a" in capsys.readouterr().err
     for key in ("grid.stretch", "ground_state.step0", "ground_state.max_iter",
                 "ground_state.descent_tol", "integrator.h_threshold",
-                "ground_state.newton_iters"):
+                "ground_state.newton_iters", "ground_state.guess"):
         assert main(["ground-state", "--out", out, "--override", f"{key}=1"]) == 2, key
         assert key in capsys.readouterr().err, key
     assert main(["evolve", "--override", "integrator.dt=3e-3",
@@ -401,7 +401,8 @@ def test_main_exit_codes(tmp_path, capsys):
             ("evolve", "grid.r_max=inf", "grid.r_max"),
             ("ground-state", "ground_state.residual_tol=-1",
              "key ground_state.residual_tol:"),
-            ("ground-state", "ground_state.guess=bogus", "key ground_state.guess:"),
+            ("ground-state", "ground_state.residual_tol=inf",
+             "key ground_state.residual_tol:"),
             ("evolve", "model.d=x", "model.d"),
             ("evolve", "model.d=2", "key model.d: d must be >= 3"),
             ("evolve", "concentrate.lambdas=nan", "concentrate.lambdas"),

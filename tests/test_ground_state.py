@@ -12,9 +12,9 @@ from hartreelab import (build_plan, el_residual, functionals, gn_audit,
 from hartreelab import ground_state, transform
 from hartreelab.cli import _random_fields
 from hartreelab.grid import boundary_mass_fraction, radial_derivative
-from hartreelab.ground_state import (GroundStateError, GroundStateOptions,
-                                     initial_guess)
+from hartreelab.ground_state import GroundStateError, GroundStateOptions
 from hartreelab.hartree import potential
+from hartreelab.profiles import gaussian_profile, shell_profile
 from hartreelab.transform import apply_la
 
 
@@ -46,9 +46,11 @@ def test_nonnegative_and_trace_above_m_gs(gs3):
 
 
 def test_initialization_independence(ctx3, gs3):
-    # [DERIVED] gaussian vs sech initial guesses agree on M_gs to 1e-6
+    # [DERIVED] a gaussian start and the default r^{-rho} / cosh r agree on
+    # M_gs to 1e-6
     res2 = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
-                              GroundStateOptions(residual_tol=1e-4, guess="gaussian"))
+                              GroundStateOptions(residual_tol=1e-4),
+                              init=gaussian_profile(ctx3.params, ctx3.grid))
     assert res2.m_gs == pytest.approx(gs3.m_gs, rel=1e-6)
 
 
@@ -127,17 +129,17 @@ def test_bad_inputs(ctx3):
 
 def test_newton_cap_ends_the_solve(ctx3, gs3, monkeypatch):
     # [DERIVED] a solve that reaches NEWTON_CAP before its round-off floor
-    # rescales the last iterate: one Newton step from the sech guess leaves
-    # a residual of 3.2e-6 and an m_gs 1.7e-12 relative from the converged
-    # one
-    monkeypatch.setattr(ground_state, "NEWTON_CAP", 1)
+    # rescales the last iterate: from the default start one Newton step
+    # leaves a residual of 2.6e-5 and two leave 1.47e-6, with an m_gs at
+    # most 2e-16 relative from the converged one
+    monkeypatch.setattr(ground_state, "NEWTON_CAP", 2)
     res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km)
-    assert res.iterations == 1 and len(res.newton_residuals) == 1
-    assert [it for it, _ in res.trace] == [1, 2]
+    assert res.iterations == 2 and len(res.newton_residuals) == 2
+    assert [it for it, _ in res.trace] == [1, 2, 3]
     assert res.m_gs == functionals(res.Q, ctx3.plan, ctx3.km).J
     assert res.m_gs == pytest.approx(gs3.m_gs, rel=1e-9)
     assert res.residual < 1e-5
-    with pytest.raises(GroundStateError, match="after 1 Newton iterations"):
+    with pytest.raises(GroundStateError, match="after 2 Newton iterations"):
         solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                            GroundStateOptions(residual_tol=1e-7))
 
@@ -173,9 +175,10 @@ def test_scaling_anomaly_is_the_wall_term():
 
 
 def test_solve_evaluates_no_bessel_function(monkeypatch, ctx3):
-    # [TRIVIAL] both dilations and the Newton polish work from the grid and
-    # the plan's matrices: a solve evaluates J_nu neither by Hankel's
-    # expansion nor by Miller's recurrence, the transform's two evaluations
+    # [TRIVIAL] the start, the Newton polish and the final dilation work
+    # from the grid and the plan's matrices: a solve evaluates J_nu neither
+    # by Hankel's expansion nor by Miller's recurrence, the transform's two
+    # evaluations
     calls = []
     for name in ("_hankel", "_miller"):
         def counting(*args, _f=getattr(transform, name)):
@@ -209,25 +212,22 @@ def _count_newton_steps(monkeypatch):
     return iterations
 
 
-@pytest.mark.parametrize("guess,m_gs", [("gaussian", 1.1784600506431986),
-                                        ("sech", 1.1784600506431981)])
-def test_m_gs_pinned_and_few_newton_steps(monkeypatch, ctx512, guess, m_gs):
+def test_m_gs_pinned_and_few_newton_steps(monkeypatch, ctx512):
     # [DERIVED] the threshold at (3, -0.1), n = 512, default options, as the
-    # Bessel-series dilations gave it, within 1e-12; Newton from the guess
-    # stops at its round-off floor after at most 5 (sech) or 6 (gaussian)
-    # steps (the cap is 10)
+    # Bessel-series dilations gave it, within 1e-12; Newton from the
+    # Petviashvili start stops at its round-off floor after at most 5 steps
+    # (the cap is 10)
     steps = _count_newton_steps(monkeypatch)
-    res = solve_ground_state(ctx512.params, ctx512.grid, ctx512.plan, ctx512.km,
-                             GroundStateOptions(guess=guess))
-    assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
-    assert len(steps) <= {"gaussian": 6, "sech": 5}[guess]
+    res = solve_ground_state(ctx512.params, ctx512.grid, ctx512.plan, ctx512.km)
+    assert res.m_gs == pytest.approx(1.1784600506431981, rel=1e-12)
+    assert len(steps) <= 5
     # the |F| history: each entry halves the last, except the final one,
     # which is where Newton stopped without taking a step
     hist = res.newton_residuals
     assert len(hist) == len(steps) + 1
     assert all(b <= 0.5 * a for a, b in zip(hist[:-2], hist[1:-1]))
     assert hist[-1] > 0.5 * hist[-2]
-    assert res.nu_entry > 0 and abs(res.nu_final - 1) < 1e-6
+    assert res.start_iterations >= 1 and abs(res.nu_final - 1) < 1e-6
 
 
 @pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5)])
@@ -278,19 +278,17 @@ def ctx6():
     return Ctx(6, -1.0, 256, 12.0)
 
 
-@pytest.mark.parametrize("ctx_name,guess,m_gs", [
-    ("ctx3_free", "gaussian", 1.4263921549247587), ("ctx3_free", "sech", 1.4263921549247582),
-    ("ctx4", "gaussian", 2.652021473834231), ("ctx4", "sech", 2.652021473834232),
-    ("ctx6", "gaussian", 9.49717001190141), ("ctx6", "sech", 9.497170011901412)])
-def test_m_gs_pinned_across_dimensions(request, ctx_name, guess, m_gs):
+@pytest.mark.parametrize("ctx_name,m_gs", [("ctx3_free", 1.4263921549247582),
+                                           ("ctx4", 2.652021473834232),
+                                           ("ctx6", 9.497170011901412)])
+def test_m_gs_pinned_across_dimensions(request, ctx_name, m_gs):
     # [DERIVED] the threshold at (3, 0), (4, -0.5) and (6, -1.0), n = 256,
     # default options, within 1e-12: for d = 3 and 4 as the J-descent into
     # Newton gave it; for d = 6 on the exact sphere average (2F1 series and
     # recurrence), which a build with 1024-node Gauss-Jacobi sphere averages
     # matches to 1.4e-11
     ctx = request.getfixturevalue(ctx_name)
-    res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km,
-                             GroundStateOptions(guess=guess))
+    res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km)
     assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
 
 
@@ -319,14 +317,22 @@ def test_first_order_dilation_matches_resample(ctx512):
         assert np.sqrt(np.sum(grid.w * err**2) / np.sum(grid.w * ref**2)) <= 1e-12, nu
 
 
+def _start(ctx, guess):
+    """The r^{-rho} Gaussian start field, or None for the default
+    r^{-rho} / cosh r."""
+    return gaussian_profile(ctx.params, ctx.grid) if guess == "gaussian" else None
+
+
 @pytest.mark.parametrize("guess", ["gaussian", "sech"])
 @pytest.mark.parametrize("ctx_name", ["ctx3", "ctx4"])
 def test_newton_from_the_guess_reaches_tolerance(request, ctx_name, guess):
-    # [DERIVED] Newton starts from the dilated guess, far from its quadratic
-    # basin; the halving stop must not end it before the default residual_tol
+    # [DERIVED] Newton starts where the Petviashvili start hands over, at a
+    # relative |F| below 1e-2; the halving stop must not end it before the
+    # default residual_tol
     ctx = request.getfixturevalue(ctx_name)
-    opts = GroundStateOptions(guess=guess)
-    res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km, opts)
+    opts = GroundStateOptions()
+    res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km, opts,
+                             init=_start(ctx, guess))
     assert res.residual < opts.residual_tol
 
 
@@ -348,7 +354,8 @@ def test_newton_reuses_its_quantities(monkeypatch, ctx3, guess):
     # [TRIVIAL] Newton logs J from the Phi and L_a u it formed for F, and the
     # final rescale reuses the last iterate's M and H: a solve applies L_a
     # once per Newton iterate (F) and four times besides (the guess's
-    # quantities, the rescaled field, the returned Q, its EL residual)
+    # quantities, the rescaled field, the returned Q, its EL residual); the
+    # Petviashvili start works on the modes and never applies it
     calls = []
     apply_la = ground_state.apply_la
 
@@ -360,17 +367,42 @@ def test_newton_reuses_its_quantities(monkeypatch, ctx3, guess):
         monkeypatch.setattr(mod, "apply_la", counting)
     steps = _count_newton_steps(monkeypatch)
     res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
-                             GroundStateOptions(guess=guess))
+                             init=_start(ctx3, guess))
     assert len(res.newton_residuals) == len(steps) + 1 >= 3
     assert len(calls) == 4 + len(res.newton_residuals)
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e5])
 def test_amplitude_of_guess_is_irrelevant(ctx3, gs3, c):
-    # [DERIVED] the entry dilation maps c u to the unit-coefficient field it
-    # maps u to (its amplitude factor scales as 1/c), so a scaled guess
-    # reaches the same M_gs
-    init = c * initial_guess(ctx3.params, ctx3.grid, "gaussian")
+    # [DERIVED] the Petviashvili start maps c u to the iterate it maps u to
+    # (S^{3/2} scales as c^{-3}, the nonlinear term as c^3), so a scaled
+    # guess reaches the same M_gs
+    init = gaussian_profile(ctx3.params, ctx3.grid, amplitude=c)
     res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                              GroundStateOptions(residual_tol=1e-4), init=init)
     assert res.m_gs == pytest.approx(gs3.m_gs, rel=1e-12)
+
+
+def _multi_bump(params, grid, rng):
+    """A seeded positive guess: three r^{-rho} Gaussians of width 0.3-3 and a
+    shell bump at r = 1-5, each with an amplitude of 0.2-2."""
+    u = sum(gaussian_profile(params, grid, rng.uniform(0.3, 3), rng.uniform(0.2, 2))
+            for _ in range(3))
+    return u + shell_profile(params, grid, rng.uniform(1, 5), rng.uniform(0.3, 1),
+                             rng.uniform(0.2, 2))
+
+
+@pytest.mark.parametrize("d,a,r_max", [(3, -0.1, 12.0), (4, -0.5, 14.0)])
+def test_every_positive_guess_reaches_the_one_threshold(d, a, r_max):
+    # [PAPER] every ground state has the same mass M_gs, so the solve must
+    # reach it from any positive guess: from 10 seeded multi-bump guesses at
+    # n = 256 each solve meets the default residual_tol with m_gs within
+    # 1e-12 relative of the default start's (observed <= 5.7e-16)
+    c = Ctx(d, a, 256, r_max)
+    ref = solve_ground_state(c.params, c.grid, c.plan, c.km).m_gs
+    rng = np.random.default_rng(0)
+    for i in range(10):
+        res = solve_ground_state(c.params, c.grid, c.plan, c.km,
+                                 init=_multi_bump(c.params, c.grid, rng))
+        assert res.residual < GroundStateOptions().residual_tol, i
+        assert res.m_gs == pytest.approx(ref, rel=1e-12), i

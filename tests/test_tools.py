@@ -13,9 +13,9 @@ RAISE = {"error": "residual above residual_tol"}
 
 
 def case(**solves):
-    """One case row of `equivalence.run_all`, each guess solving as SOLVE
+    """One case row of `equivalence.run_all`, each start solving as SOLVE
     unless given."""
-    return {"case": [3, -0.1, 256, 12.0], **{g: solves.get(g, SOLVE) for g in equivalence.GUESSES}}
+    return {"case": [3, -0.1, 256, 12.0], **{s: solves.get(s, SOLVE) for s in equivalence.STARTS}}
 
 
 @pytest.mark.parametrize("ds,ok", [(0.9e-13, True), (1.1e-13, False)])
@@ -28,7 +28,7 @@ def test_s_gate(ds, ok):
 
 @pytest.mark.parametrize("dm,ok", [(0.9e-12, True), (1.1e-12, False)])
 def test_m_gs_gate(dm, ok):
-    # [TRIVIAL] m_gs must stay within 1e-12 relative, per guess
+    # [TRIVIAL] m_gs must stay within 1e-12 relative, per start
     why = equivalence.compare(0.0, case(), case(sech=dict(SOLVE, m_gs=1.0 + dm)))
     assert (why["sech"] is None) == ok
     assert why["S"] is None and why["gaussian"] is None

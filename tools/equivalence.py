@@ -6,7 +6,9 @@ Each tree (a directory holding the package `hartreelab`) runs every case of
 CASES in its own subprocess with one BLAS thread, the two trees concurrently.
 A case builds the grid, the transform plan and the kernel once, saves the
 bilinear form S = w_i Kw_ij and the plan's modes Psi, and solves the ground
-state from both initial guesses with default options otherwise.  At a = 0,
+state from the two start fields of STARTS, r^{-rho} exp(-r^2/2) and
+r^{-rho} / cosh r, each passed as `init=`, with default options otherwise, so
+a tree with or without a `guess` option runs the same solves.  At a = 0,
 rho = 0 and the kernel is the uncorrected build.
 
 A case matches if
@@ -19,13 +21,13 @@ A case matches if
     last relative |F| of each solve).
 The residual is the scaling anomaly of the discrete functionals plus whatever
 Newton left at its floor, and two solves that stop at different iterates
-leave different round-off there (up to 3e-12 between the two guesses of one
+leave different round-off there (up to 3e-12 between the two starts of one
 tree at n = 1024, against a residual of 6e-9).  Psi is shown, not gated, so
 that a change of the plan is visible beside its effect on `m_gs`.
 
 Prints per case the relative difference of S, whether the two S are
 bit-identical (with the first 12 hex digits of each one's sha256) and the
-relative difference of Psi; per guess `m_gs`, the residual, both floors, the
+relative difference of Psi; per start `m_gs`, the residual, both floors, the
 iterations, whether the solve is bit-identical (the same bytes of Q by
 sha256, the same `m_gs` and residual, or the same error) and the wall time
 of the solve in OLD and in NEW.  The last line counts the matching cases and
@@ -63,13 +65,14 @@ CASES = (
     + [(6, -1.0, 512, 20.0)]
     + [(7, -3.0, 128, 8.0), (7, -3.0, 256, 12.0)]
 )
-GUESSES = ("gaussian", "sech")
+STARTS = {"gaussian": lambda r, rho: r**(-rho) * np.exp(-r**2 / 2),
+          "sech": lambda r, rho: r**(-rho) / np.cosh(r)}
 S_TOL, M_TOL, RESIDUAL_TOL = 1e-13, 1e-12, 1e-9
 
 
 def run_all(src: str, out: str) -> None:
     """Save S and Psi of each case to out/S<k>.npy and out/Psi<k>.npy and
-    print one JSON line per case, with one entry per guess."""
+    print one JSON line per case, with one entry per start."""
     sys.path.insert(0, src)
     import hartreelab as hl
 
@@ -80,35 +83,35 @@ def run_all(src: str, out: str) -> None:
         np.save(os.path.join(out, f"S{k}.npy"), grid.w[:, None] * km.Kw)
         np.save(os.path.join(out, f"Psi{k}.npy"), plan.Psi)
         row = {"case": [d, a, n, r_max]}
-        for guess in GUESSES:
+        for name, field in STARTS.items():
             start = time.perf_counter()
             try:
                 res = hl.solve_ground_state(params, grid, plan, km,
-                                            hl.GroundStateOptions(guess=guess))
-                row[guess] = dict(m_gs=res.m_gs, residual=res.residual,
-                                  floor=res.newton_residuals[-1], iterations=res.iterations,
-                                  q_sha256=hashlib.sha256(res.Q.tobytes()).hexdigest())
+                                            init=field(grid.r, params.rho))
+                row[name] = dict(m_gs=res.m_gs, residual=res.residual,
+                                 floor=res.newton_residuals[-1], iterations=res.iterations,
+                                 q_sha256=hashlib.sha256(res.Q.tobytes()).hexdigest())
             except hl.GroundStateError as exc:
-                row[guess] = {"error": str(exc)}
-            row[guess]["wall_s"] = time.perf_counter() - start
+                row[name] = {"error": str(exc)}
+            row[name]["wall_s"] = time.perf_counter() - start
         print(json.dumps(row), flush=True)
 
 
 def compare(ds: float, old: dict, new: dict) -> dict[str, str | None]:
-    """Why S (relative difference ds) and each guess's solve of one case do
+    """Why S (relative difference ds) and each start's solve of one case do
     not match between the rows old and new; None for each part that does."""
     why = {"S": f"S off by {ds:.1e}" if ds > S_TOL else None}
-    for guess in GUESSES:
-        o, w = old[guess], new[guess]
+    for name in STARTS:
+        o, w = old[name], new[name]
         if "error" in o:
-            why[guess] = None if "error" in w else "old raises, new solves"
+            why[name] = None if "error" in w else "old raises, new solves"
         elif "error" in w:
-            why[guess] = f"new raises: {w['error']}"
+            why[name] = f"new raises: {w['error']}"
         else:
             dm = abs(w["m_gs"] - o["m_gs"]) / o["m_gs"]
             dr = abs(w["residual"] - o["residual"])
             ok = dm <= M_TOL and dr <= RESIDUAL_TOL * o["residual"] + o["floor"] + w["floor"]
-            why[guess] = None if ok else f"m_gs off by {dm:.1e}, residual by {dr:.1e}"
+            why[name] = None if ok else f"m_gs off by {dm:.1e}, residual by {dr:.1e}"
     return why
 
 
@@ -146,16 +149,16 @@ def main(old_src: str, new_src: str) -> int:
             bits = f"bit-identical {sha[0]}" if sha[0] == sha[1] else f"{sha[0]} != {sha[1]}"
             print(f"{tuple(o['case'])!s:<26} S d_rel {ds:.1e} ({bits})  Psi d_rel {dpsi:.1e}"
                   f"{'  MISMATCH' if why['S'] else ''}")
-            for guess in GUESSES:
-                go, gw = o[guess], w[guess]
+            for name in STARTS:
+                go, gw = o[name], w[name]
                 same = all(go.get(key) == gw.get(key)
                            for key in ("q_sha256", "m_gs", "residual", "error"))
                 q_same += same
-                solves_ok += why[guess] is None
+                solves_ok += why[name] is None
                 wall_old, wall_new = wall_old + go["wall_s"], wall_new + gw["wall_s"]
                 wall = f"  wall {go['wall_s'] * 1e3:.1f} -> {gw['wall_s'] * 1e3:.1f} ms"
                 if "error" in go or "error" in gw:
-                    status = f"MISMATCH: {why[guess]}" if why[guess] else "both raise"
+                    status = f"MISMATCH: {why[name]}" if why[name] else "both raise"
                 else:
                     dm = abs(gw["m_gs"] - go["m_gs"]) / go["m_gs"]
                     worst_m = max(worst_m, dm)
@@ -165,8 +168,8 @@ def main(old_src: str, new_src: str) -> int:
                               f"{go['floor']:.1e}/{gw['floor']:.1e}  iterations "
                               f"{go['iterations']} -> {gw['iterations']}  "
                               f"{'Q bit-identical' if same else 'Q differs'}"
-                              f"{'  MISMATCH' if why[guess] else ''}")
-                print(f"    {guess:<8} {status}{wall}")
+                              f"{'  MISMATCH' if why[name] else ''}")
+                print(f"    {name:<8} {status}{wall}")
     n = len(old)
     print(f"{cases_ok} of {n} cases match ({solves_ok} of {2 * n} solves); S bit-identical "
           f"in {s_same} of {n}, Q in {q_same} of {2 * n}; worst relative S {worst_s:.1e}, "
