@@ -212,14 +212,23 @@ def _count_newton_steps(monkeypatch):
     return iterations
 
 
-def test_m_gs_pinned_and_few_newton_steps(monkeypatch, ctx512):
+def _start(ctx, guess):
+    """The r^{-rho} Gaussian start field, or None for the default
+    r^{-rho} / cosh r."""
+    return gaussian_profile(ctx.params, ctx.grid) if guess == "gaussian" else None
+
+
+@pytest.mark.parametrize("guess,m_gs", [("gaussian", 1.1784600506431986),
+                                        ("sech", 1.1784600506431981)])
+def test_m_gs_pinned_and_few_newton_steps(monkeypatch, ctx512, guess, m_gs):
     # [DERIVED] the threshold at (3, -0.1), n = 512, default options, as the
-    # Bessel-series dilations gave it, within 1e-12; Newton from the
-    # Petviashvili start stops at its round-off floor after at most 5 steps
-    # (the cap is 10)
+    # Bessel-series dilations gave it, within 1e-12, from either start field;
+    # Newton from the Petviashvili start stops at its round-off floor after
+    # at most 5 steps (the cap is 10)
     steps = _count_newton_steps(monkeypatch)
-    res = solve_ground_state(ctx512.params, ctx512.grid, ctx512.plan, ctx512.km)
-    assert res.m_gs == pytest.approx(1.1784600506431981, rel=1e-12)
+    res = solve_ground_state(ctx512.params, ctx512.grid, ctx512.plan, ctx512.km,
+                             init=_start(ctx512, guess))
+    assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
     assert len(steps) <= 5
     # the |F| history: each entry halves the last, except the final one,
     # which is where Newton stopped without taking a step
@@ -278,17 +287,20 @@ def ctx6():
     return Ctx(6, -1.0, 256, 12.0)
 
 
-@pytest.mark.parametrize("ctx_name,m_gs", [("ctx3_free", 1.4263921549247582),
-                                           ("ctx4", 2.652021473834232),
-                                           ("ctx6", 9.497170011901412)])
-def test_m_gs_pinned_across_dimensions(request, ctx_name, m_gs):
+@pytest.mark.parametrize("ctx_name,guess,m_gs", [
+    ("ctx3_free", "gaussian", 1.4263921549247587), ("ctx3_free", "sech", 1.4263921549247582),
+    ("ctx4", "gaussian", 2.652021473834231), ("ctx4", "sech", 2.652021473834232),
+    ("ctx6", "gaussian", 9.49717001190141), ("ctx6", "sech", 9.497170011901412)])
+def test_m_gs_pinned_across_dimensions(request, ctx_name, guess, m_gs):
     # [DERIVED] the threshold at (3, 0), (4, -0.5) and (6, -1.0), n = 256,
     # default options, within 1e-12: for d = 3 and 4 as the J-descent into
     # Newton gave it; for d = 6 on the exact sphere average (2F1 series and
     # recurrence), which a build with 1024-node Gauss-Jacobi sphere averages
-    # matches to 1.4e-11
+    # matches to 1.4e-11; the gaussian and the default sech start field
+    # reach it alike
     ctx = request.getfixturevalue(ctx_name)
-    res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km)
+    res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km,
+                             init=_start(ctx, guess))
     assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
 
 
@@ -315,12 +327,6 @@ def test_first_order_dilation_matches_resample(ctx512):
         ref = _bessel_series_dilation(ctx512.plan, Q, nu)
         err = Q + np.log(nu) * grid.r * dQ - ref
         assert np.sqrt(np.sum(grid.w * err**2) / np.sum(grid.w * ref**2)) <= 1e-12, nu
-
-
-def _start(ctx, guess):
-    """The r^{-rho} Gaussian start field, or None for the default
-    r^{-rho} / cosh r."""
-    return gaussian_profile(ctx.params, ctx.grid) if guess == "gaussian" else None
 
 
 @pytest.mark.parametrize("guess", ["gaussian", "sech"])
