@@ -350,12 +350,10 @@ def _scenario_ground_state(cfg, out_dir):
     return {"m_gs": res.m_gs, "el_residual": res.residual,
             "M": q.M, "H": q.H, "L_V": q.L_V, "pohozaev_defects": defects,
             "iterations": res.iterations,
-            "diagnostics": {"newton_residuals": res.newton_residuals,
-                            "start_iterations": res.start_iterations,
+            "diagnostics": {"residuals": res.residuals,
                             "nu_final": res.nu_final,
                             "boundary_mass_fraction": res.boundary_mass_fraction,
-                            "pohozaev_wall": res.pohozaev_wall,
-                            "trace": res.trace},
+                            "pohozaev_wall": res.pohozaev_wall},
             "checks": checks}
 
 
@@ -490,14 +488,15 @@ def _scenario_verify(cfg, out_dir):
     gn_report = gn_audit(real_fields + [np.abs(u) for u in cplx_fields],
                          m_gs, plan, km)
 
+    # mass and gradient over the positive-weight cells, the measure the
+    # rearrangement conserves (the origin weight is negative in d >= 6)
+    pos = grid.w > 0
     rearr_viol = 0
     for u in real_fields:
         v = rearrange_decreasing(u, grid)
-        M_u = float(np.sum(grid.w * np.abs(u)**2))
-        M_v = float(np.sum(grid.w * v**2))
         du, dv = (radial_derivative(grid, params.rho, x) for x in (u, v))
-        g_u = float(np.sum(grid.w * np.abs(du)**2))
-        g_v = float(np.sum(grid.w * np.abs(dv)**2))
+        M_u, M_v, g_u, g_v = (float(np.sum(grid.w[pos] * np.abs(x[pos])**2))
+                              for x in (u, v, du, dv))
         lv_u, lv_v = lv_value(km, np.abs(u)), lv_value(km, v)
         slack = 1e-9
         if abs(M_v - M_u) > slack * M_u or g_v > g_u * (1 + slack) \
@@ -666,7 +665,7 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None) -> dict:
         with open(os.path.join(out_dir, "traceback.txt"), "w") as fh:
             fh.write(traceback.format_exc())
         if isinstance(exc, GroundStateError):
-            summary["error"]["trace"] = exc.trace
+            summary["error"]["residuals"] = exc.residuals
         summary["pass"] = False
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary

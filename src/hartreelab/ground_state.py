@@ -4,34 +4,25 @@ The threshold M_gs = M(Q) = min J, with J(u) = M(u) H(u) / L_V(u) the
 scale-invariant Weinstein quotient, is the same for every ground state, so the
 solver only needs a positive Euler-Lagrange solution; that it minimizes J is
 what gn_audit checks.  From a positive guess with the r^{-rho} origin envelope
-the solve takes three steps:
+the solve takes two steps:
 
-1. Petviashvili start (V. I. Petviashvili, Sov. J. Plasma Phys. 2 (1976)
-   257; D. E. Pelinovsky and Yu. A. Stepanyants, SIAM J. Numer. Anal. 42
-   (2004) 1110) on the plan's mode coefficients c = Psi^T (w u), where
+1. Petviashvili's iteration (V. I. Petviashvili, Sov. J. Plasma Phys. 2
+   (1976) 257; D. E. Pelinovsky and Yu. A. Stepanyants, SIAM J. Numer. Anal.
+   42 (2004) 1110) on the plan's mode coefficients c = Psi^T (w u), where
    L_a + 1 is the diagonal k^2 + 1: with u = Psi c and
    f = Psi^T (w Phi[u^2] u), c <- S^{3/2} f / (k^2 + 1) for
    S = sum (k^2 + 1) c^2 / (c . f), three n^2 products and no n x n array.
-   It stops once |(k^2 + 1) c - f| < START_TOL |c|, the relative |F| by
-   Parseval, or at START_CAP, and hands u to Newton either way.  S^{3/2}
-   undoes the cube of the nonlinearity, so the guess's amplitude drops out,
-   and every positive guess lands in Newton's basin: 4-17 iterates on the
-   cases of tools/equivalence.py, and 5-22 from seeded multi-bump guesses,
-   which all reach the same m_gs to 7.8e-16.  The default guess is
-   r^{-rho} / cosh r.
-2. Newton on F(u) = L_a u + u - Phi[u^2] u.  Newton converges
-   quadratically and stops at its round-off floor, the first iterate whose
-   |F| fails to halve: after 5 iterates on every case of
-   tools/equivalence.py that solves.  NEWTON_CAP only bounds a solve that
-   never reaches that floor.  Each step solves the Jacobian system by GMRES
-   on the plan's mode coefficients, where L_a + 1 is the diagonal k^2 + 1
-   and its inverse preconditions (`_newton_step`): 10-13 iterations of
-   three n^2 products each, at every n and d measured, and no n x n array.
-   At (3, -0.1, r_max 12), from the default guess on one BLAS thread, the
-   Newton floor is 1.6e-13 / 5.8e-13 / 2.7e-12 at n = 256 / 512 / 1024,
-   where a dense LU solve of the formed Jacobian left 5.4e-13 / 3.3e-12 /
-   1.8e-11.
-3. Balanced Pohozaev rescale.  The discrete functionals carry a small scaling
+   It stops once |(k^2 + 1) c - f| < TOL |c|, the relative |F| of
+   F(u) = L_a u + u - Phi[u^2] u by Parseval, or at CAP, and the final
+   residual gate decides either way.  S^{3/2} undoes the cube of the
+   nonlinearity, so the guess's amplitude drops out.  The iteration
+   converges linearly to the solution itself, since L_+ has one negative
+   eigenvalue: |F| falls by 0.54-0.79 per iterate for d = 3-7, and every
+   solve of tools/equivalence.py reaches TOL, in 44-133 iterates (48-72 at
+   d = 3, n = 512); seeded multi-bump guesses reach the same m_gs to
+   5.7e-16.  TOL sits about 500 times above the ~1e-16 round-off floor of
+   the modal residual.  The default guess is r^{-rho} / cosh r.
+2. Balanced Pohozaev rescale.  The discrete functionals carry a small scaling
    anomaly delta = (M - H)/M at the unit-coefficient solution (quadrature
    error of the singular class r^{-rho} near the origin; it shrinks with
    resolution).  A full rescale to M = H = L_V pushes the whole anomaly into
@@ -47,16 +38,16 @@ the solve takes three steps:
    O((nu - 1)^2).  J (hence m_gs) is invariant under the whole scaling family.
 
 Every M, H, L_V and J comes from `functionals` and every Phi from
-`hartree.potential`; a Newton iterate passes the L_a u it formed for F.  The
-solve needs the plan and the kernel matrix, and evaluates no Bessel function:
-it only applies their matrices.  The result records Q's mass fraction in the
-outermost cells and the Pohozaev term of the Dirichlet wall,
-P = omega r_max^d Q'(r_max)^2 / (4 M(Q)) with Q' from `grid.radial_derivative`
-at the last node, and a solve that misses residual_tol names both, since
-r_max can limit the residual: (6, 0, 256) misses 1e-5 with 5.0e-9 of M(Q)
-there at r_max = 12 and meets it with 1.9e-10 at r_max = 14.  A wall at r_max
-adds -2 P to the scaling anomaly 4(nu_final - 1): P = 6.9e-6 at (6, 0, 256,
-r_max 12), where the anomaly is -1.4e-5.
+`hartree.potential`.  The solve needs the plan and the kernel matrix, and
+evaluates no Bessel function: it only applies their matrices.  The result
+records Q's mass fraction in the outermost cells and the Pohozaev term of
+the Dirichlet wall, P = omega r_max^d Q'(r_max)^2 / (4 M(Q)) with Q' from
+`grid.radial_derivative` at the last node, and a solve that misses
+residual_tol names both, since r_max can limit the residual: (6, 0, 256)
+misses 1e-5 with 5.0e-9 of M(Q) there at r_max = 12 and meets it with
+1.9e-10 at r_max = 14.  A wall at r_max adds -2 P to the scaling anomaly
+4(nu_final - 1): P = 6.9e-6 at (6, 0, 256, r_max 12), where the anomaly is
+-1.4e-5.
 """
 
 from __future__ import annotations
@@ -68,22 +59,19 @@ import numpy as np
 
 from .grid import RadialGrid, boundary_mass_fraction, radial_derivative
 from .functionals import functionals
-from .hartree import KernelMatrix, apply_kernel, potential
+from .hartree import KernelMatrix, potential
 from .params import ModelParams
 from .transform import TransformPlan, _forward, apply_la
 
 GN_REL_TOL = 1e-6   # relative slack of the gn_audit check J(u) >= M_gs
-START_TOL = 1e-2    # relative |F| at which the Petviashvili start hands over
-START_CAP = 50      # most Petviashvili iterates of one solve
-NEWTON_CAP = 10     # most Newton iterates of one solve
-GMRES_TOL = 1e-14   # relative residual at which a Newton step's GMRES stops
-GMRES_CAP = 60      # most GMRES iterations of one Newton step
+TOL = 1e-13         # relative |F| at which Petviashvili's iteration stops
+CAP = 500           # most Petviashvili iterates of one solve
 
 
 class GroundStateError(RuntimeError):
-    def __init__(self, message: str, trace=None):
+    def __init__(self, message: str, residuals=None):
         super().__init__(message)
-        self.trace = trace or []
+        self.residuals = residuals or []
 
 
 @dataclass
@@ -102,10 +90,8 @@ class GroundStateResult:
     Q: np.ndarray
     m_gs: float
     residual: float
-    iterations: int
-    trace: list  # (iteration, J) pairs
-    newton_residuals: list  # relative |F| at each Newton iterate
-    start_iterations: int   # Petviashvili iterates before Newton
+    iterations: int         # Petviashvili iterates, len(residuals)
+    residuals: list         # relative |F| at each iterate
     nu_final: float         # balanced Pohozaev factor; nu_final - 1 ~ anomaly / 4
     boundary_mass_fraction: float  # share of M(Q) in the outermost cells
     pohozaev_wall: float    # the wall's Pohozaev term P; anomaly ~ -2 P at r_max
@@ -122,54 +108,6 @@ def el_residual(Q: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> float:
     return float(np.sqrt(np.sum(w * np.abs(F)**2) / np.sum(w * np.abs(Q)**2)))
 
 
-def _newton_step(plan: TransformPlan, km: KernelMatrix, u: np.ndarray,
-                 Phi: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, int]:
-    """The Newton step x = Jac^{-1} F and its GMRES iterations, where
-    Jac x = (L_a + 1) x - Phi x - 2 omega u Kw (u x) is F's Jacobian at u.
-
-    GMRES (Saad and Schultz 1986) runs on the mode coefficients
-    c = Psi^T (w x), where L_a + 1 is the diagonal k^2 + 1, left-preconditioned
-    by its inverse: c -> c - (k^2 + 1)^{-1} Psi^T (w y) with
-    y = Phi x + 2 omega u Kw (u x) and x = Psi c, three n^2 products and no
-    n x n array.  Arnoldi orthogonalizes by classical Gram-Schmidt, twice;
-    Givens rotations of the Hessenberg column give the residual, and the
-    iteration stops once it is GMRES_TOL of the preconditioned right-hand
-    side, or at GMRES_CAP.
-    """
-    dinv = 1 / (plan.k**2 + 1)
-    b = dinv * _forward(plan, F)
-    beta = np.linalg.norm(b)
-    V = np.empty((GMRES_CAP + 1, len(b)))     # orthonormal Krylov basis
-    R = np.zeros((GMRES_CAP, GMRES_CAP))      # rotated Hessenberg triangle
-    g = np.zeros(GMRES_CAP + 1)               # rotated beta e_1
-    g[0] = beta
-    rot = []                                  # (cos, sin) of each Givens rotation
-    V[0] = b / beta
-    for j in range(GMRES_CAP):
-        x = plan.Psi @ V[j]
-        y = Phi * x + 2 * km.omega * u * apply_kernel(km, u * x)
-        v = V[j] - dinv * _forward(plan, y)
-        h = np.zeros(j + 2)
-        for _ in range(2):
-            hj = V[:j + 1] @ v
-            v -= hj @ V[:j + 1]
-            h[:j + 1] += hj
-        h[j + 1] = np.linalg.norm(v)
-        for i, (c, s) in enumerate(rot):
-            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-        rho = math.hypot(h[j], h[j + 1])
-        c, s = h[j] / rho, h[j + 1] / rho
-        rot.append((c, s))
-        R[:j, j], R[j, j] = h[:j], rho
-        g[j], g[j + 1] = c * g[j], -s * g[j]
-        if abs(g[j + 1]) <= GMRES_TOL * beta:
-            break
-        V[j + 1] = v / h[j + 1]
-    m = j + 1
-    y = np.linalg.solve(R[:m, :m], g[:m])
-    return plan.Psi @ (y @ V[:m]), m
-
-
 def solve_ground_state(params: ModelParams, grid: RadialGrid,
                        plan: TransformPlan, km: KernelMatrix,
                        opts: GroundStateOptions | None = None,
@@ -184,30 +122,19 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     if q.L_V <= 0 or q.M <= 0:
         raise GroundStateError("initial guess has vanishing mass or L_V")
 
-    # Petviashvili on the modes into Newton's basin, then Newton
+    # Petviashvili's iteration on the modes; by Parseval the ratio is |F| / |u|
     c = _forward(plan, u)
     d = plan.k**2 + 1
-    for start in range(START_CAP):
+    residuals: list = []
+    for _ in range(CAP):
         u = plan.Psi @ c
         f = _forward(plan, potential(km, u) * u)
-        if np.linalg.norm(d * c - f) < START_TOL * np.linalg.norm(c):
+        residuals.append(float(np.linalg.norm(d * c - f) / np.linalg.norm(c)))
+        if residuals[-1] < TOL:
             break
         c = (np.sum(d * c**2) / (c @ f))**1.5 * f / d
-    trace: list = []
-    newton: list = []
-    for it in range(NEWTON_CAP):
-        Phi = potential(km, u)
-        Lau = apply_la(plan, u)
-        F = Lau + u - Phi * u
-        newton.append(float(np.sqrt(np.sum(grid.w * F**2) / np.sum(grid.w * u**2))))
-        q = functionals(u, plan, km, Lau)
-        trace.append((it + 1, q.J))
-        if it and newton[-1] > 0.5 * newton[-2]:
-            break                         # round-off floor: |F| no longer halves
-        u = u - _newton_step(plan, km, u, Phi, F)[0]
-    else:                                 # the cap: u moved after its last M, H
-        q = functionals(u, plan, km)
-    iterations = it + 1
+    iterations = len(residuals)
+    q = functionals(u, plan, km)
 
     # balanced Pohozaev rescale: half-step dilation splits the scaling anomaly
     # between the residual and |M - H|; the amplitude makes M = L_V exact
@@ -218,7 +145,6 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     Q = np.where(np.abs(Q) < 1e-300, 0.0, Q)
     qQ = functionals(Q, plan, km)
     m_gs = qQ.J
-    trace.append((iterations + 1, m_gs))
     residual = el_residual(Q, plan, km)
     boundary = boundary_mass_fraction(grid, Q)
     wall = km.omega * grid.r_max**params.d \
@@ -226,15 +152,14 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     if residual > opts.residual_tol:
         raise GroundStateError(
             f"solver did not reach residual {opts.residual_tol:.1e} "
-            f"(got {residual:.2e}) after {iterations} Newton iterations; "
+            f"(got {residual:.2e}) after {iterations} iterations; "
             f"boundary mass fraction {boundary:.1e}, "
-            f"Pohozaev wall term {wall:.1e}", trace)
+            f"Pohozaev wall term {wall:.1e}", residuals)
     if np.min(Q) < -1e-12:
         raise GroundStateError(
-            f"ground state has negative samples (min {np.min(Q):.2e})", trace)
+            f"ground state has negative samples (min {np.min(Q):.2e})", residuals)
     return GroundStateResult(Q=Q, m_gs=m_gs, residual=residual,
-                             iterations=iterations, trace=trace,
-                             newton_residuals=newton, start_iterations=start + 1,
+                             iterations=iterations, residuals=residuals,
                              nu_final=nu_final, boundary_mass_fraction=boundary,
                              pohozaev_wall=wall)
 

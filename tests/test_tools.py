@@ -1,5 +1,6 @@
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -37,7 +38,7 @@ def test_m_gs_gate(dm, ok):
 @pytest.mark.parametrize("frac,ok", [(0.9, True), (1.1, False)])
 def test_residual_gate(frac, ok):
     # [TRIVIAL] the residual may move by 1e-9 of the old one plus both
-    # Newton floors
+    # floors, the last relative |F| of each solve
     new = dict(SOLVE, floor=2e-12)
     bound = 1e-9 * SOLVE["residual"] + SOLVE["floor"] + new["floor"]
     new["residual"] = SOLVE["residual"] + frac * bound
@@ -53,3 +54,10 @@ def test_raise_gate(old, new, ok):
     why = equivalence.compare(0.0, case(sech=old), case(sech=new))
     assert (why["sech"] is None) == ok
     assert why["S"] is None and why["gaussian"] is None
+
+
+@pytest.mark.parametrize("layout", ["residuals", "newton_residuals"])
+def test_floor_reads_either_layout(layout):
+    # [TRIVIAL] a solve's floor is the last entry of its |F| history, whether
+    # the tree records it as `residuals` or as `newton_residuals`
+    assert equivalence.floor(SimpleNamespace(**{layout: [1e-3, 1e-8, 2e-13]})) == 2e-13

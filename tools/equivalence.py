@@ -17,13 +17,14 @@ A case matches if
     (the d = 3, a = 0 cases at n = 16 and 21, where the cells of the kernel's
     first and last stencil columns overlap, are too coarse to solve);
   - where both solve, `m_gs` is within 1e-12 relative, and the Euler-Lagrange
-    residual within 1e-9 relative plus the two Newton round-off floors (the
-    last relative |F| of each solve).
-The residual is the scaling anomaly of the discrete functionals plus whatever
-Newton left at its floor, and two solves that stop at different iterates
-leave different round-off there (up to 3e-12 between the two starts of one
-tree at n = 1024, against a residual of 6e-9).  Psi is shown, not gated, so
-that a change of the plan is visible beside its effect on `m_gs`.
+    residual within 1e-9 relative plus the two floors, the last relative |F|
+    of each solve.
+The residual is the scaling anomaly of the discrete functionals plus the
+|F| the iteration left at its stop, and two solves that stop at different
+iterates leave different |F| there.  A tree records the relative |F| of each
+iterate as `residuals`, or of each Newton iterate as `newton_residuals` in
+trees that polish by Newton; `floor` reads either.  Psi is shown, not gated,
+so that a change of the plan is visible beside its effect on `m_gs`.
 
 Prints per case the relative difference of S, whether the two S are
 bit-identical (with the first 12 hex digits of each one's sha256) and the
@@ -70,6 +71,13 @@ STARTS = {"gaussian": lambda r, rho: r**(-rho) * np.exp(-r**2 / 2),
 S_TOL, M_TOL, RESIDUAL_TOL = 1e-13, 1e-12, 1e-9
 
 
+def floor(res) -> float:
+    """The last relative |F| of a solve, from `residuals` or, in a tree that
+    polishes by Newton, `newton_residuals`."""
+    history = getattr(res, "residuals", None) or res.newton_residuals
+    return history[-1]
+
+
 def run_all(src: str, out: str) -> None:
     """Save S and Psi of each case to out/S<k>.npy and out/Psi<k>.npy and
     print one JSON line per case, with one entry per start."""
@@ -89,7 +97,7 @@ def run_all(src: str, out: str) -> None:
                 res = hl.solve_ground_state(params, grid, plan, km,
                                             init=field(grid.r, params.rho))
                 row[name] = dict(m_gs=res.m_gs, residual=res.residual,
-                                 floor=res.newton_residuals[-1], iterations=res.iterations,
+                                 floor=floor(res), iterations=res.iterations,
                                  q_sha256=hashlib.sha256(res.Q.tobytes()).hexdigest())
             except hl.GroundStateError as exc:
                 row[name] = {"error": str(exc)}
