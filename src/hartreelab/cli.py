@@ -95,7 +95,7 @@ SCHEMA = {
     # each OpenBLAS library's T threads, so a sub-run's results are those of a
     # run at that count: `m_gs` can differ from a T-thread run in its last bits
     # (<= 7e-16 relative), and reruns are bit-identical.  A 5-coupling n = 512
-    # sweep on 2 cores took a median 1.11 / 0.72 / 0.84 s with 1 / 2 / 4
+    # sweep on 2 cores took a median 0.67 / 0.49 / 0.50 s with 1 / 2 / 4
     # workers.  The default stays 1 because every config hash covers it.
     "sweep.workers": (int, 1),
 }

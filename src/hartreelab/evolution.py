@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import Quantities, functionals
+from .functionals import functionals
 from .grid import boundary_mass_fraction, dilate, radial_derivative
 from .hartree import KernelMatrix, potential, surface_area
 from .transform import TransformPlan, apply_la

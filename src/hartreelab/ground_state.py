@@ -118,10 +118,6 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
     if np.any(u < 0) or not np.any(u > 0):
         raise ValueError("initial guess must be non-negative and nonzero")
 
-    q = functionals(u, plan, km)
-    if q.L_V <= 0 or q.M <= 0:
-        raise GroundStateError("initial guess has vanishing mass or L_V")
-
     # Petviashvili's iteration on the modes; by Parseval the ratio is |F| / |u|
     c = _forward(plan, u)
     d = plan.k**2 + 1
@@ -132,7 +128,11 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
         residuals.append(float(np.linalg.norm(d * c - f) / np.linalg.norm(c)))
         if residuals[-1] < TOL:
             break
-        c = (np.sum(d * c**2) / (c @ f))**1.5 * f / d
+        cf = c @ f
+        if not cf > 0:                    # c . f = 4 L_V / omega, or NaN
+            raise GroundStateError(f"iterate {len(residuals)}: c . f = "
+                                   f"{cf:.2e} is not positive", residuals)
+        c = (np.sum(d * c**2) / cf)**1.5 * f / d
     iterations = len(residuals)
     q = functionals(u, plan, km)
 

@@ -366,8 +366,8 @@ def build_kernel(grid: RadialGrid, params: ModelParams) -> KernelMatrix:
         del mom   # not held through the symmetrization
     # symmetrize the bilinear form S = w Kw (quadratic forms are unchanged by
     # this), correct it and divide by w, all in Kw's own C-ordered buffer,
-    # which `apply_kernel` views as column pairs; a zero-weight node
-    # (possible clamped origin weight, d >= 6) keeps its raw row
+    # which `apply_kernel` views as column pairs; a node of non-positive
+    # weight (the origin in d >= 6, where w[0] < 0) keeps its raw row
     w = grid.w
     pos = w > 0
     raw = Kw[~pos]

@@ -31,8 +31,8 @@ fields take the plain real product.  Without the stored Psi^T W the plan
 holds half the memory (2 MiB less at n = 512); the forward transform then
 reads Psi transposed, which at n = 512 on 2 BLAS threads took 88 against
 75 us on a real field and 149 against 105 us on a complex one (medians of 40
-interleaved rounds on 2 shared cores), under 1 ms of a ~30 ms ground-state
-solve.  The one complex n x n matrix is the evolution's linear flow
+interleaved rounds on 2 shared cores), under 1 ms of a ~18 ms ground-state
+solve at n = 512.  The one complex n x n matrix is the evolution's linear flow
 Psi diag(e^{i k^2 tau}) Psi^T W, which `evolution.evolve` forms once per run
 and keeps only for that run.
 

@@ -382,7 +382,8 @@ def test_main_exit_codes(tmp_path, capsys):
     # end time that is not a whole number of steps, a
     # non-finite radius, bad solver options, a concentration radius that is
     # not positive and finite, a blow-up run without pseudo-conformal data,
-    # zero sweep workers
+    # too few grid nodes, an unknown profile or scenario, a missing profile
+    # file, no verify fields, a sweep of sweeps, zero sweep workers
     out = str(tmp_path / "cli")
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(GS_GRID + FAST_GS)
@@ -421,9 +422,19 @@ def test_main_exit_codes(tmp_path, capsys):
             ("evolve", "concentrate.lambdas=nan", "concentrate.lambdas"),
             ("concentrate", "concentrate.lambdas=1.0,0", "concentrate.lambdas"),
             ("evolve", "concentrate.lambdas=-1,inf", "concentrate.lambdas"),
-            ("concentrate", "grid.n=32", "init.profile")):
+            ("concentrate", "grid.n=32", "init.profile"),
+            ("evolve", "grid.n=8", "key grid.n:"),
+            ("evolve", "init.profile=vortex", "key init.profile:"),
+            ("evolve", "init.profile=file", "key init.file:"),
+            ("verify", "verify.fields=0", "key verify.fields:"),
+            ("sweep", "sweep.scenario=sweep", "key sweep.scenario:"),
+            ("evolve", "scenario=bogus", "key scenario:")):
         assert main([scenario, "--out", out, "--override", override]) == 2, override
         assert named in capsys.readouterr().err, override
+    # the subcommand sets the scenario, so a config file's own is checked
+    # where parse_config reads it
+    with pytest.raises(ConfigError, match="key scenario:"):
+        parse_config("scenario = bogus")
     assert main(["sweep", "--out", out, "--override", "sweep.key=model.a",
                  "--override", "sweep.values=-0.1", "--override", "sweep.workers=0"]) == 2
     assert "sweep.workers" in capsys.readouterr().err

@@ -68,6 +68,26 @@ def _subcritical(c):
             * np.exp(0.3j * np.tanh(g.r))).astype(complex)
 
 
+def test_non_finite_field_stops_the_run(ctx3, monkeypatch):
+    # [TRIVIAL] evolve stops with blowup-suspected at the step whose field
+    # turns non-finite: a potential that is NaN from its 5th call (the end
+    # rotation of step 4; step 1 forms two) stops the run at t = 4 dt, with
+    # only the initial sample recorded
+    calls = []
+    original = evolution.potential
+
+    def failing(km, v):
+        calls.append(1)
+        return original(km, v) if len(calls) < 5 else np.full(v.shape, np.nan)
+
+    monkeypatch.setattr(evolution, "potential", failing)
+    traj = evolve(_subcritical(ctx3), IntegratorConfig(dt=1e-3, t_end=0.01),
+                  ctx3.plan, ctx3.km)
+    assert traj.stop_reason == "blowup-suspected"
+    assert traj.stop_time == pytest.approx(0.004)
+    assert traj.times == [0.0]
+
+
 @pytest.mark.parametrize("scheme", ["strang-split", "midpoint-relaxation"])
 def test_evolve_matches_one_shot_steps(ctx3, scheme):
     # [DERIVED] evolve, which carries the end rotation, matches a loop of

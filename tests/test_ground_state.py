@@ -119,7 +119,7 @@ def test_bad_inputs(ctx3):
     assert exc.value.residuals    # the |F| history rides on the error
 
 
-def test_newton_cap_ends_the_solve(ctx3, gs3, monkeypatch):
+def test_iteration_cap_ends_the_solve(ctx3, gs3, monkeypatch):
     # [DERIVED] a solve that reaches CAP before TOL rescales the last
     # iterate: 30 iterates from the default start leave a relative |F| of
     # 6.4e-7 and a residual of 1.9e-6, with an m_gs 5e-13 relative from the
@@ -135,6 +135,24 @@ def test_newton_cap_ends_the_solve(ctx3, gs3, monkeypatch):
     with pytest.raises(GroundStateError, match=f"after {capped} iterations"):
         solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                            GroundStateOptions(residual_tol=1e-7))
+
+
+def test_nonpositive_update_denominator_raises(ctx3, monkeypatch):
+    # [TRIVIAL] a potential that vanishes from its second call makes the
+    # second iterate's c . f zero; the solve raises naming that iterate,
+    # with the two residuals so far, instead of dividing by it
+    calls = []
+    phi = ground_state.potential
+
+    def vanishing(km, u):
+        calls.append(1)
+        return phi(km, u) if len(calls) == 1 else np.zeros_like(u)
+
+    monkeypatch.setattr(ground_state, "potential", vanishing)
+    with pytest.raises(GroundStateError, match="iterate 2:") as exc:
+        solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km)
+    assert len(exc.value.residuals) == 2
+    assert len(calls) == 2
 
 
 def test_boundary_mass_recorded_and_named_in_residual_error():
@@ -199,7 +217,7 @@ def _start(ctx, guess):
 
 @pytest.mark.parametrize("guess,m_gs", [("gaussian", 1.1784600506431986),
                                         ("sech", 1.1784600506431981)])
-def test_m_gs_pinned_and_few_newton_steps(ctx512, guess, m_gs):
+def test_m_gs_pinned_and_few_iterates(ctx512, guess, m_gs):
     # [DERIVED] the threshold at (3, -0.1), n = 512, default options, as the
     # Bessel-series dilations gave it, within 1e-12, from either start field;
     # Petviashvili's iteration stops at the first iterate below TOL, after at
@@ -274,7 +292,7 @@ def test_first_order_dilation_matches_resample(ctx512):
 
 @pytest.mark.parametrize("guess", ["gaussian", "sech"])
 @pytest.mark.parametrize("ctx_name", ["ctx3", "ctx4"])
-def test_newton_from_the_guess_reaches_tolerance(request, ctx_name, guess):
+def test_iteration_from_the_guess_reaches_tolerance(request, ctx_name, guess):
     # [DERIVED] from either start field the iteration runs to TOL, not to
     # the cap, and the rescaled Q meets the default residual_tol
     ctx = request.getfixturevalue(ctx_name)
@@ -299,11 +317,11 @@ def test_d5_scaling_anomaly_converges():
 
 
 @pytest.mark.parametrize("guess", ["gaussian", "sech"])
-def test_newton_reuses_its_quantities(monkeypatch, ctx3, guess):
+def test_solve_applies_la_four_times(monkeypatch, ctx3, guess):
     # [TRIVIAL] Petviashvili's iteration works on the modes, where L_a is
-    # the diagonal k^2, and never applies L_a: a solve applies it exactly 5
-    # times, however many iterates it takes (the guess's quantities, the last
-    # iterate's M and H, the rescaled field, the returned Q, its EL residual)
+    # the diagonal k^2, and never applies L_a: a solve applies it exactly 4
+    # times, however many iterates it takes (the last iterate's M and H, the
+    # rescaled field, the returned Q, its EL residual)
     calls = []
     apply_la = ground_state.apply_la
 
@@ -316,7 +334,7 @@ def test_newton_reuses_its_quantities(monkeypatch, ctx3, guess):
     res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                              init=_start(ctx3, guess))
     assert res.iterations >= 3
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("c", [1e-7, 1e5])

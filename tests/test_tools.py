@@ -56,8 +56,8 @@ def test_raise_gate(old, new, ok):
     assert why["S"] is None and why["gaussian"] is None
 
 
-@pytest.mark.parametrize("layout", ["residuals", "newton_residuals"])
+@pytest.mark.parametrize("layout", ["residuals"])
 def test_floor_reads_either_layout(layout):
-    # [TRIVIAL] a solve's floor is the last entry of its |F| history, whether
-    # the tree records it as `residuals` or as `newton_residuals`
+    # [TRIVIAL] a solve's floor is the last entry of its |F| history, which
+    # the tree records as `residuals`
     assert equivalence.floor(SimpleNamespace(**{layout: [1e-3, 1e-8, 2e-13]})) == 2e-13

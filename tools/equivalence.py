@@ -7,9 +7,8 @@ CASES in its own subprocess with one BLAS thread, the two trees concurrently.
 A case builds the grid, the transform plan and the kernel once, saves the
 bilinear form S = w_i Kw_ij and the plan's modes Psi, and solves the ground
 state from the two start fields of STARTS, r^{-rho} exp(-r^2/2) and
-r^{-rho} / cosh r, each passed as `init=`, with default options otherwise, so
-a tree with or without a `guess` option runs the same solves.  At a = 0,
-rho = 0 and the kernel is the uncorrected build.
+r^{-rho} / cosh r, each passed as `init=`, with default options otherwise.
+At a = 0, rho = 0 and the kernel is the uncorrected build.
 
 A case matches if
   - S is within 1e-13 of OLD's in max norm, relative to max |S|;
@@ -21,10 +20,9 @@ A case matches if
     of each solve.
 The residual is the scaling anomaly of the discrete functionals plus the
 |F| the iteration left at its stop, and two solves that stop at different
-iterates leave different |F| there.  A tree records the relative |F| of each
-iterate as `residuals`, or of each Newton iterate as `newton_residuals` in
-trees that polish by Newton; `floor` reads either.  Psi is shown, not gated,
-so that a change of the plan is visible beside its effect on `m_gs`.
+iterates leave different |F| there.  A solve records the relative |F| of
+each iterate as `residuals`, and `floor` reads the last.  Psi is shown, not
+gated, so that a change of the plan is visible beside its effect on `m_gs`.
 
 Prints per case the relative difference of S, whether the two S are
 bit-identical (with the first 12 hex digits of each one's sha256) and the
@@ -72,10 +70,8 @@ S_TOL, M_TOL, RESIDUAL_TOL = 1e-13, 1e-12, 1e-9
 
 
 def floor(res) -> float:
-    """The last relative |F| of a solve, from `residuals` or, in a tree that
-    polishes by Newton, `newton_residuals`."""
-    history = getattr(res, "residuals", None) or res.newton_residuals
-    return history[-1]
+    """The last relative |F| of a solve."""
+    return res.residuals[-1]
 
 
 def run_all(src: str, out: str) -> None:
