@@ -1,8 +1,11 @@
 """Config-driven batch front door.
 
 Configs are flat UTF-8 ``key = value`` text with dotted keys (``#`` comments
-allowed); the full schema with defaults is the SCHEMA table below.  Unknown
-keys are rejected and validation reports *all* problems, not just the first.
+allowed); the full schema with defaults is the SCHEMA table below.  Its
+``integrator.*``, ``ground_state.*`` and ``init.<param>`` keys are the fields
+of ``IntegratorConfig``, ``GroundStateOptions`` and ``profiles.ProfileOptions``,
+which hold their defaults and checks.  Unknown keys are rejected and
+validation reports *all* problems, not just the first.
 
 Subcommands: ground-state | evolve | blowup | verify | concentrate | sweep,
 with flags --config PATH, --out DIR, --seed N, --override key=value
@@ -24,12 +27,14 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
 import traceback
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -46,7 +51,7 @@ from .ground_state import (GroundStateError, GroundStateOptions, gn_audit,
 from .grid import build_grid, radial_derivative
 from .hartree import apply_kernel, build_kernel, lv_value
 from .params import make_params
-from .profiles import PROFILE_NAMES, make_initial_data
+from .profiles import PROFILE_NAMES, ProfileOptions, make_initial_data
 from .transform import build_plan
 
 SCENARIOS = ("ground-state", "evolve", "blowup", "verify", "concentrate", "sweep")
@@ -60,6 +65,12 @@ def _str_list(text: str) -> list:
     return [x.strip() for x in text.split(",") if x.strip()]
 
 
+def _rows(section: str, cls) -> dict:
+    """SCHEMA rows `section.<field>` -> (type, default) of each field of cls."""
+    types = typing.get_type_hints(cls)
+    return {f"{section}.{f.name}": (types[f.name], f.default) for f in dataclasses.fields(cls)}
+
+
 # key -> (parser, default); validation beyond parsing happens in parse_config
 SCHEMA = {
     "scenario": (str, "ground-state"),
@@ -67,23 +78,11 @@ SCHEMA = {
     "model.a": (float, -0.1),
     "grid.n": (int, 256),
     "grid.r_max": (float, 12.0),
-    "integrator.dt": (float, 1e-3),
-    "integrator.t_end": (float, 1.0),
-    "integrator.scheme": (str, "strang-split"),
-    "integrator.output_stride": (int, 10),
-    "integrator.min_scale_cells": (float, 4.0),
-    "ground_state.residual_tol": (float, 1e-5),
+    **_rows("integrator", IntegratorConfig),
+    **_rows("ground_state", GroundStateOptions),
     "init.profile": (str, "gaussian"),
     "init.file": (str, ""),
-    "init.sigma": (float, 1.0),
-    "init.amplitude": (float, 1.0),
-    "init.mu": (float, 1.0),
-    "init.nu_s": (float, 1.0),
-    "init.T_star": (float, 1.0),
-    "init.theta": (float, 0.0),
-    "init.t0": (float, 0.0),
-    "init.s0": (float, 2.0),
-    "init.width": (float, 0.5),
+    **_rows("init", ProfileOptions),
     "output.dir": (str, "out"),
     "seed": (int, 0),
     "concentrate.lambdas": (_float_list, [1.0]),
@@ -138,8 +137,9 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def parse_config(text: str, overrides=None) -> RunConfig:
-    """Parse and validate; raises ConfigError listing *all* problems."""
+def parse_config(text: str, overrides=None, scenario=None) -> RunConfig:
+    """Parse and validate; raises ConfigError listing *all* problems, among
+    them a scenario other than `scenario`, the subcommand, if one is given."""
     errors = []
     pairs = {}
     items = [(f"line {lineno}", body) for lineno, line in enumerate(text.splitlines(), 1)
@@ -154,6 +154,11 @@ def parse_config(text: str, overrides=None) -> RunConfig:
             errors.append(f"{where}: unknown key {key!r}")
             continue
         pairs[key] = val
+    if scenario is not None:
+        if pairs.get("scenario", scenario) != scenario:
+            errors.append(f"key scenario: the config sets {pairs['scenario']!r}, "
+                          f"the subcommand is {scenario!r}")
+        pairs["scenario"] = scenario
 
     values = {}
     for key, (parse, default) in SCHEMA.items():
@@ -190,6 +195,7 @@ def parse_config(text: str, overrides=None) -> RunConfig:
     # a t_end / dt mismatch names no single field and is reported under dt
     check("integrator.dt", lambda: _options(values, "integrator", IntegratorConfig))
     check("ground_state", lambda: _options(values, "ground_state", GroundStateOptions))
+    check("init", lambda: _options(values, "init", ProfileOptions))
     if values.get("init.profile") not in PROFILE_NAMES + ("file",):
         errors.append(f"key init.profile: must be one of {PROFILE_NAMES + ('file',)}, "
                       f"got {values.get('init.profile')!r}")
@@ -268,10 +274,9 @@ def _build(cfg: RunConfig):
     return params, grid, plan, km
 
 
-def _options(cfg, section: str, cls=dict, skip=()):
-    """cls(**fields) from the SCHEMA keys `section.<field>` of cfg, less `skip`."""
-    return cls(**{k.split(".", 1)[1]: cfg[k] for k in SCHEMA
-                  if k.startswith(section + ".") and k not in skip})
+def _options(cfg, section: str, cls):
+    """cls(**fields), each field read from the key `section.<field>` of cfg."""
+    return cls(**{f.name: cfg[f"{section}.{f.name}"] for f in dataclasses.fields(cls)})
 
 
 def _initial_data(cfg, params, grid, plan, km):
@@ -294,7 +299,7 @@ def _initial_data(cfg, params, grid, plan, km):
     if name in ("ground-state", "pseudo-conformal"):
         gs = solve_ground_state(params, grid, plan, km,
                                 _options(cfg, "ground_state", GroundStateOptions))
-    u0 = make_initial_data(name, _options(cfg, "init", skip=("init.profile", "init.file")),
+    u0 = make_initial_data(name, dataclasses.asdict(_options(cfg, "init", ProfileOptions)),
                            params, grid, plan, None if gs is None else gs.Q)
     return np.asarray(u0, dtype=complex), gs
 
@@ -688,15 +693,19 @@ def main(argv=None) -> int:
 
     text = ""
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
-    overrides = [f"scenario = {args.scenario}"] + list(args.override)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"config error: cannot read {args.config!r}: {exc}", file=sys.stderr)
+            return 2
+    overrides = list(args.override)
     if args.out is not None:
         overrides.append(f"output.dir = {args.out}")
     if args.seed is not None:
         overrides.append(f"seed = {args.seed}")
     try:
-        cfg = parse_config(text, overrides=overrides)
+        cfg = parse_config(text, overrides=overrides, scenario=args.scenario)
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

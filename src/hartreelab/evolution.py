@@ -75,8 +75,8 @@ _FLOW_ROWS = 64          # rows of a flow matrix formed by one product
 
 @dataclass
 class IntegratorConfig:
-    dt: float
-    t_end: float
+    dt: float = 1e-3
+    t_end: float = 1.0
     scheme: str = "strang-split"      # or "midpoint-relaxation"
     output_stride: int = 10
     min_scale_cells: float = 4.0      # stop when 1/sqrt(H) < this many cells

@@ -1,7 +1,9 @@
 """Named initial-data profiles.
 
 Every scenario in the CLI (and most acceptance experiments) starts from one of
-these four families, so each is reachable from config alone:
+these four families, so each is reachable from config alone; `ProfileOptions`
+holds their nine parameters, with the defaults and checks the CLI's
+`init.<param>` keys read:
 
     gaussian(sigma, amplitude)       amplitude * r^{-rho} exp(-r^2/(2 sigma^2))
     ground-state(mu, nu_s)           mu * Q(nu_s r) for the solved ground state
@@ -15,6 +17,9 @@ algebraically), which would poison spectral accuracy of the evolution.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from .evolution import pseudo_conformal_family
@@ -26,18 +31,43 @@ from .transform import TransformPlan
 PROFILE_NAMES = ("gaussian", "ground-state", "pseudo-conformal", "shell")
 
 
-def gaussian_profile(params: ModelParams, grid: RadialGrid,
-                     sigma: float = 1.0, amplitude: float = 1.0) -> np.ndarray:
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+@dataclass(frozen=True)
+class ProfileOptions:
+    sigma: float = 1.0        # gaussian
+    amplitude: float = 1.0    # gaussian, shell
+    mu: float = 1.0           # ground-state
+    nu_s: float = 1.0
+    T_star: float = 1.0       # pseudo-conformal
+    theta: float = 0.0
+    t0: float = 0.0
+    s0: float = 2.0           # shell
+    width: float = 0.5
+
+    def __post_init__(self):
+        """Raises ValueError naming every failing field, one per line."""
+        errors = [f"{name} must be positive and finite, got {getattr(self, name)!r}"
+                  for name in ("sigma", "mu", "nu_s", "T_star", "s0", "width")
+                  if not 0 < getattr(self, name) < math.inf]
+        errors += [f"{name} must be finite, got {getattr(self, name)!r}"
+                   for name in ("amplitude", "theta") if not math.isfinite(getattr(self, name))]
+        t_max = self.T_star if 0 < self.T_star < math.inf else math.inf
+        if not 0 <= self.t0 < t_max:
+            errors.append(f"t0 must satisfy 0 <= t0 < T_star = {self.T_star!r}, "
+                          f"got {self.t0!r}")
+        if errors:
+            raise ValueError("\n".join(errors))
+
+
+def gaussian_profile(params: ModelParams, grid: RadialGrid, sigma: float = ProfileOptions.sigma,
+                     amplitude: float = ProfileOptions.amplitude) -> np.ndarray:
+    ProfileOptions(sigma=sigma, amplitude=amplitude)   # raises naming each bad argument
     r = grid.r
     return amplitude * r**(-params.rho) * np.exp(-r**2 / (2 * sigma**2))
 
 
-def shell_profile(params: ModelParams, grid: RadialGrid, s0: float,
-                  width: float, amplitude: float = 1.0) -> np.ndarray:
-    if s0 <= 0 or width <= 0:
-        raise ValueError(f"shell needs s0 > 0 and width > 0, got {s0}, {width}")
+def shell_profile(params: ModelParams, grid: RadialGrid, s0: float, width: float,
+                  amplitude: float = ProfileOptions.amplitude) -> np.ndarray:
+    ProfileOptions(s0=s0, width=width, amplitude=amplitude)   # raises naming each bad argument
     r = grid.r
     return amplitude * np.exp(-(r - s0)**2 / (2 * width**2))
 
@@ -45,26 +75,22 @@ def shell_profile(params: ModelParams, grid: RadialGrid, s0: float,
 def make_initial_data(name: str, opts: dict, params: ModelParams,
                       grid: RadialGrid, plan: TransformPlan | None = None,
                       Q: np.ndarray | None = None) -> np.ndarray:
-    """Dispatch by profile name; `opts` holds the profile parameters.
+    """Dispatch by profile name; `opts` holds the ProfileOptions fields to set.
 
     The ground-state-based profiles require the solved Q (and, for the
     pseudo-conformal family, the transform plan).
     """
+    o = ProfileOptions(**opts)
     if name == "gaussian":
-        return gaussian_profile(params, grid, opts.get("sigma", 1.0),
-                                opts.get("amplitude", 1.0))
+        return gaussian_profile(params, grid, o.sigma, o.amplitude)
     if name == "shell":
-        return shell_profile(params, grid, opts.get("s0", 2.0),
-                             opts.get("width", 0.5), opts.get("amplitude", 1.0))
+        return shell_profile(params, grid, o.s0, o.width, o.amplitude)
     if name in ("ground-state", "pseudo-conformal"):
         if Q is None:
             raise ValueError(f"profile {name!r} requires a solved ground state")
         if name == "ground-state":
-            return rescale(Q, grid, params.rho, opts.get("mu", 1.0),
-                           opts.get("nu_s", 1.0))
+            return rescale(Q, grid, params.rho, o.mu, o.nu_s)
         if plan is None:
             raise ValueError("pseudo-conformal profile requires a transform plan")
-        return pseudo_conformal_family(Q, opts.get("T_star", 1.0),
-                                       opts.get("theta", 0.0),
-                                       opts.get("t0", 0.0), plan)
+        return pseudo_conformal_family(Q, o.T_star, o.theta, o.t0, plan)
     raise ValueError(f"unknown profile {name!r}; expected one of {PROFILE_NAMES}")

@@ -14,8 +14,7 @@ from hartreelab import build_grid, cli, load_ground_state
 from hartreelab.cli import (ConfigError, SCHEMA, config_hash, main,
                             parse_config, run_scenario)
 from hartreelab.evolution import BOUNDARY_TOL, IntegratorConfig
-from hartreelab.ground_state import TOL, GroundStateOptions
-from hartreelab.profiles import PROFILE_NAMES, make_initial_data
+from hartreelab.ground_state import TOL
 from hartreelab.grid import boundary_mass_fraction
 
 FAST_GRID = "grid.n = 64\ngrid.r_max = 10.0\n"
@@ -34,24 +33,31 @@ def test_parse_defaults():
     assert set(cfg.values) == set(SCHEMA)
 
 
-def test_schema_defaults_are_the_library_defaults(ctx3, gs3):
-    # [TRIVIAL] the integrator.* and ground_state.* keys are the fields of
-    # IntegratorConfig and GroundStateOptions, with the same defaults, and a
-    # profile given no options is the profile at the init.* defaults
-    for section, cls in (("integrator", IntegratorConfig),
-                         ("ground_state", GroundStateOptions)):
-        keys = {k.split(".", 1)[1]: default for k, (_, default) in SCHEMA.items()
-                if k.startswith(section + ".")}
-        fields = {f.name: f.default for f in dataclasses.fields(cls)}
-        assert list(keys) == list(fields), section
-        for name, default in fields.items():
-            assert default is dataclasses.MISSING or keys[name] == default, name
-    defaults = {k.split(".", 1)[1]: default for k, (_, default) in SCHEMA.items()
-                if k.startswith("init.") and k not in ("init.profile", "init.file")}
-    for name in PROFILE_NAMES:
-        args = (ctx3.params, ctx3.grid, ctx3.plan, gs3.Q)
-        assert np.array_equal(make_initial_data(name, {}, *args),
-                              make_initial_data(name, defaults, *args)), name
+def test_schema_defaults_are_the_library_defaults():
+    # [TRIVIAL] with the integrator.*, ground_state.* and init.<param> rows
+    # read from IntegratorConfig, GroundStateOptions and ProfileOptions, the
+    # table is still the one the default config hash was taken on: every key
+    # in order, with its parser and its default
+    rows = [(k, parse.__name__, repr(default)) for k, (parse, default) in SCHEMA.items()]
+    assert rows == [
+        ("scenario", "str", "'ground-state'"), ("model.d", "int", "3"),
+        ("model.a", "float", "-0.1"), ("grid.n", "int", "256"),
+        ("grid.r_max", "float", "12.0"), ("integrator.dt", "float", "0.001"),
+        ("integrator.t_end", "float", "1.0"), ("integrator.scheme", "str", "'strang-split'"),
+        ("integrator.output_stride", "int", "10"),
+        ("integrator.min_scale_cells", "float", "4.0"),
+        ("ground_state.residual_tol", "float", "1e-05"),
+        ("init.profile", "str", "'gaussian'"), ("init.file", "str", "''"),
+        ("init.sigma", "float", "1.0"), ("init.amplitude", "float", "1.0"),
+        ("init.mu", "float", "1.0"), ("init.nu_s", "float", "1.0"),
+        ("init.T_star", "float", "1.0"), ("init.theta", "float", "0.0"),
+        ("init.t0", "float", "0.0"), ("init.s0", "float", "2.0"),
+        ("init.width", "float", "0.5"), ("output.dir", "str", "'out'"),
+        ("seed", "int", "0"), ("concentrate.lambdas", "_float_list", "[1.0]"),
+        ("verify.fields", "int", "50"), ("sweep.scenario", "str", "'ground-state'"),
+        ("sweep.key", "str", "''"), ("sweep.values", "_str_list", "[]"),
+        ("sweep.workers", "int", "1")]
+    assert config_hash(parse_config("")) == "4b17551747e9"
 
 
 def test_verify_scenario(tmp_path):
@@ -93,6 +99,37 @@ def test_verify_hls_count_is_that_of_the_real_product(tmp_path, monkeypatch):
     real_run = run_scenario(parse_config(text), str(tmp_path / "r"))
     assert complex_run["violations"]["hls"] == real_run["violations"]["hls"] == 0
     assert complex_run["violations"] == real_run["violations"]
+
+
+def _first_call_spoiled(fn, spoil):
+    """fn, with its first call's result passed through spoil."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = fn(*args, **kwargs)
+        return spoil(out) if len(calls) == 1 else out
+    return wrapped
+
+
+@pytest.mark.parametrize("name, count, spoil", [
+    ("hardy_ratio", "hardy", lambda ratio: 1e9),
+    ("rearrange_decreasing", "rearrangement", lambda v: 2 * v),
+    ("apply_kernel", "hls", lambda kf: 10 * kf),
+    ("rotated_energy_check", "rotated_energy",
+     lambda rep: dataclasses.replace(rep, mismatch=math.inf)),
+    ("rotated_energy_check", "discriminant",
+     lambda rep: dataclasses.replace(rep, discriminant=math.inf)),
+])
+def test_verify_counts_each_violation(tmp_path, monkeypatch, name, count, spoil):
+    # [TRIVIAL] spoiling what one check reads for the first field makes that
+    # check's count 1, the others 0, and the run fail on that check alone
+    monkeypatch.setattr(cli, name, _first_call_spoiled(getattr(cli, name), spoil))
+    text = "grid.n = 128\nscenario = verify\nverify.fields = 2\nseed = 0\n"
+    summary = run_scenario(parse_config(text), str(tmp_path / "v"))
+    assert summary["violations"] == dict.fromkeys(summary["violations"], 0) | {count: 1}
+    assert summary["pass"] is False
+    assert sum(not ok for ok in summary["checks"].values()) == 1
 
 
 def test_default_sweep_runs_serially():
@@ -383,10 +420,12 @@ def test_main_exit_codes(tmp_path, capsys):
     # non-finite radius, bad solver options, a concentration radius that is
     # not positive and finite, a blow-up run without pseudo-conformal data,
     # too few grid nodes, an unknown profile or scenario, a missing profile
-    # file, no verify fields, a sweep of sweeps, zero sweep workers
+    # file, no verify fields, a sweep of sweeps, zero sweep workers, a bad
+    # profile parameter of any profile, a config whose scenario is not the
+    # subcommand, a config file that cannot be read
     out = str(tmp_path / "cli")
     cfg_path = tmp_path / "c.cfg"
-    cfg_path.write_text(GS_GRID + FAST_GS)
+    cfg_path.write_text("scenario = ground-state\n" + GS_GRID + FAST_GS)
     assert main(["ground-state", "--config", str(cfg_path), "--out", out]) == 0
     line = capsys.readouterr().out.strip()
     assert json.loads(line)["pass"] is True
@@ -407,6 +446,17 @@ def test_main_exit_codes(tmp_path, capsys):
                      ("integrator.t_end", "-1")):
         assert main(["evolve", "--out", out, "--override", f"{key}={bad}"]) == 2, key
         assert capsys.readouterr().err.startswith(f"config error: key {key}: "), key
+    # so does each init.* field's, whatever the profile
+    for key, bad in (("sigma", "0"), ("sigma", "nan"), ("amplitude", "inf"),
+                     ("theta", "nan"), ("mu", "0"), ("nu_s", "-1"), ("T_star", "0"),
+                     ("t0", "-0.1"), ("t0", "1.5"), ("s0", "-1"), ("width", "0")):
+        for scenario in ("evolve", "blowup"):
+            argv = [scenario, "--out", out, "--override", f"init.{key}={bad}"]
+            argv += ["--override", "init.profile=pseudo-conformal"] * (scenario == "blowup")
+            assert main(argv) == 2, (scenario, key)
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: key init.{key}: ") \
+                and err.count("\n") == 1, err
     assert main(["verify", "--out", out, "--seed", "-1"]) == 2
     assert "key seed: must be >= 0" in capsys.readouterr().err
     # each is caught while parsing, before any build, solve or evolution
@@ -431,10 +481,20 @@ def test_main_exit_codes(tmp_path, capsys):
             ("evolve", "scenario=bogus", "key scenario:")):
         assert main([scenario, "--out", out, "--override", override]) == 2, override
         assert named in capsys.readouterr().err, override
-    # the subcommand sets the scenario, so a config file's own is checked
-    # where parse_config reads it
+    # a config file or an override that sets another scenario than the
+    # subcommand's is named with both; the same one is accepted (above)
     with pytest.raises(ConfigError, match="key scenario:"):
         parse_config("scenario = bogus")
+    cfg_path.write_text("scenario = blowup\n")
+    for argv in (["--config", str(cfg_path)], ["--override", "scenario=blowup"]):
+        assert main(["evolve", "--out", out] + argv) == 2, argv
+        assert capsys.readouterr().err == ("config error: key scenario: the config "
+                                           "sets 'blowup', the subcommand is 'evolve'\n")
+    # an unreadable file is a config error, not a traceback
+    cfg_path.write_bytes(b"grid.n = 64  # \xff\n")
+    for path in (cfg_path, tmp_path / "missing.cfg"):
+        assert main(["evolve", "--out", out, "--config", str(path)]) == 2, path
+        assert capsys.readouterr().err.startswith(f"config error: cannot read {str(path)!r}: ")
     assert main(["sweep", "--out", out, "--override", "sweep.key=model.a",
                  "--override", "sweep.values=-0.1", "--override", "sweep.workers=0"]) == 2
     assert "sweep.workers" in capsys.readouterr().err
@@ -581,6 +641,12 @@ def test_sweep_values_checked_at_parse_time(tmp_path, capsys):
     assert main(["sweep", "--out", str(out), "--override", "sweep.key=model.a",
                  "--override", "sweep.values=-0.1,abc"]) == 2
     assert "value 1 ('abc')" in capsys.readouterr().err
+    assert not out.exists()
+    # so does a profile parameter's, whatever the sub-run's profile
+    assert main(["sweep", "--out", str(out), "--override", "sweep.scenario=evolve",
+                 "--override", "sweep.key=init.sigma", "--override", "sweep.values=1.0,-1.0"]) == 2
+    assert capsys.readouterr().err == ("config error: key sweep.values: value 1 ('-1.0'): key "
+                                       "init.sigma: sigma must be positive and finite, got -1.0\n")
     assert not out.exists()
 
 

@@ -506,9 +506,10 @@ def test_rotated_energy_identity_complex(ctx3, gs3):
     assert rep.mismatch < 1e-7 * scale
 
 
-def test_bad_scheme_and_config():
+def test_bad_scheme_and_config(ctx3):
     # [TRIVIAL] config validation; evolve runs round(t_end/dt) steps, so an
-    # end time that is not a whole number of steps is rejected, not moved
+    # end time that is not a whole number of steps is rejected, not moved;
+    # a step given an unknown scheme raises too
     for dt in (-1e-3, math.inf, math.nan):
         with pytest.raises(ValueError, match="dt"):
             IntegratorConfig(dt=dt, t_end=1.0)
@@ -518,3 +519,6 @@ def test_bad_scheme_and_config():
         with pytest.raises(ValueError, match="t_end"):
             IntegratorConfig(dt=dt, t_end=t_end)
     IntegratorConfig(dt=2e-4, t_end=1.0 - 0.8)     # round-off is tolerated
+    with pytest.raises(ValueError, match="unknown scheme 'euler'"):
+        step(np.zeros(ctx3.grid.n, dtype=complex), 1e-3, ctx3.plan, ctx3.km,
+             "euler", None, ())

@@ -118,11 +118,15 @@ def test_rescale_converges_to_closed_form():
 
 
 def test_rescale_escape_error(ctx3):
-    # [TRIVIAL] spreading the field past r_max must raise
+    # [TRIVIAL] spreading the field past r_max must raise, as must a scale
+    # or an amplitude that is not positive
     g = ctx3.grid
     u = np.exp(-(g.r - 0.8 * g.r_max)**2)
     with pytest.raises(ValueError, match="escapes"):
         rescale(u, g, 0.0, 1.0, 0.3)
+    for mu, nu_s in ((0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            rescale(u, g, 0.0, mu, nu_s)
 
 
 def test_hardy_gaussian():

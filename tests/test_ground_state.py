@@ -109,7 +109,8 @@ def test_serialization_round_trip(tmp_path, ctx3, gs3):
 
 
 def test_bad_inputs(ctx3):
-    # [TRIVIAL] invalid initial data and non-convergence raise with context
+    # [TRIVIAL] invalid initial data, non-convergence and a non-finite field
+    # handed to el_residual raise with context
     with pytest.raises(ValueError):
         solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                            init=np.zeros(ctx3.grid.n))
@@ -117,6 +118,8 @@ def test_bad_inputs(ctx3):
         solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km,
                            GroundStateOptions(residual_tol=1e-15))
     assert exc.value.residuals    # the |F| history rides on the error
+    with pytest.raises(ValueError, match="non-finite"):
+        el_residual(np.full(ctx3.grid.n, np.nan), ctx3.plan, ctx3.km)
 
 
 def test_iteration_cap_ends_the_solve(ctx3, gs3, monkeypatch):

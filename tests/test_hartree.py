@@ -68,6 +68,15 @@ def test_potential_zero(ctx3):
     assert np.all(potential(ctx3.km, np.zeros(ctx3.grid.n)) == 0)
 
 
+def test_kernel_and_potential_reject_mismatched_inputs(ctx3):
+    # [TRIVIAL] params of another dimension than the grid's, and a field of
+    # another length than the grid's, are rejected
+    with pytest.raises(ValueError, match="params dimension 4 != grid dimension 3"):
+        build_kernel(ctx3.grid, make_params(4, -0.5))
+    with pytest.raises(ValueError, match="does not match grid n=256"):
+        potential(ctx3.km, np.zeros(7))
+
+
 def test_potential_origin_limit(ctx3):
     # [TRIVIAL] Phi(r -> 0) -> int |u|^2/|y|^2 dy (kernel at origin is |y|^-2).
     # Probed on the plain product-integration kernel: the singular-class form

@@ -44,7 +44,10 @@ def test_rejects_operator_not_positive():
 
 
 def test_rejects_bad_dimension_and_sign():
-    # [TRIVIAL] d < 3 and a > 0 rejected
+    # [TRIVIAL] d < 3, a d that is not an integer, and a > 0 rejected
+    for d in (3.0, True, "3"):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            make_params(d, -0.1)
     with pytest.raises(ValueError):
         make_params(2, -0.1)
     with pytest.raises(ValueError):

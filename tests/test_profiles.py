@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from hartreelab import functionals, make_initial_data
-from hartreelab.profiles import PROFILE_NAMES, gaussian_profile, shell_profile
+from hartreelab.profiles import (PROFILE_NAMES, ProfileOptions, gaussian_profile,
+                                 shell_profile)
 
 
 def test_gaussian_envelope(ctx3):
@@ -56,6 +59,22 @@ def test_dispatcher_requires_ground_state(ctx3):
         make_initial_data("ground-state", {}, p, g)
     with pytest.raises(ValueError, match="ground state"):
         make_initial_data("pseudo-conformal", {}, p, g)
+    with pytest.raises(ValueError, match="transform plan"):
+        make_initial_data("pseudo-conformal", {}, p, g, Q=np.ones(g.n))
+
+
+def test_profile_options_name_every_failing_field():
+    # [TRIVIAL] one line per bad field, each opening with the field's name;
+    # t0 is checked against T_star only once T_star itself is good
+    with pytest.raises(ValueError) as exc:
+        ProfileOptions(sigma=0.0, amplitude=math.inf, t0=1.0, width=math.nan)
+    assert sorted(line.split(" must")[0] for line in str(exc.value).splitlines()) == \
+        ["amplitude", "sigma", "t0", "width"]
+    with pytest.raises(ValueError) as exc:
+        ProfileOptions(T_star=0.0, t0=0.5)
+    assert str(exc.value) == "T_star must be positive and finite, got 0.0"
+    with pytest.raises(TypeError):
+        make_initial_data("gaussian", {"sigmaa": 2.0}, None, None)
 
 
 def test_pseudo_conformal_is_complex(ctx3, gs3):

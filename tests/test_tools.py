@@ -4,10 +4,15 @@ from types import SimpleNamespace
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "equivalence", Path(__file__).parents[1] / "tools" / "equivalence.py")
-equivalence = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(equivalence)
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+equivalence, artifacts = _tool("equivalence"), _tool("artifacts")
 
 SOLVE = {"m_gs": 1.0, "residual": 1e-6, "floor": 1e-12, "iterations": 6, "q_sha256": "0" * 64}
 RAISE = {"error": "residual above residual_tol"}
@@ -61,3 +66,24 @@ def test_floor_reads_either_layout(layout):
     # [TRIVIAL] a solve's floor is the last entry of its |F| history, which
     # the tree records as `residuals`
     assert equivalence.floor(SimpleNamespace(**{layout: [1e-3, 1e-8, 2e-13]})) == 2e-13
+
+
+def test_artifacts_compare(tmp_path):
+    # [TRIVIAL] files are compared byte for byte, the first differing line
+    # named; a file in one tree only is named with the tree it is missing
+    # from; traceback.txt is left out
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, last, extra in ((old, "c", "only.csv"), (new, "C", "traceback.txt")):
+        (root / "sub").mkdir(parents=True)
+        (root / "same.json").write_text("{}\n")
+        (root / "sub" / "t.csv").write_text(f"a\nb\n{last}\n")
+        (root / extra).write_text("x")
+    (old / "traceback.txt").write_text("y")
+    (new / "short.txt").write_text("a\n")
+    (old / "short.txt").write_text("a\nb\n")
+    same, why = artifacts.compare(str(old), str(new))
+    assert same == 1
+    assert why == ["only.csv: missing from NEW",
+                   "short.txt: line 2: OLD b'b\\n' NEW <end of file>",
+                   "sub/t.csv: line 3: OLD b'c\\n' NEW b'C\\n'"]
+    assert artifacts.compare(str(old / "sub"), str(old / "sub")) == (1, [])

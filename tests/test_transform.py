@@ -194,9 +194,12 @@ def test_bessel_zeros_half_order_exact():
 
 
 def test_plan_grid_mismatch(ctx3):
-    # [TRIVIAL] wrong-length field rejected
+    # [TRIVIAL] wrong-length field rejected, and params of another dimension
+    # than the grid's
     with pytest.raises(ValueError):
         apply_la(ctx3.plan, np.zeros(7))
+    with pytest.raises(ValueError, match="params dimension 4 != grid dimension 3"):
+        build_plan(make_params(4, -0.5), ctx3.grid)
 
 
 @pytest.mark.parametrize("nu", [0.005, 0.224, 0.387, 0.707, 1.323, 2.5, 3.0])
