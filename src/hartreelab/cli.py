@@ -203,8 +203,8 @@ def parse_config(text: str, overrides=None, scenario=None) -> RunConfig:
             and values.get("init.profile") not in ("pseudo-conformal", "file")):
         errors.append(f"key init.profile: the {values['scenario']} scenario needs "
                       f"pseudo-conformal or file, got {values.get('init.profile')!r}")
-    if values.get("init.profile") == "file" and not os.path.exists(values.get("init.file", "")):
-        errors.append(f"key init.file: file {values.get('init.file')!r} does not exist")
+    if values.get("init.profile") == "file" and not os.path.isfile(values.get("init.file", "")):
+        errors.append(f"key init.file: {values.get('init.file')!r} is not a regular file")
     if not all(0 < lam < math.inf for lam in values.get("concentrate.lambdas", [])):
         errors.append(f"key concentrate.lambdas: every radius must be positive "
                       f"and finite, got {values['concentrate.lambdas']}")
@@ -493,14 +493,11 @@ def _scenario_verify(cfg, out_dir):
     gn_report = gn_audit(real_fields + [np.abs(u) for u in cplx_fields],
                          m_gs, plan, km)
 
-    # mass and gradient over the positive-weight cells, the measure the
-    # rearrangement conserves (the origin weight is negative in d >= 6)
-    pos = grid.w > 0
     rearr_viol = 0
     for u in real_fields:
         v = rearrange_decreasing(u, grid)
         du, dv = (radial_derivative(grid, params.rho, x) for x in (u, v))
-        M_u, M_v, g_u, g_v = (float(np.sum(grid.w[pos] * np.abs(x[pos])**2))
+        M_u, M_v, g_u, g_v = (float(np.sum(grid.w * np.abs(x)**2))
                               for x in (u, v, du, dv))
         lv_u, lv_v = lv_value(km, np.abs(u)), lv_value(km, v)
         slack = 1e-9

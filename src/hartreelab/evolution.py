@@ -140,7 +140,7 @@ def _flow_matrix(plan: TransformPlan, tau: float) -> np.ndarray:
     for part, scale in ((U.real, -2 * np.sin(phase / 2)**2), (U.imag, np.sin(phase))):
         for i0 in range(0, n, _FLOW_ROWS):
             blk = (plan.Psi[i0:i0 + _FLOW_ROWS] * scale) @ plan.Psi.T
-            blk *= plan.w
+            blk *= plan.grid.w
             part[i0:i0 + _FLOW_ROWS] = blk
     U.real.flat[::n + 1] += 1
     return U
@@ -287,13 +287,16 @@ def fit_blowup(traj: Trajectory):
     last decade of H - E_0 (the whole tail if that holds fewer than
     FIT_MIN_SAMPLES samples).  Rejects a short tail, an H tail that is not
     growing or not above E_0, a Gamma that is not positive and decreasing,
-    and a T* at or before the last sample.  Above threshold Gamma(T*) > 0,
-    so sqrt(Gamma) is no line: pseudo-conformal data scaled by 1.01 / 1.03
-    gives p = 3.23 / 4.13 and fails the `blowup` checks.  The paper's laws
-    hold only at threshold, so no other fit is tried.
+    a T* at or before the last sample, and for E_0 < 0 a T* not before
+    T_Gamma, where Gamma'' = 16 E takes the first sample's Gamma to zero
+    (Glassey 1977).  Above threshold Gamma(T*) > 0, so sqrt(Gamma) is no
+    line: pseudo-conformal data scaled by 1.01 / 1.03 gives p = 3.23 / 4.13
+    and fails the `blowup` checks.  The paper's laws hold only at threshold,
+    so no other fit is tried.
     """
     t = np.asarray(traj.times)
-    Hs = np.array([q.H for q in traj.quantities]) - traj.quantities[0].E
+    E0 = traj.quantities[0].E
+    Hs = np.array([q.H for q in traj.quantities]) - E0
     gam = np.asarray(traj.gamma)
     imin = int(np.argmin(Hs))
     t, Hs, gam = t[imin:], Hs[imin:], gam[imin:]
@@ -309,6 +312,12 @@ def fit_blowup(traj: Trajectory):
     T_star = -icpt / slope
     if not T_star > t[-1]:
         raise FitRejected(f"T* = {T_star:.6g} is not past the last sample t = {t[-1]:.6g}")
+    if E0 < 0:
+        g0, g0p = traj.gamma[0], traj.gamma_prime[0]
+        T_gamma = traj.times[0] + 2 * g0 / (math.sqrt(g0p**2 - 32 * E0 * g0) - g0p)
+        if T_star >= T_gamma:
+            raise FitRejected(f"T* = {T_star:.6g} is not before the virial bound "
+                              f"T_Gamma = {T_gamma:.6g} of E_0 = {E0:.6g} < 0")
     decade = Hs >= Hs[-1] / 10.0
     if int(np.sum(decade)) >= FIT_MIN_SAMPLES:
         t, Hs = t[decade], Hs[decade]

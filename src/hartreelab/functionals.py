@@ -96,7 +96,7 @@ def hardy_ratio(u: np.ndarray, plan: TransformPlan) -> float:
 def rearrange_decreasing(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Radially non-increasing rearrangement of |u|, equimeasurable in volume.
 
-    Cells of positive weight are volume atoms (volume omega * w_j).  The
+    The cells are volume atoms (volume omega * w_j, every w_j > 0).  The
     atoms, sorted by descending |u|^2, are poured into the cells in
     increasing-radius order: merging the cumulative volumes of the sorted
     atoms and of the cells cuts the volume axis into segments that each lie
@@ -105,13 +105,9 @@ def rearrange_decreasing(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
     non-increasing profile.  Each cell's mass is a sum of its own segments'
     masses, never a difference of running mass totals, which would leave an
     absolute error of the total mass's round-off in the small tail values.
-    A cell of non-positive weight (a one-sided boundary stencil, or the
-    origin in d >= 6) carries no volume and is interpolated from its
-    neighbours.
     """
     u = _check_finite(u)
-    pos = grid.w > 0
-    vals, vols = np.abs(u[pos])**2, grid.w[pos]
+    vals, vols = np.abs(u)**2, grid.w
     order = np.argsort(-vals, kind="stable")
     atoms, cells = np.cumsum(vols[order]), np.cumsum(vols)
     ends = np.union1d(atoms, cells)
@@ -120,5 +116,4 @@ def rearrange_decreasing(u: np.ndarray, grid: RadialGrid) -> np.ndarray:
     cell = np.minimum(np.searchsorted(cells, ends), len(cells) - 1)
     mass = np.bincount(cell, weights=np.diff(ends, prepend=0.0) * vals[order[atom]],
                        minlength=len(cells))
-    # np.interp returns the positive cells' own values exactly
-    return np.sqrt(np.interp(grid.r, grid.r[pos], mass / vols))
+    return np.sqrt(mass / vols)

@@ -5,13 +5,19 @@ interpolatory weights for integrals of the form
 
     int_0^{r_max} f(r) r^{d-1} dr  ~=  sum_j w_j f(r_j),
 
-i.e. the measure r^{d-1} dr is folded into the weights.  The rule is exact
-for polynomials of degree <= 7.  On the singular class r^{-2 rho} * smooth
-that ground states inhabit it converges only at order d - 2 rho = 2 nu + 2:
-the relative error of int r^{-2 rho} e^{-r^2} r^{d-1} dr (the mass of
-r^{-rho} e^{-r^2/2}) on r_max = 12 is 4.4e-7 / 6.5e-8 / 9.5e-9 / 1.4e-9 at
-n = 256 / 512 / 1024 / 2048 for (d, a) = (3, -0.1), order 2.77, and
+i.e. the measure r^{d-1} dr is folded into the weights.  Where no weight is
+flipped (below) the rule is exact for degree <= 7.  On the singular class
+r^{-2 rho} * smooth that ground states inhabit it converges only at order
+d - 2 rho = 2 nu + 2: the relative error of int r^{-2 rho} e^{-r^2} r^{d-1} dr
+(the mass of r^{-rho} e^{-r^2/2}) on r_max = 12 is 4.4e-7 / 6.5e-8 / 9.5e-9 /
+1.4e-9 at n = 256 / 512 / 1024 / 2048 for (d, a) = (3, -0.1), order 2.77, and
 1.6e-5 / 2.5e-6 / 4.1e-7 / 6.6e-8 for (4, -0.9), order 2.63.
+
+Every weight is positive, the one metric of the transform, the kernel and
+the rearrangement: a non-positive interpolatory weight (node 0 in d >= 6; a
+few nodes near the boundary at n <= 17-50 for d = 4-10) takes its absolute
+value, and node 0 keeps the order d - 2 rho.  w_inv2 stays signed: its d = 3
+node 3 is -1.16 h, and its absolute value would be an O(h) error.
 
 The grid owns the cell stencils.  On cell c, with s = r_c + t h and t in
 [-1/2, 1/2], node j sits at the exact integer offset t = j - c, so every
@@ -148,6 +154,7 @@ def build_grid(d: int, n: int, r_max: float) -> RadialGrid:
                       edges=np.arange(n + 1) * h, h=h, stencil_start=start,
                       stencil_inv=_STENCIL_INV[key])
     _spread(grid, h**d * _power_moments(n, d - 1), grid.w)
+    np.abs(grid.w, out=grid.w)
     _spread(grid, h**(d - 2) * _power_moments(n, d - 3), grid.w_inv2)
     return grid
 

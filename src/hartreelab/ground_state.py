@@ -205,11 +205,14 @@ def save_ground_state(path, result: GroundStateResult, params: ModelParams,
 
 
 def load_ground_state(path):
-    """Returns (header dict, r array, Q array)."""
+    """Returns (header dict, r array, Q array) of a file of the header's n rows."""
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     head = lines[0].split()
     meta = {"d": int(head[0]), "a": float(head[1]), "n": int(head[2]),
             "r_max": float(head[3]), "m_gs": float(head[4]), "residual": float(head[5])}
+    if len(lines) - 1 != meta["n"]:
+        raise ValueError(f"field file {path!r}: header n = {meta['n']} but "
+                         f"{len(lines) - 1} data rows")
     data = np.array([[float(x) for x in ln.split()] for ln in lines[1:]])
     return meta, data[:, 0], data[:, 1]

@@ -365,19 +365,15 @@ def build_kernel(grid: RadialGrid, params: ModelParams) -> KernelMatrix:
             _spread(grid, mom, Kw[i0:i0 + len(mom)])
         del mom   # not held through the symmetrization
     # symmetrize the bilinear form S = w Kw (quadratic forms are unchanged by
-    # this), correct it and divide by w, all in Kw's own C-ordered buffer,
-    # which `apply_kernel` views as column pairs; a node of non-positive
-    # weight (the origin in d >= 6, where w[0] < 0) keeps its raw row
-    w = grid.w
-    pos = w > 0
-    raw = Kw[~pos]
-    Kw *= w[:, None]
+    # this), correct it and divide by the positive weights w, all in Kw's own
+    # C-ordered buffer, which `apply_kernel` views as column pairs
+    w = grid.w[:, None]
+    Kw *= w
     _symmetrize(Kw)
     rho2 = 2 * params.rho
     if rho2 >= _RHO2_MIN:
         _singularity_correction(grid, rho2, Kw)
-    Kw /= np.where(pos, w, 1.0)[:, None]
-    Kw[~pos] = raw
+    Kw /= w
     return KernelMatrix(grid=grid, Kw=Kw, omega=surface_area(d))
 
 

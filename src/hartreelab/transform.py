@@ -9,12 +9,12 @@ with j_{nu,m} the positive zeros of J_nu (Dirichlet condition at r_max) are
 exact eigenfunctions: L_a phi_m = k_m^2 phi_m.
 
 The discrete modes psi_m are the phi_m orthonormalized in the quadrature
-inner product <u, v>_w = sum_j w_j conj(u_j) v_j by a Householder QR of the
-samples sqrt(w_j) phi_m(r_j) (Gram-Schmidt order: low modes are perturbed
-least).  The plan keeps one n x n matrix, the mode samples Psi, and the metric
-weights w; the forward transform is c = Psi^T (w u), the weights applied to
-the field rather than folded into a second matrix.  Consequences, all exact
-to round-off rather than merely to quadrature accuracy:
+inner product <u, v>_w = sum_j w_j conj(u_j) v_j of the grid's positive
+weights w (the metric of `M` and `H`) by a Householder QR of the samples
+sqrt(w_j) phi_m(r_j) (Gram-Schmidt order: low modes are perturbed least).  The plan keeps one n x n matrix, the mode samples Psi; the forward
+transform is c = Psi^T (w u), the weights applied to the field rather than
+folded into a second matrix.  Consequences, all exact to round-off rather
+than merely to quadrature accuracy:
 
   - round trip Psi (Psi^T (w u)) = u,
   - Parseval: the coefficients c = Psi^T (w u) have
@@ -39,10 +39,9 @@ and keeps only for that run.
 apply_La keeps spectral accuracy: the orthonormalization correction acts at
 the quadrature-error level of mode products and vanishes under grid
 refinement.  The plan keeps neither the collocation matrix B = J_nu(k_m r_j)
-nor the QR triangle R: the modes, their metric weights and the k_m are all
-that the package applies.  Dilating and differentiating a field is the
-grid's job (`grid.dilate`, `grid.radial_derivative`), which needs no Bessel
-function.
+nor the QR triangle R: the modes and the k_m are all that the package
+applies.  Dilating and differentiating a field is the grid's job
+(`grid.dilate`, `grid.radial_derivative`), which needs no Bessel function.
 
 The build evaluates B once, by `_collocation`, with numpy alone.  From
 x = k_m r_j >= x*(nu) on, 90-93 % of the entries at n = 512, it sums
@@ -53,11 +52,6 @@ recurrence normalized by Neumann's expansion of (x/2)^nu, in one call for
 all those entries.  Against 30-digit mpmath, on dense samples at seven
 orders nu <= 3, both are within 2.1e-15 of min(1, sqrt(2/(pi x)));
 scipy.special.jv is up to 6.9e-14 off below x*.
-
-If the grid carries a non-positive quadrature weight (possible at the first
-node for d >= 6 and for pathologically coarse grids), the orthonormalization
-metric clips it to a tiny positive value; conservation statements then hold in
-the clipped metric.
 """
 
 from __future__ import annotations
@@ -260,7 +254,6 @@ class TransformPlan:
     grid: RadialGrid
     k: np.ndarray              # spectral nodes, k_m^2 = eigenvalues of L_a
     Psi: np.ndarray            # orthonormal mode samples psi_m(r_j), n x n
-    w: np.ndarray              # metric weights: the forward transform is Psi^T (w u)
 
 
 def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
@@ -269,11 +262,7 @@ def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
     nu = params.nu
     k = bessel_zeros(nu, grid.n) / grid.r_max
     B = _collocation(nu, k, grid.r)
-
-    w = grid.w
-    if np.any(w <= 0):
-        w = np.maximum(w, 1e-14 * np.max(w))
-    sw = np.sqrt(w)
+    sw = np.sqrt(grid.w)
     B *= sw[:, None]
     B /= grid.r[:, None]**((params.d - 2) / 2)
     Psi, R = np.linalg.qr(B)
@@ -281,7 +270,7 @@ def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
     del B, R
     Psi *= sign
     Psi /= sw[:, None]
-    return TransformPlan(params=params, grid=grid, k=k, Psi=Psi, w=w)
+    return TransformPlan(params=params, grid=grid, k=k, Psi=Psi)
 
 
 def _check(plan: TransformPlan, v: np.ndarray) -> np.ndarray:
@@ -303,7 +292,7 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _forward(plan: TransformPlan, u: np.ndarray) -> np.ndarray:
     """Mode coefficients c = Psi^T (w u) of the samples u."""
-    return _matvec(plan.Psi.T, plan.w * u)
+    return _matvec(plan.Psi.T, plan.grid.w * u)
 
 
 def apply_la(plan: TransformPlan, u: np.ndarray) -> np.ndarray:

@@ -77,10 +77,10 @@ def test_verify_scenario(tmp_path):
 
 @pytest.mark.parametrize("d,a", [(6, -1.0), (7, -3.0)])
 def test_verify_rearrangement_on_its_own_measure(tmp_path, d, a):
-    # [PAPER] the rearrangement keeps the mass and lowers the gradient on the
-    # positive-weight cells, the measure it conserves; in d >= 6 the origin
-    # weight is negative, and a check that summed over it too counted 1 and 6
-    # violations of 20 here at seed 0
+    # [PAPER] the rearrangement keeps the mass and lowers the gradient in d >= 6
+    # too, where the grid's origin weight is made positive; a check that summed
+    # over the signed origin weight counted 1 and 6 violations of 20 here at
+    # seed 0
     out = str(tmp_path / "v")
     main(["verify", "--seed", "0", "--out", out, "--override", f"model.d={d}",
           "--override", f"model.a={a}", "--override", "verify.fields=20"])
@@ -254,6 +254,22 @@ def test_evolve_scenario_trajectory(tmp_path):
     assert summary["mass_drift"] <= diag["max_mass_drift"]["value"] < 1e-10
 
 
+def test_d6_evolve_passes_mass_conserved(tmp_path, capsys):
+    # [PAPER] in d = 6 the origin weight is made positive, so the propagator
+    # conserves the mass the summary measures: the gaussian run to t = 0.5
+    # passes mass_conserved and exits 0 (drift 1.5e-8 and exit 1 when the
+    # plan clipped the weight to another metric)
+    out = str(tmp_path / "ev6")
+    assert main(["evolve", "--out", out, "--override", "model.d=6",
+                 "--override", "model.a=-1.0", "--override", "init.amplitude=0.3",
+                 "--override", "integrator.t_end=0.5"]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["pass"] is True
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
+    assert summary["checks"]["mass_conserved"], summary
+    assert summary["mass_drift"] < 1e-10
+
+
 def _check_diagnostics(out, exact=False):
     """The diagnostics block of summary.json and the H column of
     trajectory.csv, with the block's worst relative mass and energy drifts
@@ -420,7 +436,7 @@ def test_main_exit_codes(tmp_path, capsys):
     # non-finite radius, bad solver options, a concentration radius that is
     # not positive and finite, a blow-up run without pseudo-conformal data,
     # too few grid nodes, an unknown profile or scenario, a missing profile
-    # file, no verify fields, a sweep of sweeps, zero sweep workers, a bad
+    # file or a directory in its place, no verify fields, a sweep of sweeps, zero sweep workers, a bad
     # profile parameter of any profile, a config whose scenario is not the
     # subcommand, a config file that cannot be read
     out = str(tmp_path / "cli")
@@ -481,6 +497,9 @@ def test_main_exit_codes(tmp_path, capsys):
             ("evolve", "scenario=bogus", "key scenario:")):
         assert main([scenario, "--out", out, "--override", override]) == 2, override
         assert named in capsys.readouterr().err, override
+    assert main(["evolve", "--out", out, "--override", "init.profile=file",
+                 "--override", "init.file=."]) == 2
+    assert "key init.file: '.' is not a regular file" in capsys.readouterr().err
     # a config file or an override that sets another scenario than the
     # subcommand's is named with both; the same one is accepted (above)
     with pytest.raises(ConfigError, match="key scenario:"):

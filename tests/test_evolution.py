@@ -459,6 +459,33 @@ def test_fit_blowup_rejections():
         fit_blowup(_synthetic_traj(ts, hs, np.exp(-8.0 * ts)))
 
 
+def test_fit_blowup_rejects_T_star_past_the_virial_bound(ctx3, gs3):
+    # [PAPER] above threshold E_0 < 0, and Gamma'' = 16 E forces Gamma to
+    # zero by T_Gamma, the positive root of Gamma_0 + Gamma_0' t + 8 E_0 t^2:
+    # on 1.10 Q at (3, -0.1, 256), dt = 2e-4, the sqrt(Gamma) line reaches
+    # zero at T* = 3.38 (p = 7.8), past T_Gamma = 1.612, and is rejected
+    traj = evolve(1.10 * gs3.Q.astype(complex), IntegratorConfig(dt=2e-4, t_end=2.0),
+                  ctx3.plan, ctx3.km)
+    assert traj.stop_reason == "blowup-resolved-limit"
+    assert traj.quantities[0].E < 0
+    with pytest.raises(FitRejected, match=r"virial bound T_Gamma = 1\.612"):
+        fit_blowup(traj)
+
+
+@pytest.mark.parametrize("d, a", [(6, -1.0), (7, -3.0)])
+def test_d_ge_6_evolution_conserves_the_reported_mass(d, a):
+    # [PAPER] the propagator's metric is the grid's, so in d >= 6 too a
+    # gaussian (amplitude 0.3, n = 256, dt = 1e-3 to t = 0.5) keeps the mass
+    # M reports to 1e-10 relative (1.5e-8 / 5.1e-7 when the plan clipped the
+    # negative origin weight to another metric)
+    c = Ctx(d, a, 256, 12.0)
+    u0 = 0.3 * c.grid.r**(-c.params.rho) * np.exp(-c.grid.r**2 / 2)
+    traj = evolve(u0, IntegratorConfig(dt=1e-3, t_end=0.5), c.plan, c.km)
+    assert traj.stop_reason == "completed"
+    M = np.array([q.M for q in traj.quantities])
+    assert np.max(np.abs(M - M[0])) / M[0] < 1e-10
+
+
 def test_concentration_limits(ctx3, gs3):
     # [TRIVIAL] lam >= r_max -> M(u); lam -> 0 -> 0; monotone in lam
     g = ctx3.grid

@@ -210,17 +210,15 @@ def test_rearrange_monotonicity_properties(ctx3):
 
 @pytest.mark.parametrize("d, a", [(6, -1.0), (7, -3.0)])
 def test_rearrange_origin_cell_d_ge_6(d, a):
-    # [TRIVIAL] in d >= 6 the origin cell has a non-positive weight; it takes
-    # its value from its neighbour, so the profile stays non-increasing, and
-    # the mass over the positive cells is kept
+    # [TRIVIAL] in d >= 6 the origin cell, whose interpolatory weight is
+    # negative, is a volume atom like every other: the full mass is kept and
+    # the profile is non-increasing
     g = build_grid(d, 256, 12.0)
-    assert g.w[0] <= 0
     u = g.r**(-make_params(d, a).rho) * np.exp(-g.r**2 / 2)
     v = rearrange_decreasing(u, g)
     assert np.max(np.diff(v)) <= 1e-15 * np.max(v)
-    pos = g.w > 0
-    M_u = float(np.sum(g.w[pos] * u[pos]**2))
-    assert float(np.sum(g.w[pos] * v[pos]**2)) == pytest.approx(M_u, rel=1e-13)
+    M_u = float(np.sum(g.w * u**2))
+    assert float(np.sum(g.w * v**2)) == pytest.approx(M_u, rel=1e-13)
 
 
 def test_lv_continuity_fitted_constant(ctx3):

@@ -62,6 +62,17 @@ def test_weights_positive(d):
         assert np.min(g.w) > 0
 
 
+@pytest.mark.parametrize("d", range(3, 11))
+def test_weights_positive_in_every_dimension(d):
+    # [DERIVED] the one metric of the package is positive in every d, at the
+    # coarse n whose interpolatory boundary weights are negative (n <= 17 in
+    # d = 4, n <= 23 in d = 5, to n = 50 in d = 10) and at the origin node,
+    # whose interpolatory weight is negative in every d >= 6
+    for n in (16, 17, 23, 32, 256):
+        g = build_grid(d, n, 12.0)
+        assert np.all(g.w > 0), (n, np.flatnonzero(g.w <= 0))
+
+
 def test_inv2_weights():
     # [DERIVED] the r^{d-3} companion rule: int_0^R r^2 * r^{d-3} dr = R^d/d
     g = build_grid(5, 128, 4.0)

@@ -108,6 +108,15 @@ def test_serialization_round_trip(tmp_path, ctx3, gs3):
     assert np.array_equal(Q, gs3.Q)
 
 
+def test_load_rejects_a_short_file(tmp_path):
+    # [TRIVIAL] a file with fewer data rows than its header's n is rejected
+    # on load, naming the file, the header's n and the rows it holds
+    path = tmp_path / "short.txt"
+    path.write_text("# d a n r_max M_gs residual\n3 -0.1 64 12.0 1.0 0.0\n0.1 1.0\n")
+    with pytest.raises(ValueError, match=r"short\.txt.*header n = 64 but 1 data rows"):
+        load_ground_state(path)
+
+
 def test_bad_inputs(ctx3):
     # [TRIVIAL] invalid initial data, non-convergence and a non-finite field
     # handed to el_residual raise with context
@@ -254,18 +263,29 @@ def ctx6():
 @pytest.mark.parametrize("ctx_name,guess,m_gs", [
     ("ctx3_free", "gaussian", 1.4263921549247587), ("ctx3_free", "sech", 1.4263921549247582),
     ("ctx4", "gaussian", 2.652021473834231), ("ctx4", "sech", 2.652021473834232),
-    ("ctx6", "gaussian", 9.49717001190141), ("ctx6", "sech", 9.497170011901412)])
+    ("ctx6", "gaussian", 9.497170147313215), ("ctx6", "sech", 9.497170147313216)])
 def test_m_gs_pinned_across_dimensions(request, ctx_name, guess, m_gs):
     # [DERIVED] the threshold at (3, 0), (4, -0.5) and (6, -1.0), n = 256,
     # default options, within 1e-12: for d = 3 and 4 as the J-descent into
     # Newton gave it; for d = 6 on the exact sphere average (2F1 series and
-    # recurrence), which a build with 1024-node Gauss-Jacobi sphere averages
-    # matches to 1.4e-11; the gaussian and the default sech start field
-    # reach it alike
+    # recurrence) with the origin weight |w_0| (the plan's clip of the
+    # negative w_0 gave 9.497170011901412, and a build with 1024-node
+    # Gauss-Jacobi sphere averages matched that to 1.4e-11); the gaussian
+    # and the default sech start field reach it alike
     ctx = request.getfixturevalue(ctx_name)
     res = solve_ground_state(ctx.params, ctx.grid, ctx.plan, ctx.km,
                              init=_start(ctx, guess))
     assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
+
+
+def test_m_gs_d7_independent_of_r_max():
+    # [DERIVED] at (7, -3.0, 512) the wall term is ~3e-12, so r_max = 20 and
+    # 24 give the same threshold within 1e-7 relative (observed 3.7e-8);
+    # when the plan clipped the negative origin weight to 1e-14 max(w), a
+    # floor that scales with r_max, they were 4.8e-6 apart
+    m = [solve_ground_state(c.params, c.grid, c.plan, c.km).m_gs
+         for c in (Ctx(7, -3.0, 512, 20.0), Ctx(7, -3.0, 512, 24.0))]
+    assert abs(m[1] - m[0]) / m[0] < 1e-7, m
 
 
 def _bessel_series_dilation(plan, u, nu_s):

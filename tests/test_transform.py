@@ -153,9 +153,10 @@ def test_real_fields_take_plain_real_product(ctx3):
     # [TRIVIAL] real input: float64 result bit-identical to the matrix product
     plan = ctx3.plan
     u = _random_fields(ctx3.params, ctx3.grid, np.random.default_rng(4), 1)[0]
-    cases = [(forward(plan, u), plan.Psi.T @ (plan.w * u)),
+    w = plan.grid.w
+    cases = [(forward(plan, u), plan.Psi.T @ (w * u)),
              (inverse(plan, u), plan.Psi @ u),
-             (apply_la(plan, u), plan.Psi @ (plan.k**2 * (plan.Psi.T @ (plan.w * u))))]
+             (apply_la(plan, u), plan.Psi @ (plan.k**2 * (plan.Psi.T @ (w * u))))]
     for out, ref in cases:
         assert out.dtype == np.float64
         assert np.array_equal(out, ref)
@@ -283,16 +284,15 @@ def test_large_orders_match_mpmath(nu):
 def test_plan_matches_jv_plan(d, a, monkeypatch):
     # [DERIVED] the plan built on Hankel's expansion matches the one built on
     # special.jv over the whole matrix, through the same QR: Psi and its
-    # forward transform Psi^T W within 1e-13 max-relative, k and w
-    # bit-identical
+    # forward transform Psi^T W within 1e-13 max-relative, k bit-identical
     p, g = make_params(d, a), build_grid(d, 512, 12.0)
     plan = build_plan(p, g)
     monkeypatch.setattr(transform, "_collocation",
                         lambda nu, k, r: special.jv(nu, k[None, :] * r[:, None]))
     ref = build_plan(p, g)
-    assert np.array_equal(plan.k, ref.k) and np.array_equal(plan.w, ref.w)
+    assert np.array_equal(plan.k, ref.k)
     for name, got, want in (("Psi", plan.Psi, ref.Psi),
-                            ("Psi^T W", plan.Psi.T * plan.w, ref.Psi.T * ref.w)):
+                            ("Psi^T W", plan.Psi.T * g.w, ref.Psi.T * g.w)):
         assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-13, name
 
 
@@ -313,9 +313,10 @@ def test_plan_build_peak_memory():
 
 def test_plan_holds_one_mode_matrix(ctx3):
     # [TRIVIAL] the plan keeps one n x n array, the modes Psi; the forward
-    # transform applies the metric weights to the field
+    # transform applies the grid's weights to the field, and the plan keeps
+    # no copy of them
     plan = ctx3.plan
     square = [name for name, v in vars(plan).items()
               if isinstance(v, np.ndarray) and v.ndim == 2]
     assert square == ["Psi"]
-    assert plan.w.shape == (ctx3.grid.n,)
+    assert "w" not in vars(plan)

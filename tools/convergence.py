@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 import sys
 
-# (d, a, r_max)
+# (d, a, r_max); (7, -3.0) at r_max 20 and 24, whose wall term is ~3e-12,
+# checks that the limit does not depend on r_max
 CASES = ((3, -0.1, 12.0), (4, -0.5, 12.0), (5, -0.5, 20.0), (5, -1.0, 20.0),
-         (6, -1.0, 12.0), (6, 0.0, 20.0))
+         (6, -1.0, 12.0), (6, 0.0, 20.0), (7, -3.0, 20.0), (7, -3.0, 24.0))
 NS = (256, 512, 1024, 2048)
 
 
