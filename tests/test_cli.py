@@ -400,6 +400,21 @@ def test_error_captured_in_summary(tmp_path):
     assert os.path.exists(os.path.join(out, "summary.json"))
 
 
+def test_empty_field_file_is_named_in_summary(tmp_path):
+    # [TRIVIAL] an empty init.file passes parse_config (it is a regular
+    # file) and fails on load with a ValueError naming it
+    field = tmp_path / "empty.txt"
+    field.write_text("")
+    cfg = parse_config(FAST_GRID + "scenario = evolve\ninit.profile = file\n"
+                       f"init.file = {field}\nintegrator.t_end = 0.01\n")
+    out = str(tmp_path / "ev")
+    run_scenario(cfg, out)
+    with open(os.path.join(out, "summary.json")) as fh:
+        error = json.load(fh)["error"]
+    assert error["type"] == "ValueError"
+    assert str(field) in error["message"] and "no header line" in error["message"]
+
+
 def test_failed_summary_is_the_same_from_two_checkouts(tmp_path):
     # [TRIVIAL] a failing run's summary.json is bit-identical from two copies
     # of the package: it names the package frames without paths or line

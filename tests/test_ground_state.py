@@ -117,6 +117,20 @@ def test_load_rejects_a_short_file(tmp_path):
         load_ground_state(path)
 
 
+@pytest.mark.parametrize("text,missing", [
+    ("", "no header line"), ("# d a n r_max M_gs residual\n\n", "no header line"),
+    ("3 -0.1 n 12.0 1.0 0.0\n", "header '3 -0.1 n 12.0 1.0 0.0' is not the six numbers"),
+    ("3 -0.1 1 12.0 1.0\n0.1 1.0\n", "header '3 -0.1 1 12.0 1.0' is not the six"),
+    ("3 -0.1 1 12.0 1.0 0.0\n0.1\n", "a data row is not the two numbers")])
+def test_load_names_the_file_and_what_is_missing(tmp_path, text, missing):
+    # [TRIVIAL] an empty or header-less file, a header that is not six
+    # numbers and a row that is not two raise ValueError naming the file
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"bad\.txt.*: {missing}"):
+        load_ground_state(path)
+
+
 def test_bad_inputs(ctx3):
     # [TRIVIAL] invalid initial data, non-convergence and a non-finite field
     # handed to el_residual raise with context
@@ -133,10 +147,10 @@ def test_bad_inputs(ctx3):
 
 def test_iteration_cap_ends_the_solve(ctx3, gs3, monkeypatch):
     # [DERIVED] a solve that reaches CAP before TOL rescales the last
-    # iterate: 30 iterates from the default start leave a relative |F| of
-    # 6.4e-7 and a residual of 1.9e-6, with an m_gs 5e-13 relative from the
-    # converged one
-    capped = 30
+    # iterate: 10 iterates from the default start leave a relative |F| of
+    # 3.6e-8 and a residual of 1.49e-6 (1.47e-6 converged, in 15 iterates),
+    # with an m_gs 3.0e-14 relative from the converged one
+    capped = 10
     monkeypatch.setattr(ground_state, "CAP", capped)
     res = solve_ground_state(ctx3.params, ctx3.grid, ctx3.plan, ctx3.km)
     assert res.iterations == len(res.residuals) == capped
@@ -232,13 +246,13 @@ def _start(ctx, guess):
 def test_m_gs_pinned_and_few_iterates(ctx512, guess, m_gs):
     # [DERIVED] the threshold at (3, -0.1), n = 512, default options, as the
     # Bessel-series dilations gave it, within 1e-12, from either start field;
-    # Petviashvili's iteration stops at the first iterate below TOL, after at
-    # most 80 iterates (63 and 66 observed; the cap is 500)
+    # the Anderson-mixed iteration stops at the first iterate below TOL,
+    # after at most 25 iterates (16 and 15 observed; 63 and 66 unmixed)
     res = solve_ground_state(ctx512.params, ctx512.grid, ctx512.plan, ctx512.km,
                              init=_start(ctx512, guess))
     assert res.m_gs == pytest.approx(m_gs, rel=1e-12)
     hist = res.residuals
-    assert res.iterations == len(hist) <= 80
+    assert res.iterations == len(hist) <= 25
     assert hist[-1] < ground_state.TOL <= hist[-2]
     assert abs(res.nu_final - 1) < 1e-6
 
@@ -381,13 +395,15 @@ def _multi_bump(params, grid, rng):
 
 
 @pytest.mark.parametrize("d,a,r_max", [(3, -0.1, 12.0), (4, -0.5, 14.0),
-                                       (5, -1.0, 20.0), (6, -1.0, 20.0)])
+                                       (5, -1.0, 20.0), (6, -1.0, 20.0),
+                                       (7, -3.0, 20.0)])
 def test_every_positive_guess_reaches_the_one_threshold(d, a, r_max):
     # [PAPER] every ground state has the same mass M_gs, so the solve must
     # reach it from any positive guess: from 10 seeded multi-bump guesses at
     # n = 256 each solve meets the default residual_tol with m_gs within
-    # 1e-12 relative of the default start's (observed <= 5.7e-16, in 68-125
-    # iterates; d = 5 and 6 converge slowest)
+    # 1e-12 relative of the default start's, in at most 40 iterates
+    # (observed: within 1.1e-15, in 16-29 iterates, d = 6 and 7 slowest;
+    # 68-126 unmixed)
     c = Ctx(d, a, 256, r_max)
     ref = solve_ground_state(c.params, c.grid, c.plan, c.km).m_gs
     rng = np.random.default_rng(0)
@@ -396,3 +412,4 @@ def test_every_positive_guess_reaches_the_one_threshold(d, a, r_max):
                                  init=_multi_bump(c.params, c.grid, rng))
         assert res.residual < GroundStateOptions().residual_tol, i
         assert res.m_gs == pytest.approx(ref, rel=1e-12), i
+        assert res.iterations <= 40, i
