@@ -51,7 +51,8 @@ from .ground_state import (GroundStateError, GroundStateOptions, gn_audit,
 from .grid import build_grid, radial_derivative
 from .hartree import apply_kernel, build_kernel, lv_value
 from .params import make_params
-from .profiles import PROFILE_NAMES, ProfileOptions, make_initial_data
+from .profiles import (PROFILE_NAMES, ProfileOptions, gaussian_profile,
+                       make_initial_data, shell_profile)
 from .transform import build_plan
 
 SCENARIOS = ("ground-state", "evolve", "blowup", "verify", "concentrate", "sweep")
@@ -203,8 +204,8 @@ def parse_config(text: str, overrides=None, scenario=None) -> RunConfig:
             and values.get("init.profile") not in ("pseudo-conformal", "file")):
         errors.append(f"key init.profile: the {values['scenario']} scenario needs "
                       f"pseudo-conformal or file, got {values.get('init.profile')!r}")
-    if values.get("init.profile") == "file" and not os.path.isfile(values.get("init.file", "")):
-        errors.append(f"key init.file: {values.get('init.file')!r} is not a regular file")
+    if values.get("init.profile") == "file":
+        check("init.file", lambda: _field_file(values))
     if not all(0 < lam < math.inf for lam in values.get("concentrate.lambdas", [])):
         errors.append(f"key concentrate.lambdas: every radius must be positive "
                       f"and finite, got {values['concentrate.lambdas']}")
@@ -279,22 +280,31 @@ def _options(cfg, section: str, cls):
     return cls(**{f.name: cfg[f"{section}.{f.name}"] for f in dataclasses.fields(cls)})
 
 
+def _field_file(cfg) -> np.ndarray:
+    """The field of `init.file`; raises ValueError naming the file, one line
+    per key of the config's model and grid that its header does not match."""
+    path = cfg["init.file"]
+    if not os.path.isfile(path):
+        raise ValueError(f"{path!r} is not a regular file")
+    try:
+        meta, _, Q = load_ground_state(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"field file {path!r}: cannot read: {exc}") from None
+    mismatches = [f"field file {path!r}: {key} = {meta[name]!r} does not match "
+                  f"config {key} = {cfg[key]!r}"
+                  for key in ("model.d", "model.a", "grid.n", "grid.r_max")
+                  if not abs(meta[(name := key.split(".")[1])] - cfg[key]) <= 1e-12]
+    if mismatches:
+        raise ValueError("\n".join(mismatches))
+    return Q
+
+
 def _initial_data(cfg, params, grid, plan, km):
     """Initial field per config; solves the ground state when the profile
     needs it.  Returns (u0, ground_state_result_or_None)."""
     name = cfg["init.profile"]
     if name == "file":
-        meta, r, Q = load_ground_state(cfg["init.file"])
-        if meta["n"] != grid.n or abs(meta["r_max"] - grid.r_max) > 1e-12:
-            raise ValueError(
-                f"field file grid ({meta['n']}, {meta['r_max']}) does not match "
-                f"config grid ({grid.n}, {grid.r_max})")
-        for key, saved, wanted in (("model.d", meta["d"], params.d),
-                                   ("model.a", meta["a"], params.a)):
-            if abs(saved - wanted) > 1e-12:
-                raise ValueError(f"field file {key} = {saved!r} does not match "
-                                 f"config {key} = {wanted!r}")
-        return np.asarray(Q, dtype=complex), None
+        return np.asarray(_field_file(cfg), dtype=complex), None
     gs = None
     if name in ("ground-state", "pseudo-conformal"):
         gs = solve_ground_state(params, grid, plan, km,
@@ -304,20 +314,11 @@ def _initial_data(cfg, params, grid, plan, km):
     return np.asarray(u0, dtype=complex), gs
 
 
-def _sidecar(cfg, extra=None):
-    meta = {"d": cfg["model.d"], "a": cfg["model.a"], "n": cfg["grid.n"],
-            "r_max": cfg["grid.r_max"], "dt": cfg["integrator.dt"],
-            "scheme": cfg["integrator.scheme"], "config_hash": config_hash(cfg),
-            "config": dict(sorted(cfg.raw.items()))}
-    meta.update(extra or {})
-    return meta
-
-
-def _export_trajectory(out_dir, cfg, traj, grid, lambdas=None, lam_of_t=None):
-    """trajectory.csv + sidecar.  `lambdas` are static window radii; if
-    `lam_of_t` is given the windows are lam_i(t) = lambdas[i]*lam_of_t(t).
-    Returns the last row, keyed by column."""
-    lambdas = lambdas or []
+def _export_trajectory(out_dir, cfg, traj, grid, lam_of_t=None):
+    """trajectory.csv + its metadata in trajectory.json.  The windows are the
+    static radii `concentrate.lambdas`; if `lam_of_t` is given they are
+    lam_i(t) = lambdas[i]*lam_of_t(t).  Returns the last row, keyed by column."""
+    lambdas = cfg["concentrate.lambdas"]
     labels = [f"conc@{_fmt(lam)}" for lam in lambdas]
     header = ["t", "M", "H", "E", "L_V", "Gamma", "GammaPrime"] + labels + ["stop_reason"]
     rows = []
@@ -332,8 +333,12 @@ def _export_trajectory(out_dir, cfg, traj, grid, lambdas=None, lam_of_t=None):
         rows.append(row)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
     _write_json(os.path.join(out_dir, "trajectory.json"),
-                _sidecar(cfg, {"stop_reason": traj.stop_reason,
-                               "stop_time": traj.stop_time, "samples": nsamp}))
+                {"d": cfg["model.d"], "a": cfg["model.a"], "n": cfg["grid.n"],
+                 "r_max": cfg["grid.r_max"], "dt": cfg["integrator.dt"],
+                 "scheme": cfg["integrator.scheme"], "config_hash": config_hash(cfg),
+                 "config": dict(sorted(cfg.raw.items())),
+                 "stop_reason": traj.stop_reason, "stop_time": traj.stop_time,
+                 "samples": nsamp})
     return dict(zip(header, rows[-1]))
 
 
@@ -379,9 +384,8 @@ def _worst(values, times) -> dict:
     return {"value": float(values[i]), "t": times[i]}
 
 
-def _evolution_diagnostics(traj) -> dict:
-    """Why an evolution stopped and how its invariants drifted on the way."""
-    dm, de = _drifts(traj)
+def _evolution_diagnostics(traj, dm, de) -> dict:
+    """Why an evolution stopped and how its invariants drifted (`_drifts`)."""
     return {"boundary_flagged_samples": int(sum(traj.boundary_flags)),
             "max_mass_drift": _worst(dm, traj.times),
             "max_energy_drift": _worst(de, traj.times),
@@ -406,7 +410,7 @@ def _scenario_evolve(cfg, out_dir):
     params, grid, plan, km = _build(cfg)
     u0, _ = _initial_data(cfg, params, grid, plan, km)
     traj = evolve(u0, _options(cfg, "integrator", IntegratorConfig), plan, km)
-    _export_trajectory(out_dir, cfg, traj, grid, lambdas=cfg["concentrate.lambdas"])
+    _export_trajectory(out_dir, cfg, traj, grid)
     q0 = traj.quantities[0]
     dm, de = _drifts(traj)
     mass_drift, energy_drift = float(dm[-1]), float(de[-1])
@@ -418,18 +422,18 @@ def _scenario_evolve(cfg, out_dir):
         checks["mass_conserved"] = mass_drift < 1e-10
     return {"stop_reason": traj.stop_reason, "stop_time": traj.stop_time,
             "mass_drift": mass_drift, "energy_drift": energy_drift,
-            "M0": q0.M, "E0": q0.E, "diagnostics": _evolution_diagnostics(traj),
+            "M0": q0.M, "E0": q0.E, "diagnostics": _evolution_diagnostics(traj, dm, de),
             "checks": checks}
 
 
-def _scenario_blowup(cfg, out_dir, want_concentration=False):
+def _scenario_blowup(cfg, out_dir):
     params, grid, plan, km = _build(cfg)
     u0, gs = _initial_data(cfg, params, grid, plan, km)
     traj = evolve(u0, _options(cfg, "integrator", IntegratorConfig), plan, km)
     E0 = traj.quantities[0].E
     summary = {"stop_reason": traj.stop_reason, "stop_time": traj.stop_time,
                "E0": E0, "T_star_config": cfg["init.T_star"],
-               "diagnostics": dict(_evolution_diagnostics(traj),
+               "diagnostics": dict(_evolution_diagnostics(traj, *_drifts(traj)),
                                    max_exact_error=_max_exact_error(cfg, traj, plan, gs))}
     checks = {"blowup_stop": traj.stop_reason in
               ("blowup-suspected", "blowup-resolved-limit")}
@@ -445,9 +449,8 @@ def _scenario_blowup(cfg, out_dir, want_concentration=False):
     except FitRejected as exc:
         summary["fit"] = {"rejected": str(exc)}
         checks["fit_accepted"] = False
-    last = _export_trajectory(out_dir, cfg, traj, grid,
-                              lambdas=cfg["concentrate.lambdas"], lam_of_t=lam_of_t)
-    if want_concentration:
+    last = _export_trajectory(out_dir, cfg, traj, grid, lam_of_t=lam_of_t)
+    if cfg["scenario"] == "concentrate":     # and each window's mass at the last sample
         summary["concentration_last_sample"] = {
             _fmt(lam): last[f"conc@{_fmt(lam)}"] for lam in cfg["concentrate.lambdas"]}
     summary["checks"] = checks
@@ -457,20 +460,16 @@ def _scenario_blowup(cfg, out_dir, want_concentration=False):
 def _random_fields(params, grid, rng, count, complex_valued=False):
     """Smooth seeded radial fields in the natural class: an r^{-rho} envelope
     times a few random Gaussians plus random (origin-vanishing) shells."""
-    r = grid.r
-    env = r**(-params.rho)
     fields = []
     for _ in range(count):
         u = np.zeros(grid.n, dtype=complex if complex_valued else float)
-        for _ in range(3):
-            amp = rng.uniform(0.2, 1.0)
-            sig = rng.uniform(0.5, 2.0)
-            u = u + amp * env * np.exp(-r**2 / (2 * sig**2))
-            s0 = rng.uniform(1.0, 0.4 * grid.r_max)
-            wdt = rng.uniform(0.3, 1.0)
-            u = u + rng.uniform(-0.5, 0.5) * np.exp(-(r - s0)**2 / (2 * wdt**2))
+        for _ in range(3):          # the arguments draw in the order written
+            u = u + gaussian_profile(params, grid, amplitude=rng.uniform(0.2, 1.0),
+                                     sigma=rng.uniform(0.5, 2.0))
+            u = u + shell_profile(params, grid, rng.uniform(1.0, 0.4 * grid.r_max),
+                                  rng.uniform(0.3, 1.0), rng.uniform(-0.5, 0.5))
         if complex_valued:
-            phase = rng.uniform(0, 2 * math.pi) * np.tanh(r)
+            phase = rng.uniform(0, 2 * math.pi) * np.tanh(grid.r)
             u = u * np.exp(1j * phase)
         fields.append(u)
     return fields
@@ -629,8 +628,8 @@ def _scenario_sweep(cfg, out_dir):
 _SCENARIO_FNS = {
     "ground-state": _scenario_ground_state,
     "evolve": _scenario_evolve,
-    "blowup": lambda cfg, out: _scenario_blowup(cfg, out),
-    "concentrate": lambda cfg, out: _scenario_blowup(cfg, out, want_concentration=True),
+    "blowup": _scenario_blowup,
+    "concentrate": _scenario_blowup,
     "verify": _scenario_verify,
     "sweep": _scenario_sweep,
 }

@@ -226,22 +226,19 @@ def evolve(u0: np.ndarray, cfg: IntegratorConfig, plan: TransformPlan,
 
     flows = _flows(plan, cfg.dt, cfg.scheme)
     rot = None
-    q = record(t, u)
+    record(t, u)
     for i in range(1, nsteps + 1):
         u, rot = step(u, cfg.dt, plan, km, cfg.scheme, rot, flows)
         t = i * cfg.dt
         if not np.all(np.isfinite(u)):
             traj.stop_reason = "blowup-suspected"
-            traj.stop_time = t
-            return traj
+            break
         if i % cfg.output_stride == 0 or i == nsteps:
             q = record(t, u)
             if q.H > 0 and 1.0 / math.sqrt(q.H) < cfg.min_scale_cells * h:
                 traj.stop_reason = "blowup-resolved-limit"
-                traj.stop_time = t
                 traj.stop_value = 1.0 / math.sqrt(q.H) / h
-                return traj
-    traj.stop_reason = "completed"
+                break
     traj.stop_time = t
     return traj
 

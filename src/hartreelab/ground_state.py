@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RadialGrid, boundary_mass_fraction, radial_derivative
-from .functionals import functionals
+from .functionals import _check_finite, functionals
 from .hartree import KernelMatrix, potential
 from .params import ModelParams
 from .transform import TransformPlan, _forward, apply_la
@@ -105,9 +105,7 @@ class GroundStateResult:
 
 def el_residual(Q: np.ndarray, plan: TransformPlan, km: KernelMatrix) -> float:
     """|| L_a Q + Q - Phi[Q^2] Q ||_{L^2} / || Q ||_{L^2} (discrete norms)."""
-    Q = np.asarray(Q)
-    if not np.all(np.isfinite(Q)):
-        raise ValueError("field contains non-finite samples")
+    Q = _check_finite(Q)
     Phi = potential(km, Q)
     F = apply_la(plan, Q) + Q - Phi * Q
     w = plan.grid.w
@@ -221,7 +219,7 @@ def save_ground_state(path, result: GroundStateResult, params: ModelParams,
 def load_ground_state(path):
     """Returns (header dict, r array, Q array) of a file of the header's n rows;
     a file without that header or those rows raises ValueError naming it."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lines = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ValueError(f"field file {path!r}: no header line `d a n r_max M_gs residual`")

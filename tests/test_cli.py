@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -387,32 +388,43 @@ def test_determinism_bit_identical(tmp_path):
 
 
 def test_error_captured_in_summary(tmp_path):
-    # [TRIVIAL] scenario failure lands in summary.json, pass = false: a field
-    # file saved on another grid (n = 32) is rejected once it is read
-    field = tmp_path / "q32.txt"
-    field.write_text("3 -0.1 32 10.0 1.0 0.0\n" + "0.1 1.0\n" * 32)
-    cfg = parse_config(FAST_GRID + "scenario = blowup\ninit.profile = file\n"
-                       f"init.file = {field}\nintegrator.t_end = 0.01\n")
+    # [TRIVIAL] a failure only the run can find (a solve asked for a residual
+    # below its floor) lands in summary.json with pass = false, its traceback
+    # beside it, and exit 1
     out = str(tmp_path / "bad")
-    summary = run_scenario(cfg, out)
-    assert summary["pass"] is False
-    assert summary["error"]["type"] == "ValueError"
-    assert os.path.exists(os.path.join(out, "summary.json"))
-
-
-def test_empty_field_file_is_named_in_summary(tmp_path):
-    # [TRIVIAL] an empty init.file passes parse_config (it is a regular
-    # file) and fails on load with a ValueError naming it
-    field = tmp_path / "empty.txt"
-    field.write_text("")
-    cfg = parse_config(FAST_GRID + "scenario = evolve\ninit.profile = file\n"
-                       f"init.file = {field}\nintegrator.t_end = 0.01\n")
-    out = str(tmp_path / "ev")
-    run_scenario(cfg, out)
+    assert main(["ground-state", "--out", out, "--override", "grid.n=64",
+                 "--override", "ground_state.residual_tol=1e-15"]) == 1
     with open(os.path.join(out, "summary.json")) as fh:
-        error = json.load(fh)["error"]
-    assert error["type"] == "ValueError"
-    assert str(field) in error["message"] and "no header line" in error["message"]
+        summary = json.load(fh)
+    assert summary["pass"] is False
+    assert summary["error"]["type"] == "GroundStateError"
+    assert os.path.exists(os.path.join(out, "traceback.txt"))
+
+
+@pytest.mark.parametrize("scenario,grid,content,named", [
+    # a field saved on another grid, for a blowup run at n = 128
+    ("blowup", "grid.n=128", b"3 -0.1 64 12.0 1.0 0.0\n" + b"0.1 1.0\n" * 64,
+     "grid.n = 64 does not match config grid.n = 128"),
+    ("evolve", "grid.r_max=12.0", b"3 -0.1 256 10.0 1.0 0.0\n" + b"0.1 1.0\n" * 256,
+     "grid.r_max = 10.0 does not match config grid.r_max = 12.0"),
+    ("evolve", "grid.n=64", b"\xff\xfe 3 -0.1 64\n", "cannot read: 'utf-8' codec"),
+    ("evolve", "grid.n=64", b"3 -0.1 64 12.0 1.0 0.0\n0.1 1.0\n",
+     "header n = 64 but 1 data rows"),
+    ("evolve", "grid.n=64", b"3 -0.1 64\n", "is not the six numbers"),
+    ("evolve", "grid.n=64", b"", "no header line"),
+], ids=["grid-n", "grid-r_max", "not-utf-8", "row-count", "header", "empty"])
+def test_field_file_fails_at_parse_time(tmp_path, capsys, scenario, grid, content, named):
+    # [TRIVIAL] a field file that cannot be read, is malformed or does not
+    # match the config's grid exits 2 before anything is built, under key
+    # init.file and naming the file
+    field = tmp_path / "field.txt"
+    field.write_bytes(content)
+    out = tmp_path / "out"
+    assert main([scenario, "--out", str(out), "--override", grid,
+                 "--override", "init.profile=file", "--override", f"init.file={field}"]) == 2
+    err = capsys.readouterr().err
+    assert f"key init.file: field file {str(field)!r}: " in err and named in err, err
+    assert not out.exists()
 
 
 def test_failed_summary_is_the_same_from_two_checkouts(tmp_path):
@@ -625,6 +637,34 @@ def test_sweep_without_blas_control_records_none(monkeypatch, tmp_path):
     assert summary["pass"] and summary["blas_threads"] is None
 
 
+@pytest.mark.parametrize("fault", ["maps unreadable", "library unloadable"])
+def test_blas_controls_fall_back_to_none(monkeypatch, fault):
+    # [TRIVIAL] with /proc/self/maps unreadable, or a mapped OpenBLAS that
+    # ctypes cannot load, no control is found: a 2-worker block yields None
+    # and leaves every library's thread count as it was
+    real = cli._blas_controls()
+    before = [get() for get, _ in real]
+    loads = []
+
+    def fake_open(path, *args, **kwargs):
+        if fault == "maps unreadable":
+            raise OSError(f"cannot open {path}")
+        return io.StringIO("7f00-7f01 r-xp 00000000 00:00 0 /lib/libopenblas.so.0\n")
+
+    def fake_cdll(path, *args, **kwargs):
+        loads.append(path)
+        raise OSError(f"cannot load {path}")
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+    assert cli._blas_controls() == []
+    assert loads == ([] if fault == "maps unreadable" else ["/lib/libopenblas.so.0"])
+    with cli._blas_threads_per_worker(2) as threads:
+        assert threads is None
+        assert [get() for get, _ in real] == before
+    assert [get() for get, _ in real] == before
+
+
 def test_sweep_restores_blas_threads_when_a_sub_run_raises(monkeypatch, tmp_path):
     # [TRIVIAL] an exception out of the pool still restores T
     blas, seen, summary = _fake_sweep(monkeypatch, tmp_path, 2, 2, "-0.1,-0.2",
@@ -713,18 +753,26 @@ def test_file_profile_round_trip(tmp_path):
     assert summary["diagnostics"]["max_exact_error"] is None
 
 
+def _field_file_errors(text: str) -> list:
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    return exc.value.errors
+
+
 def test_file_profile_model_mismatch(tmp_path):
-    # [TRIVIAL] a field file saved for another coupling a is rejected
+    # [TRIVIAL] a field file saved for another coupling a, or also another
+    # dimension, fails parse_config with one line per mismatched key
     out_gs = str(tmp_path / "gs")
     assert run_scenario(parse_config(GS_GRID + FAST_GS), out_gs)["pass"]
     field = os.path.join(out_gs, "ground_state.txt")
-    cfg = parse_config(GS_GRID + "scenario = evolve\ninit.profile = file\n"
-                       f"init.file = {field}\nmodel.a = -0.2\n"
-                       "integrator.dt = 1e-3\nintegrator.t_end = 0.02\n")
-    summary = run_scenario(cfg, str(tmp_path / "ev"))
-    assert summary["pass"] is False
-    assert summary["error"]["type"] == "ValueError"
-    assert "model.a" in summary["error"]["message"]
+    text = (GS_GRID + "scenario = evolve\ninit.profile = file\n"
+            f"init.file = {field}\nmodel.a = -0.2\n"
+            "integrator.dt = 1e-3\nintegrator.t_end = 0.02\n")
+    (err,) = _field_file_errors(text)
+    assert err == (f"key init.file: field file {field!r}: model.a = -0.1 "
+                   f"does not match config model.a = -0.2")
+    errs = _field_file_errors(text + "model.d = 4\n")
+    assert [e.split(": ")[2].split(" =")[0] for e in errs] == ["model.d", "model.a"]
 
 
 def test_ground_state_failure_keeps_trace(tmp_path):

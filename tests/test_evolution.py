@@ -93,9 +93,14 @@ def test_evolve_matches_one_shot_steps(ctx3, scheme):
     # [DERIVED] evolve, which carries the end rotation, matches a loop of
     # steps that each recompute the rotation at every sample (300 steps,
     # 6 samples) to 1e-12 relative; the loop is given the run's flow
-    # matrices, which cost hundreds of steps to form
+    # matrices, which cost hundreds of steps to form.  With t_end = 0 the
+    # loop runs zero times: one sample, the initial field, and a completed
+    # stop at t = 0
     dt, stride, nsteps = 1e-4, 60, 300
     u = _subcritical(ctx3)
+    traj = evolve(u, IntegratorConfig(dt=dt, t_end=0.0, scheme=scheme), ctx3.plan, ctx3.km)
+    assert traj.times == [0.0] and np.array_equal(traj.fields[0], u)
+    assert (traj.stop_reason, traj.stop_time, traj.stop_value) == ("completed", 0.0, None)
     traj = evolve(u, IntegratorConfig(dt=dt, t_end=nsteps * dt, scheme=scheme,
                                       output_stride=stride), ctx3.plan, ctx3.km)
     assert traj.stop_reason == "completed" and len(traj.fields) == 6

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -61,17 +62,16 @@ def test_raise_gate(old, new, ok):
     assert why["S"] is None and why["gaussian"] is None
 
 
-@pytest.mark.parametrize("layout", ["residuals"])
-def test_floor_reads_either_layout(layout):
+def test_floor_reads_residuals():
     # [TRIVIAL] a solve's floor is the last entry of its |F| history, which
     # the tree records as `residuals`
-    assert equivalence.floor(SimpleNamespace(**{layout: [1e-3, 1e-8, 2e-13]})) == 2e-13
+    assert equivalence.floor(SimpleNamespace(residuals=[1e-3, 1e-8, 2e-13])) == 2e-13
 
 
 def test_artifacts_compare(tmp_path):
     # [TRIVIAL] files are compared byte for byte, the first differing line
     # named; a file in one tree only is named with the tree it is missing
-    # from; traceback.txt is left out
+    # from; traceback.txt is left out; what moved is shown below
     old, new = tmp_path / "old", tmp_path / "new"
     for root, last, extra in ((old, "c", "only.csv"), (new, "C", "traceback.txt")):
         (root / "sub").mkdir(parents=True)
@@ -87,3 +87,30 @@ def test_artifacts_compare(tmp_path):
                    "short.txt: line 2: OLD b'b\\n' NEW <end of file>",
                    "sub/t.csv: line 3: OLD b'c\\n' NEW b'C\\n'"]
     assert artifacts.compare(str(old / "sub"), str(old / "sub")) == (1, [])
+    # below a differing file's first line: for JSON each differing key path
+    # with both values (and the relative difference of numbers); for
+    # trajectory.csv and ground_state.txt the largest relative difference in
+    # each column, and a count where a column is not numeric
+    old, new = tmp_path / "old2", tmp_path / "new2"
+    for root, m_gs, flag, row, stop in ((old, 2.0, True, "0.5,1.0", "completed"),
+                                        (new, 2.000002, False, "0.5,1.001", "halted")):
+        root.mkdir()
+        (root / "summary.json").write_text(json.dumps(
+            {"m_gs": m_gs, "checks": {"ok": flag}, "residuals": [1e-3, 2e-13],
+             **({"extra": 1} if root == new else {})}, sort_keys=True))
+        (root / "trajectory.csv").write_text(f"t,M,stop_reason\n0.0,1.0,\n{row},{stop}\n")
+    _, why = artifacts.compare(str(old), str(new))
+    assert [w.split("\n")[1:] for w in why] == [
+        ["        checks.ok: OLD True NEW False",
+         "        extra: OLD <missing> NEW 1",
+         "        m_gs: OLD 2.0 NEW 2.000002  rel 1.0e-06"],
+        ["        M: max rel diff 1.0e-03 at row 2 (OLD 1.0 NEW 1.001)",
+         "        stop_reason: 1 of 2 values differ"]]
+    assert why[1].startswith("trajectory.csv: line 3: ")
+    # ground_state.txt columns: the header's six numbers, then r and Q
+    gs = "# hartreelab ground state\n# d a n r_max M_gs residual\n3 -0.1 2 1.0 {} 1e-06\n"
+    assert artifacts.column_differences(
+        "ground_state.txt", (gs.format(2.0) + "0.5 1.0\n1.0 0.5\n").encode(),
+        (gs.format(2.5) + "0.5 1.0\n1.0 0.4\n").encode()) == [
+        "M_gs: max rel diff 2.0e-01 at row 1 (OLD 2.0 NEW 2.5)",
+        "Q: max rel diff 2.0e-01 at row 2 (OLD 0.5 NEW 0.4)"]

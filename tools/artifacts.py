@@ -13,11 +13,19 @@ Every file the two trees write is compared byte for byte, except
 `traceback.txt`, whose source paths and line numbers differ between any two
 checkouts.  Prints per command both exit codes and how many files match, then
 each differing file with its first differing line, or the tree it is missing
-from.  Exits 0 only if every file and every exit code match.
+from.  Below that line it shows what moved: for a JSON file each differing
+key path with its OLD and NEW values (and their relative difference for
+numbers), and for `trajectory.csv` and `ground_state.txt` the largest
+relative difference in each column.  Exits 0 only if every file and every
+exit code match.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +46,8 @@ RUNS = {
               "--override", "sweep.values=-0.1,-0.2"] + FAST,
 }
 SKIP = ("traceback.txt",)
+GS_HEADER = ("d", "a", "n", "r_max", "M_gs", "residual")   # ground_state.txt
+DETAIL_LINES = 20        # most detail lines shown per differing file
 
 
 def run_tree(src: str, cwd: str) -> dict[str, int]:
@@ -67,9 +77,104 @@ def first_difference(old: bytes, new: bytes) -> str:
     return f"line {k + 1}: OLD {show(a)} NEW {show(b)}"
 
 
+class _Missing:
+    def __repr__(self):
+        return "<missing>"
+
+
+def _rel(a, b) -> float | None:
+    """|b - a| / max(|a|, |b|) of two numbers or numeric strings (inf where
+    either is NaN), None if either is not a number."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return None
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return None
+    if x == y:
+        return 0.0
+    r = abs(y - x) / max(abs(x), abs(y))
+    return math.inf if math.isnan(r) else r
+
+
+def json_differences(old: bytes, new: bytes) -> list[str]:
+    """'path: OLD a NEW b' for each key path at which two JSON documents
+    differ (each value cut at 120 characters), with the relative difference
+    of two numbers."""
+    lines = []
+
+    def walk(path, a, b):
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(a.keys() | b.keys()):
+                walk(f"{path}.{key}" if path else key,
+                     a.get(key, _Missing()), b.get(key, _Missing()))
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(f"{path}[{i}]", x, y)
+        elif repr(a) != repr(b):
+            rel = _rel(a, b)
+            lines.append(f"{path}: OLD {repr(a)[:120]} NEW {repr(b)[:120]}"
+                         + ("" if rel is None else f"  rel {rel:.1e}"))
+
+    walk("", json.loads(old), json.loads(new))
+    return lines
+
+
+def _columns(name: str, data: bytes) -> dict[str, list[str]]:
+    """Column name -> values of a trajectory.csv or ground_state.txt."""
+    text = data.decode()
+    if name == "trajectory.csv":
+        header, *rows = csv.reader(io.StringIO(text))
+        return {col: [row[j] for row in rows] for j, col in enumerate(header)}
+    head, *rows = [ln.split() for ln in text.splitlines()
+                   if ln.strip() and not ln.startswith("#")]
+    return {**{col: [v] for col, v in zip(GS_HEADER, head)},
+            "r": [row[0] for row in rows], "Q": [row[1] for row in rows]}
+
+
+def column_differences(name: str, old: bytes, new: bytes) -> list[str]:
+    """The largest relative difference in each numeric column that moved,
+    with its row, and how many values moved in each other column."""
+    a, b = _columns(name, old), _columns(name, new)
+    lines = []
+    for col in dict.fromkeys([*a, *b]):
+        x, y = a.get(col, []), b.get(col, [])
+        if len(x) != len(y):
+            lines.append(f"{col}: OLD {len(x)} rows NEW {len(y)}")
+        pairs = [(i, p, q) for i, (p, q) in enumerate(zip(x, y)) if p != q]
+        rels = [(r, i) for i, p, q in pairs if (r := _rel(p, q)) is not None]
+        if rels:
+            worst, i = max(rels)
+            lines.append(f"{col}: max rel diff {worst:.1e} at row {i + 1} "
+                         f"(OLD {x[i]} NEW {y[i]})")
+        if len(rels) < len(pairs):
+            lines.append(f"{col}: {len(pairs) - len(rels)} of {min(len(x), len(y))} "
+                         f"values differ")
+    return lines
+
+
+def details(path: str, old: bytes, new: bytes) -> list[str]:
+    """What moved between two versions of the file at `path`, at most
+    DETAIL_LINES lines; empty for a file of another kind."""
+    name = os.path.basename(path)
+    try:
+        if name.endswith(".json"):
+            lines = json_differences(old, new)
+        elif name in ("trajectory.csv", "ground_state.txt"):
+            lines = column_differences(name, old, new)
+        else:
+            return []
+    except (ValueError, IndexError, csv.Error):
+        return ["(no detail: the file does not parse)"]
+    if len(lines) > DETAIL_LINES:
+        lines = lines[:DETAIL_LINES] + [f"... {len(lines) - DETAIL_LINES} more"]
+    return lines
+
+
 def compare(old_root: str, new_root: str) -> tuple[int, list[str]]:
     """(files that match, one message per file that does not) of two trees'
-    output directories."""
+    output directories.  A message is the file's first differing line, then
+    one indented line per entry of its `details`."""
     old, new = _files(old_root), _files(new_root)
     same, why = 0, []
     for rel in sorted(old | new):
@@ -82,7 +187,8 @@ def compare(old_root: str, new_root: str) -> tuple[int, list[str]]:
         if a == b:
             same += 1
         else:
-            why.append(f"{rel}: {first_difference(a, b)}")
+            why.append("\n        ".join([f"{rel}: {first_difference(a, b)}",
+                                            *details(rel, a, b)]))
     return same, why
 
 
