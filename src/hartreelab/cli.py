@@ -37,7 +37,6 @@ import traceback
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,16 +108,8 @@ class ConfigError(ValueError):
         self.errors = list(errors)
 
 
-@dataclass
-class RunConfig:
-    values: dict                 # fully resolved flat key -> typed value
-    raw: dict = field(default_factory=dict)  # resolved key -> string form
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-
 def _resolved_raw(values: dict) -> dict:
+    """Each key of a resolved config, sorted, -> the string form of its value."""
     out = {}
     for k in sorted(SCHEMA):
         v = values[k]
@@ -131,16 +122,18 @@ def _resolved_raw(values: dict) -> dict:
     return out
 
 
-def config_hash(cfg: RunConfig) -> str:
+def config_hash(cfg: dict) -> str:
     """Short hash of the resolved config, excluding the output location."""
-    blob = "\n".join(f"{k}={v}" for k, v in sorted(cfg.raw.items())
+    blob = "\n".join(f"{k}={v}" for k, v in _resolved_raw(cfg).items()
                      if k != "output.dir")
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def parse_config(text: str, overrides=None, scenario=None) -> RunConfig:
-    """Parse and validate; raises ConfigError listing *all* problems, among
-    them a scenario other than `scenario`, the subcommand, if one is given."""
+def parse_config(text: str, overrides=None, scenario=None) -> dict:
+    """The resolved config, key -> typed value, of config text and override
+    items (which, unlike text lines, are not cut at `#`).  Raises ConfigError
+    listing *all* problems, among them a scenario other than `scenario`, the
+    subcommand, if one is given."""
     errors = []
     pairs = {}
     items = [(f"line {lineno}", body) for lineno, line in enumerate(text.splitlines(), 1)
@@ -227,24 +220,23 @@ def parse_config(text: str, overrides=None, scenario=None) -> RunConfig:
         if values.get("sweep.workers", 1) < 1:
             errors.append(f"key sweep.workers: must be >= 1, got {values['sweep.workers']}")
         if not errors:          # else every sub-run would repeat the base's errors
-            raw = _resolved_raw(values)
             for idx, val in enumerate(values["sweep.values"]):
                 try:
-                    parse_config(_sweep_text(raw, values["sweep.key"], val))
+                    parse_config("", overrides=_sweep_items(values, values["sweep.key"], val))
                 except ConfigError as exc:
                     errors += [f"key sweep.values: value {idx} ({val!r}): {err}"
                                for err in exc.errors]
     if errors:
         raise ConfigError(errors)
-    return RunConfig(values=values, raw=_resolved_raw(values))
+    return values
 
 
-def _sweep_text(raw: dict, key: str, val: str) -> str:
-    """Config text of one sweep sub-run: the resolved base config with the
+def _sweep_items(cfg: dict, key: str, val: str) -> list:
+    """Override items of one sweep sub-run: the resolved base config with the
     sub-run's scenario and the swept key set, and no output location."""
-    sub = dict(raw, scenario=raw["sweep.scenario"])
+    sub = dict(_resolved_raw(cfg), scenario=cfg["sweep.scenario"])
     sub[key] = val
-    return "\n".join(f"{k} = {v}" for k, v in sub.items() if k != "output.dir")
+    return [f"{k} = {v}" for k, v in sub.items() if k != "output.dir"]
 
 
 def _fmt(x) -> str:
@@ -267,7 +259,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _build(cfg: RunConfig):
+def _build(cfg: dict):
     params = make_params(cfg["model.d"], cfg["model.a"])
     grid = build_grid(cfg["model.d"], cfg["grid.n"], cfg["grid.r_max"])
     plan = build_plan(params, grid)
@@ -336,7 +328,7 @@ def _export_trajectory(out_dir, cfg, traj, grid, lam_of_t=None):
                 {"d": cfg["model.d"], "a": cfg["model.a"], "n": cfg["grid.n"],
                  "r_max": cfg["grid.r_max"], "dt": cfg["integrator.dt"],
                  "scheme": cfg["integrator.scheme"], "config_hash": config_hash(cfg),
-                 "config": dict(sorted(cfg.raw.items())),
+                 "config": _resolved_raw(cfg),
                  "stop_reason": traj.stop_reason, "stop_time": traj.stop_time,
                  "samples": nsamp})
     return dict(zip(header, rows[-1]))
@@ -489,8 +481,7 @@ def _scenario_verify(cfg, out_dir):
 
     hardy_viol = sum(hardy_ratio(u, plan) > hardy_bound * (1 + 1e-9)
                      for u in real_fields)
-    gn_report = gn_audit(real_fields + [np.abs(u) for u in cplx_fields],
-                         m_gs, plan, km)
+    gn_viol = gn_audit(real_fields + [np.abs(u) for u in cplx_fields], m_gs, plan, km)
 
     rearr_viol = 0
     for u in real_fields:
@@ -534,11 +525,11 @@ def _scenario_verify(cfg, out_dir):
                 rep.discriminant > 1e-9 * max(rep.quad_term, 1.0):
             disc_viol += 1
 
-    checks = {"hardy": hardy_viol == 0, "gn": gn_report.violations == 0,
+    checks = {"hardy": hardy_viol == 0, "gn": gn_viol == 0,
               "rearrangement": rearr_viol == 0, "hls_continuity": hls_viol == 0,
               "rotated_energy": rot_viol == 0, "discriminant": disc_viol == 0}
     return {"fields": count, "m_gs": m_gs, "hardy_bound": hardy_bound,
-            "violations": {"hardy": hardy_viol, "gn": gn_report.violations,
+            "violations": {"hardy": hardy_viol, "gn": gn_viol,
                            "rearrangement": rearr_viol, "hls": hls_viol,
                            "rotated_energy": rot_viol, "discriminant": disc_viol},
             "checks": checks}
@@ -609,8 +600,8 @@ def _scenario_sweep(cfg, out_dir):
     def one(idx_val):
         idx, val = idx_val
         sub_dir = os.path.join(out_dir, f"sweep-{idx:03d}")
-        sub = parse_config(_sweep_text(cfg.raw, key, val),
-                           overrides=[f"output.dir = {sub_dir}"])
+        sub = parse_config("", overrides=_sweep_items(cfg, key, val)
+                           + [f"output.dir = {sub_dir}"])
         return idx, val, run_scenario(sub, sub_dir)
 
     # concurrent sub-runs that each asked BLAS for every core would contend;
@@ -644,7 +635,7 @@ def _package_frames(exc: BaseException) -> list:
             if os.path.dirname(os.path.abspath(fr.filename)) == here]
 
 
-def run_scenario(cfg: RunConfig, out_dir: str | None = None) -> dict:
+def run_scenario(cfg: dict, out_dir: str | None = None) -> dict:
     """Execute the configured scenario; writes artifacts and summary.json.
 
     Module errors are captured into the summary (pass = False), never lost:
@@ -653,7 +644,7 @@ def run_scenario(cfg: RunConfig, out_dir: str | None = None) -> dict:
     """
     out_dir = out_dir or cfg["output.dir"]
     os.makedirs(out_dir, exist_ok=True)
-    summary = {"scenario": cfg["scenario"], "config": dict(sorted(cfg.raw.items())),
+    summary = {"scenario": cfg["scenario"], "config": _resolved_raw(cfg),
                "config_hash": config_hash(cfg), "seed": cfg["seed"]}
     try:
         summary.update(_SCENARIO_FNS[cfg["scenario"]](cfg, out_dir))
@@ -705,6 +696,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
+        return 2
+    try:        # an unusable output.dir is a config error, not a traceback
+        os.makedirs(cfg["output.dir"], exist_ok=True)
+    except OSError as exc:
+        print(f"config error: key output.dir: {exc}", file=sys.stderr)
         return 2
     summary = run_scenario(cfg)
     print(json.dumps({"scenario": summary["scenario"], "pass": summary["pass"],

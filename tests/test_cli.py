@@ -31,7 +31,7 @@ def test_parse_defaults():
     assert cfg["scenario"] == "ground-state"
     assert cfg["model.d"] == 3 and cfg["model.a"] == -0.1
     assert cfg["grid.n"] == 256
-    assert set(cfg.values) == set(SCHEMA)
+    assert set(cfg) == set(SCHEMA)
 
 
 def test_schema_defaults_are_the_library_defaults():
@@ -115,6 +115,7 @@ def _first_call_spoiled(fn, spoil):
 
 @pytest.mark.parametrize("name, count, spoil", [
     ("hardy_ratio", "hardy", lambda ratio: 1e9),
+    ("gn_audit", "gn", lambda count: count + 1),
     ("rearrange_decreasing", "rearrangement", lambda v: 2 * v),
     ("apply_kernel", "hls", lambda kf: 10 * kf),
     ("rotated_energy_check", "rotated_energy",
@@ -556,6 +557,21 @@ def test_main_exit_codes(tmp_path, capsys):
         assert "sweep.key" in capsys.readouterr().err, key
 
 
+def test_unusable_output_dir_is_a_config_error(tmp_path, capsys):
+    # [TRIVIAL] an output.dir that cannot be made a directory, a regular file
+    # or a path below one, exits 2 naming the path, not with a traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert main(["ground-state", "--out", str(out), "--override", "grid.n=64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key output.dir: ") and str(out) in err, err
+    assert taken.read_text() == ""
+    # a library caller still gets the OSError
+    with pytest.raises(FileExistsError):
+        run_scenario(parse_config("", [f"output.dir = {taken}"]))
+
+
 def test_sweep_scenario(tmp_path):
     # [DERIVED] two-point sweep over the gaussian amplitude, parallel workers
     cfg = parse_config(FAST_GRID + "scenario = sweep\nsweep.scenario = evolve\n"
@@ -722,6 +738,27 @@ def test_sweep_values_checked_at_parse_time(tmp_path, capsys):
     assert capsys.readouterr().err == ("config error: key sweep.values: value 1 ('-1.0'): key "
                                        "init.sigma: sigma must be positive and finite, got -1.0\n")
     assert not out.exists()
+
+
+def test_sweep_values_keep_hash_signs(tmp_path):
+    # [TRIVIAL] a sub-run's config is built from override items, which are
+    # not cut at '#' as config text lines are: a swept value with '#' in it
+    # is checked whole, and a base value with '#' reaches every sub-run
+    with pytest.raises(ConfigError) as exc:
+        parse_config("scenario = sweep", ["sweep.key = init.amplitude",
+                                          "sweep.values = 0.3,0.4#junk"])
+    assert exc.value.errors == ["key sweep.values: value 1 ('0.4#junk'): key "
+                                "init.amplitude: cannot parse '0.4#junk' as float"]
+    field = tmp_path / "a#b.txt"
+    field.write_bytes(b"3 -0.1 64 12.0 1.0 0.0\n" + b"0.1 0.01\n" * 64)
+    cfg = parse_config(GS_GRID + "scenario = sweep\nsweep.scenario = evolve\n"
+                       "sweep.key = integrator.t_end\nsweep.values = 0.002,0.004\n"
+                       "init.profile = file\n", [f"init.file = {field}"])
+    out = tmp_path / "sw"
+    run_scenario(cfg, str(out))
+    for idx in range(2):
+        sub = json.loads((out / f"sweep-{idx:03d}" / "summary.json").read_text())
+        assert sub["config"]["init.file"] == str(field) and "error" not in sub, sub
 
 
 def test_sweep_config_validation():

@@ -85,16 +85,12 @@ def test_gn_audit(ctx3, gs3):
     # [PAPER] J(u) >= M_gs (1 - 1e-6) across seeded smooth fields
     rng = np.random.default_rng(11)
     fields = _random_fields(ctx3.params, ctx3.grid, rng, 30)
-    report = gn_audit(fields, gs3.m_gs, ctx3.plan, ctx3.km)
-    assert report.violations == 0
-    assert len(report.entries) == 30
+    assert gn_audit(fields, gs3.m_gs, ctx3.plan, ctx3.km) == 0
 
 
 def test_gn_audit_zero_field(ctx3, gs3):
     # [TRIVIAL] a zero field has L_V = 0: J is undefined and no violation
-    report = gn_audit([np.zeros(ctx3.grid.n)], gs3.m_gs, ctx3.plan, ctx3.km)
-    assert [(e.J, e.violation) for e in report.entries] == [(None, False)]
-    assert report.violations == 0
+    assert gn_audit([np.zeros(ctx3.grid.n)], gs3.m_gs, ctx3.plan, ctx3.km) == 0
 
 
 def test_serialization_round_trip(tmp_path, ctx3, gs3):

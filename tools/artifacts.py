@@ -37,6 +37,10 @@ BLOWUP = ["--override", "grid.n=128", "--override", "init.profile=pseudo-conform
 # name -> CLI arguments; each run writes under out/<name>
 RUNS = {
     "ground-state": ["ground-state", "--override", "grid.n=128"],
+    # reads the field the ground-state run wrote, so it runs after it
+    "evolve-file": ["evolve", "--override", "grid.n=128", "--override", "init.profile=file",
+                    "--override", "init.file=out/ground-state/ground_state.txt",
+                    "--override", "integrator.t_end=0.05"],
     "evolve": ["evolve", "--override", "grid.n=64", "--override", "integrator.t_end=0.05"],
     "blowup": ["blowup"] + BLOWUP,
     "concentrate": ["concentrate"] + BLOWUP + ["--override", "concentrate.lambdas=0.5,1.0"],
