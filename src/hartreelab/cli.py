@@ -14,7 +14,7 @@ the fully resolved config, a short config hash, and the pass/fail of every
 invariant checked; the process exit status reflects the overall pass flag.
 Trajectory scenarios additionally write ``trajectory.csv`` (columns
 t, M, H, E, L_V, Gamma, GammaPrime, conc@lam..., stop_reason; RFC-style,
-header row, '.' decimal) with the run metadata in the JSON sidecar.
+header row, '.' decimal); the run metadata lives in ``summary.json`` alone.
 
 Identical config + seed produce bit-identical CSV/JSON outputs: floats are
 serialized with shortest-roundtrip repr and JSON keys are sorted.  A failed
@@ -108,17 +108,20 @@ class ConfigError(ValueError):
         self.errors = list(errors)
 
 
+def _fmt(x) -> str:
+    """The string form of a CSV cell or config value."""
+    if isinstance(x, float):
+        return repr(float(x))   # float() drops numpy scalar wrappers
+    return str(x)
+
+
 def _resolved_raw(values: dict) -> dict:
-    """Each key of a resolved config, sorted, -> the string form of its value."""
+    """Each key of a resolved config, sorted, -> the string form of its value
+    (a list's items joined by commas), each written by `_fmt`."""
     out = {}
     for k in sorted(SCHEMA):
         v = values[k]
-        if isinstance(v, list):
-            out[k] = ",".join(repr(x) if isinstance(x, float) else str(x) for x in v)
-        elif isinstance(v, float):
-            out[k] = repr(v)
-        else:
-            out[k] = str(v)
+        out[k] = ",".join(map(_fmt, v)) if isinstance(v, list) else _fmt(v)
     return out
 
 
@@ -131,23 +134,28 @@ def config_hash(cfg: dict) -> str:
 
 def parse_config(text: str, overrides=None, scenario=None) -> dict:
     """The resolved config, key -> typed value, of config text and override
-    items (which, unlike text lines, are not cut at `#`).  Raises ConfigError
-    listing *all* problems, among them a scenario other than `scenario`, the
-    subcommand, if one is given."""
+    items (which, unlike text lines, are not cut at `#`).  An override
+    replaces a value of the text.  Raises ConfigError listing *all* problems,
+    among them a key set twice by the text or twice by the overrides, and a
+    scenario other than `scenario`, the subcommand, if one is given."""
     errors = []
     pairs = {}
-    items = [(f"line {lineno}", body) for lineno, line in enumerate(text.splitlines(), 1)
+    lines = [(f"line {lineno}", body) for lineno, line in enumerate(text.splitlines(), 1)
              if (body := line.split("#", 1)[0]).strip()]
-    items += [(f"override {item!r}", item) for item in overrides or []]
-    for where, item in items:
-        if "=" not in item:
-            errors.append(f"{where}: expected 'key = value', got {item.strip()!r}")
-            continue
-        key, val = (part.strip() for part in item.split("=", 1))
-        if key not in SCHEMA:
-            errors.append(f"{where}: unknown key {key!r}")
-            continue
-        pairs[key] = val
+    for group in (lines, [(f"override {item!r}", item) for item in overrides or []]):
+        set_by = {}
+        for where, item in group:
+            if "=" not in item:
+                errors.append(f"{where}: expected 'key = value', got {item.strip()!r}")
+                continue
+            key, val = (part.strip() for part in item.split("=", 1))
+            if key not in SCHEMA:
+                errors.append(f"{where}: unknown key {key!r}")
+            elif key in set_by:
+                errors.append(f"{where}: key {key!r} already set by {set_by[key]}")
+            else:
+                set_by[key] = where
+                pairs[key] = val
     if scenario is not None:
         if pairs.get("scenario", scenario) != scenario:
             errors.append(f"key scenario: the config sets {pairs['scenario']!r}, "
@@ -239,12 +247,6 @@ def _sweep_items(cfg: dict, key: str, val: str) -> list:
     return [f"{k} = {v}" for k, v in sub.items() if k != "output.dir"]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))   # float() drops numpy scalar wrappers
-    return str(x)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -307,8 +309,8 @@ def _initial_data(cfg, params, grid, plan, km):
 
 
 def _export_trajectory(out_dir, cfg, traj, grid, lam_of_t=None):
-    """trajectory.csv + its metadata in trajectory.json.  The windows are the
-    static radii `concentrate.lambdas`; if `lam_of_t` is given they are
+    """trajectory.csv.  The windows are the static radii
+    `concentrate.lambdas`; if `lam_of_t` is given they are
     lam_i(t) = lambdas[i]*lam_of_t(t).  Returns the last row, keyed by column."""
     lambdas = cfg["concentrate.lambdas"]
     labels = [f"conc@{_fmt(lam)}" for lam in lambdas]
@@ -324,13 +326,6 @@ def _export_trajectory(out_dir, cfg, traj, grid, lam_of_t=None):
         row.append(traj.stop_reason if i == nsamp - 1 else "")
         rows.append(row)
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
-    _write_json(os.path.join(out_dir, "trajectory.json"),
-                {"d": cfg["model.d"], "a": cfg["model.a"], "n": cfg["grid.n"],
-                 "r_max": cfg["grid.r_max"], "dt": cfg["integrator.dt"],
-                 "scheme": cfg["integrator.scheme"], "config_hash": config_hash(cfg),
-                 "config": _resolved_raw(cfg),
-                 "stop_reason": traj.stop_reason, "stop_time": traj.stop_time,
-                 "samples": nsamp})
     return dict(zip(header, rows[-1]))
 
 

@@ -68,7 +68,7 @@ from .grid import boundary_mass_fraction, dilate, radial_derivative
 from .hartree import KernelMatrix, potential, surface_area
 from .transform import TransformPlan, apply_la
 
-BOUNDARY_TOL = 1e-8      # virial flags a field with more mass in the outer cells
+BOUNDARY_TOL = 1e-8      # evolve flags a sample with more mass in the outer cells
 FIT_MIN_SAMPLES = 10     # fewest growing samples fit_blowup accepts
 _FLOW_ROWS = 64          # rows of a flow matrix formed by one product
 
@@ -105,20 +105,13 @@ class IntegratorConfig:
 
 
 @dataclass
-class VirialResult:
-    gamma: float
-    gamma_prime: float
-    boundary_flag: bool
-
-
-@dataclass
 class Trajectory:
     times: list = field(default_factory=list)
     quantities: list = field(default_factory=list)   # Quantities per sample
     gamma: list = field(default_factory=list)
     gamma_prime: list = field(default_factory=list)
     fields: list = field(default_factory=list)        # snapshots per sample
-    boundary_flags: list = field(default_factory=list)  # virial flag per sample
+    boundary_flags: list = field(default_factory=list)  # boundary flag per sample
     stop_reason: str = "completed"
     stop_time: float = 0.0
     # 1/sqrt(H) in cells at a "blowup-resolved-limit" stop; None otherwise
@@ -184,13 +177,10 @@ def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
 
 
 def virial(u: np.ndarray, plan: TransformPlan,
-           lau: np.ndarray | None = None) -> VirialResult:
-    """Gamma = int |x|^2 |u|^2 and Gamma' = -2 Im int |x|^2 conj(u) L_a u.
-
-    The boundary flag is raised when the relative mass in the outermost cells
-    exceeds BOUNDARY_TOL (the truncated variance is then untrustworthy).
-    `lau` is L_a u when the caller has it.
-    """
+           lau: np.ndarray | None = None) -> tuple:
+    """(Gamma, Gamma') with Gamma = int |x|^2 |u|^2 and
+    Gamma' = -2 Im int |x|^2 conj(u) L_a u.  `lau` is L_a u when the caller
+    has it."""
     g = plan.grid
     om = surface_area(g.d)
     f = np.abs(u)**2
@@ -198,8 +188,7 @@ def virial(u: np.ndarray, plan: TransformPlan,
     if lau is None:
         lau = apply_la(plan, u)
     gamma_p = -2 * om * float(np.sum(g.w * g.r**2 * np.imag(np.conj(u) * lau)))
-    flag = boundary_mass_fraction(g, u) > BOUNDARY_TOL
-    return VirialResult(gamma=gamma, gamma_prime=gamma_p, boundary_flag=flag)
+    return gamma, gamma_p
 
 
 def evolve(u0: np.ndarray, cfg: IntegratorConfig, plan: TransformPlan,
@@ -212,16 +201,18 @@ def evolve(u0: np.ndarray, cfg: IntegratorConfig, plan: TransformPlan,
     t = 0.0
 
     def record(tcur, ucur):
-        # one L_a u serves both H and Gamma'
+        # one L_a u serves both H and Gamma'; the boundary flag is raised when
+        # the relative mass in the outermost cells exceeds BOUNDARY_TOL (the
+        # truncated variance is then untrustworthy)
         lau = apply_la(plan, ucur)
         q = functionals(ucur, plan, km, lau)
-        v = virial(ucur, plan, lau=lau)
+        gamma, gamma_p = virial(ucur, plan, lau=lau)
         traj.times.append(tcur)
         traj.quantities.append(q)
-        traj.gamma.append(v.gamma)
-        traj.gamma_prime.append(v.gamma_prime)
+        traj.gamma.append(gamma)
+        traj.gamma_prime.append(gamma_p)
         traj.fields.append(ucur.copy())
-        traj.boundary_flags.append(v.boundary_flag)
+        traj.boundary_flags.append(boundary_mass_fraction(plan.grid, ucur) > BOUNDARY_TOL)
         return q
 
     flows = _flows(plan, cfg.dt, cfg.scheme)

@@ -197,7 +197,8 @@ def save_ground_state(path, result: GroundStateResult, params: ModelParams,
 
 def load_ground_state(path):
     """Returns (header dict, r array, Q array) of a file of the header's n rows;
-    a file without that header or those rows raises ValueError naming it."""
+    a file without that header or those finite rows raises ValueError naming
+    it."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines:
@@ -216,4 +217,8 @@ def load_ground_state(path):
         data = np.array([[float(r), float(q)] for r, q in lines[1:]]).reshape(-1, 2)
     except ValueError:
         raise ValueError(f"field file {path!r}: a data row is not the two numbers `r Q`") from None
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"field file {path!r}: data row {bad[0] + 1} "
+                         f"{' '.join(lines[bad[0] + 1])!r} is not finite")
     return meta, data[:, 0], data[:, 1]

@@ -143,12 +143,18 @@ def test_default_sweep_runs_serially():
 
 
 def test_parse_values_comments_overrides():
-    # [TRIVIAL] comments, whitespace, and override precedence
+    # [TRIVIAL] comments, whitespace, and override precedence; a key set
+    # twice by the text, or twice by the overrides, is an error naming both
     text = "model.d = 4   # dimension\n\nmodel.a = -0.5\ngrid.n = 128\n"
     cfg = parse_config(text, overrides=["grid.n = 96"])
     assert cfg["model.d"] == 4
     assert cfg["model.a"] == -0.5
     assert cfg["grid.n"] == 96          # override wins
+    with pytest.raises(ConfigError) as exc:
+        parse_config("grid.n = 64\ngrid.n = 128\n", overrides=["seed=1", "seed=2"])
+    assert exc.value.errors == ["line 2: key 'grid.n' already set by line 1",
+                                "override 'seed=2': key 'seed' already set by "
+                                "override 'seed=1'"]
 
 
 def test_invalid_coupling_names_bound():
@@ -370,22 +376,24 @@ def test_blowup_diagnostics(tmp_path, scenario, h_bound):
 
 
 def test_determinism_bit_identical(tmp_path):
-    # [PAPER] identical config + seed -> bit-identical summary and CSV
-    text = (FAST_GRID + "scenario = evolve\ninit.amplitude = 0.4\n"
-            "integrator.dt = 1e-3\nintegrator.t_end = 0.02\nseed = 3\n")
-    outs = []
-    for tag in ("r1", "r2"):
-        out = str(tmp_path / tag)
-        run_scenario(parse_config(text, [f"output.dir = {out}"]), out)
-        outs.append(out)
-    for name in ("summary.json", "trajectory.csv"):
-        with open(os.path.join(outs[0], name), "rb") as fh:
-            b1 = fh.read()
-        with open(os.path.join(outs[1], name), "rb") as fh:
-            b2 = fh.read()
-        # the output path itself is the only allowed difference
-        assert b1.replace(outs[0].encode(), b"X") == \
-            b2.replace(outs[1].encode(), b"X")
+    # [PAPER] identical config + seed -> the same files, bit-identical but
+    # for the output path, from an evolve and a ground-state run
+    texts = {"evolve": FAST_GRID + "scenario = evolve\ninit.amplitude = 0.4\n"
+                       "integrator.dt = 1e-3\nintegrator.t_end = 0.02\nseed = 3\n",
+             "ground-state": FAST_GRID + "ground_state.residual_tol = 1e-2\nseed = 3\n"}
+    written = {"evolve": "trajectory.csv", "ground-state": "ground_state.txt"}
+    for scenario, text in texts.items():
+        blobs = []
+        for tag in ("r1", "r2"):
+            out = str(tmp_path / scenario / tag)
+            run_scenario(parse_config(text, [f"output.dir = {out}"]), out)
+            files = {}
+            for name in sorted(set(os.listdir(out)) - {"traceback.txt"}):
+                with open(os.path.join(out, name), "rb") as fh:
+                    files[name] = fh.read().replace(out.encode(), b"X")
+            blobs.append(files)
+        assert set(blobs[0]) == {"summary.json", written[scenario]}
+        assert blobs[0] == blobs[1], scenario
 
 
 def test_error_captured_in_summary(tmp_path):
@@ -413,11 +421,13 @@ def test_error_captured_in_summary(tmp_path):
      "header n = 64 but 1 data rows"),
     ("evolve", "grid.n=64", b"3 -0.1 64\n", "is not the six numbers"),
     ("evolve", "grid.n=64", b"", "no header line"),
-], ids=["grid-n", "grid-r_max", "not-utf-8", "row-count", "header", "empty"])
+    ("evolve", "grid.n=64", b"3 -0.1 64 12.0 1.0 0.0\n" + b"0.1 1.0\n" * 63 + b"6.0 nan\n",
+     "data row 64 '6.0 nan' is not finite"),
+], ids=["grid-n", "grid-r_max", "not-utf-8", "row-count", "header", "empty", "non-finite"])
 def test_field_file_fails_at_parse_time(tmp_path, capsys, scenario, grid, content, named):
-    # [TRIVIAL] a field file that cannot be read, is malformed or does not
-    # match the config's grid exits 2 before anything is built, under key
-    # init.file and naming the file
+    # [TRIVIAL] a field file that cannot be read, is malformed, holds a
+    # non-finite sample or does not match the config's grid exits 2 before
+    # anything is built, under key init.file and naming the file
     field = tmp_path / "field.txt"
     field.write_bytes(content)
     out = tmp_path / "out"

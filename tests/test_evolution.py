@@ -313,24 +313,27 @@ def test_energy_drift_second_order(ctx3):
 
 
 def test_virial_real_field(ctx3, gs3):
-    # [TRIVIAL] real u -> Gamma' = 0
-    v = virial(gs3.Q.astype(complex), ctx3.plan)
-    assert abs(v.gamma_prime) < 1e-12 * max(1.0, v.gamma)
-    assert not v.boundary_flag
+    # [TRIVIAL] real u -> Gamma' = 0, and an evolve sample of Q raises no
+    # boundary flag
+    gamma, gamma_prime = virial(gs3.Q.astype(complex), ctx3.plan)
+    assert abs(gamma_prime) < 1e-12 * max(1.0, gamma)
+    traj = evolve(gs3.Q, IntegratorConfig(t_end=0.0), ctx3.plan, ctx3.km)
+    assert traj.boundary_flags == [False]
 
 
 def test_virial_gaussian(ctx3_free):
     # [DERIVED] u = e^{-r^2/2}, d=3: Gamma = (3/2) pi^{3/2}
     u = np.exp(-ctx3_free.grid.r**2 / 2).astype(complex)
-    v = virial(u, ctx3_free.plan)
-    assert v.gamma == pytest.approx(1.5 * math.pi**1.5, rel=1e-10)
+    gamma, _ = virial(u, ctx3_free.plan)
+    assert gamma == pytest.approx(1.5 * math.pi**1.5, rel=1e-10)
 
 
 def test_virial_boundary_flag(ctx3):
-    # [TRIVIAL] mass near the boundary raises the flag
+    # [TRIVIAL] mass near the boundary raises the flag of an evolve sample
     g = ctx3.grid
     u = np.exp(-(g.r - g.r_max)**2).astype(complex)
-    assert virial(u, ctx3.plan).boundary_flag
+    traj = evolve(u, IntegratorConfig(t_end=0.0), ctx3.plan, ctx3.km)
+    assert traj.boundary_flags == [True]
 
 
 @pytest.mark.parametrize("name", ["ctx3", "ctx4"])
@@ -351,7 +354,7 @@ def test_gamma_prime_is_derivative_of_discrete_gamma(name, request, monkeypatch)
         return (gamma(delta) - gamma(-delta)) / (2 * delta)
 
     ref = (4 * centred(5e-4) - centred(1e-3)) / 3
-    assert abs(virial(u, c.plan).gamma_prime - ref) <= 1e-9 * abs(ref)
+    assert abs(virial(u, c.plan)[1] - ref) <= 1e-9 * abs(ref)
 
     calls = []
 
@@ -432,7 +435,7 @@ def test_fit_blowup_exact_pseudo_conformal_law():
     traj.times = [0.01 * i for i in range(91)]
     fields = [pseudo_conformal_family(Q, 1.0, 0.0, t, c.plan) for t in traj.times]
     traj.quantities = [functionals(u, c.plan, c.km) for u in fields]
-    traj.gamma = [virial(u, c.plan).gamma for u in fields]
+    traj.gamma = [virial(u, c.plan)[0] for u in fields]
     T, p = fit_blowup(traj)
     assert abs(p - 2) < 1e-3
     assert abs(T - 1) < 1e-4

@@ -117,10 +117,12 @@ def test_load_rejects_a_short_file(tmp_path):
     ("", "no header line"), ("# d a n r_max M_gs residual\n\n", "no header line"),
     ("3 -0.1 n 12.0 1.0 0.0\n", "header '3 -0.1 n 12.0 1.0 0.0' is not the six numbers"),
     ("3 -0.1 1 12.0 1.0\n0.1 1.0\n", "header '3 -0.1 1 12.0 1.0' is not the six"),
-    ("3 -0.1 1 12.0 1.0 0.0\n0.1\n", "a data row is not the two numbers")])
+    ("3 -0.1 1 12.0 1.0 0.0\n0.1\n", "a data row is not the two numbers"),
+    ("3 -0.1 2 12.0 1.0 0.0\n0.1 1.0\n0.2 nan\n", "data row 2 '0.2 nan' is not finite")])
 def test_load_names_the_file_and_what_is_missing(tmp_path, text, missing):
     # [TRIVIAL] an empty or header-less file, a header that is not six
-    # numbers and a row that is not two raise ValueError naming the file
+    # numbers, a row that is not two and a row that is not finite raise
+    # ValueError naming the file
     path = tmp_path / "bad.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=rf"bad\.txt.*: {missing}"):

@@ -6,8 +6,8 @@ Each tree (a directory holding the package `hartreelab`) runs every command
 of RUNS, each in its own `python -m hartreelab.cli` subprocess with one BLAS
 thread, from a working directory of its own and with the same relative
 `--out`, so the resolved `output.dir` and every path a summary records read
-the same in both.  The grids are small (n = 64 to 128), so the whole check
-takes seconds.
+the same in both.  The runs are in d = 3 and 4 on small grids (n = 64 to
+128, one of them odd), so the whole check takes seconds.
 
 Every file the two trees write is compared byte for byte, except
 `traceback.txt`, whose source paths and line numbers differ between any two
@@ -34,7 +34,9 @@ import tempfile
 FAST = ["--override", "grid.n=64", "--override", "ground_state.residual_tol=1e-2"]
 BLOWUP = ["--override", "grid.n=128", "--override", "init.profile=pseudo-conformal",
           "--override", "integrator.dt=2e-3", "--override", "integrator.output_stride=20"]
-# name -> CLI arguments; each run writes under out/<name>
+D4 = ["--override", "model.d=4", "--override", "model.a=-0.5"]
+# name -> CLI arguments (a name of at most 13 characters); each run writes
+# under out/<name>
 RUNS = {
     "ground-state": ["ground-state", "--override", "grid.n=128"],
     # reads the field the ground-state run wrote, so it runs after it
@@ -48,6 +50,10 @@ RUNS = {
                "--override", "verify.fields=5"],
     "sweep": ["sweep", "--override", "sweep.key=model.a",
               "--override", "sweep.values=-0.1,-0.2"] + FAST,
+    # d = 4 reaches the general kernel rows; an odd n the odd-n kernel product
+    "ground-d4": ["ground-state"] + D4 + ["--override", "grid.n=128"],
+    "evolve-d4-odd": ["evolve"] + D4 + ["--override", "grid.n=65",
+                                        "--override", "integrator.t_end=0.05"],
 }
 SKIP = ("traceback.txt",)
 GS_HEADER = ("d", "a", "n", "r_max", "M_gs", "residual")   # ground_state.txt
