@@ -45,8 +45,11 @@ centred stencil inverse read once); this module defines no stencil layout.
          3n, two strided views of each and five n x n passes.  The first and
          last STENCIL columns also take the one-sided and reduced stencils;
          they are summed over the cells whose stencils reach them (cells 0-10
-         and n-12..n-1, each once: the two sets meet below n = 23).  The
-         tests keep the cell-by-cell build as the reference.
+         and n-12..n-1, each once: the two sets meet below n = 23), with
+         their moments formed _BLOCK rows at a time, so the build's traced
+         peak stays below two n x n arrays (3.6 MiB at n = 512, where the
+         moments of all rows at once reached 5.4).  The tests keep the
+         cell-by-cell build as the reference.
   d >= 4: blocks of _BLOCK_CELLS // n rows, 12-point Gauss-Legendre on
          every cell (one evaluation of A s^{d-1} and one product with
          weighted t^k), then 12 points on each half of the diagonal cell,
@@ -119,8 +122,8 @@ _RHO2_MIN = 0.05
 _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
 #: refined-panel breakpoints at 2^-1 .. 2^-30 of the panel length from an end
 _HALVINGS = 0.5**np.arange(1, 31)
-#: rows per block of the psi-integrals (64 x ~1,000 panel nodes per temporary)
-#: and of the in-place symmetrization
+#: rows per block of the psi-integrals (64 x ~1,000 panel nodes per temporary),
+#: of the in-place symmetrization and of the d = 3 edge-column moments
 _BLOCK = 64
 #: cells per block of d >= 4 kernel rows spread onto the matrix at once
 _BLOCK_CELLS = 2**13
@@ -215,13 +218,14 @@ def _kernel_d3(grid: RadialGrid) -> np.ndarray:
     edge = np.r_[:STENCIL, n - STENCIL:n]
     hit = (grid.stencil_start[:, None] + q)[..., None] == edge
     cells = np.flatnonzero(hit.any(axis=(1, 2)))
-    G = np.einsum("cqk,cqe->cke", grid.stencil_inv[cells], hit[cells])
-    i = np.arange(n)[:, None]
-    Lm = U[at - (i + cells + 1)] - U[at + i - cells]
-    mom = r[cells, None] * Lm[..., :STENCIL]
-    mom += h * Lm[..., 1:]
-    mom *= (h / (2 * r))[:, None, None]
-    Kw[:, edge] = mom.reshape(n, -1) @ G.reshape(-1, len(edge))
+    G = np.einsum("cqk,cqe->cke", grid.stencil_inv[cells], hit[cells]).reshape(-1, len(edge))
+    for i0 in range(0, n, _BLOCK):
+        i = np.arange(i0, min(i0 + _BLOCK, n))[:, None]
+        Lm = U[at - (i + cells + 1)] - U[at + i - cells]
+        mom = r[cells, None] * Lm[..., :STENCIL]
+        mom += h * Lm[..., 1:]
+        mom *= (h / (2 * r[i]))[..., None]
+        Kw[i0:i0 + _BLOCK, edge] = mom.reshape(len(i), -1) @ G
     return Kw
 
 

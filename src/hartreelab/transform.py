@@ -11,7 +11,8 @@ exact eigenfunctions: L_a phi_m = k_m^2 phi_m.
 The discrete modes psi_m are the phi_m orthonormalized in the quadrature
 inner product <u, v>_w = sum_j w_j conj(u_j) v_j of the grid's positive
 weights w (the metric of `M` and `H`) by a Householder QR of the samples
-sqrt(w_j) phi_m(r_j) (Gram-Schmidt order: low modes are perturbed least).  The plan keeps one n x n matrix, the mode samples Psi; the forward
+sqrt(w_j) phi_m(r_j) (Gram-Schmidt order: low modes are perturbed least).
+The plan keeps one n x n matrix, the mode samples Psi; the forward
 transform is c = Psi^T (w u), the weights applied to the field rather than
 folded into a second matrix.  Consequences, all exact to round-off rather
 than merely to quadrature accuracy:
@@ -40,8 +41,18 @@ apply_La keeps spectral accuracy: the orthonormalization correction acts at
 the quadrature-error level of mode products and vanishes under grid
 refinement.  The plan keeps neither the collocation matrix B = J_nu(k_m r_j)
 nor the QR triangle R: the modes and the k_m are all that the package
-applies.  Dilating and differentiating a field is the grid's job
-(`grid.dilate`, `grid.radial_derivative`), which needs no Bessel function.
+applies.  numpy's raw QR (LAPACK's geqrf) leaves the Householder reflectors
+and R in one C-ordered n x n array, and `_form_q` overwrites it with Q by
+compact-WY blocks.  The build thus holds at most the raw QR's three n x n
+arrays (B, numpy's copy of it, and the Fortran-ordered copy LAPACK works
+in, which tracemalloc does not see), then Psi alone; numpy's reduced QR
+added Q and R as two more.  Traced at n = 512 the build peaks at 5.5 MiB,
+in `_collocation`, where the reduced QR reached 8.3 MiB.  Q differs from
+the reduced QR's, which LAPACK's dorgqr forms from the same reflectors, by
+round-off (below 1e-14).
+
+Dilating and differentiating a field is the grid's job (`grid.dilate`,
+`grid.radial_derivative`), which needs no Bessel function.
 
 The build evaluates B once, by `_collocation`, with numpy alone.  From
 x = k_m r_j >= x*(nu) on, 90-93 % of the entries at n = 512, it sums
@@ -105,6 +116,9 @@ _BLOCK = 128
 _MILLER_MARGIN = 40
 #: |J| past which Miller's recurrence rescales an argument's values
 _MILLER_BIG = 1e150
+#: reflectors per compact-WY block of `_form_q`, and rows per chunk of its
+#: trailing update
+_QR_BLOCK, _QR_ROWS = 64, 128
 
 
 def _hankel_terms(nu: float) -> int:
@@ -257,6 +271,13 @@ class TransformPlan:
 
 
 def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
+    """The modes Psi and nodes k of L_a on the grid.
+
+    Psi = Q sign(diag R) / sqrt(w), from the raw Householder QR of
+    B = sqrt(w) J_nu(k_m r) / r^{(d-2)/2}.  B is freed after the QR, and Q
+    is formed in the QR's own buffer (`_form_q`), which the plan keeps as
+    Psi: the build peaks at three n x n arrays and the plan holds one.
+    """
     if params.d != grid.d:
         raise ValueError(f"params dimension {params.d} != grid dimension {grid.d}")
     nu = params.nu
@@ -265,12 +286,48 @@ def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
     sw = np.sqrt(grid.w)
     B *= sw[:, None]
     B /= grid.r[:, None]**((params.d - 2) / 2)
-    Psi, R = np.linalg.qr(B)
-    sign = np.sign(np.diag(R))        # flip to the R with positive diagonal
-    del B, R
+    h, tau = np.linalg.qr(B, mode="raw")
+    del B
+    Psi = h.T                         # C-ordered: R above the diagonal, reflectors below
+    sign = np.sign(np.diagonal(Psi))  # flip to the R with positive diagonal
+    _form_q(Psi, tau)
     Psi *= sign
     Psi /= sw[:, None]
     return TransformPlan(params=params, grid=grid, k=k, Psi=Psi)
+
+
+def _form_q(a: np.ndarray, tau: np.ndarray) -> None:
+    """Overwrite a, the Householder vectors below the diagonal of a square
+    raw QR with R on and above it, with Q = H_0 H_1 ... H_{n-1}.
+
+    The reflectors go in blocks of _QR_BLOCK columns from the last block
+    back.  Block [j0, j1) is H_j0 ... H_{j1-1} = I - V T V^T (compact WY;
+    Schreiber and Van Loan 1989), with V its unit lower-trapezoidal vectors
+    and T upper triangular by LAPACK's forward recurrence, in which a tau of
+    0 (the last column's) gives a zero column.  It multiplies the columns
+    past j1 that the later blocks formed, whose rows above j1 are zero, in
+    _QR_ROWS-row chunks, and turns its own identity columns into
+    I - V T V_top^T; then R's entries above the block are zeroed.  The
+    temporaries are a few n x _QR_BLOCK and _QR_ROWS x n arrays.
+    """
+    n = len(a)
+    for j0 in reversed(range(0, n, _QR_BLOCK)):
+        j1 = min(j0 + _QR_BLOCK, n)
+        nb = j1 - j0
+        V = np.tril(a[j0:, j0:j1], -1)
+        np.fill_diagonal(V, 1.0)
+        VtV = V.T @ V
+        T = np.zeros((nb, nb))
+        for i in range(nb):
+            T[:i, i] = -tau[j0 + i] * (T[:i, :i] @ VtV[:i, i])
+            T[i, i] = tau[j0 + i]
+        if j1 < n:
+            TW = T @ (V[nb:].T @ a[j1:, j1:])
+            for r0 in range(j0, n, _QR_ROWS):
+                a[r0:r0 + _QR_ROWS, j1:] -= V[r0 - j0:r0 - j0 + _QR_ROWS] @ TW
+        a[j0:, j0:j1] = V @ (-T @ V[:nb].T)
+        a[j0:j1, j0:j1] += np.eye(nb)
+        a[:j0, j0:j1] = 0.0
 
 
 def _check(plan: TransformPlan, v: np.ndarray) -> np.ndarray:

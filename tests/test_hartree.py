@@ -341,11 +341,14 @@ def test_corrected_build_peak_memory(d, a):
 
 
 def test_d3_build_works_in_the_kernel_buffer():
-    # [TRIVIAL] the d = 3 build weights, symmetrizes, corrects and divides
-    # Kw in its own buffer: the traced peak of a corrected n = 512 build
-    # (one n x n array is 2 MiB) stays at 6 MiB, where forming S = w Kw, its
-    # symmetric part and the quotient as new arrays reached 8 MiB
-    g, p = build_grid(3, 512, 12.0), make_params(3, -0.1)
+    # [TRIVIAL] the d = 3 build forms its edge-column moments in blocks of
+    # rows and weights, symmetrizes, corrects and divides Kw in its own
+    # buffer: the traced peak of a corrected n = 512 build stays at two
+    # n x n arrays (3.6 MiB), where the edge moments of all rows at once
+    # reached 5.4 MiB, and forming S = w Kw, its symmetric part and the
+    # quotient as new arrays 8 MiB
+    n = 512
+    g, p = build_grid(3, n, 12.0), make_params(3, -0.1)
     build_kernel(g, p)
     tracemalloc.start()
     try:
@@ -353,4 +356,4 @@ def test_d3_build_works_in_the_kernel_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 2**20, peak / 2**20
+    assert peak <= 2 * n * n * 8, peak / 2**20

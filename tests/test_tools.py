@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 def _tool(name):
@@ -22,7 +23,8 @@ RAISE = {"error": "residual above residual_tol"}
 def case(**solves):
     """One case row of `equivalence.run_all`, each start solving as SOLVE
     unless given."""
-    return {"case": [3, -0.1, 256, 12.0], **{s: solves.get(s, SOLVE) for s in equivalence.STARTS}}
+    return {"case": [3, -0.1, 256, 12.0], "la_floor": 1e-12,
+            **{s: solves.get(s, SOLVE) for s in equivalence.STARTS}}
 
 
 @pytest.mark.parametrize("ds,ok", [(0.9e-13, True), (1.1e-13, False)])
@@ -44,9 +46,10 @@ def test_m_gs_gate(dm, ok):
 @pytest.mark.parametrize("frac,ok", [(0.9, True), (1.1, False)])
 def test_residual_gate(frac, ok):
     # [TRIVIAL] the residual may move by 1e-9 of the old one plus both
-    # floors, the last relative |F| of each solve
+    # floors, the last relative |F| of each solve, plus the old plan's
+    # round-off floor eps max(k^2)
     new = dict(SOLVE, floor=2e-12)
-    bound = 1e-9 * SOLVE["residual"] + SOLVE["floor"] + new["floor"]
+    bound = 1e-9 * SOLVE["residual"] + SOLVE["floor"] + new["floor"] + case()["la_floor"]
     new["residual"] = SOLVE["residual"] + frac * bound
     why = equivalence.compare(0.0, case(), case(gaussian=new))
     assert (why["gaussian"] is None) == ok
@@ -66,6 +69,12 @@ def test_floor_reads_residuals():
     # [TRIVIAL] a solve's floor is the last entry of its |F| history, which
     # the tree records as `residuals`
     assert equivalence.floor(SimpleNamespace(residuals=[1e-3, 1e-8, 2e-13])) == 2e-13
+
+
+def test_la_floor_reads_the_plan():
+    # [TRIVIAL] the round-off floor of the residual is eps max(k^2) of the plan
+    plan = SimpleNamespace(k=np.array([1.0, 3.0, 2.0]))
+    assert equivalence.la_floor(plan) == 9 * np.finfo(float).eps
 
 
 def test_artifacts_compare(tmp_path):

@@ -297,10 +297,12 @@ def test_plan_matches_jv_plan(d, a, monkeypatch):
 
 
 def test_plan_build_peak_memory():
-    # [TRIVIAL] the collocation matrix is evaluated in blocks of rows: the
-    # traced peak of an n = 512 build stays at the few n x n matrices of the
-    # QR (10.3 MiB), which a whole-matrix pass would exceed
-    p, g = make_params(3, -0.1), build_grid(3, 512, 12.0)
+    # [TRIVIAL] the collocation matrix is evaluated in blocks of rows and Q
+    # is formed in the raw QR's own buffer: the traced peak of an n = 512
+    # build stays at the three n x n arrays of the raw QR (5.5 MiB), where
+    # numpy's reduced QR, with its Q and R, reached 8.3 MiB
+    n = 512
+    p, g = make_params(3, -0.1), build_grid(3, n, 12.0)
     build_plan(p, g)
     tracemalloc.start()
     try:
@@ -308,7 +310,27 @@ def test_plan_build_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11 * 2**20, peak / 2**20
+    assert peak <= 3 * n * n * 8, peak / 2**20
+
+
+@pytest.mark.parametrize("n", [16, 63, 64, 65, 257, 512])
+@pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5), (10, -4.0)])
+def test_plan_q_matches_numpy_qr(d, a, n):
+    # [DERIVED] Q formed in place from the reflectors by compact-WY blocks
+    # (one block, exact blocks, a remainder block, tau = 0 in the last
+    # column) matches the Q of np.linalg.qr, kept here as the reference,
+    # with the signs of R's diagonal flipped alike: within 1e-14, and the
+    # modes orthonormal in the weights to 2e-15
+    p, g = make_params(d, a), build_grid(d, n, 12.0)
+    plan = build_plan(p, g)
+    sw = np.sqrt(g.w)
+    B = _collocation(p.nu, plan.k, g.r)
+    B *= sw[:, None]
+    B /= g.r[:, None]**((d - 2) / 2)
+    Q, R = np.linalg.qr(B)
+    Q *= np.sign(np.diag(R))
+    assert np.max(np.abs(plan.Psi * sw[:, None] - Q)) <= 1e-14
+    assert np.max(np.abs((plan.Psi.T * g.w) @ plan.Psi - np.eye(n))) <= 2e-15
 
 
 def test_plan_holds_one_mode_matrix(ctx3):

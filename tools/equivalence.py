@@ -17,21 +17,25 @@ A case matches if
     first and last stencil columns overlap, are too coarse to solve);
   - where both solve, `m_gs` is within 1e-12 relative, and the Euler-Lagrange
     residual within 1e-9 relative plus the two floors, the last relative |F|
-    of each solve.
+    of each solve, plus the round-off floor eps max(k^2) of OLD's plan.
 The residual is the scaling anomaly of the discrete functionals plus the
 |F| the iteration left at its stop, and two solves that stop at different
 iterates leave different |F| there.  A solve records the relative |F| of
-each iterate as `residuals`, and `floor` reads the last.  Psi is shown, not
+each iterate as `residuals`, and `floor` reads the last.  The residual also
+evaluates ||L_a Q|| / ||Q||, and L_a, with eigenvalues k_m^2, amplifies a
+relative round-off eps in Q or in the modes up to max(k^2) times:
+`la_floor` is that bound, 4.0e-12 at (3, -0.1, 512, 12).  Psi is shown, not
 gated, so that a change of the plan is visible beside its effect on `m_gs`.
 
 Prints per case the relative difference of S, whether the two S are
-bit-identical (with the first 12 hex digits of each one's sha256) and the
-relative difference of Psi; per start `m_gs`, the residual, both floors, the
-iterations, whether the solve is bit-identical (the same bytes of Q by
-sha256, the same `m_gs` and residual, or the same error) and the wall time
-of the solve in OLD and in NEW.  The last line counts the matching cases and
-solves and the bit-identical S and Q, with the worst relative S, Psi and
-`m_gs`, and the summed solve wall time of NEW over that of OLD.  The times
+bit-identical (with the first 12 hex digits of each one's sha256), the
+relative difference of Psi and OLD's `la_floor`; per start `m_gs`, the
+residual, both floors, the iterations, whether the solve is bit-identical
+(the same bytes of Q by sha256, the same `m_gs` and residual, or the same
+error) and the wall time of the solve in OLD and in NEW.  The last line
+counts the matching cases and solves and the bit-identical S and Q, with
+the worst relative S, Psi and `m_gs`, and the summed solve wall time of NEW
+over that of OLD.  The times
 are shown, not gated: the two trees run at once on one BLAS thread each, so
 they share the machine.  Exits 0 if every case matches.
 """
@@ -74,6 +78,12 @@ def floor(res) -> float:
     return res.residuals[-1]
 
 
+def la_floor(plan) -> float:
+    """eps max(k^2): the most a relative round-off eps in Q or the modes can
+    move the residual through ||L_a Q|| / ||Q||."""
+    return float(np.finfo(float).eps * np.max(plan.k**2))
+
+
 def run_all(src: str, out: str) -> None:
     """Save S and Psi of each case to out/S<k>.npy and out/Psi<k>.npy and
     print one JSON line per case, with one entry per start."""
@@ -86,7 +96,7 @@ def run_all(src: str, out: str) -> None:
         plan, km = hl.build_plan(params, grid), hl.build_kernel(grid, params)
         np.save(os.path.join(out, f"S{k}.npy"), grid.w[:, None] * km.Kw)
         np.save(os.path.join(out, f"Psi{k}.npy"), plan.Psi)
-        row = {"case": [d, a, n, r_max]}
+        row = {"case": [d, a, n, r_max], "la_floor": la_floor(plan)}
         for name, field in STARTS.items():
             start = time.perf_counter()
             try:
@@ -114,7 +124,8 @@ def compare(ds: float, old: dict, new: dict) -> dict[str, str | None]:
         else:
             dm = abs(w["m_gs"] - o["m_gs"]) / o["m_gs"]
             dr = abs(w["residual"] - o["residual"])
-            ok = dm <= M_TOL and dr <= RESIDUAL_TOL * o["residual"] + o["floor"] + w["floor"]
+            ok = dm <= M_TOL and dr <= (RESIDUAL_TOL * o["residual"] + o["floor"] + w["floor"]
+                                        + old["la_floor"])
             why[name] = None if ok else f"m_gs off by {dm:.1e}, residual by {dr:.1e}"
     return why
 
@@ -152,7 +163,7 @@ def main(old_src: str, new_src: str) -> int:
             s_same += sha[0] == sha[1]
             bits = f"bit-identical {sha[0]}" if sha[0] == sha[1] else f"{sha[0]} != {sha[1]}"
             print(f"{tuple(o['case'])!s:<26} S d_rel {ds:.1e} ({bits})  Psi d_rel {dpsi:.1e}"
-                  f"{'  MISMATCH' if why['S'] else ''}")
+                  f"  la_floor {o['la_floor']:.1e}{'  MISMATCH' if why['S'] else ''}")
             for name in STARTS:
                 go, gw = o[name], w[name]
                 same = all(go.get(key) == gw.get(key)
