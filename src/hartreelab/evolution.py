@@ -21,7 +21,7 @@ exact linear flow; also second order).
     alone, so the Phi that ends Strang step k is the Phi that starts step
     k + 1 (Lubich, Math. Comp. 77, 2008).  `step` returns the rotation it
     ended with and takes it back as `rot`, so a strang-split step makes one
-    potential call and one rotation exp instead of two.  The carried Phi is
+    potential call and one rotation instead of two.  The carried Phi is
     that of the field before its end rotation, so `evolve` matches a loop of
     one-shot steps to round-off (|e^{i theta}| = 1 to an ulp), not bit for bit.
   - The linear-flow matrices U_tau = Psi diag(e^{i k^2 tau}) Psi^T W, once
@@ -48,6 +48,15 @@ exact linear flow; also second order).
     dt = 1e-4 from 1.7e-13 to 8.9e-13.
   Given the rotation a one-shot step forms itself, `step` is bit-identical
   to that one-shot step.
+
+Every half-step rotation e^{-i Phi dt/2} comes from `_rotation`, which writes
+cos theta and sin theta of the real phase theta = -(dt/2) Phi into one complex
+array instead of taking the complex exp of i theta.  The two agree bit for
+bit where the C library's cexp(0 + i theta) is cos theta + i sin theta, as
+glibc's is: numpy forms -0.5j * dt * Phi with imaginary part (-0.5 dt) Phi, the
+same theta, and a zero real part.  The real cos and sin skip the complex
+multiply and exp of the real part: at n = 256 a rotation took 4.2 us against
+5.0 us, and at n = 512 7.0 against 8.8 us (2 shared cores).
 
 Diagnostics follow the virial machinery: Gamma = int |x|^2 |u|^2, its
 derivative Gamma' = -4 Im int conj(u) (x . grad u) = -2 Im int |x|^2 conj(u)
@@ -146,6 +155,17 @@ def _flows(plan: TransformPlan, dt: float, scheme: str) -> tuple:
     return tuple(_flow_matrix(plan, tau) for tau in taus)
 
 
+def _rotation(Phi: np.ndarray, dt: float) -> np.ndarray:
+    """The half-step rotation e^{-i Phi dt/2} of a real potential Phi, as
+    cos theta + i sin theta with theta = -(dt/2) Phi (see the module
+    docstring).  A non-finite Phi gives a non-finite entry."""
+    theta = (-0.5 * dt) * Phi
+    rot = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=rot.real)
+    np.sin(theta, out=rot.imag)
+    return rot
+
+
 def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
          scheme: str, rot: np.ndarray | None, flows: tuple) -> tuple:
     """One time step; mass is conserved to round-off by construction.
@@ -160,9 +180,9 @@ def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "strang-split":
         if rot is None:
-            rot = np.exp(-0.5j * dt * potential(km, u))
+            rot = _rotation(potential(km, u), dt)
         u = flows[0] @ (u * rot)
-        rot = np.exp(-0.5j * dt * potential(km, u))
+        rot = _rotation(potential(km, u), dt)
         return u * rot, rot
     # midpoint-relaxation: freeze the potential at a fixed-point approximation
     # of its midpoint value: iterate v_half = L(dt/2) e^{-i Phi dt/2} u,
@@ -170,9 +190,9 @@ def step(u: np.ndarray, dt: float, plan: TransformPlan, km: KernelMatrix,
     full, half = flows
     Phi = potential(km, u)
     for _ in range(2):
-        v = half @ (u * np.exp(-0.5j * dt * Phi))
+        v = half @ (u * _rotation(Phi, dt))
         Phi = potential(km, v)
-    rot = np.exp(-0.5j * dt * Phi)
+    rot = _rotation(Phi, dt)
     return (full @ (u * rot)) * rot, None
 
 
@@ -193,7 +213,12 @@ def virial(u: np.ndarray, plan: TransformPlan,
 
 def evolve(u0: np.ndarray, cfg: IntegratorConfig, plan: TransformPlan,
            km: KernelMatrix) -> Trajectory:
-    """Integrate to t_end or to a blow-up stop event; records the stop reason."""
+    """Integrate to t_end or to a blow-up stop event; records the stop reason.
+
+    A step whose field has a non-finite entry stops the run as
+    `blowup-suspected`.  The check is one reduction, the field's sum, so a
+    finite field whose sum overflows (entries of about 1e305 and up) stops
+    the same way."""
     u = np.asarray(u0, dtype=complex)
     traj = Trajectory()
     h = plan.grid.h
@@ -221,7 +246,7 @@ def evolve(u0: np.ndarray, cfg: IntegratorConfig, plan: TransformPlan,
     for i in range(1, nsteps + 1):
         u, rot = step(u, cfg.dt, plan, km, cfg.scheme, rot, flows)
         t = i * cfg.dt
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u.sum()):
             traj.stop_reason = "blowup-suspected"
             break
         if i % cfg.output_stride == 0 or i == nsteps:

@@ -65,9 +65,12 @@ making the discrete energy, its gradient, and the Euler-Lagrange residual
 mutually consistent; the pointwise potential inherits an O(h^2) collocation
 smear only at the few nodes nearest the origin and the outer boundary.
 
-Every product of the matrix with a density goes through `apply_kernel`, which
-for even n reads the real matrix as complex column pairs so that OpenBLAS
-threads the product (see its docstring).
+Every product of the matrix with a density goes through `apply_kernel`.  It
+takes the real product Kw @ f for odd n and below n = _PAIR_MIN_N, and from
+that size on reads the real matrix as complex column pairs, so that OpenBLAS
+threads the product: there the real product runs on one thread, and that
+core's share of the matrix no longer fits in its 2 MiB L2 (see its
+docstring for the measurement that set the size).
 
 When the model parameters have rho > 0, a singularity subtraction
 is folded into the matrix: in-class fields have |u|^2 ~ r^{-2 rho} x smooth
@@ -130,6 +133,9 @@ _BLOCK_CELLS = 2**13
 #: origin nodes the r^{-2 rho} coefficient is extracted from; the singularity
 #: correction changes only these rows and columns of the form
 _ORIGIN_NODES = 12
+#: even n from which `apply_kernel` takes the complex column-pair product
+#: instead of the real one (the crossover lies between 320 and 384)
+_PAIR_MIN_N = 384
 
 
 def surface_area(d: int) -> float:
@@ -394,7 +400,8 @@ def _symmetrize(S: np.ndarray) -> None:
 
 
 def apply_kernel(km: KernelMatrix, f: np.ndarray) -> np.ndarray:
-    """Kw @ f for a real density f, as one complex product for even n.
+    """Kw @ f for a real density f: the real product for odd n and for
+    n < _PAIR_MIN_N, one complex product over column pairs from that size on.
 
     Viewed as complex, row i of Kw holds the column pairs K_{i,2m} +
     i K_{i,2m+1} and f holds f_{2m} + i f_{2m+1}, so the real part of
@@ -402,13 +409,21 @@ def apply_kernel(km: KernelMatrix, f: np.ndarray) -> np.ndarray:
     sum_m (K_{i,2m} f_{2m} + K_{i,2m+1} f_{2m+1}) = (Kw f)_i.  Both views
     are free and the product reads the same bytes, but OpenBLAS runs a
     complex matrix-vector product on all its threads, where it runs the real
-    one on one thread below m n ~ 4.6e5.  At n = 512 that takes the product
-    from 99 to 56 us (2 shared cores, OpenBLAS 0.3.31); per call it costs
-    2.5 us more at n = 256 and is even from n = 768.  Odd n has no column
-    pairs and keeps the real product.
+    one on one thread below m n ~ 4.6e5.  That one thread wins while its
+    data fits in its core's 2 MiB L2 and loses once it does not.  An
+    in-loop strang-split step at (3, -0.1) took, in us with the real / the
+    column-pair product (2 shared cores, OpenBLAS 0.3.31):
+
+        n     128    256    320    384    512    768
+        real  15.7   30.7   44.1   84.8   186    316
+        pairs 17.6   34.1   44.3   61.2   142    315
+
+    so the crossover lies between 320 and 384, and _PAIR_MIN_N is 384.  Odd
+    n has no column pairs and keeps the real product at every size.
     """
     f = np.ascontiguousarray(f, dtype=float)
-    if km.grid.n % 2:
+    n = km.grid.n
+    if n % 2 or n < _PAIR_MIN_N:
         return km.Kw @ f
     return (km.Kw.view(complex) @ f.view(complex).conj()).real
 

@@ -68,24 +68,72 @@ def _subcritical(c):
             * np.exp(0.3j * np.tanh(g.r))).astype(complex)
 
 
-def test_non_finite_field_stops_the_run(ctx3, monkeypatch):
+def _all_nan(phi):
+    return np.full(phi.shape, np.nan)
+
+
+def _one_inf(phi):
+    phi = phi.copy()
+    phi[len(phi) // 2] = np.inf
+    return phi
+
+
+@pytest.mark.parametrize("poison", [_all_nan, _one_inf], ids=["all-nan", "one-inf"])
+def test_non_finite_field_stops_the_run(ctx3, monkeypatch, poison):
     # [TRIVIAL] evolve stops with blowup-suspected at the step whose field
-    # turns non-finite: a potential that is NaN from its 5th call (the end
-    # rotation of step 4; step 1 forms two) stops the run at t = 4 dt, with
-    # only the initial sample recorded
+    # turns non-finite: a potential that is non-finite from its 5th call (the
+    # end rotation of step 4; step 1 forms two) stops the run at t = 4 dt,
+    # with only the initial sample recorded.  One +inf entry is enough: it
+    # makes one NaN entry of the field, and the finite check is the field's
+    # sum.  numpy reports the cos and sin of inf as an invalid value
     calls = []
     original = evolution.potential
 
     def failing(km, v):
         calls.append(1)
-        return original(km, v) if len(calls) < 5 else np.full(v.shape, np.nan)
+        phi = original(km, v)
+        return phi if len(calls) < 5 else poison(phi)
 
     monkeypatch.setattr(evolution, "potential", failing)
-    traj = evolve(_subcritical(ctx3), IntegratorConfig(dt=1e-3, t_end=0.01),
-                  ctx3.plan, ctx3.km)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.01)
+    if poison is _one_inf:
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            traj = evolve(_subcritical(ctx3), cfg, ctx3.plan, ctx3.km)
+    else:
+        traj = evolve(_subcritical(ctx3), cfg, ctx3.plan, ctx3.km)
     assert traj.stop_reason == "blowup-suspected"
     assert traj.stop_time == pytest.approx(0.004)
     assert traj.times == [0.0]
+
+
+def test_rotation_matches_the_complex_exp(ctx3, gs3):
+    # [DERIVED] _rotation writes cos and sin of theta = -(dt/2) Phi, which
+    # is the complex exp of i theta: within 1 ulp of np.exp(-0.5j dt Phi)
+    # in each component (measured: 0, bit-identical with glibc), on the
+    # ground state's potential, on that of a narrow pseudo-conformal
+    # snapshot like the last `blowup` samples (scale 0.05), and on random
+    # Phi with |theta| up to 10.  A NaN or +-inf in Phi gives a non-finite
+    # entry there, and leaves the others as they were
+    rng = np.random.default_rng(11)
+    narrow = pseudo_conformal_family(gs3.Q, 1.0, 0.0, 0.95, ctx3.plan)
+    cases = [(evolution.potential(ctx3.km, gs3.Q), dt) for dt in (1e-3, 1e-4)]
+    cases += [(evolution.potential(ctx3.km, narrow), dt) for dt in (2e-4, 5e-5)]
+    cases += [(rng.uniform(-2e4, 2e4, 4096), 1e-3)]
+    for Phi, dt in cases:
+        got, want = evolution._rotation(Phi, dt), np.exp(-0.5j * dt * Phi)
+        for a, b in ((got.real, want.real), (got.imag, want.imag)):
+            assert np.all(np.abs(a - b) <= np.spacing(np.abs(b)))
+    Phi = rng.uniform(0, 50, 8)
+    for bad in (np.nan, np.inf, -np.inf):
+        Phi_bad = Phi.copy()
+        Phi_bad[3] = bad
+        if np.isnan(bad):
+            got = evolution._rotation(Phi_bad, 1e-3)
+        else:
+            with pytest.warns(RuntimeWarning, match="invalid value"):
+                got = evolution._rotation(Phi_bad, 1e-3)
+        assert not np.isfinite(got[3])
+        assert np.array_equal(np.delete(got, 3), np.delete(evolution._rotation(Phi, 1e-3), 3))
 
 
 @pytest.mark.parametrize("scheme", ["strang-split", "midpoint-relaxation"])

@@ -102,13 +102,16 @@ def test_potential_shell_d4(ctx4):
         assert phi[idx] == pytest.approx(W / max(g.r[idx], s0)**2, rel=1e-3)
 
 
-@pytest.mark.parametrize("n", [64, 65])
+@pytest.mark.parametrize("n", [64, 65, 512, 513])
 @pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5)])
 def test_potential_is_the_real_product(d, a, n):
-    # [TRIVIAL] for even n the potential is one complex product over Kw's
-    # column pairs, equal to omega (Kw @ |u|^2) within 4 ulp of
-    # omega (|Kw| @ |u|^2) (measured: 1.6); odd n takes the real product
-    # itself.  Real and complex fields; Kw is C-ordered, as the view needs
+    # [TRIVIAL] odd n and even n below _PAIR_MIN_N take the real product
+    # itself, bit for bit; from _PAIR_MIN_N on the potential is one complex
+    # product over Kw's column pairs, equal to omega (Kw @ |u|^2) within
+    # 4 ulp of omega (|Kw| @ |u|^2) (measured: 1.6).  n = 512 lies past
+    # the size, so both forms are covered.  Real and complex fields; Kw is
+    # C-ordered, as the view needs
+    assert 64 < hartree._PAIR_MIN_N <= 512
     params = make_params(d, a)
     g = build_grid(d, n, 12.0)
     km = build_kernel(g, params)
@@ -119,7 +122,7 @@ def test_potential_is_the_real_product(d, a, n):
     for u in fields:
         f = np.abs(u)**2
         got, want = potential(km, u), km.omega * (km.Kw @ f)
-        if n % 2:
+        if n % 2 or n < hartree._PAIR_MIN_N:
             assert np.array_equal(got, want)
         else:
             scale = km.omega * (np.abs(km.Kw) @ f)
