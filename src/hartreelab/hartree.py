@@ -85,14 +85,27 @@ refined Gauss-Legendre panels; the remainder (~ r^{2-2 rho} x smooth) is
 left to the stencil rule, which handles it well.  The whole correction is
 bilinear in the fields, so it stays inside a fixed matrix.
 
-The psi-integrals int A(x, s) psi(s) s^{d-1} ds, at the n nodes and at the
-~500 outer panel nodes of the psi-psi entry, are one array pass over fixed
-panel patterns, split at s = x.  The panels of (0, x) are x times one
-pattern on (0, 1), and A is homogeneous of degree -2 (x^2 A(x, x p) =
-A(1, p) in every d), so the kernel factor A(1, p) p^{d-1-2 rho} is evaluated
-once per build and each node only adds e^{-x^2 p^2}.  The panels of (x, R)
-are x + (R - x) times a second pattern; A is evaluated there for blocks of
-64 nodes, so the temporaries stay at a few MiB.
+The psi-integrals int A(x, s) psi(s) s^{d-1} ds at the n nodes are one
+array pass over fixed panel patterns, split at s = x.  The panels of (0, x)
+are x times one pattern on (0, 1), refined at both ends, and A is
+homogeneous of degree -2 (x^2 A(x, x p) = A(1, p) in every d), so the
+weighted kernel factor wp A(1, p) p^{d-1-2 rho} is evaluated once per build
+and each node only adds e^{-x^2 p^2}.  The panels of (x, R) are x + (R - x)
+times a second pattern; A is evaluated there for blocks of 64 nodes, so the
+temporaries stay at a few MiB.
+
+The psi-psi entry uses the same homogeneity.  By symmetry it is twice the
+integral over s < x < R; with s = x p and b = d - 1 - 2 rho the x-integral
+int_0^R x^{2b-1} e^{-x^2 (1 + p^2)} dx is gamma(b, R^2 (1 + p^2)) /
+(2 (1 + p^2)^b), so
+
+    Wex = int_0^1 A(1, p) p^b gamma(b, R^2 (1 + p^2)) / (1 + p^2)^b dp,
+
+one sum against the same weighted kernel factor.  The lower incomplete gamma
+keeps the form's truncation at R: the untruncated Gamma(b) would be off by
+6.5e-5 at (3, -0.1, R = 3).  `_gamma_p` forms it with numpy alone, by the
+power series below R^2 (1 + p^2) = b + 1 and Lentz's continued fraction for
+the upper function above it (4-14 steps at R >= 3).
 
 The correction targets the quadratic form (L_V, the energy, the ground-state
 equation); the pointwise potential at the first few nodes is perturbed at the
@@ -136,6 +149,10 @@ _ORIGIN_NODES = 12
 #: even n from which `apply_kernel` takes the complex column-pair product
 #: instead of the real one (the crossover lies between 320 and 384)
 _PAIR_MIN_N = 384
+#: `_gamma_p` stops its series and its continued fraction at one ulp, the
+#: latter after at most _CF_STEPS steps: the psi-psi entry's a = d - 1 - 2 rho
+#: is above 1, where no z >= a + 1 needs more than 41 (4-14 at r_max >= 3)
+_GAMMA_TOL, _CF_STEPS = np.finfo(float).eps, 200
 
 
 def surface_area(d: int) -> float:
@@ -306,13 +323,22 @@ def _kernel_vals(d: int, r, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float) -> np.ndarray:
+def _origin_factor(d: int, rho2: float):
+    """Nodes p of the both-ends refined panels on (0, 1) and the weighted
+    kernel factor wp A(1, p) p^{d-1-rho2} that the (0, x) part of every
+    psi-integral and the psi-psi entry share."""
+    p, wp = _panel_rule(True, True)
+    return p, wp * _kernel_vals(d, 1.0, p) * p**(d - 1 - rho2)
+
+
+def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float,
+                   factor=None) -> np.ndarray:
     """int_0^{r_max} A(x_i, s) psi(s) s^{d-1} ds for every radius x_i,
     psi = s^{-rho2} e^{-s^2}, by geometrically refined composite
-    Gauss-Legendre split at s = x_i (see the module docstring)."""
-    p, wp = _panel_rule(True, True)
+    Gauss-Legendre split at s = x_i (see the module docstring); `factor` is
+    `_origin_factor(d, rho2)` when the caller has it."""
+    p, inner = factor or _origin_factor(d, rho2)
     q, wq = _panel_rule(True, False)
-    inner = wp * _kernel_vals(d, 1.0, p) * p**(d - 1 - rho2)
     out = np.empty(len(x))
     for i0 in range(0, len(x), _BLOCK):
         xb = x[i0:i0 + _BLOCK, None]
@@ -325,19 +351,61 @@ def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float) -> np.ndarr
     return out
 
 
+def _psi_psi(d: int, r_max: float, rho2: float, factor=None) -> float:
+    """Wex = iint_{(0, r_max)^2} psi(x) A(x, s) psi(s) (x s)^{d-1} ds dx by
+    homogeneity: with s = x p on s < x and the x-integral in closed form,
+    Wex = int_0^1 A(1, p) p^b gamma(b, r_max^2 (1 + p^2)) / (1 + p^2)^b dp,
+    b = d - 1 - rho2 (see the module docstring)."""
+    p, inner = factor or _origin_factor(d, rho2)
+    b, y = d - 1 - rho2, 1 + p * p
+    return math.gamma(b) * float(_gamma_p(b, r_max * r_max * y) / y**b @ inner)
+
+
+def _gamma_p(a: float, z: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(a, z) = gamma(a, z) / Gamma(a)
+    for a > 0, z > 0: below z = a + 1 by its power series (DLMF §8.7), from
+    there as 1 - Q with Lentz's continued fraction for Q = Gamma(a, z) /
+    Gamma(a) (DLMF §8.9).  Q stays below 1/2 there, so P keeps a few ulp of
+    relative accuracy on both sides."""
+    lead = np.exp(a * np.log(z) - z - math.lgamma(a))   # z^a e^{-z} / Gamma(a)
+    out = np.empty(z.shape)
+    low = z < a + 1
+    # P = lead sum_k z^k / (a (a + 1) ... (a + k)), positive terms
+    x = z[low]
+    term = np.full(x.shape, 1 / a)
+    tot, k = term.copy(), a
+    while np.any(term > _GAMMA_TOL * tot):
+        k += 1
+        term *= x / k
+        tot += term
+    out[low] = lead[low] * tot
+    # Q = lead / (z + 1 - a - 1 (1 - a) / (z + 3 - a - 2 (2 - a) / ...))
+    x = z[~low]
+    bk = x + 1 - a
+    dk = 1 / bk
+    ck, h = np.full(x.shape, np.inf), dk.copy()
+    for i in range(1, _CF_STEPS):
+        an = -i * (i - a)
+        bk += 2
+        dk = 1 / (an * dk + bk)
+        ck = bk + an / ck
+        step = dk * ck
+        h *= step
+        if np.all(np.abs(step - 1) <= _GAMMA_TOL):
+            break
+    out[~low] = 1 - lead[~low] * h
+    return out
+
+
 def _singularity_correction(grid: RadialGrid, rho2: float, S: np.ndarray) -> None:
     """Correct the symmetric form matrix S in place (see the module
     docstring); only the first _ORIGIN_NODES rows and columns change."""
     n, d, R = grid.n, grid.d, grid.r_max
     r, w = grid.r, grid.w
     psi = r**(-rho2) * np.exp(-r**2)
-    # Wex = iint psi A psi, outer integral by the panels of (0, R) refined at
-    # the origin, with the inner integral evaluated exactly at their nodes
-    q, wq = _panel_rule(True, False)
-    snod = R * q
-    v = _psi_integrals(d, np.concatenate((r, snod)), R, rho2)
-    vex = v[:n]
-    Wex = R * float(np.sum(wq * v[n:] * snod**(d - 1 - rho2) * np.exp(-snod**2)))
+    factor = _origin_factor(d, rho2)
+    vex = _psi_integrals(d, r, R, rho2, factor)
+    Wex = _psi_psi(d, R, rho2, factor)
     # linear extraction of the r^{-rho2} coefficient from the origin samples
     m = _ORIGIN_NODES
     X = np.vstack([r[:m]**(-rho2), r[:m]**(2 - rho2), np.ones(m), r[:m]**2]).T

@@ -32,10 +32,11 @@ fields take the plain real product.  Without the stored Psi^T W the plan
 holds half the memory (2 MiB less at n = 512); the forward transform then
 reads Psi transposed, which at n = 512 on 2 BLAS threads took 88 against
 75 us on a real field and 149 against 105 us on a complex one (medians of 40
-interleaved rounds on 2 shared cores), under 1 ms of a ~18 ms ground-state
-solve at n = 512.  The one complex n x n matrix is the evolution's linear flow
-Psi diag(e^{i k^2 tau}) Psi^T W, which `evolution.evolve` forms once per run
-and keeps only for that run.
+interleaved rounds on 2 shared cores), under 1 ms of a ~6 ms ground-state
+solve at n = 512 (median 5.6 ms on 2 BLAS threads, 8.0 ms on one).  The one
+complex n x n matrix is the evolution's linear flow Psi diag(e^{i k^2 tau})
+Psi^T W, which `evolution.evolve` forms once per run and keeps only for that
+run.
 
 apply_La keeps spectral accuracy: the orthonormalization correction acts at
 the quadrature-error level of mode products and vanishes under grid
@@ -46,10 +47,11 @@ and R in one C-ordered n x n array, and `_form_q` overwrites it with Q by
 compact-WY blocks.  The build thus holds at most the raw QR's three n x n
 arrays (B, numpy's copy of it, and the Fortran-ordered copy LAPACK works
 in, which tracemalloc does not see), then Psi alone; numpy's reduced QR
-added Q and R as two more.  Traced at n = 512 the build peaks at 5.5 MiB,
-in `_collocation`, where the reduced QR reached 8.3 MiB.  Q differs from
-the reduced QR's, which LAPACK's dorgqr forms from the same reflectors, by
-round-off (below 1e-14).
+added Q and R as two more.  Traced at n = 512 the build peaks at 4.0 MiB,
+in the raw QR, where the reduced QR reached 8.3 MiB; `_collocation`, which
+holds the `_hankel` temporaries of _BLOCK = 64 rows at a time, peaks at 3.7
+(11.5 at n = 1024).  Q differs from the reduced QR's, which LAPACK's dorgqr
+forms from the same reflectors, by round-off (below 1e-14).
 
 Dilating and differentiating a field is the grid's job (`grid.dilate`,
 `grid.radial_derivative`), which needs no Bessel function.
@@ -111,7 +113,7 @@ _HANKEL_TERMS = 9
 #: bound on the first term each series omits, relative to the amplitude
 _HANKEL_TOL = np.finfo(float).eps
 #: rows of the collocation matrix evaluated at once by Hankel's expansion
-_BLOCK = 128
+_BLOCK = 64
 #: orders Miller's recurrence starts above the largest argument
 _MILLER_MARGIN = 40
 #: |J| past which Miller's recurrence rescales an argument's values

@@ -239,11 +239,13 @@ def _start(ctx, guess):
     return gaussian_profile(ctx.params, ctx.grid) if guess == "gaussian" else None
 
 
-@pytest.mark.parametrize("guess,m_gs", [("gaussian", 1.1784600506431986),
-                                        ("sech", 1.1784600506431981)])
+@pytest.mark.parametrize("guess,m_gs", [("gaussian", 1.1784600506298606),
+                                        ("sech", 1.1784600506298608)])
 def test_m_gs_pinned_and_few_iterates(ctx512, guess, m_gs):
-    # [DERIVED] the threshold at (3, -0.1), n = 512, default options, as the
-    # Bessel-series dilations gave it, within 1e-12, from either start field;
+    # [DERIVED] the threshold at (3, -0.1), n = 512, default options, within
+    # 1e-12, from either start field, with the origin correction's psi-psi
+    # entry in its p-form (1.13e-11 below the panel pass's value, toward the
+    # Richardson limit of tools/convergence.py);
     # the Anderson-mixed iteration stops at the first iterate below TOL,
     # after at most 25 iterates (16 and 15 observed; 63 and 66 unmixed)
     res = solve_ground_state(ctx512.params, ctx512.grid, ctx512.plan, ctx512.km,

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from hartreelab import (build_grid, build_kernel, hartree, kernel, lv_value,
                         make_params, potential)
@@ -324,6 +324,64 @@ def test_psi_integrals_match_adaptive_quadrature(d, a, node):
                              lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
               for lo, hi in ((0.0, ri), (ri, g.r_max)))
     assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
+
+@pytest.mark.parametrize("d,a,r_max", [(3, -0.1, 12.0), (3, -0.1, 3.0), (3, -0.1, 0.5),
+                                       (4, -0.5, 14.0), (5, -1.0, 20.0), (7, -3.0, 20.0)])
+def test_psi_psi_entry_matches_quadrature(d, a, r_max):
+    # [DERIVED] the psi-psi entry of the singularity correction,
+    # Wex = iint_{(0, R)^2} psi(x) A(x, s) psi(s) (x s)^{d-1} ds dx, against
+    # adaptive quadrature of its p-form
+    # Gamma(b) int_0^1 A(1, p) p^b P(b, R^2 (1 + p^2)) / (1 + p^2)^b dp,
+    # b = d - 1 - 2 rho, with scipy's regularized P, and for d <= 4, where A
+    # has a closed form, of the double integral itself, twice the part below
+    # the diagonal, to 5e-12 relative.  R = 3 and 0.5 keep the truncation
+    # (the untruncated Gamma(b) is 6.5e-5 off at R = 3); the panel pass over
+    # outer nodes that formed Wex before read 1.1e-11 off at (3, -0.1, 12)
+    rho2 = 2 * make_params(d, a).rho
+    b = d - 1 - rho2
+    got = hartree._psi_psi(d, r_max, rho2)
+    if d == 3:
+        def A(r, s):
+            return math.log((r + s) / abs(r - s)) / (2 * r * s)
+    elif d == 4:
+        def A(r, s):
+            return 1.0 / max(r, s)**2
+    else:
+        def A(r, s):
+            return kernel(d, r, s)
+
+    def pform(p):
+        y = 1 + p * p
+        return A(1.0, p) * p**b * special.gammainc(b, r_max**2 * y) / y**b
+
+    refs = [math.gamma(b) * integrate.quad(pform, 0, 1, epsabs=0, epsrel=1e-13,
+                                           limit=200)[0]]
+    if d <= 4:
+        def psi(s):
+            return s**(d - 1 - rho2) * math.exp(-s * s)
+
+        def below(x):
+            return integrate.quad(lambda s: A(x, s) * psi(s), 0, x, epsabs=0,
+                                  epsrel=1e-13, limit=200)[0]
+
+        refs.append(2 * integrate.quad(lambda x: psi(x) * below(x), 0, r_max,
+                                       epsabs=0, epsrel=1e-13, limit=200)[0])
+    for ref in refs:
+        assert abs(got - ref) <= 5e-12 * ref, (got, ref)
+
+
+def test_gamma_p_matches_scipy():
+    # [DERIVED] the regularized lower incomplete gamma P(a, z) of the psi-psi
+    # entry against scipy's gammainc, relative, and 1 - P against gammaincc,
+    # for a in (0.5, 6] and z in [0.1, 800] on both sides of the switch
+    # z = a + 1 from the series to the continued fraction; scipy's own
+    # values are up to 5e-15 off near a = 0.5, z = 1
+    for a in (0.51, 1.0, 1.3, 2.0, 3.7, 6.0):
+        z = np.sort(np.r_[np.geomspace(0.1, 800.0, 200), a + 1, np.nextafter(a + 1, 0)])
+        P = hartree._gamma_p(a, z)
+        assert np.all(np.abs(P - special.gammainc(a, z)) <= 1e-14 * special.gammainc(a, z))
+        assert np.all(np.abs(1 - P - special.gammaincc(a, z)) <= 1e-14)
 
 
 @pytest.mark.parametrize("d,a", [(3, -0.1), (5, -0.5)])
