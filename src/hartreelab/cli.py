@@ -466,68 +466,48 @@ def _scenario_verify(cfg, out_dir):
     params, grid, plan, km = _build(cfg)
     rng = np.random.default_rng(cfg["seed"])
     count = cfg["verify.fields"]
-    gs = solve_ground_state(params, grid, plan, km,
-                            _options(cfg, "ground_state", GroundStateOptions))
-    m_gs = gs.m_gs
+    m_gs = solve_ground_state(params, grid, plan, km,
+                              _options(cfg, "ground_state", GroundStateOptions)).m_gs
     hardy_bound = (2.0 / (params.d - 2))**2
-
     real_fields = _random_fields(params, grid, rng, count)
     cplx_fields = _random_fields(params, grid, rng, count, complex_valued=True)
+    moduli = [np.abs(u) for u in cplx_fields]
 
-    hardy_viol = sum(hardy_ratio(u, plan) > hardy_bound * (1 + 1e-9)
-                     for u in real_fields)
-    gn_viol = gn_audit(real_fields + [np.abs(u) for u in cplx_fields], m_gs, plan, km)
-
-    rearr_viol = 0
-    for u in real_fields:
+    def rearrangement_fails(u, slack=1e-9):
+        # the decreasing rearrangement v keeps M, lowers |grad|^2 and raises L_V
         v = rearrange_decreasing(u, grid)
-        du, dv = (radial_derivative(grid, params.rho, x) for x in (u, v))
-        M_u, M_v, g_u, g_v = (float(np.sum(grid.w * np.abs(x)**2))
-                              for x in (u, v, du, dv))
-        lv_u, lv_v = lv_value(km, np.abs(u)), lv_value(km, v)
-        slack = 1e-9
-        if abs(M_v - M_u) > slack * M_u or g_v > g_u * (1 + slack) \
-                or lv_v < lv_u * (1 - slack):
-            rearr_viol += 1
+        M_u, M_v, g_u, g_v = (float(np.sum(grid.w * np.abs(x)**2)) for x in
+                              (u, v, radial_derivative(grid, params.rho, u),
+                               radial_derivative(grid, params.rho, v)))
+        return (abs(M_v - M_u) > slack * M_u or g_v > g_u * (1 + slack)
+                or lv_value(km, v) < lv_value(km, u) * (1 - slack))
 
-    # HLS continuity: |L_V(u) - L_V(v)| <= sqrt(B(f+g,f+g) B(f-g,f-g))/4 with
-    # f = |u|^2, g = |v|^2 (Cauchy-Schwarz in the positive-definite form)
-    hls_viol = 0
-    for u in real_fields:
-        v = u + 0.05 * rng.standard_normal() * u
-        f, g = np.abs(u)**2, np.abs(v)**2
+    def form(x):
+        return km.omega**2 / 4 * float(np.sum(grid.w * x * apply_kernel(km, x)))
 
-        def form(x):
-            return km.omega**2 / 4 * float(np.sum(grid.w * x * apply_kernel(km, x)))
+    def hls_fails(f, g):
+        # Cauchy-Schwarz in the positive-definite form: B(f,f) - B(g,g) = B(f+g, f-g)
         lhs = abs(form(f) - form(g))
-        rhs = math.sqrt(max(form(f + g), 0.0) * max(form(f - g), 0.0))
-        if lhs > rhs * (1 + 1e-9) + 1e-12:
-            hls_viol += 1
+        return lhs > math.sqrt(max(form(f + g), 0.0) * max(form(f - g), 0.0)) * (1 + 1e-9) + 1e-12
 
-    rot_viol, disc_viol = 0, 0
     r0 = 0.3 * grid.r_max                           # smooth, decaying profile
-    theta_vals = np.exp(-(grid.r - r0)**2)
-    theta_prime = 2 * (r0 - grid.r) * theta_vals
-    for u in cplx_fields:
-        q = functionals(u, plan, km)
-        u_th = u * math.sqrt(m_gs / q.M)            # rescale to threshold mass
-        rep = rotated_energy_check(u_th, theta_vals, 0.3, plan, km, m_gs=m_gs,
-                                   theta_prime=theta_prime)
-        scale = max(abs(rep.lhs), abs(rep.rhs), 1.0)
-        if rep.mismatch > 1e-6 * scale + 1e-5:
-            rot_viol += 1
-        if rep.discriminant is not None and \
-                rep.discriminant > 1e-9 * max(rep.quad_term, 1.0):
-            disc_viol += 1
-
-    checks = {"hardy": hardy_viol == 0, "gn": gn_viol == 0,
-              "rearrangement": rearr_viol == 0, "hls_continuity": hls_viol == 0,
-              "rotated_energy": rot_viol == 0, "discriminant": disc_viol == 0}
-    return {"fields": count, "m_gs": m_gs, "hardy_bound": hardy_bound,
-            "violations": {"hardy": hardy_viol, "gn": gn_viol,
-                           "rearrangement": rearr_viol, "hls": hls_viol,
-                           "rotated_energy": rot_viol, "discriminant": disc_viol},
-            "checks": checks}
+    theta = np.exp(-(grid.r - r0)**2)
+    theta_prime = 2 * (r0 - grid.r) * theta
+    reports = [rotated_energy_check(                # each at the threshold mass
+        u * math.sqrt(m_gs / functionals(u, plan, km).M), theta, 0.3, plan, km,
+        m_gs=m_gs, theta_prime=theta_prime) for u in cplx_fields]
+    violations = {
+        "hardy": sum(hardy_ratio(u, plan) > hardy_bound * (1 + 1e-9) for u in real_fields),
+        "gn": gn_audit(real_fields + moduli, m_gs, plan, km),
+        "rearrangement": sum(map(rearrangement_fails, real_fields)),
+        "hls": sum(hls_fails(u**2, g**2) for u, g in zip(real_fields, moduli)),
+        "rotated_energy": sum(rep.mismatch > 1e-6 * max(abs(rep.lhs), abs(rep.rhs), 1.0) + 1e-5
+                              for rep in reports),
+        "discriminant": sum(rep.discriminant is not None
+                            and rep.discriminant > 1e-9 * max(rep.quad_term, 1.0)
+                            for rep in reports)}
+    return {"fields": count, "m_gs": m_gs, "hardy_bound": hardy_bound, "violations": violations,
+            "checks": {name: n == 0 for name, n in violations.items()}}
 
 
 #: (get, set) thread-count functions of OpenBLAS: the 64- and 32-bit integer

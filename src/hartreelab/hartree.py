@@ -331,13 +331,12 @@ def _origin_factor(d: int, rho2: float):
     return p, wp * _kernel_vals(d, 1.0, p) * p**(d - 1 - rho2)
 
 
-def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float,
-                   factor=None) -> np.ndarray:
+def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float, factor) -> np.ndarray:
     """int_0^{r_max} A(x_i, s) psi(s) s^{d-1} ds for every radius x_i,
     psi = s^{-rho2} e^{-s^2}, by geometrically refined composite
     Gauss-Legendre split at s = x_i (see the module docstring); `factor` is
-    `_origin_factor(d, rho2)` when the caller has it."""
-    p, inner = factor or _origin_factor(d, rho2)
+    `_origin_factor(d, rho2)`."""
+    p, inner = factor
     q, wq = _panel_rule(True, False)
     out = np.empty(len(x))
     for i0 in range(0, len(x), _BLOCK):
@@ -351,12 +350,12 @@ def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float,
     return out
 
 
-def _psi_psi(d: int, r_max: float, rho2: float, factor=None) -> float:
+def _psi_psi(d: int, r_max: float, rho2: float, factor) -> float:
     """Wex = iint_{(0, r_max)^2} psi(x) A(x, s) psi(s) (x s)^{d-1} ds dx by
     homogeneity: with s = x p on s < x and the x-integral in closed form,
     Wex = int_0^1 A(1, p) p^b gamma(b, r_max^2 (1 + p^2)) / (1 + p^2)^b dp,
-    b = d - 1 - rho2 (see the module docstring)."""
-    p, inner = factor or _origin_factor(d, rho2)
+    b = d - 1 - rho2 (see the module docstring); `factor` is `_origin_factor(d, rho2)`."""
+    p, inner = factor
     b, y = d - 1 - rho2, 1 + p * p
     return math.gamma(b) * float(_gamma_p(b, r_max * r_max * y) / y**b @ inner)
 

@@ -72,6 +72,7 @@ def test_verify_scenario(tmp_path):
         assert summary["violations"] == {"hardy": 0, "gn": 0, "rearrangement": 0,
                                          "hls": 0, "rotated_energy": 0,
                                          "discriminant": 0}
+        assert summary["checks"].keys() == summary["violations"].keys()
     blobs = [(tmp_path / tag / "summary.json").read_bytes() for tag in ("r1", "r2")]
     assert blobs[0] == blobs[1]
 
@@ -100,6 +101,27 @@ def test_verify_hls_count_is_that_of_the_real_product(tmp_path, monkeypatch):
     real_run = run_scenario(parse_config(text), str(tmp_path / "r"))
     assert complex_run["violations"]["hls"] == real_run["violations"]["hls"] == 0
     assert complex_run["violations"] == real_run["violations"]
+
+
+def test_verify_hls_pairs_leave_a_margin(tmp_path, monkeypatch):
+    # [DERIVED] each HLS pair, f = u^2 of a real field and g = |w|^2 of the
+    # complex field at its index, leaves Cauchy-Schwarz a margin of more than
+    # 1e-6 of its right side, so the check can fail; the pairs g = (1 + 0.05 z)^2 f
+    # it read before were proportional and met it with equality to 4.2e-14
+    calls, apply_kernel = [], cli.apply_kernel
+
+    def recorded(km, x):
+        out = apply_kernel(km, x)
+        calls.append((x, float(np.sum(km.grid.w * x * out))))
+        return out
+    monkeypatch.setattr(cli, "apply_kernel", recorded)
+    text = "grid.n = 128\nscenario = verify\nverify.fields = 10\nseed = 0\n"
+    assert run_scenario(parse_config(text), str(tmp_path / "v"))["violations"]["hls"] == 0
+    assert len(calls) == 4 * 10
+    for (f, Bf), (g, Bg), (s, Bs), (t, Bt) in zip(*[iter(calls)] * 4):
+        assert np.array_equal(s, f + g) and np.array_equal(t, f - g)
+        lhs, rhs = abs(Bf - Bg), math.sqrt(max(Bs, 0.0) * max(Bt, 0.0))
+        assert rhs - lhs > 1e-6 * rhs, (lhs, rhs)
 
 
 def _first_call_spoiled(fn, spoil):

@@ -309,7 +309,8 @@ def test_psi_integrals_match_adaptive_quadrature(d, a, node):
     g = build_grid(d, 256, 12.0)
     i = {"first": 0, "block-end": hartree._BLOCK - 1, "block-start": hartree._BLOCK,
          "middle": g.n // 2, "last": g.n - 1}[node]
-    got = hartree._psi_integrals(d, g.r, g.r_max, rho2)[i]
+    got = hartree._psi_integrals(d, g.r, g.r_max, rho2,
+                                 hartree._origin_factor(d, rho2))[i]
     if d == 3:
         def A(r, s):
             return math.log((r + s) / abs(r - s)) / (2 * r * s)
@@ -340,7 +341,7 @@ def test_psi_psi_entry_matches_quadrature(d, a, r_max):
     # outer nodes that formed Wex before read 1.1e-11 off at (3, -0.1, 12)
     rho2 = 2 * make_params(d, a).rho
     b = d - 1 - rho2
-    got = hartree._psi_psi(d, r_max, rho2)
+    got = hartree._psi_psi(d, r_max, rho2, hartree._origin_factor(d, rho2))
     if d == 3:
         def A(r, s):
             return math.log((r + s) / abs(r - s)) / (2 * r * s)

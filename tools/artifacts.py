@@ -54,6 +54,8 @@ RUNS = {
     "ground-d4": ["ground-state"] + D4 + ["--override", "grid.n=128"],
     "evolve-d4-odd": ["evolve"] + D4 + ["--override", "grid.n=65",
                                         "--override", "integrator.t_end=0.05"],
+    "verify-d4": ["verify", "--seed", "0"] + D4 + ["--override", "grid.n=128",
+                                                   "--override", "verify.fields=5"],
 }
 SKIP = ("traceback.txt",)
 GS_HEADER = ("d", "a", "n", "r_max", "M_gs", "residual")   # ground_state.txt
