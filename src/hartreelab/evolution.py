@@ -31,16 +31,15 @@ exact linear flow; also second order).
     bytes are the same (one complex n x n matrix against two real ones), but
     it is one BLAS call instead of two, and OpenBLAS runs the complex
     matrix-vector product on all its threads where the real (n, 2) product
-    of the transforms runs on one: at n = 512 a flow takes 81 us against
-    230 us (2 shared cores, OpenBLAS 0.3.31).  Forming U_tau, as real
+    of the transforms runs on one (`tools/propagator_drift.py` prints the
+    time per step this gives at n = 384 and 512).  Forming U_tau, as real
     products of row blocks, takes 2, 14 and 96 ms at n = 256, 512 and 1024,
     once per run (whole-matrix products took 2, 9 and 68 ms, but held two
     more n x n arrays).  Its real part is the exact identity minus a rounded
-    correction (`_flow_matrix`): on the acceptance-04 field, with 2 BLAS
-    threads, the mass drift over t = 1 at dt = 1e-4 / 5e-5 is
-    4.2e-14 / 1.8e-15 (strang-split) and 3.0e-14 / 3.2e-14
-    (midpoint-relaxation), against gates of 1e-11 / 2e-11
-    (`tools/propagator_drift.py`).  The product with cos k^2 tau gave
+    correction (`_flow_matrix`): on the acceptance-04 field the mass drift
+    over t = 1 at dt = 1e-4 / 5e-5 stays far below the gates of 1e-11 /
+    2e-11, and `tools/propagator_drift.py` prints it for both schemes.  The
+    product with cos k^2 tau gave
     3.7e-13 / 3.8e-12 there, the complex product 2.9e-13 / 1.1e-12, and the
     symmetric form w^{-1/2} (Y D Y^T) w^{1/2} 1.1e-12 at dt = 1e-4.  Each
     U_tau has its own phases rather than the dt phases being the square of

@@ -29,7 +29,8 @@ centred stencil inverse read once); this module defines no stencil layout.
          the exact integers b = i - c and b2 = i + c + 1 (h cancels), and
          ln(t + b2) = ln|t - (-b2)|, so the build computes one moment table
          U_k[b] of ln|t - b| for b = -(2n-1)..n-1.  Offsets within NEAR of
-         the singularity (b = -1, 0, 1) take the analytic moments, the rest
+         the singularity (b = -1, 0, 1) take the analytic moments, which do
+         not depend on the grid and are a module table, the rest
          Gauss-Legendre, where the binomial expansion of the analytic moments
          would lose precision.
          The matrix is then structured in the nodes, not only in the cells.
@@ -92,7 +93,14 @@ homogeneous of degree -2 (x^2 A(x, x p) = A(1, p) in every d), so the
 weighted kernel factor wp A(1, p) p^{d-1-2 rho} is evaluated once per build
 and each node only adds e^{-x^2 p^2}.  The panels of (x, R) are x + (R - x)
 times a second pattern; A is evaluated there for blocks of 64 nodes, so the
-temporaries stay at a few MiB.
+temporaries stay at a few MiB.  Both patterns are module constants.
+
+On s > x, psi(s) <= e^{-x^2} x^{-2 rho}, and omega times int_x^R A(x, s)
+s^{d-1} ds is int_{x<|y|<R} |x - y|^{-2} dy <= int_{|z|<x+R} |z|^{-2} dz, so
+the (x, R) part is at most e^{-x^2} x^{-2 rho} (2R)^{d-2}/(d-2).  Where that
+bound is below a quarter ulp of the (0, x) part, adding the (x, R) part
+would leave the (0, x) part's bits, and the build leaves it out: the
+psi-integrals are the same bits as with the (x, R) part at every node.
 
 The psi-psi entry uses the same homogeneity.  By symmetry it is twice the
 integral over s < x < R; with s = x p and b = d - 1 - 2 rho the x-integral
@@ -130,14 +138,20 @@ from .params import ModelParams
 #: moments; farther out their binomial expansion cancels (3e-8 absolute
 #: error at |b| = 6) while 12-point Gauss-Legendre is exact to round-off
 NEAR = 1
-_GLQ = 12  # Gauss-Legendre points per regular cell
 _MMAX = STENCIL + 1  # moments t^0 .. t^{STENCIL} (the measure adds one degree)
 #: below this 2*rho the origin class is close enough to smooth that the
 #: stencil rule needs no subtraction (and the extraction basis degenerates)
 _RHO2_MIN = 0.05
+#: Gauss-Legendre nodes and weights on [-1, 1]: 12 per regular cell, 16 per
+#: refined panel
+_XG12, _WG12 = np.polynomial.legendre.leggauss(12)
 _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
 #: refined-panel breakpoints at 2^-1 .. 2^-30 of the panel length from an end
 _HALVINGS = 0.5**np.arange(1, 31)
+#: rows of a block whose psi-integral tail is taken go in multiples of this:
+#: BLAS matrix-vector kernels sum rows in groups (of 4 in OpenBLAS), and a
+#: row left in a partial group can round differently than in a whole block
+_TAIL_ROWS = 16
 #: rows per block of the psi-integrals (64 x ~1,000 panel nodes per temporary),
 #: of the in-place symmetrization and of the d = 3 edge-column moments
 _BLOCK = 64
@@ -195,6 +209,13 @@ def _ln_abs_moments(b: float) -> np.ndarray:
     return out
 
 
+#: `_ln_abs_moments(b)` at b = -NEAR..NEAR, row b + NEAR
+_LN_ABS_NEAR = np.array([_ln_abs_moments(float(b)) for b in range(-NEAR, NEAR + 1)])
+#: the 12-point rule's weighted powers 0.5 w_g t_g^m of t_g = x_g / 2, m < _MMAX
+_TG12 = 0.5 * _XG12
+_LOG_RULE = 0.5 * _WG12[:, None] * _TG12[:, None]**np.arange(_MMAX)[None, :]
+
+
 def _log_moment_table(n: int) -> np.ndarray:
     """U[b + 2n - 1] = cell moments of ln|t - b| for b = -(2n-1)..n-1.
 
@@ -202,13 +223,9 @@ def _log_moment_table(n: int) -> np.ndarray:
     elsewhere.  With b = i - c and b = -(i + c + 1) the table covers both
     logarithms of ln((r_i + s)/|r_i - s|) over every cell c.
     """
-    xg, wg = np.polynomial.legendre.leggauss(_GLQ)
-    tg = 0.5 * xg
     b = np.arange(-(2 * n - 1), n)
-    U = np.log(np.abs(tg[None, :] - b[:, None])) @ \
-        (0.5 * wg[:, None] * tg[:, None]**np.arange(_MMAX)[None, :])
-    for k in np.where(np.abs(b) <= NEAR)[0]:
-        U[k] = _ln_abs_moments(float(b[k]))
+    U = np.log(np.abs(_TG12[None, :] - b[:, None])) @ _LOG_RULE
+    U[2 * n - 1 - NEAR:2 * n + NEAR] = _LN_ABS_NEAR
     return U
 
 
@@ -258,11 +275,10 @@ def _rows_general(grid: RadialGrid, d: int):
     12-point Gauss-Legendre on every cell, then 12 points on each half of the
     diagonal cell, whose centre is s = r_i."""
     n, r, h = grid.n, grid.r, grid.h
-    xg, wg = np.polynomial.legendre.leggauss(_GLQ)
     # t on the whole cell, and on its halves [-1/2, 0] and [0, 1/2]
-    t1, t2 = 0.5 * xg, np.concatenate((0.25 * xg - 0.25, 0.25 * xg + 0.25))
-    P1 = 0.5 * h * wg[:, None] * t1[:, None]**np.arange(STENCIL)
-    P2 = 0.25 * h * np.tile(wg, 2)[:, None] * t2[:, None]**np.arange(STENCIL)
+    t1, t2 = _TG12, np.concatenate((0.25 * _XG12 - 0.25, 0.25 * _XG12 + 0.25))
+    P1 = 0.5 * h * _WG12[:, None] * t1[:, None]**np.arange(STENCIL)
+    P2 = 0.25 * h * np.tile(_WG12, 2)[:, None] * t2[:, None]**np.arange(STENCIL)
     s1, s2 = r[:, None] + h * t1, r[:, None] + h * t2
     m1, m2 = s1**(d - 1), s2**(d - 1)
     rows = max(1, _BLOCK_CELLS // n)
@@ -284,6 +300,11 @@ def _panel_rule(left: bool, right: bool):
     mid = 0.5 * (bps[1:] + bps[:-1])[:, None]
     haf = 0.5 * np.diff(bps)[:, None]
     return (mid + haf * _XG16).ravel(), (haf * _WG16).ravel()
+
+
+#: the panels of every psi-integral's (0, x) part and the psi-psi entry, and
+#: of the (x, R) part
+_PANELS_BOTH, _PANELS_LEFT = _panel_rule(True, True), _panel_rule(True, False)
 
 
 def _series(d: int) -> list:
@@ -327,7 +348,7 @@ def _origin_factor(d: int, rho2: float):
     """Nodes p of the both-ends refined panels on (0, 1) and the weighted
     kernel factor wp A(1, p) p^{d-1-rho2} that the (0, x) part of every
     psi-integral and the psi-psi entry share."""
-    p, wp = _panel_rule(True, True)
+    p, wp = _PANELS_BOTH
     return p, wp * _kernel_vals(d, 1.0, p) * p**(d - 1 - rho2)
 
 
@@ -335,18 +356,32 @@ def _psi_integrals(d: int, x: np.ndarray, r_max: float, rho2: float, factor) -> 
     """int_0^{r_max} A(x_i, s) psi(s) s^{d-1} ds for every radius x_i,
     psi = s^{-rho2} e^{-s^2}, by geometrically refined composite
     Gauss-Legendre split at s = x_i (see the module docstring); `factor` is
-    `_origin_factor(d, rho2)`."""
+    `_origin_factor(d, rho2)`.
+
+    A block takes the (x, R) part in its rows up to the last one where the
+    part's bound, e^{-x^2} x^{-rho2} (2R)^{d-2}/(d-2), reaches a quarter ulp
+    of the (0, x) part, rounded up to _TAIL_ROWS rows.  Adding it in any
+    other row would leave the (0, x) part's bits, so the result is the same
+    bits as with the (x, R) part in every row.
+    """
     p, inner = factor
-    q, wq = _panel_rule(True, False)
+    q, wq = _PANELS_LEFT
     out = np.empty(len(x))
+    tail_scale = (2 * r_max)**(d - 2) / (d - 2)
     for i0 in range(0, len(x), _BLOCK):
         xb = x[i0:i0 + _BLOCK, None]
         # (0, x): x^{d-2-rho2} int A(1, p) p^{d-1-rho2} e^{-x^2 p^2} dp
-        out[i0:i0 + _BLOCK] = xb[:, 0]**(d - 2 - rho2) * (np.exp(-(xb * p)**2) @ inner)
+        head = out[i0:i0 + _BLOCK]
+        head[:] = xb[:, 0]**(d - 2 - rho2) * (np.exp(-(xb * p)**2) @ inner)
+        bound = tail_scale * np.exp(-xb[:, 0]**2) * xb[:, 0]**(-rho2)
+        need = np.flatnonzero(bound >= 0.25 * np.spacing(head))
+        if not need.size:
+            continue
+        xb = xb[:_TAIL_ROWS * math.ceil((need[-1] + 1) / _TAIL_ROWS)]
         L = r_max - xb
         s = xb + L * q
-        out[i0:i0 + _BLOCK] += L[:, 0] * ((_kernel_vals(d, xb, s) * s**(d - 1 - rho2)
-                                            * np.exp(-s * s)) @ wq)
+        head[:len(xb)] += L[:, 0] * ((_kernel_vals(d, xb, s) * s**(d - 1 - rho2)
+                                      * np.exp(-s * s)) @ wq)
     return out
 
 

@@ -203,9 +203,16 @@ def _miller(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c_0 = 1, c_j = (nu + 2j) Gamma(nu + j) / (j! Gamma(nu + 1)) by their
     product recurrence, fixes the scale.  Dividing by x in every step, rather
     than multiplying by a rounded 2/x, keeps the argument exact: a rounded
-    2/x is a coherent relative shift of x, x eps of the amplitude.  Values
-    past _MILLER_BIG are rescaled, argument by argument, so f_k, which grows
-    as k falls toward the turning point k ~ x, never overflows.
+    2/x is a coherent relative shift of x, x eps of the amplitude.
+
+    Values past _MILLER_BIG are rescaled, argument by argument, so f_k, which
+    grows as k falls toward the turning point k ~ x, never overflows.  Each
+    step has |f_{k-1}| <= (2 (nu + k)/x + 1) max(|f_k|, |f_{k+1}|), so the
+    product of these factors from N down to k, at the smallest x, bounds
+    every value up to f_{k-1}.  The steps scan for values past _MILLER_BIG
+    only from where that bound reaches one e-fold below it (at none, for
+    every `bessel_zeros` call): no rescale is skipped, and the values are
+    the same bits as with a scan at every step.
     """
     N = 2 * ((int(np.max(x, initial=0.0)) + _MILLER_MARGIN + 1) // 2)
     c = np.empty(N // 2 + 1)
@@ -213,6 +220,8 @@ def _miller(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j in range(1, N // 2 + 1):       # g = Gamma(nu + j) / (j! Gamma(nu + 1))
         c[j] = (nu + 2 * j) * g
         g *= (nu + j) / (j + 1)
+    growth = np.cumsum(np.log1p(2 * (nu + np.arange(N, 0, -1)) / np.min(x, initial=np.inf)))
+    k_scan = N - np.searchsorted(growth, math.log(_MILLER_BIG) - 1, side="right")
     f_next, f = np.zeros_like(x), np.ones_like(x)
     total, tmp = np.zeros_like(x), np.empty_like(x)
     for k in range(N, 0, -1):
@@ -222,7 +231,7 @@ def _miller(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.multiply(f, 2 * (nu + k), out=tmp)
         tmp /= x
         f_next, f = f, np.subtract(tmp, f_next, out=f_next)
-        if np.max(np.abs(f, out=tmp)) > _MILLER_BIG:
+        if k <= k_scan and np.abs(f, out=tmp).max() > _MILLER_BIG:
             big = tmp > _MILLER_BIG
             for v in (f, f_next, total):
                 v[big] /= _MILLER_BIG
@@ -244,14 +253,13 @@ def _jv_pair(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _collocation(nu: float, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     """B_jm = J_nu(k_m r_j) for increasing k > 0 and r > 0.
 
-    From the switch point x* of `_hankel_switch` on, 90-93 % of the entries
-    at n = 512, `_hankel`; below it, `_miller`.  x grows along a row and down
-    a column, so row i lies below x* in its column prefix k_m < x*/r_i.  The
-    rows go in blocks of _BLOCK, and `_hankel` fills a block from its last
-    row's prefix on.  Then one `_miller` call overwrites every row's prefix,
-    including the few entries of each block's first rows that `_hankel` saw
-    below x*; one call per block would cost more in Python than the
-    recurrence itself.
+    From the switch point x* of `_hankel_switch` on, `_hankel`; below it,
+    `_miller`.  x grows along a row and down a column, so row i lies below
+    x* in its column prefix k_m < x*/r_i.  The rows go in blocks of _BLOCK,
+    and `_hankel` fills a block from its last row's prefix on.  Then one
+    `_miller` call overwrites every row's prefix, including the few entries
+    of each block's first rows that `_hankel` saw below x*; one call per
+    block would cost more in Python than the recurrence itself.
     """
     x_switch = _hankel_switch(nu)
     prefix = np.searchsorted(k, x_switch / r)
@@ -259,9 +267,17 @@ def _collocation(nu: float, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     for i0 in range(0, len(r), _BLOCK):
         m = prefix[min(i0 + _BLOCK, len(r)) - 1]
         B[i0:i0 + _BLOCK, m:] = _hankel(nu, r[i0:i0 + _BLOCK, None] * k[m:])
-    rows, cols = np.nonzero(np.arange(len(k)) < prefix[:, None])
+    rows, cols = _prefix_entries(prefix)
     B[rows, cols] = _miller(nu, r[rows] * k[cols])[0]
     return B
+
+
+def _prefix_entries(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries m < prefix[i] of every row i,
+    row by row: those of np.nonzero(arange(n) < prefix[:, None]), in its
+    order, from the lengths alone rather than an n x n mask."""
+    rows = np.repeat(np.arange(len(prefix)), prefix)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(prefix) - prefix, prefix)
 
 
 @dataclass

@@ -275,8 +275,13 @@ def test_correction_changes_only_origin_rows_and_columns(d, a):
 
 
 def test_d3_build_takes_closed_forms_once_per_offset(monkeypatch):
-    # [TRIVIAL] the d = 3 build evaluates the analytic moments of ln|t - b|
-    # once per integer offset within NEAR, b = -1 serving both logarithms
+    # [TRIVIAL] the analytic moments of ln|t - b| are evaluated once per
+    # integer offset within NEAR, into a module table (b = -1 serving both
+    # logarithms), and a d = 3 build evaluates none of them
+    assert hartree._LN_ABS_NEAR.shape == (2 * hartree.NEAR + 1, hartree._MMAX)
+    for b in range(-hartree.NEAR, hartree.NEAR + 1):
+        assert np.array_equal(hartree._LN_ABS_NEAR[b + hartree.NEAR],
+                              hartree._ln_abs_moments(float(b)))
     calls = {"abs": 0}
 
     def counted(b):
@@ -286,7 +291,7 @@ def test_d3_build_takes_closed_forms_once_per_offset(monkeypatch):
     ln_abs_moments = hartree._ln_abs_moments
     monkeypatch.setattr(hartree, "_ln_abs_moments", counted)
     build_kernel(build_grid(3, 64, 10.0), make_params(3, 0.0))
-    assert calls == {"abs": 2 * hartree.NEAR + 1}
+    assert calls == {"abs": 0}
 
 
 _PSI_NODES = ("first", "block-end", "block-start", "middle", "last")
@@ -325,6 +330,45 @@ def test_psi_integrals_match_adaptive_quadrature(d, a, node):
                              lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
               for lo, hi in ((0.0, ri), (ri, g.r_max)))
     assert abs(got - ref) <= 1e-12 * abs(ref), (got, ref)
+
+
+def _psi_integrals_every_tail(d, x, r_max, rho2, factor):
+    """The psi-integrals with the (x, R) part added in every row."""
+    p, inner = factor
+    q, wq = hartree._panel_rule(True, False)
+    out, blk = np.empty(len(x)), hartree._BLOCK
+    for i0 in range(0, len(x), blk):
+        xb = x[i0:i0 + blk, None]
+        out[i0:i0 + blk] = xb[:, 0]**(d - 2 - rho2) * (np.exp(-(xb * p)**2) @ inner)
+        L = r_max - xb
+        s = xb + L * q
+        out[i0:i0 + blk] += L[:, 0] * ((hartree._kernel_vals(d, xb, s) * s**(d - 1 - rho2)
+                                        * np.exp(-s * s)) @ wq)
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 257])
+@pytest.mark.parametrize("r_max", [0.5, 3.0, 12.0, 20.0])
+@pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5), (5, -1.0), (7, -3.0), (10, -4.0)])
+def test_psi_integrals_skip_only_tails_below_a_quarter_ulp(d, a, r_max, n, monkeypatch):
+    # [DERIVED] the psi-integrals leave out the (x, R) part in the rows where
+    # its bound is below a quarter ulp of the (0, x) part, and are the bits
+    # of the reference that adds it in every row; from r_max 12 on, some
+    # rows do leave it out
+    rho2, g = 2 * make_params(d, a).rho, build_grid(d, n, r_max)
+    factor = hartree._origin_factor(d, rho2)
+    want = _psi_integrals_every_tail(d, g.r, r_max, rho2, factor)
+    rows, kernel_vals = [], hartree._kernel_vals
+
+    def counted(d, r, s):
+        if np.ndim(r) == 2:   # a block's (x, R) part, not the d >= 5 recursion
+            rows.append(len(r))
+        return kernel_vals(d, r, s)
+
+    monkeypatch.setattr(hartree, "_kernel_vals", counted)
+    got = hartree._psi_integrals(d, g.r, r_max, rho2, factor)
+    assert np.array_equal(got, want)
+    assert (sum(rows) < n) == (r_max >= 12.0)
 
 
 @pytest.mark.parametrize("d,a,r_max", [(3, -0.1, 12.0), (3, -0.1, 3.0), (3, -0.1, 0.5),

@@ -77,6 +77,16 @@ def test_la_floor_reads_the_plan():
     assert equivalence.la_floor(plan) == 9 * np.finfo(float).eps
 
 
+def test_same_bytes_counts_psi_and_k():
+    # [TRIVIAL] a plan counts as bit-identical only if Psi and k both have
+    # the same bytes: one ulp in either, or -0.0 for 0.0, breaks it
+    psi, k = np.array([[1.0, 0.0], [0.5, 2.0]]), np.array([1.0, 3.0])
+    assert equivalence.same_bytes((psi, psi.copy()), (k, k.copy()))
+    assert equivalence.same_bytes((psi, np.asfortranarray(psi)), (k, k))
+    assert not equivalence.same_bytes((psi, psi), (k, np.nextafter(k, 4.0)))
+    assert not equivalence.same_bytes((psi, np.where(psi == 0.0, -0.0, psi)), (k, k))
+
+
 def test_artifacts_compare(tmp_path):
     # [TRIVIAL] files are compared byte for byte, the first differing line
     # named; a file in one tree only is named with the tree it is missing

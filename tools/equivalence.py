@@ -5,7 +5,7 @@
 Each tree (a directory holding the package `hartreelab`) runs every case of
 CASES in its own subprocess with one BLAS thread, the two trees concurrently.
 A case builds the grid, the transform plan and the kernel once, saves the
-bilinear form S = w_i Kw_ij and the plan's modes Psi, and solves the ground
+bilinear form S = w_i Kw_ij and the plan's modes Psi and nodes k, and solves the ground
 state from the two start fields of STARTS, r^{-rho} exp(-r^2/2) and
 r^{-rho} / cosh r, each passed as `init=`, with default options otherwise.
 At a = 0, rho = 0 and the kernel is the uncorrected build.
@@ -29,11 +29,13 @@ gated, so that a change of the plan is visible beside its effect on `m_gs`.
 
 Prints per case the relative difference of S, whether the two S are
 bit-identical (with the first 12 hex digits of each one's sha256), the
-relative difference of Psi and OLD's `la_floor`; per start `m_gs`, the
+relative difference of Psi, whether Psi and k are both bit-identical (the
+same bytes by sha256) and OLD's `la_floor`; per start `m_gs`, the
 residual, both floors, the iterations, whether the solve is bit-identical
 (the same bytes of Q by sha256, the same `m_gs` and residual, or the same
 error) and the wall time of the solve in OLD and in NEW.  The last line
-counts the matching cases and solves and the bit-identical S and Q, with
+counts the matching cases and solves and the bit-identical S, plans (Psi
+and k) and Q, with
 the worst relative S, Psi and `m_gs`, and the summed solve wall time of NEW
 over that of OLD.  The times
 are shown, not gated: the two trees run at once on one BLAS thread each, so
@@ -84,9 +86,18 @@ def la_floor(plan) -> float:
     return float(np.finfo(float).eps * np.max(plan.k**2))
 
 
+def same_bytes(*pairs) -> bool:
+    """Whether each (old, new) pair of arrays has the same bytes, by sha256."""
+    return all(_sha256(o) == _sha256(w) for o, w in pairs)
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
 def run_all(src: str, out: str) -> None:
-    """Save S and Psi of each case to out/S<k>.npy and out/Psi<k>.npy and
-    print one JSON line per case, with one entry per start."""
+    """Save S, Psi and k of each case to out/S<i>.npy, out/Psi<i>.npy and
+    out/k<i>.npy and print one JSON line per case, with one entry per start."""
     sys.path.insert(0, src)
     import hartreelab as hl
 
@@ -96,6 +107,7 @@ def run_all(src: str, out: str) -> None:
         plan, km = hl.build_plan(params, grid), hl.build_kernel(grid, params)
         np.save(os.path.join(out, f"S{k}.npy"), grid.w[:, None] * km.Kw)
         np.save(os.path.join(out, f"Psi{k}.npy"), plan.Psi)
+        np.save(os.path.join(out, f"k{k}.npy"), plan.k)
         row = {"case": [d, a, n, r_max], "la_floor": la_floor(plan)}
         for name, field in STARTS.items():
             start = time.perf_counter()
@@ -104,7 +116,7 @@ def run_all(src: str, out: str) -> None:
                                             init=field(grid.r, params.rho))
                 row[name] = dict(m_gs=res.m_gs, residual=res.residual,
                                  floor=floor(res), iterations=res.iterations,
-                                 q_sha256=hashlib.sha256(res.Q.tobytes()).hexdigest())
+                                 q_sha256=_sha256(res.Q))
             except hl.GroundStateError as exc:
                 row[name] = {"error": str(exc)}
             row[name]["wall_s"] = time.perf_counter() - start
@@ -149,20 +161,23 @@ def main(old_src: str, new_src: str) -> int:
         if any(p.returncode for p in procs):
             print("a case process failed", file=sys.stderr)
             return 1
-        cases_ok = solves_ok = s_same = q_same = 0
+        cases_ok = solves_ok = s_same = plan_same = q_same = 0
         worst_s = worst_psi = worst_m = wall_old = wall_new = 0.0
         for k, (o, w) in enumerate(zip(old, new)):
-            (S_old, S_new), (Psi_old, Psi_new) = (
+            (S_old, S_new), (Psi_old, Psi_new), ks = (
                 [np.load(os.path.join(out, f"{name}{k}.npy")) for out in outs]
-                for name in ("S", "Psi"))
+                for name in ("S", "Psi", "k"))
             ds, dpsi = _rel_diff(S_old, S_new), _rel_diff(Psi_old, Psi_new)
             worst_s, worst_psi = max(worst_s, ds), max(worst_psi, dpsi)
             why = compare(ds, o, w)
             cases_ok += not any(why.values())
-            sha = [hashlib.sha256(S.tobytes()).hexdigest()[:12] for S in (S_old, S_new)]
+            sha = [_sha256(S)[:12] for S in (S_old, S_new)]
             s_same += sha[0] == sha[1]
             bits = f"bit-identical {sha[0]}" if sha[0] == sha[1] else f"{sha[0]} != {sha[1]}"
+            plan_bits = same_bytes((Psi_old, Psi_new), ks)
+            plan_same += plan_bits
             print(f"{tuple(o['case'])!s:<26} S d_rel {ds:.1e} ({bits})  Psi d_rel {dpsi:.1e}"
+                  f" ({'Psi and k bit-identical' if plan_bits else 'Psi or k differs'})"
                   f"  la_floor {o['la_floor']:.1e}{'  MISMATCH' if why['S'] else ''}")
             for name in STARTS:
                 go, gw = o[name], w[name]
@@ -187,7 +202,8 @@ def main(old_src: str, new_src: str) -> int:
                 print(f"    {name:<8} {status}{wall}")
     n = len(old)
     print(f"{cases_ok} of {n} cases match ({solves_ok} of {2 * n} solves); S bit-identical "
-          f"in {s_same} of {n}, Q in {q_same} of {2 * n}; worst relative S {worst_s:.1e}, "
+          f"in {s_same} of {n}, Psi and k bit-identical in {plan_same} of {n}, Q in {q_same} "
+          f"of {2 * n}; worst relative S {worst_s:.1e}, "
           f"Psi {worst_psi:.1e}, m_gs {worst_m:.1e}; solve wall time NEW/OLD "
           f"{wall_new / wall_old:.3f} ({wall_old:.2f} -> {wall_new:.2f} s)")
     return 0 if cases_ok == n else 1
