@@ -374,7 +374,12 @@ def test_miller_without_scans_keeps_the_bits(nu, monkeypatch):
     # to 1e-4, which must still rescale, it gives the bits of the reference
     # that scans after every step
     seen, miller = [], transform._miller
-    monkeypatch.setattr(transform, "_miller", lambda nu, x: miller(nu, seen.append(x) or x))
+
+    def recorded(nu, x):
+        seen.append(x)
+        return miller(nu, x)
+
+    monkeypatch.setattr(transform, "_miller", recorded)
     bessel_zeros(nu, 256)
     monkeypatch.undo()
     assert seen

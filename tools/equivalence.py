@@ -5,9 +5,10 @@
 Each tree (a directory holding the package `hartreelab`) runs every case of
 CASES in its own subprocess with one BLAS thread, the two trees concurrently.
 A case builds the grid, the transform plan and the kernel once, saves the
-bilinear form S = w_i Kw_ij and the plan's modes Psi and nodes k, and solves the ground
-state from the two start fields of STARTS, r^{-rho} exp(-r^2/2) and
-r^{-rho} / cosh r, each passed as `init=`, with default options otherwise.
+bilinear form S = w_i Kw_ij and the plan's modes Psi and nodes k, and
+solves the ground state from the two start fields of STARTS,
+r^{-rho} exp(-r^2/2) and r^{-rho} / cosh r, each passed as `init=`, with
+default options otherwise.
 At a = 0, rho = 0 and the kernel is the uncorrected build.
 
 A case matches if
@@ -35,9 +36,8 @@ residual, both floors, the iterations, whether the solve is bit-identical
 (the same bytes of Q by sha256, the same `m_gs` and residual, or the same
 error) and the wall time of the solve in OLD and in NEW.  The last line
 counts the matching cases and solves and the bit-identical S, plans (Psi
-and k) and Q, with
-the worst relative S, Psi and `m_gs`, and the summed solve wall time of NEW
-over that of OLD.  The times
+and k) and Q, with the worst relative S, Psi and `m_gs`, and the summed
+solve wall time of NEW over that of OLD.  The times
 are shown, not gated: the two trees run at once on one BLAS thread each, so
 they share the machine.  Exits 0 if every case matches.
 """
