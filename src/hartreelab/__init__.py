@@ -24,7 +24,7 @@ Modules:
 from .params import ModelParams, make_params
 from .grid import RadialGrid, build_grid
 from .transform import TransformPlan, build_plan
-from .hartree import KernelMatrix, build_kernel, kernel, potential, lv_value
+from .hartree import KernelMatrix, build_kernel, potential, lv_value
 from .functionals import Quantities, functionals, rescale, hardy_ratio, rearrange_decreasing
 from .ground_state import (GroundStateOptions, GroundStateResult, GroundStateError,
                            solve_ground_state, el_residual, gn_audit,
@@ -38,7 +38,7 @@ __all__ = [
     "ModelParams", "make_params",
     "RadialGrid", "build_grid",
     "TransformPlan", "build_plan",
-    "KernelMatrix", "build_kernel", "kernel", "potential", "lv_value",
+    "KernelMatrix", "build_kernel", "potential", "lv_value",
     "Quantities", "functionals", "rescale", "hardy_ratio", "rearrange_decreasing",
     "GroundStateOptions", "GroundStateResult", "GroundStateError",
     "solve_ground_state", "el_residual", "gn_audit",

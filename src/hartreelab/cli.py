@@ -16,10 +16,14 @@ Trajectory scenarios additionally write ``trajectory.csv`` (columns
 t, M, H, E, L_V, Gamma, GammaPrime, conc@lam..., stop_reason; RFC-style,
 header row, '.' decimal); the run metadata lives in ``summary.json`` alone.
 
-Identical config + seed produce bit-identical CSV/JSON outputs: floats are
-serialized with shortest-roundtrip repr and JSON keys are sorted.  A failed
-run also writes ``traceback.txt``, whose source paths and line numbers put it
-outside that contract.
+Identical config + seed produce bit-identical CSV/JSON outputs at a fixed
+OpenBLAS thread count: floats are serialized with shortest-roundtrip repr and
+JSON keys are sorted.  The thread count must be fixed because OpenBLAS can
+round differently at another: at some n (255, 257, 300, 511 and 513 among
+them) the raw QR of `transform.build_plan` gives other bytes at 1 and 2
+threads, and so does every artifact built on its modes.  A failed run also
+writes ``traceback.txt``, whose source paths and line numbers put it outside
+that contract.
 """
 
 from __future__ import annotations
@@ -92,10 +96,9 @@ SCHEMA = {
     "sweep.values": (_str_list, []),
     # W = min(workers, values) > 1 concurrent sub-runs get max(1, T // W) of
     # each OpenBLAS library's T threads, so a sub-run's results are those of a
-    # run at that count: `m_gs` can differ from a T-thread run in its last bits
-    # (<= 7e-16 relative), and reruns are bit-identical.  A 5-coupling n = 512
-    # sweep on 2 cores took a median 0.67 / 0.49 / 0.50 s with 1 / 2 / 4
-    # workers.  The default stays 1 because every config hash covers it.
+    # run at that count: `m_gs` can differ from a T-thread run in its last
+    # bits, and reruns are bit-identical (README's Sweep section has the
+    # figures).  The default stays 1 because every config hash covers it.
     "sweep.workers": (int, 1),
 }
 
@@ -210,6 +213,9 @@ def parse_config(text: str, overrides=None, scenario=None) -> dict:
     if not all(0 < lam < math.inf for lam in values.get("concentrate.lambdas", [])):
         errors.append(f"key concentrate.lambdas: every radius must be positive "
                       f"and finite, got {values['concentrate.lambdas']}")
+    lambdas = values.get("concentrate.lambdas", [])
+    if len(set(lambdas)) < len(lambdas):
+        errors.append(f"key concentrate.lambdas: a radius is repeated, got {lambdas}")
     if values.get("verify.fields", 1) < 1:
         errors.append("key verify.fields: must be >= 1")
     if values.get("seed", 0) < 0:

@@ -32,30 +32,25 @@ exact linear flow; also second order).
     it is one BLAS call instead of two, and OpenBLAS runs the complex
     matrix-vector product on all its threads where the real (n, 2) product
     of the transforms runs on one (`tools/propagator_drift.py` prints the
-    time per step this gives at n = 384 and 512).  Forming U_tau, as real
-    products of row blocks, takes 2, 14 and 96 ms at n = 256, 512 and 1024,
-    once per run (whole-matrix products took 2, 9 and 68 ms, but held two
-    more n x n arrays).  Its real part is the exact identity minus a rounded
-    correction (`_flow_matrix`): on the acceptance-04 field the mass drift
-    over t = 1 at dt = 1e-4 / 5e-5 stays far below the gates of 1e-11 /
-    2e-11, and `tools/propagator_drift.py` prints it for both schemes.  The
-    product with cos k^2 tau gave
-    3.7e-13 / 3.8e-12 there, the complex product 2.9e-13 / 1.1e-12, and the
-    symmetric form w^{-1/2} (Y D Y^T) w^{1/2} 1.1e-12 at dt = 1e-4.  Each
-    U_tau has its own phases rather than the dt phases being the square of
-    the dt/2 ones: squaring raised the midpoint-relaxation drift at
-    dt = 1e-4 from 1.7e-13 to 8.9e-13.
+    time per step this gives at n = 384 and 512).  The real part of U_tau
+    is the exact identity minus a rounded correction (`_flow_matrix`), which
+    keeps the mass drift of `test_04_conservation_laws` over t = 1 under its
+    gates of 1e-11 / 2e-11 at dt = 1e-4 / 5e-5; `tools/propagator_drift.py`
+    prints that drift for both schemes.  Each U_tau has its own phases
+    rather than the dt phases being the square of the dt/2 ones, which
+    raised the midpoint-relaxation drift.  ROADMAP item 12 keeps the drifts
+    of these rejected forms.
   Given the rotation a one-shot step forms itself, `step` is bit-identical
   to that one-shot step.
 
 Every half-step rotation e^{-i Phi dt/2} comes from `_rotation`, which writes
 cos theta and sin theta of the real phase theta = -(dt/2) Phi into one complex
-array instead of taking the complex exp of i theta.  The two agree bit for
-bit where the C library's cexp(0 + i theta) is cos theta + i sin theta, as
-glibc's is: numpy forms -0.5j * dt * Phi with imaginary part (-0.5 dt) Phi, the
-same theta, and a zero real part.  The real cos and sin skip the complex
-multiply and exp of the real part: at n = 256 a rotation took 4.2 us against
-5.0 us, and at n = 512 7.0 against 8.8 us (2 shared cores).
+array instead of taking the complex exp of i theta, and so skips the complex
+multiply and the exp of the real part.  The two agree bit for bit where the C
+library's cexp(0 + i theta) is cos theta + i sin theta, as glibc's is:
+numpy forms -0.5j * dt * Phi with imaginary part (-0.5 dt) Phi, the same
+theta, and a zero real part.  `test_rotation_matches_the_complex_exp` holds
+each component within one ulp of the complex exp.
 
 Diagnostics follow the virial machinery: Gamma = int |x|^2 |u|^2, its
 derivative Gamma' = -4 Im int conj(u) (x . grad u) = -2 Im int |x|^2 conj(u)
@@ -265,7 +260,7 @@ def pseudo_conformal_family(Q: np.ndarray, T_star: float, theta: float,
     With s = T_star - t and lam0 = 1/T_star (so the scale is 1 at t = 0):
 
         u(t, x) = e^{i theta} e^{-i/(lam0^2 s)} (lam0 s)^{-d/2}
-                  Q(x/(lam0 s)) e^{i |x|^2/(4 s)},
+                  Q(x/(lam0 s)) e^{i |x|^2 s^{-1}/4},
 
     an exact solution of the evolution convention used here, blowing up at
     T_star with Gamma(t) = 8 E(u(0)) (T_star - t)^2.  The internal phase
@@ -302,9 +297,9 @@ def fit_blowup(traj: Trajectory):
     a T* at or before the last sample, and for E_0 < 0 a T* not before
     T_Gamma, where Gamma'' = 16 E takes the first sample's Gamma to zero
     (Glassey 1977).  Above threshold Gamma(T*) > 0, so sqrt(Gamma) is no
-    line: pseudo-conformal data scaled by 1.01 / 1.03 gives p = 3.23 / 4.13
-    and fails the `blowup` checks.  The paper's laws hold only at threshold,
-    so no other fit is tried.
+    line, and the fitted p strays from 2 (README's evolution row has the
+    case).  The paper's laws hold only at threshold, so no other fit is
+    tried.
     """
     t = np.asarray(traj.times)
     E0 = traj.quantities[0].E

@@ -8,10 +8,8 @@ interpolatory weights for integrals of the form
 i.e. the measure r^{d-1} dr is folded into the weights.  Where no weight is
 flipped (below) the rule is exact for degree <= 7.  On the singular class
 r^{-2 rho} * smooth that ground states inhabit it converges only at order
-d - 2 rho = 2 nu + 2: the relative error of int r^{-2 rho} e^{-r^2} r^{d-1} dr
-(the mass of r^{-rho} e^{-r^2/2}) on r_max = 12 is 4.4e-7 / 6.5e-8 / 9.5e-9 /
-1.4e-9 at n = 256 / 512 / 1024 / 2048 for (d, a) = (3, -0.1), order 2.77, and
-1.6e-5 / 2.5e-6 / 4.1e-7 / 6.6e-8 for (4, -0.9), order 2.63.
+d - 2 rho = 2 nu + 2 (`test_singular_class_accuracy`; README's grid row has
+the errors by n).
 
 Every weight is positive, the one metric of the transform, the kernel and
 the rearrangement: a non-positive interpolatory weight (node 0 in d >= 6; a
@@ -45,9 +43,8 @@ through their regular part g = r^rho u, which is smooth at the origin:
   - `dilate` gives u(nu_s r) from the interpolating polynomial of g on the
     cell that holds nu_s r (cell 0's one-sided stencil inside the first
     node), and zero beyond r_max (the Dirichlet truncation).  It is exact
-    for a polynomial g of degree <= 7, and on u = r^{-rho} e^{-r^2/2} at
-    (3, -0.1) its error for r < 8 falls at order ~7.7 with n: 2.3e-11 at
-    n = 256, 1.1e-13 at n = 512.
+    for a polynomial g of degree <= 7, and `test_dilate_identity_and_scaling`
+    bounds its error and its order in n on u = r^{-rho} e^{-r^2/2}.
   - `radial_derivative` gives u' = r^{-rho} (g' - rho g / r), with g' at
     each node from the same polynomial.
 """

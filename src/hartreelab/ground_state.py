@@ -16,17 +16,16 @@ the solve takes two steps:
    F(u) = L_a u + u - Phi[u^2] u by Parseval, or at CAP, and the final
    residual gate decides either way.  S^{3/2} undoes the cube of the
    nonlinearity, so the guess's amplitude drops out.  The plain update
-   c <- G(c) converges only linearly (|F| falls by 0.54-0.79 per iterate
-   for d = 3-7), so each step is Anderson-mixed at depth DEPTH = 3
-   (D. G. Anderson, J. ACM 12 (1965) 547; H. F. Walker and P. Ni, SIAM J.
-   Numer. Anal. 49 (2011) 1715): from the last four G(c) and updates
-   g = G(c) - c, the step goes to G(c) - sum gamma_j dG_j, with gamma the
-   least-squares fit of the newest g by the <= 3 differences dg_j.  Every
-   solve of tools/equivalence.py reaches TOL in 14-23 iterates (48-121
-   plain; 14-16 at d = 3, n = 512), and seeded multi-bump guesses reach the
-   same m_gs to 1.1e-15 in 16-29.  TOL sits about 500 times above the
-   ~1e-16 round-off floor of the modal residual.  The default guess is
-   r^{-rho} / cosh r.
+   c <- G(c) converges only linearly, so each step is Anderson-mixed at
+   depth DEPTH = 3 (D. G. Anderson, J. ACM 12 (1965) 547; H. F. Walker and
+   P. Ni, SIAM J. Numer. Anal. 49 (2011) 1715): from the last four G(c) and
+   updates g = G(c) - c, the step goes to G(c) - sum gamma_j dG_j, with
+   gamma the least-squares fit of the newest g by the <= 3 differences
+   dg_j.  `test_every_positive_guess_reaches_the_one_threshold` asks
+   seeded multi-bump guesses for the default start's m_gs to 1e-12 in at
+   most 40 iterates, and `tools/equivalence.py` prints each solve's
+   iterates.  TOL sits about 500 times above the ~1e-16 round-off floor of
+   the modal residual.  The default guess is r^{-rho} / cosh r.
 2. Balanced Pohozaev rescale.  The discrete functionals carry a small scaling
    anomaly delta = (M - H)/M at the unit-coefficient solution (quadrature
    error of the singular class r^{-rho} near the origin; it shrinks with
@@ -36,11 +35,12 @@ the solve takes two steps:
    nu = (M/H)^{1/4} = 1 + delta/4 + ... followed by the exact amplitude
    mu = sqrt(M/L_V) (which enforces M = L_V to round-off), splitting the
    anomaly evenly: the returned Q has Euler-Lagrange residual and |M - H|
-   both ~delta/2, and M = L_V exactly.  Since nu - 1 is tiny (2e-9 at n = 1024
-   to 1.4e-6 at n = 512, a = -0.2), the dilation is one first-order step
-   u + ln(nu) r u_r, with u_r from `grid.radial_derivative` (the cell
-   stencils applied to the regular part r^rho u); the dropped term is
-   O((nu - 1)^2).  J (hence m_gs) is invariant under the whole scaling family.
+   both ~delta/2, and M = L_V exactly.  Since nu - 1 is tiny
+   (`tools/convergence.py` prints 4(nu - 1)), the dilation is one
+   first-order step u + ln(nu) r u_r, with u_r from `grid.radial_derivative`
+   (the cell stencils applied to the regular part r^rho u); the dropped term
+   is O((nu - 1)^2).  J (hence m_gs) is invariant under the whole scaling
+   family.
 
 Every M, H, L_V and J comes from `functionals` and every Phi from
 `hartree.potential`.  The solve needs the plan and the kernel matrix, and
@@ -48,11 +48,11 @@ evaluates no Bessel function: it only applies their matrices.  The result
 records Q's mass fraction in the outermost cells and the Pohozaev term of
 the Dirichlet wall, P = omega r_max^d Q'(r_max)^2 / (4 M(Q)) with Q' from
 `grid.radial_derivative` at the last node, and a solve that misses
-residual_tol names both, since r_max can limit the residual: (6, 0, 256)
-misses 1e-5 with 5.0e-9 of M(Q) there at r_max = 12 and meets it with
-1.9e-10 at r_max = 14.  A wall at r_max adds -2 P to the scaling anomaly
-4(nu_final - 1): P = 6.9e-6 at (6, 0, 256, r_max 12), where the anomaly is
--1.4e-5.
+residual_tol names both, since r_max can limit the residual.  A wall at
+r_max adds -2 P to the scaling anomaly 4(nu_final - 1).  README's
+ground-state diagnostics give the (6, 0, 256) case, which
+`test_boundary_mass_recorded_and_named_in_residual_error` and
+`test_scaling_anomaly_is_the_wall_term` hold.
 """
 
 from __future__ import annotations

@@ -48,8 +48,8 @@ centred stencil inverse read once); this module defines no stencil layout.
          they are summed over the cells whose stencils reach them (cells 0-10
          and n-12..n-1, each once: the two sets meet below n = 23), with
          their moments formed _BLOCK rows at a time, so the build's traced
-         peak stays below two n x n arrays (3.6 MiB at n = 512, where the
-         moments of all rows at once reached 5.4).  The tests keep the
+         peak stays below two n x n arrays
+         (`test_d3_build_works_in_the_kernel_buffer`).  The tests keep the
          cell-by-cell build as the reference.
   d >= 4: blocks of _BLOCK_CELLS // n rows, 12-point Gauss-Legendre on
          every cell (one evaluation of A s^{d-1} and one product with
@@ -57,8 +57,9 @@ centred stencil inverse read once); this module defines no stencil layout.
          whose centre is s = r_i.
          Even d: A s^{d-1} t^k has degree <= 2d + 2 on either side, so the
          rule is exact for d <= 10.  Odd d: the (s - r)^{d-3} ln|s - r| term
-         is left to the rule; the (5, -1.0, r_max 20) anomaly converges at
-         order ~4.3 in n.
+         is left to the rule; the scaling anomaly still falls with n
+         (`test_d5_scaling_anomaly_converges`), and `tools/convergence.py`
+         prints it at (5, -1.0, r_max 20).
 
 The bilinear L_V matrix w_i K_ij is symmetrized by averaging with its
 transpose.  This leaves every quadratic form (hence L_V) unchanged while
@@ -70,8 +71,8 @@ Every product of the matrix with a density goes through `apply_kernel`.  It
 takes the real product Kw @ f for odd n and below n = _PAIR_MIN_N, and from
 that size on reads the real matrix as complex column pairs, so that OpenBLAS
 threads the product: there the real product runs on one thread, and that
-core's share of the matrix no longer fits in its 2 MiB L2 (see its
-docstring for the measurement that set the size).
+core's share of the matrix no longer fits in its L2 cache (ROADMAP item 12
+has the step timings that set the size).
 
 When the model parameters have rho > 0, a singularity subtraction
 is folded into the matrix: in-class fields have |u|^2 ~ r^{-2 rho} x smooth
@@ -113,7 +114,7 @@ one sum against the same weighted kernel factor.  The lower incomplete gamma
 keeps the form's truncation at R: the untruncated Gamma(b) would be off by
 6.5e-5 at (3, -0.1, R = 3).  `_gamma_p` forms it with numpy alone, by the
 power series below R^2 (1 + p^2) = b + 1 and Lentz's continued fraction for
-the upper function above it (4-14 steps at R >= 3).
+the upper function above it.
 
 The correction targets the quadratic form (L_V, the energy, the ground-state
 equation); the pointwise potential at the first few nodes is perturbed at the
@@ -161,7 +162,7 @@ _BLOCK_CELLS = 2**13
 #: correction changes only these rows and columns of the form
 _ORIGIN_NODES = 12
 #: even n from which `apply_kernel` takes the complex column-pair product
-#: instead of the real one (the crossover lies between 320 and 384)
+#: instead of the real one
 _PAIR_MIN_N = 384
 #: `_gamma_p` stops its series and its continued fraction at one ulp, the
 #: latter after at most _CF_STEPS steps: the psi-psi entry's a = d - 1 - 2 rho
@@ -172,20 +173,6 @@ _GAMMA_TOL, _CF_STEPS = np.finfo(float).eps, 200
 def surface_area(d: int) -> float:
     """omega_{d-1} = 2 pi^{d/2} / Gamma(d/2), the area of the unit sphere."""
     return 2 * math.pi**(d / 2) / math.gamma(d / 2)
-
-
-def kernel(d: int, r: float, s: float) -> float:
-    """Sphere average of |x-y|^{-2} at radii |x| = r, |y| = s.
-
-    Raises on r == s: the d = 3 kernel is logarithmically singular there and
-    the matrix build integrates across the singularity instead of sampling it.
-    """
-    if r <= 0 or s <= 0:
-        raise ValueError(f"kernel radii must be positive, got r={r}, s={s}")
-    if r == s:
-        raise ValueError("kernel is singular on the diagonal r == s; "
-                         "use the cell-integrated matrix instead")
-    return float(_kernel_vals(d, r, np.array([s]))[0])
 
 
 @dataclass(frozen=True)
@@ -512,16 +499,10 @@ def apply_kernel(km: KernelMatrix, f: np.ndarray) -> np.ndarray:
     are free and the product reads the same bytes, but OpenBLAS runs a
     complex matrix-vector product on all its threads, where it runs the real
     one on one thread below m n ~ 4.6e5.  That one thread wins while its
-    data fits in its core's 2 MiB L2 and loses once it does not.  An
-    in-loop strang-split step at (3, -0.1) took, in us with the real / the
-    column-pair product (2 shared cores, OpenBLAS 0.3.31):
-
-        n     128    256    320    384    512    768
-        real  15.7   30.7   44.1   84.8   186    316
-        pairs 17.6   34.1   44.3   61.2   142    315
-
-    so the crossover lies between 320 and 384, and _PAIR_MIN_N is 384.  Odd
-    n has no column pairs and keeps the real product at every size.
+    data fits in its core's L2 cache and loses once it does not.  Timed in
+    an in-loop strang-split step at (3, -0.1), the crossover lies between
+    n = 320 and 384 (ROADMAP item 12), so _PAIR_MIN_N is 384.  Odd n has no
+    column pairs and keeps the real product at every size.
     """
     f = np.ascontiguousarray(f, dtype=float)
     n = km.grid.n

@@ -28,15 +28,11 @@ than merely to quadrature accuracy:
 
 Psi is real.  It acts on a complex field as one real two-column product on
 its (re, im) pairs, never by upcasting the n x n matrix to complex; real
-fields take the plain real product.  Without the stored Psi^T W the plan
-holds half the memory (2 MiB less at n = 512); the forward transform then
-reads Psi transposed, which at n = 512 on 2 BLAS threads took 88 against
-75 us on a real field and 149 against 105 us on a complex one (medians of 40
-interleaved rounds on 2 shared cores), under 1 ms of a ~6 ms ground-state
-solve at n = 512 (median 5.6 ms on 2 BLAS threads, 8.0 ms on one).  The one
-complex n x n matrix is the evolution's linear flow Psi diag(e^{i k^2 tau})
-Psi^T W, which `evolution.evolve` forms once per run and keeps only for that
-run.
+fields take the plain real product.  Without a stored Psi^T W the plan
+holds half the memory, and the forward transform reads Psi transposed.
+The one complex n x n matrix is the evolution's linear flow
+Psi diag(e^{i k^2 tau}) Psi^T W, which `evolution.evolve` forms once per run
+and keeps only for that run.
 
 apply_La keeps spectral accuracy: the orthonormalization correction acts at
 the quadrature-error level of mode products and vanishes under grid
@@ -46,25 +42,26 @@ applies.  numpy's raw QR (LAPACK's geqrf) leaves the Householder reflectors
 and R in one C-ordered n x n array, and `_form_q` overwrites it with Q by
 compact-WY blocks.  The build thus holds at most the raw QR's three n x n
 arrays (B, numpy's copy of it, and the Fortran-ordered copy LAPACK works
-in, which tracemalloc does not see), then Psi alone; numpy's reduced QR
-added Q and R as two more.  Traced at n = 512 the build peaks at 4.0 MiB,
-in the raw QR, where the reduced QR reached 8.3 MiB; `_collocation`, which
-holds the `_hankel` temporaries of _BLOCK = 64 rows at a time, peaks at 3.7
-(11.5 at n = 1024).  Q differs from the reduced QR's, which LAPACK's dorgqr
-forms from the same reflectors, by round-off (below 1e-14).
+in, which tracemalloc does not see), then Psi alone; `_collocation` holds
+the `_hankel` temporaries of _BLOCK rows at a time.
+`test_plan_build_peak_memory` bounds the traced peak by three n x n arrays,
+and `tools/peak_memory.py` prints it.  Q differs from the reduced QR's,
+which LAPACK's dorgqr forms from the same reflectors, by round-off:
+`test_plan_q_matches_numpy_qr` bounds it by 1e-14.
 
 Dilating and differentiating a field is the grid's job (`grid.dilate`,
 `grid.radial_derivative`), which needs no Bessel function.
 
 The build evaluates B once, by `_collocation`, with numpy alone.  From
-x = k_m r_j >= x*(nu) on, 90-93 % of the entries at n = 512, it sums
-Hankel's asymptotic expansion (nine terms each of P and Q for nu <= 9).
-The switch x* is where a bound on the first omitted term falls to one ulp of
-the amplitude: 22.3 at nu = 0, growing with nu.  Below it, Miller's backward
-recurrence normalized by Neumann's expansion of (x/2)^nu, in one call for
-all those entries.  Against 30-digit mpmath, on dense samples at seven
-orders nu <= 3, both are within 2.1e-15 of min(1, sqrt(2/(pi x)));
-scipy.special.jv is up to 6.9e-14 off below x*.
+x = k_m r_j >= x*(nu) on, most of the entries, it sums Hankel's asymptotic
+expansion (nine terms each of P and Q for nu <= 9).  The switch x* is where
+a bound on the first omitted term falls to one ulp of the amplitude: 22.3 at
+nu = 0, growing with nu.  Below it, Miller's backward recurrence normalized
+by Neumann's expansion of (x/2)^nu, in one call for all those entries.
+Against 30-digit mpmath both stay within a few ulp of
+min(1, sqrt(2/(pi x))): `test_collocation_matches_mpmath` bounds the error
+by 2e-15 around the switch and `test_collocation_below_switch_matches_mpmath`
+by 4e-15 below it.
 """
 
 from __future__ import annotations
@@ -84,13 +81,12 @@ def bessel_zeros(nu: float, n: int) -> np.ndarray:
     Newton iteration with J_nu' = (nu/x) J_nu - J_{nu+1}, one `_jv_pair` call
     per step, from the lower of two asymptotic starts: McMahon's expansion in
     1/m, and Olver's uniform expansion in the zeros of Airy's Ai (DLMF
-    10.21.43), the better start for the first zeros of large orders.  For
-    nu <= 45 and m <= 30 Olver's start lay above every zero and the lower
-    start within 0.08 of a zero spacing; McMahon's alone is 2.2 above the
-    first zero of nu = 29, and Newton went from there to 2.67.  It stops once
-    every step is within 4 eps of its zero, relative, after 1-4 steps.  An
-    absolute tolerance below the round-off of the large zeros (1.1e-13 at the
-    512th) would never be met and would run to the cap of 60.
+    10.21.43), the better start for the first zeros of large orders, where
+    McMahon's alone can lead Newton to the wrong zero
+    (`test_large_orders_match_mpmath`).  It stops once every step is within
+    4 eps of its zero, relative (`test_bessel_zeros_stop_when_converged`):
+    an absolute tolerance below the round-off of the large zeros would never
+    be met and would run to the cap of 60.
     """
     m = np.arange(1, n + 1)
     beta = (m + nu / 2 - 0.25) * np.pi
@@ -130,8 +126,8 @@ def _hankel_terms(nu: float) -> int:
     10.17(iii)); K >= nu keeps that, and keeps the switch point finite and
     small: 63.5 at nu = 19 and 71.4 at nu = 29, where nine terms would give
     225 and 463.  Near the switch the terms of large orders grow before they
-    fall (to ~50 at nu = 29), so their sums round to 6.6e-15 of the
-    amplitude there, against 2.4e-15 at nu = 19.
+    fall (to ~50 at nu = 29), so their sums round to a few more ulp of the
+    amplitude there; `test_large_orders_match_mpmath` bounds them by 1e-14.
     """
     return max(_HANKEL_TERMS, math.ceil(nu))
 

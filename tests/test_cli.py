@@ -548,6 +548,7 @@ def test_main_exit_codes(tmp_path, capsys):
             ("evolve", "concentrate.lambdas=nan", "concentrate.lambdas"),
             ("concentrate", "concentrate.lambdas=1.0,0", "concentrate.lambdas"),
             ("evolve", "concentrate.lambdas=-1,inf", "concentrate.lambdas"),
+            ("concentrate", "concentrate.lambdas=1.0,1", "concentrate.lambdas"),
             ("concentrate", "grid.n=32", "init.profile"),
             ("evolve", "grid.n=8", "key grid.n:"),
             ("evolve", "init.profile=vortex", "key init.profile:"),

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from hartreelab import (build_grid, build_kernel, hartree, kernel, lv_value,
-                        make_params, potential)
+from hartreelab import (build_grid, build_kernel, hartree, lv_value, make_params,
+                        potential)
 from hartreelab.cli import _random_fields
 from hartreelab.grid import STENCIL, _spread
 from hartreelab.hartree import surface_area
@@ -14,26 +14,19 @@ from hartreelab.hartree import surface_area
 
 def test_kernel_closed_forms():
     # [DERIVED] shell property of |x|^{-(d-2)} in d=4: A(2,1) = 1/max(2,1)^2
-    assert kernel(4, 2.0, 1.0) == pytest.approx(0.25, rel=1e-12)
+    assert hartree._kernel_vals(4, 2.0, 1.0) == pytest.approx(0.25, rel=1e-12)
     # [TRIVIAL] symmetry
-    assert kernel(4, 1.0, 2.0) == pytest.approx(0.25, rel=1e-12)
+    assert hartree._kernel_vals(4, 1.0, 2.0) == pytest.approx(0.25, rel=1e-12)
     # [DERIVED] d=3 closed form (1/(2rs)) ln((r+s)/|r-s|)
-    assert kernel(3, 2.0, 1.0) == pytest.approx(math.log(3.0) / 4, rel=1e-12)
+    assert hartree._kernel_vals(3, 2.0, 1.0) == pytest.approx(math.log(3.0) / 4, rel=1e-12)
     # [DERIVED] even d: the 2F1 series ends; with t = min/R, d=6 gives
     # (1 - t^2/3)/R^2 and d=8 gives (1 - t^2/2 + t^4/10)/R^2
     for r, s in ((2.0, 1.0), (1.0, 1.6), (3.0, 2.97)):
         R, t = max(r, s), min(r, s) / max(r, s)
-        assert kernel(6, r, s) == pytest.approx((1 - t**2 / 3) / R**2, rel=1e-14)
-        assert kernel(8, r, s) == pytest.approx((1 - t**2 / 2 + t**4 / 10) / R**2,
-                                                rel=1e-14)
-
-
-def test_kernel_diagonal_is_error():
-    # [TRIVIAL] the singularity on r == s must not be evaluated pointwise
-    with pytest.raises(ValueError):
-        kernel(3, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        kernel(3, -1.0, 1.0)
+        assert hartree._kernel_vals(6, r, s) == pytest.approx((1 - t**2 / 3) / R**2,
+                                                              rel=1e-14)
+        assert hartree._kernel_vals(8, r, s) == pytest.approx(
+            (1 - t**2 / 2 + t**4 / 10) / R**2, rel=1e-14)
 
 
 def test_kernel_d5_oracle():
@@ -45,7 +38,7 @@ def test_kernel_d5_oracle():
     w = 0.5 * math.pi * ww
     num = np.sum(w * np.sin(t)**(d - 2) / (r**2 - 2 * r * s * np.cos(t) + s**2))
     den = np.sum(w * np.sin(t)**(d - 2))
-    assert kernel(d, r, s) == pytest.approx(float(num / den), rel=1e-9)
+    assert hartree._kernel_vals(d, r, s) == pytest.approx(float(num / den), rel=1e-9)
 
 
 @pytest.mark.parametrize("d", [5, 6, 7, 8])
@@ -60,7 +53,7 @@ def test_kernel_matches_hypergeometric_oracle(d):
                 R = max(r, s)
                 t = mpmath.mpf(min(r, s)) / R
                 ref = mpmath.hyp2f1(1, 2 - mpmath.mpf(d) / 2, mpmath.mpf(d) / 2, t * t) / R**2
-                assert abs(kernel(d, r, s) - ref) <= 1e-14 * ref, (r, s)
+                assert abs(float(hartree._kernel_vals(d, r, s)) - ref) <= 1e-14 * ref, (r, s)
 
 
 def test_potential_zero(ctx3):
@@ -309,7 +302,7 @@ def test_psi_integrals_match_adaptive_quadrature(d, a, node):
     # int_0^R A(r_i, s) psi(s) s^{d-1} ds with psi = s^{-2 rho} e^{-s^2},
     # at the first, middle and last nodes and on both sides of a block edge,
     # against adaptive quadrature split at s = r_i (A in closed form for
-    # d = 3 and 4, the oracle-tested `kernel` for d = 5), to 1e-12 relative
+    # d = 3 and 4, the oracle-tested `_kernel_vals` for d = 5), to 1e-12 relative
     rho2 = 2 * make_params(d, a).rho
     g = build_grid(d, 256, 12.0)
     i = {"first": 0, "block-end": hartree._BLOCK - 1, "block-start": hartree._BLOCK,
@@ -324,7 +317,7 @@ def test_psi_integrals_match_adaptive_quadrature(d, a, node):
             return 1.0 / max(r, s)**2
     else:
         def A(r, s):
-            return kernel(d, r, s)
+            return float(hartree._kernel_vals(d, r, s))
     ri = g.r[i]
     ref = sum(integrate.quad(lambda s: A(ri, s) * s**(d - 1 - rho2) * math.exp(-s * s),
                              lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
@@ -394,7 +387,7 @@ def test_psi_psi_entry_matches_quadrature(d, a, r_max):
             return 1.0 / max(r, s)**2
     else:
         def A(r, s):
-            return kernel(d, r, s)
+            return float(hartree._kernel_vals(d, r, s))
 
     def pform(p):
         y = 1 + p * p
