@@ -355,9 +355,8 @@ def concentration(u: np.ndarray, lam: float, grid) -> float:
 @dataclass
 class RotatedEnergyReport:
     lhs: float            # E(u e^{is theta})
-    rhs: float            # E(u) + s b + (s^2/2) c
+    rhs: float            # E(u) + s b + (s^2/2) c, b = int grad(theta) . Im(conj(u) grad u)
     mismatch: float
-    linear_term: float    # b = int grad(theta) . Im(conj(u) grad u)
     quad_term: float      # c = int |grad theta|^2 |u|^2
     discriminant: float | None  # b^2 - 2 E(u) c, when M(u) is at the threshold
 
@@ -382,4 +381,4 @@ def rotated_energy_check(u: np.ndarray, theta_vals: np.ndarray, s: float,
     if m_gs is not None and abs(qu.M - m_gs) / m_gs < 1e-6:
         disc = b * b - 2 * qu.E * cquad
     return RotatedEnergyReport(lhs=lhs, rhs=rhs, mismatch=abs(lhs - rhs),
-                               linear_term=b, quad_term=cquad, discriminant=disc)
+                               quad_term=cquad, discriminant=disc)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RadialGrid, boundary_mass_fraction, dilate, radial_derivative
+from .grid import RadialGrid, boundary_mass_fraction, class_weights, dilate, radial_derivative
 from .hartree import KernelMatrix, lv_value
 from .transform import TransformPlan, apply_la
 
@@ -67,8 +67,8 @@ def rescale(u: np.ndarray, grid: RadialGrid, rho: float, mu: float,
     raised.
     """
     u = _check_finite(u)
-    if mu <= 0 or nu_s <= 0:
-        raise ValueError("mu and nu_s must be positive")
+    if not all(x > 0 and np.isfinite(x) for x in (mu, nu_s)):
+        raise ValueError("mu and nu_s must be positive and finite")
     if mu == 1.0 and nu_s == 1.0:
         return np.array(u, copy=True)
     out = mu * dilate(grid, rho, u, nu_s)
@@ -81,16 +81,16 @@ def rescale(u: np.ndarray, grid: RadialGrid, rho: float, mu: float,
 
 
 def hardy_ratio(u: np.ndarray, plan: TransformPlan) -> float:
-    """(int |u|^2/|x|^2) / (int |grad u|^2); Hardy bounds this by (2/(d-2))^2."""
+    """(int |u|^2/|x|^2) / (int |grad u|^2) <= (2/(d-2))^2 (Hardy).  Under the r^{-rho}
+    envelope |u|^2 and r^2 |u'|^2 are both r^{d-3-2 rho} * smooth: one W sums both."""
     u = _check_finite(u)
-    du = radial_derivative(plan.grid, plan.params.rho, u)
-    grad2 = float(np.sum(plan.grid.w * np.abs(du)**2))
+    g, rho = plan.grid, plan.params.rho
+    du = radial_derivative(g, rho, u)
+    W = class_weights(g, g.d - 3 - 2 * rho, rho)
+    grad2 = float(np.sum(W * g.r**2 * np.abs(du)**2))
     if grad2 == 0.0 or not np.any(u):
         raise ValueError("hardy_ratio requires a nonzero field with finite gradient")
-    # int |u|^2 r^{d-3} dr needs its own weights: |u|^2/r^2 is far outside the
-    # polynomial class of the r^{d-1} rule near the origin
-    inv2 = float(np.sum(plan.grid.w_inv2 * np.abs(u)**2))
-    return inv2 / grad2
+    return float(np.sum(W * np.abs(u)**2)) / grad2
 
 
 def rearrange_decreasing(u: np.ndarray, grid: RadialGrid) -> np.ndarray:

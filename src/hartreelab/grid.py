@@ -14,15 +14,14 @@ the errors by n).
 Every weight is positive, the one metric of the transform, the kernel and
 the rearrangement: a non-positive interpolatory weight (node 0 in d >= 6; a
 few nodes near the boundary at n <= 17-50 for d = 4-10) takes its absolute
-value, and node 0 keeps the order d - 2 rho.  w_inv2 stays signed: its d = 3
-node 3 is -1.16 h, and its absolute value would be an O(h) error.
+value, and node 0 keeps the order d - 2 rho.
 
 The grid owns the cell stencils.  On cell c, with s = r_c + t h and t in
 [-1/2, 1/2], node j sits at the exact integer offset t = j - c, so every
 stencil's Vandermonde matrix has small integer entries and there is one
 inverse per distinct stencil pattern (8 in all).  Cell moments int t^k g(s) ds
 of any weight g become node weights by that inverse, and `_spread` sums them
-over the cells; the quadrature weights and every row of the Hartree kernel
+over the cells; every quadrature measure and every row of the Hartree kernel
 matrix go through it.  Cells STENCIL//2 - 1 .. n - BOUNDARY_CELLS - 1 take the
 centred 8-node stencil; the first STENCIL//2 - 1 cells take the one-sided
 stencil on nodes 0..7.  The outermost BOUNDARY_CELLS cells take a reduced
@@ -32,10 +31,10 @@ weights are required for the unitary time propagator.  The loss of order is
 confined to the last few cells, where fields vanish under the Dirichlet
 truncation.
 
-The weight moments h^d int t^k (c + 1/2 + t)^{d-1} dt are polynomial in the
-integer c and are summed from their binomial expansion, whose terms are all
-non-negative (odd powers of t integrate to zero), so they carry only a few
-ulp of rounding.
+`class_weights(grid, p, rho)` builds every measure from the cell moments
+h^{p+1} int t^k (c + 1/2 + t)^p dt, p > -1: closed form on cell 0, 12-point
+Gauss-Legendre elsewhere (exact for integer p <= 16).  Times r^{2 rho}, its
+weights are exact on r^{-2 rho} * polynomial in the measure r^{p + 2 rho} dr.
 
 Fields with the r^{-rho} origin envelope are dilated and differentiated
 through their regular part g = r^rho u, which is smooth at the origin:
@@ -69,7 +68,6 @@ class RadialGrid:
     r_max: float
     r: np.ndarray        # nodes, shape (n,)
     w: np.ndarray        # weights for int f r^{d-1} dr, shape (n,)
-    w_inv2: np.ndarray   # weights for int f r^{d-3} dr (the Hardy-term measure)
     edges: np.ndarray    # cell edges, shape (n+1,)
     h: float             # uniform cell width
     # cell c spreads its moments t^0..t^{STENCIL-1} onto nodes
@@ -98,13 +96,20 @@ def _spread(grid: RadialGrid, mom: np.ndarray, out: np.ndarray) -> None:
         out[..., s0:s0 + STENCIL] += mom[..., c, :] @ grid.stencil_inv[c].T
 
 
-def _power_moments(n: int, p: int) -> np.ndarray:
-    """int_{-1/2}^{1/2} t^k (c + 1/2 + t)^p dt for cells c < n, k < STENCIL."""
-    j = np.arange(p + 1)
-    q = j[:, None] + np.arange(STENCIL)
-    mu = np.where(q % 2 == 0, 0.5**q / (q + 1), 0.0)   # int t^q dt
-    coef = np.array([math.comb(p, k) for k in j])[:, None] * mu
-    return ((np.arange(n) + 0.5)[:, None] ** (p - j)) @ coef
+def class_weights(grid: RadialGrid, p: float, rho: float) -> np.ndarray:
+    """Signed weights for int f r^{p + 2 rho} dr, p > -1, exact on r^{-2 rho} * polynomial."""
+    k, half = np.arange(STENCIL), _GAUSS_T / 2 + 0.25
+    # cell 0: (-1)^k 2^{-k-p-1} B(k + 1, p + 1) on t < 0, the rule on [0, 1/2]
+    mom0 = ((-0.5)**k * 0.5**(p + 1) * np.cumprod(np.maximum(k, 1) / (p + 1 + k))
+            + (0.5 + half)**p * _GAUSS_W / 2 @ half[:, None]**k)
+    # cell c, x = c + 1/2: (x + t)^p = x^p (1 + e); x^p t^k integrates exactly,
+    # and e = expm1(p log1p(t/x)) keeps the small odd moments free of cancellation
+    x = (np.arange(1, grid.n) + 0.5)[:, None]
+    e = np.expm1(p * np.log1p(_GAUSS_T / x))
+    mom = x**p * (np.where(k % 2, 0.0, 0.5**k / (k + 1)) + e * _GAUSS_W @ _GAUSS_T[:, None]**k)
+    out = np.zeros(grid.n)
+    _spread(grid, grid.h**(p + 1) * np.vstack([mom0, mom]), out)
+    return out * grid.r**(2 * rho)
 
 
 def _layout(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,6 +139,8 @@ def _stencil_inverses() -> np.ndarray:
 
 #: the stencil inverses by pattern key, built once per process
 _STENCIL_INV = _stencil_inverses()
+#: the 12-point Gauss-Legendre rule on [-1/2, 1/2], shared with the Hartree kernel
+_GAUSS_T, _GAUSS_W = (x / 2 for x in np.polynomial.legendre.leggauss(12))
 
 
 def build_grid(d: int, n: int, r_max: float) -> RadialGrid:
@@ -147,12 +154,9 @@ def build_grid(d: int, n: int, r_max: float) -> RadialGrid:
     h = r_max / n
     start, key = _layout(n)
     grid = RadialGrid(d=d, n=n, r_max=float(r_max), r=(np.arange(n) + 0.5) * h,
-                      w=np.zeros(n), w_inv2=np.zeros(n),
-                      edges=np.arange(n + 1) * h, h=h, stencil_start=start,
+                      w=np.zeros(n), edges=np.arange(n + 1) * h, h=h, stencil_start=start,
                       stencil_inv=_STENCIL_INV[key])
-    _spread(grid, h**d * _power_moments(n, d - 1), grid.w)
-    np.abs(grid.w, out=grid.w)
-    _spread(grid, h**(d - 2) * _power_moments(n, d - 3), grid.w_inv2)
+    np.abs(class_weights(grid, d - 1, 0), out=grid.w)
     return grid
 
 

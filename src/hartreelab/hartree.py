@@ -132,7 +132,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import STENCIL, RadialGrid, _centred, _spread
+from .grid import _GAUSS_T, _GAUSS_W, STENCIL, RadialGrid, _centred, _spread
 from .params import ModelParams
 
 #: integer cell offsets |b| <= NEAR from the singularity use the analytic
@@ -143,9 +143,7 @@ _MMAX = STENCIL + 1  # moments t^0 .. t^{STENCIL} (the measure adds one degree)
 #: below this 2*rho the origin class is close enough to smooth that the
 #: stencil rule needs no subtraction (and the extraction basis degenerates)
 _RHO2_MIN = 0.05
-#: Gauss-Legendre nodes and weights on [-1, 1]: 12 per regular cell, 16 per
-#: refined panel
-_XG12, _WG12 = np.polynomial.legendre.leggauss(12)
+#: 16-point Gauss-Legendre nodes and weights on [-1, 1], per refined panel
 _XG16, _WG16 = np.polynomial.legendre.leggauss(16)
 #: refined-panel breakpoints at 2^-1 .. 2^-30 of the panel length from an end
 _HALVINGS = 0.5**np.arange(1, 31)
@@ -198,9 +196,8 @@ def _ln_abs_moments(b: float) -> np.ndarray:
 
 #: `_ln_abs_moments(b)` at b = -NEAR..NEAR, row b + NEAR
 _LN_ABS_NEAR = np.array([_ln_abs_moments(float(b)) for b in range(-NEAR, NEAR + 1)])
-#: the 12-point rule's weighted powers 0.5 w_g t_g^m of t_g = x_g / 2, m < _MMAX
-_TG12 = 0.5 * _XG12
-_LOG_RULE = 0.5 * _WG12[:, None] * _TG12[:, None]**np.arange(_MMAX)[None, :]
+#: the 12-point rule's weighted powers w_g t_g^m, m < _MMAX
+_LOG_RULE = _GAUSS_W[:, None] * _GAUSS_T[:, None]**np.arange(_MMAX)[None, :]
 
 
 def _log_moment_table(n: int) -> np.ndarray:
@@ -211,7 +208,7 @@ def _log_moment_table(n: int) -> np.ndarray:
     logarithms of ln((r_i + s)/|r_i - s|) over every cell c.
     """
     b = np.arange(-(2 * n - 1), n)
-    U = np.log(np.abs(_TG12[None, :] - b[:, None])) @ _LOG_RULE
+    U = np.log(np.abs(_GAUSS_T[None, :] - b[:, None])) @ _LOG_RULE
     U[2 * n - 1 - NEAR:2 * n + NEAR] = _LN_ABS_NEAR
     return U
 
@@ -263,9 +260,9 @@ def _rows_general(grid: RadialGrid, d: int):
     diagonal cell, whose centre is s = r_i."""
     n, r, h = grid.n, grid.r, grid.h
     # t on the whole cell, and on its halves [-1/2, 0] and [0, 1/2]
-    t1, t2 = _TG12, np.concatenate((0.25 * _XG12 - 0.25, 0.25 * _XG12 + 0.25))
-    P1 = 0.5 * h * _WG12[:, None] * t1[:, None]**np.arange(STENCIL)
-    P2 = 0.25 * h * np.tile(_WG12, 2)[:, None] * t2[:, None]**np.arange(STENCIL)
+    t1, t2 = _GAUSS_T, np.concatenate((0.5 * _GAUSS_T - 0.25, 0.5 * _GAUSS_T + 0.25))
+    P1 = h * _GAUSS_W[:, None] * t1[:, None]**np.arange(STENCIL)
+    P2 = 0.5 * h * np.tile(_GAUSS_W, 2)[:, None] * t2[:, None]**np.arange(STENCIL)
     s1, s2 = r[:, None] + h * t1, r[:, None] + h * t2
     m1, m2 = s1**(d - 1), s2**(d - 1)
     rows = max(1, _BLOCK_CELLS // n)

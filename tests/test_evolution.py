@@ -236,8 +236,9 @@ def test_flow_matrix_keeps_mass(ctx3):
 
 def test_flow_matrix_built_in_row_blocks():
     # [TRIVIAL] U_dt is formed a block of rows at a time: the traced peak of
-    # the strang-split flows at n = 512 is U (4 MiB) plus at most 1 MiB,
-    # where whole-matrix real products held U plus two n x n arrays
+    # the strang-split flows at n = 512 stays within U, one complex n x n
+    # array, plus half a real n x n array for the row blocks; README's
+    # evolution row describes the build
     c = Ctx(3, -0.1, 512, 12.0)
     _flows(c.plan, 1e-4, "strang-split")
     tracemalloc.start()
@@ -566,15 +567,17 @@ def test_concentration_radius_edge_cases(ctx3, gs3):
 
 
 def test_rotated_energy_basics(ctx3, gs3):
-    # [TRIVIAL] s = 0 -> both sides E(u); real u -> linear coefficient 0
+    # [TRIVIAL] s = 0 -> both sides E(u); real u -> linear coefficient 0,
+    # read as the right sides at s = +-1/2, which differ by 2 s b = b
     g = ctx3.grid
     r0 = 3.0
     th = np.exp(-(g.r - r0)**2)
     thp = 2 * (r0 - g.r) * th
-    rep0 = rotated_energy_check(gs3.Q.astype(complex), th, 0.0, ctx3.plan,
-                                ctx3.km, theta_prime=thp)
+    rep0, rep_p, rep_m = (rotated_energy_check(gs3.Q.astype(complex), th, s, ctx3.plan,
+                                               ctx3.km, theta_prime=thp)
+                          for s in (0.0, 0.5, -0.5))
     assert rep0.mismatch < 1e-12
-    assert abs(rep0.linear_term) < 1e-12
+    assert abs(rep_p.rhs - rep_m.rhs) < 1e-12
 
 
 def test_rotated_energy_identity_complex(ctx3, gs3):

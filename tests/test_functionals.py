@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hartreelab import (build_grid, functionals, hardy_ratio, lv_value,
+from hartreelab import (build_grid, build_plan, functionals, hardy_ratio, lv_value,
                         make_params, rearrange_decreasing, rescale)
 from hartreelab.cli import _random_fields
-from hartreelab.grid import radial_derivative
+from hartreelab.grid import class_weights, radial_derivative
 
 
 
@@ -119,12 +119,12 @@ def test_rescale_converges_to_closed_form():
 
 def test_rescale_escape_error(ctx3):
     # [TRIVIAL] spreading the field past r_max must raise, as must a scale
-    # or an amplitude that is not positive
+    # or an amplitude that is not positive and finite
     g = ctx3.grid
     u = np.exp(-(g.r - 0.8 * g.r_max)**2)
     with pytest.raises(ValueError, match="escapes"):
         rescale(u, g, 0.0, 1.0, 0.3)
-    for mu, nu_s in ((0.0, 1.0), (1.0, -1.0)):
+    for mu, nu_s in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (math.inf, 1.0)):
         with pytest.raises(ValueError, match="must be positive"):
             rescale(u, g, 0.0, mu, nu_s)
 
@@ -148,6 +148,21 @@ def test_hardy_rescale_invariant(ctx3):
     r1 = hardy_ratio(u, ctx3.plan)
     r2 = hardy_ratio(rescale(u, g, ctx3.params.rho, 2.0, 1.1), ctx3.plan)
     assert r2 == pytest.approx(r1, rel=1e-3)   # cubic-interpolation tolerance
+
+
+def test_hardy_ratio_stable_in_n():
+    # [DERIVED] near the lower bound of a, at (3, -0.24), the largest ratio
+    # over verify's seed-0 fields agrees at n = 256 and 1024 within 2e-5:
+    # both integrands are r^{d-3-2 rho} * smooth, the class of their weights
+    p = make_params(3, -0.24)
+    largest = []
+    for n in (256, 1024):
+        g = build_grid(3, n, 12.0)
+        plan = build_plan(p, g)
+        fields = _random_fields(p, g, np.random.default_rng(0), 50)
+        largest.append(max(hardy_ratio(u, plan) for u in fields))
+    assert largest[1] == pytest.approx(largest[0], rel=2e-5)
+    assert largest[1] <= 4.0
 
 
 def test_rearrange_already_decreasing(ctx3):
@@ -190,6 +205,7 @@ def test_rearrange_monotonicity_properties(ctx3):
     # [PAPER] M(u*) = M(u); gradient down; L_V up; Hardy term up; J(u*) <= J(u)
     rng = np.random.default_rng(5)
     g, rho = ctx3.grid, ctx3.params.rho
+    w_inv2 = class_weights(g, g.d - 3, 0)
     for u in _random_fields(ctx3.params, ctx3.grid, rng, 10):
         v = rearrange_decreasing(u, g)
         M_u = float(np.sum(g.w * np.abs(u)**2))
@@ -199,8 +215,8 @@ def test_rearrange_monotonicity_properties(ctx3):
         g_v = float(np.sum(g.w * np.abs(radial_derivative(g, rho, v))**2))
         assert g_v <= g_u * (1 + 1e-9)
         assert lv_value(ctx3.km, v) >= lv_value(ctx3.km, np.abs(u)) * (1 - 1e-9)
-        h_u = float(np.sum(g.w_inv2 * np.abs(u)**2))
-        h_v = float(np.sum(g.w_inv2 * v**2))
+        h_u = float(np.sum(w_inv2 * np.abs(u)**2))
+        h_v = float(np.sum(w_inv2 * v**2))
         assert h_v >= h_u * (1 - 1e-9)
         q_u = functionals(np.abs(u), ctx3.plan, ctx3.km)
         q_v = functionals(v, ctx3.plan, ctx3.km)

@@ -6,8 +6,8 @@ import pytest
 
 from hartreelab import build_grid, make_params
 from hartreelab.grid import (BOUNDARY_CELLS, BOUNDARY_STENCIL, STENCIL, TAIL_CELLS,
-                             _centred, boundary_mass_fraction, dilate,
-                             radial_derivative)
+                             _centred, boundary_mass_fraction, class_weights,
+                             dilate, radial_derivative)
 
 
 @pytest.mark.parametrize("d,n,r_max", [(3, 64, 5.0), (4, 128, 10.0), (5, 100, 7.0)])
@@ -45,6 +45,18 @@ def test_singular_class_accuracy():
     assert val == pytest.approx(exact, rel=2e-6)   # observed ~7e-7 at n=512
 
 
+@pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5), (4, -0.9)])
+def test_class_weights_on_the_singular_class(d, a):
+    # [DERIVED] the weights of class_weights(grid, d - 3 - 2 rho, rho) are
+    # exact for r^{-2 rho} * polynomial: int r^{-2 rho} e^{-r^2} r^{d-3} dr =
+    # Gamma((d - 2 - 2 rho)/2) / 2 within 2e-12 at n = 512, where the plain
+    # r^{d-3} rule converges only at order d - 2 - 2 rho
+    rho = make_params(d, a).rho
+    g = build_grid(d, 512, 12.0)
+    val = np.sum(class_weights(g, d - 3 - 2 * rho, rho) * g.r**(-2 * rho) * np.exp(-g.r**2))
+    assert val == pytest.approx(math.gamma((d - 2 - 2 * rho) / 2) / 2, rel=2e-12)
+
+
 def test_nodes_positive_increasing():
     # [TRIVIAL] node positivity and monotonicity
     for n in (16, 64, 256):
@@ -74,9 +86,10 @@ def test_weights_positive_in_every_dimension(d):
 
 
 def test_inv2_weights():
-    # [DERIVED] the r^{d-3} companion rule: int_0^R r^2 * r^{d-3} dr = R^d/d
+    # [DERIVED] the r^{d-3} class rule: int_0^R r^2 * r^{d-3} dr = R^d/d
     g = build_grid(5, 128, 4.0)
-    assert float(np.sum(g.w_inv2 * g.r**2)) == pytest.approx(4.0**5 / 5, rel=1e-10)
+    w_inv2 = class_weights(g, g.d - 3, 0)
+    assert float(np.sum(w_inv2 * g.r**2)) == pytest.approx(4.0**5 / 5, rel=1e-10)
 
 
 def test_degenerate_parameters_rejected():
@@ -164,16 +177,17 @@ def test_stencil_inverses_built_once_match_per_build(n):
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_weights_match_exact_rational_rule(d):
-    # [DERIVED] both rules are the interpolatory rule to round-off: against
-    # the same rule in exact rational arithmetic (n = 512, r_max = 12, so h
-    # is a dyadic rational), max-norm relative error of w <= 4e-15 and
-    # per-node relative error of w and w_inv2 <= 1e-14
+    # [DERIVED] w and the r^{d-3} class rule are the interpolatory rule to
+    # round-off: against the same rule in exact rational arithmetic (n = 512,
+    # r_max = 12, so h is a dyadic rational), max-norm relative error of
+    # w <= 4e-15 and per-node relative error of both <= 1e-14
     g = build_grid(d, 512, 12.0)
     exact = _exact_weights(d - 1, 512, 12.0)
     assert np.max(np.abs(g.w - exact)) / np.max(exact) <= 4e-15
     assert np.max(np.abs(g.w - exact) / np.abs(exact)) <= 1e-14
     exact_inv2 = _exact_weights(d - 3, 512, 12.0)
-    assert np.max(np.abs(g.w_inv2 - exact_inv2) / np.abs(exact_inv2)) <= 1e-14
+    w_inv2 = class_weights(g, d - 3, 0)
+    assert np.max(np.abs(w_inv2 - exact_inv2) / np.abs(exact_inv2)) <= 1e-14
 
 
 def test_radial_derivative(ctx3_free):

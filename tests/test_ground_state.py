@@ -11,7 +11,7 @@ from hartreelab import (build_plan, el_residual, functionals, gn_audit,
                         solve_ground_state)
 from hartreelab import ground_state, transform
 from hartreelab.cli import _random_fields
-from hartreelab.grid import boundary_mass_fraction, radial_derivative
+from hartreelab.grid import boundary_mass_fraction, class_weights, radial_derivative
 from hartreelab.ground_state import GroundStateError, GroundStateOptions
 from hartreelab.profiles import gaussian_profile, shell_profile
 
@@ -207,6 +207,22 @@ def test_scaling_anomaly_is_the_wall_term():
     assert 6.8e-6 < res.pohozaev_wall < 7.0e-6
     anomaly = 4 * (res.nu_final - 1)
     assert abs(anomaly + 2 * res.pohozaev_wall) <= 0.1 * 2 * res.pohozaev_wall, anomaly
+
+
+@pytest.mark.parametrize("d,a,r_max,bound", [(3, -0.1, 12.0, 2e-5), (4, -0.5, 14.0, 5e-6)])
+def test_hellmann_feynman_identity(d, a, r_max, bound):
+    # [PAPER] J depends on a only through dH/da = (1/2) int |u|^2/|x|^2 and
+    # M_gs = min J, so dM_gs/da = (M/L_V) (1/2) int Q^2/|x|^2 at the returned
+    # Q; a central difference of m_gs (eps = 1e-4, n = 256) against the right
+    # side, whose integral takes the weights of Q^2's own class
+    eps = 1e-4
+    m_plus, m_minus = (solve_ground_state(c.params, c.grid, c.plan, c.km).m_gs
+                       for c in (Ctx(d, a + s, 256, r_max) for s in (eps, -eps)))
+    c = Ctx(d, a, 256, r_max)
+    Q = solve_ground_state(c.params, c.grid, c.plan, c.km).Q
+    q, rho = functionals(Q, c.plan, c.km), c.params.rho
+    inv2 = c.km.omega * float(np.sum(class_weights(c.grid, d - 3 - 2 * rho, rho) * Q**2))
+    assert (m_plus - m_minus) / (2 * eps) == pytest.approx(q.M / q.L_V * inv2 / 2, rel=bound)
 
 
 def test_solve_evaluates_no_bessel_function(monkeypatch, ctx3):

@@ -425,9 +425,10 @@ def test_gamma_p_matches_scipy():
 @pytest.mark.parametrize("d,a", [(3, -0.1), (5, -0.5)])
 def test_corrected_build_peak_memory(d, a):
     # [TRIVIAL] the rows and the correction work through blocks of rows: the
-    # traced peak of a corrected n = 512 build stays at the few n x n
-    # matrices the form needs (10.2 MiB), which an unchunked pass over all
-    # nodes (or, for d >= 4, all rows' Gauss-Legendre points) would exceed
+    # traced peak of a corrected n = 512 build stays within 5.5 n x n arrays,
+    # the few matrices the form needs, which an unchunked pass over all
+    # nodes (or, for d >= 4, all rows' Gauss-Legendre points) would exceed;
+    # README's hartree row has the measured d = 3 peak
     g, p = build_grid(d, 512, 12.0), make_params(d, a)
     build_kernel(g, p)
     tracemalloc.start()
@@ -442,10 +443,8 @@ def test_corrected_build_peak_memory(d, a):
 def test_d3_build_works_in_the_kernel_buffer():
     # [TRIVIAL] the d = 3 build forms its edge-column moments in blocks of
     # rows and weights, symmetrizes, corrects and divides Kw in its own
-    # buffer: the traced peak of a corrected n = 512 build stays at two
-    # n x n arrays (3.6 MiB), where the edge moments of all rows at once
-    # reached 5.4 MiB, and forming S = w Kw, its symmetric part and the
-    # quotient as new arrays 8 MiB
+    # buffer: the traced peak of a corrected n = 512 build stays within two
+    # n x n arrays; README's hartree row has the measured peak
     n = 512
     g, p = build_grid(3, n, 12.0), make_params(3, -0.1)
     build_kernel(g, p)

@@ -14,7 +14,7 @@ def _tool(name):
     return module
 
 
-equivalence, artifacts = _tool("equivalence"), _tool("artifacts")
+equivalence, artifacts, src_lines = map(_tool, ("equivalence", "artifacts", "src_lines"))
 
 SOLVE = {"m_gs": 1.0, "residual": 1e-6, "floor": 1e-12, "iterations": 6, "q_sha256": "0" * 64}
 RAISE = {"error": "residual above residual_tol"}
@@ -133,3 +133,39 @@ def test_artifacts_compare(tmp_path):
         (gs.format(2.5) + "0.5 1.0\n1.0 0.4\n").encode()) == [
         "M_gs: max rel diff 2.0e-01 at row 1 (OLD 2.0 NEW 2.5)",
         "Q: max rel diff 2.0e-01 at row 2 (OLD 0.5 NEW 0.4)"]
+
+
+SYNTHETIC = '''"""Module docstring,
+
+over three lines."""
+
+import math  # a trailing comment leaves a code line
+
+# a comment line
+TEXT = """a string that is assigned
+is code"""
+
+
+def f(x):
+    """One-line docstring."""
+
+    "a bare string is a string statement"
+    return (x +
+            1)
+'''
+
+
+def test_src_lines_counts_by_kind(tmp_path, capsys):
+    # [TRIVIAL] each line counts once: a string statement's lines are
+    # docstring, a line holding only a comment is comment, a line with no
+    # token is blank (inside a docstring it stays docstring), all else code
+    assert src_lines.count_source(SYNTHETIC) == {"code": 6, "docstring": 5, "comment": 1,
+                                                 "blank": 5}
+    for tree, extra in (("old", ""), ("new", "x = 1\n")):
+        (tmp_path / tree / "hartreelab").mkdir(parents=True)
+        (tmp_path / tree / "hartreelab" / "m.py").write_text(SYNTHETIC + extra)
+    assert src_lines.main(["src_lines.py", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "OLD             6          5          1          5         17",
+        "NEW             7          5          1          5         18",
+        "net            +1         +0         +0         +0         +1"]

@@ -300,8 +300,8 @@ def test_plan_matches_jv_plan(d, a, monkeypatch):
 def test_plan_build_peak_memory():
     # [TRIVIAL] the collocation matrix is evaluated in blocks of rows and Q
     # is formed in the raw QR's own buffer: the traced peak of an n = 512
-    # build stays at the three n x n arrays of the raw QR (5.5 MiB), where
-    # numpy's reduced QR, with its Q and R, reached 8.3 MiB
+    # build stays within the three n x n arrays of the raw QR (B, numpy's
+    # copy and LAPACK's); README's transform row has the measured peak
     n = 512
     p, g = make_params(3, -0.1), build_grid(3, n, 12.0)
     build_plan(p, g)
