@@ -19,9 +19,10 @@ header row, '.' decimal); the run metadata lives in ``summary.json`` alone.
 Identical config + seed produce bit-identical CSV/JSON outputs at a fixed
 OpenBLAS thread count: floats are serialized with shortest-roundtrip repr and
 JSON keys are sorted.  The thread count must be fixed because OpenBLAS can
-round differently at another: at some n (255, 257, 300, 511 and 513 among
-them) the raw QR of `transform.build_plan` gives other bytes at 1 and 2
-threads, and so does every artifact built on its modes.  A failed run also
+round differently at another: at some n (500, 513, 520 and 1000 among them)
+the projections of `transform._orthonormalize` give the modes other bytes
+at 1 and 2 threads from the second panel on, and so does every artifact
+built on them.  A failed run also
 writes ``traceback.txt``, whose source paths and line numbers put it outside
 that contract.
 """
@@ -503,7 +504,7 @@ def _scenario_verify(cfg, out_dir):
         u * math.sqrt(m_gs / functionals(u, plan, km).M), theta, 0.3, plan, km,
         m_gs=m_gs, theta_prime=theta_prime) for u in cplx_fields]
     violations = {
-        "hardy": sum(hardy_ratio(u, plan) > hardy_bound * (1 + 1e-9) for u in real_fields),
+        "hardy": int(np.sum(hardy_ratio(np.array(real_fields), plan) > hardy_bound * (1 + 1e-9))),
         "gn": gn_audit(real_fields + moduli, m_gs, plan, km),
         "rearrangement": sum(map(rearrangement_fails, real_fields)),
         "hls": sum(hls_fails(u**2, g**2) for u, g in zip(real_fields, moduli)),

@@ -80,17 +80,18 @@ def rescale(u: np.ndarray, grid: RadialGrid, rho: float, mu: float,
     return out
 
 
-def hardy_ratio(u: np.ndarray, plan: TransformPlan) -> float:
+def hardy_ratio(u: np.ndarray, plan: TransformPlan) -> float | np.ndarray:
     """(int |u|^2/|x|^2) / (int |grad u|^2) <= (2/(d-2))^2 (Hardy).  Under the r^{-rho}
-    envelope |u|^2 and r^2 |u'|^2 are both r^{d-3-2 rho} * smooth: one W sums both."""
+    envelope |u|^2 and r^2 |u'|^2 are both r^{d-3-2 rho} * smooth: one W sums both.
+    A stack of fields on a leading axis gives one ratio per field, from one W."""
     u = _check_finite(u)
     g, rho = plan.grid, plan.params.rho
-    du = radial_derivative(g, rho, u)
     W = class_weights(g, g.d - 3 - 2 * rho, rho)
-    grad2 = float(np.sum(W * g.r**2 * np.abs(du)**2))
-    if grad2 == 0.0 or not np.any(u):
+    grad2 = np.sum(W * g.r**2 * np.abs(radial_derivative(g, rho, u))**2, axis=-1)
+    if np.any(grad2 == 0.0) or not np.all(np.any(u, axis=-1)):
         raise ValueError("hardy_ratio requires a nonzero field with finite gradient")
-    return float(np.sum(W * np.abs(u)**2)) / grad2
+    ratio = np.sum(W * np.abs(u)**2, axis=-1) / grad2
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def rearrange_decreasing(u: np.ndarray, grid: RadialGrid) -> np.ndarray:

@@ -195,8 +195,9 @@ def dilate(grid: RadialGrid, rho: float, u: np.ndarray, nu_s: float) -> np.ndarr
 
 def radial_derivative(grid: RadialGrid, rho: float, u: np.ndarray) -> np.ndarray:
     """d/dr of u = r^{-rho} g: r^{-rho} (g' - rho g / r), with g' of the
-    regular part g = r^rho u at each node from its cell stencil."""
+    regular part g = r^rho u at each node from its cell stencil.  Stacked fields
+    (nodes last) keep their own bits: `np.take` keeps each one's values contiguous."""
     g = grid.r**rho * u
     nodes = grid.stencil_start[:, None] + np.arange(STENCIL)
-    dg = np.sum(grid.stencil_inv[:, :, 1] * g[nodes], axis=1) / grid.h
+    dg = np.sum(grid.stencil_inv[:, :, 1] * np.take(g, nodes, axis=-1), axis=-1) / grid.h
     return grid.r**(-rho) * (dg - rho * g / grid.r)

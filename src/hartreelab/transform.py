@@ -10,7 +10,7 @@ exact eigenfunctions: L_a phi_m = k_m^2 phi_m.
 
 The discrete modes psi_m are the phi_m orthonormalized in the quadrature
 inner product <u, v>_w = sum_j w_j conj(u_j) v_j of the grid's positive
-weights w (the metric of `M` and `H`) by a Householder QR of the samples
+weights w (the metric of `M` and `H`) by the QR factorization of the samples
 sqrt(w_j) phi_m(r_j) (Gram-Schmidt order: low modes are perturbed least).
 The plan keeps one n x n matrix, the mode samples Psi; the forward
 transform is c = Psi^T (w u), the weights applied to the field rather than
@@ -23,8 +23,9 @@ than merely to quadrature accuracy:
   - L_a is self-adjoint and positive (eigenvalues exactly k_m^2 > 0),
   - the evolution's linear flow c_m -> e^{i k_m^2 t} c_m is unitary, so it
     conserves the discrete mass and the discrete H per step (the round-off
-    left in Psi^T W Psi - I, a few times less from QR than from Cholesky of
-    the Gram matrix, biases the mass alike in every step).
+    left in Psi^T W Psi - I biases the mass alike in every step, through the
+    mean of its diagonal; `tools/equivalence.py` prints that mean and the
+    largest entry).
 
 Psi is real.  It acts on a complex field as one real two-column product on
 its (re, im) pairs, never by upcasting the n x n matrix to complex; real
@@ -38,16 +39,16 @@ apply_La keeps spectral accuracy: the orthonormalization correction acts at
 the quadrature-error level of mode products and vanishes under grid
 refinement.  The plan keeps neither the collocation matrix B = J_nu(k_m r_j)
 nor the QR triangle R: the modes and the k_m are all that the package
-applies.  numpy's raw QR (LAPACK's geqrf) leaves the Householder reflectors
-and R in one C-ordered n x n array, and `_form_q` overwrites it with Q by
-compact-WY blocks.  The build thus holds at most the raw QR's three n x n
-arrays (B, numpy's copy of it, and the Fortran-ordered copy LAPACK works
-in, which tracemalloc does not see), then Psi alone; `_collocation` holds
-the `_hankel` temporaries of _BLOCK rows at a time.
-`test_plan_build_peak_memory` bounds the traced peak by three n x n arrays,
-and `tools/peak_memory.py` prints it.  Q differs from the reduced QR's,
-which LAPACK's dorgqr forms from the same reflectors, by round-off:
-`test_plan_q_matches_numpy_qr` bounds it by 1e-14.
+applies.  `_orthonormalize` overwrites the weighted B with Q by block
+Gram-Schmidt in matrix products on every BLAS thread, with numpy's
+Householder QR for a panel where Cholesky QR would fail or lose
+orthonormality (the ill-conditioned samples of large d).  Psi stays
+C-ordered, the layout the transforms' products read.  The build holds one
+n x n array, B and then Psi, beside n x _PANEL and `_collocation`'s
+_BLOCK-row temporaries: `test_plan_build_peak_memory` bounds the traced
+peak by two n x n arrays, and `tools/peak_memory.py` prints it.  Q is numpy's
+Householder Q to round-off (`test_plan_q_matches_numpy_qr`: 1e-14), and
+`test_plan_orthonormal_on_ill_conditioned_samples` covers the fallback.
 
 Dilating and differentiating a field is the grid's job (`grid.dilate`,
 `grid.radial_derivative`), which needs no Bessel function.
@@ -66,6 +67,7 @@ by 4e-15 below it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -114,9 +116,8 @@ _BLOCK = 64
 _MILLER_MARGIN = 40
 #: |J| past which Miller's recurrence rescales an argument's values
 _MILLER_BIG = 1e150
-#: reflectors per compact-WY block of `_form_q`, and rows per chunk of its
-#: trailing update
-_QR_BLOCK, _QR_ROWS = 64, 128
+#: columns per panel of `_orthonormalize`
+_PANEL = 64
 
 
 def _hankel_terms(nu: float) -> int:
@@ -287,61 +288,56 @@ class TransformPlan:
 def build_plan(params: ModelParams, grid: RadialGrid) -> TransformPlan:
     """The modes Psi and nodes k of L_a on the grid.
 
-    Psi = Q sign(diag R) / sqrt(w), from the raw Householder QR of
-    B = sqrt(w) J_nu(k_m r) / r^{(d-2)/2}.  B is freed after the QR, and Q
-    is formed in the QR's own buffer (`_form_q`), which the plan keeps as
-    Psi: the build peaks at three n x n arrays and the plan holds one.
+    Psi = Q / sqrt(w), with Q of B = Q R, R's diagonal positive, for
+    B = sqrt(w) J_nu(k_m r) / r^{(d-2)/2}.  `_orthonormalize` overwrites B
+    with Q, and the plan keeps that one n x n array as Psi.
     """
     if params.d != grid.d:
         raise ValueError(f"params dimension {params.d} != grid dimension {grid.d}")
     nu = params.nu
     k = bessel_zeros(nu, grid.n) / grid.r_max
-    B = _collocation(nu, k, grid.r)
+    Psi = _collocation(nu, k, grid.r)
     sw = np.sqrt(grid.w)
-    B *= sw[:, None]
-    B /= grid.r[:, None]**((params.d - 2) / 2)
-    h, tau = np.linalg.qr(B, mode="raw")
-    del B
-    Psi = h.T                         # C-ordered: R above the diagonal, reflectors below
-    sign = np.sign(np.diagonal(Psi))  # flip to the R with positive diagonal
-    _form_q(Psi, tau)
-    Psi *= sign
+    Psi *= sw[:, None]
+    Psi /= grid.r[:, None]**((params.d - 2) / 2)
+    _orthonormalize(Psi)
     Psi /= sw[:, None]
     return TransformPlan(params=params, grid=grid, k=k, Psi=Psi)
 
 
-def _form_q(a: np.ndarray, tau: np.ndarray) -> None:
-    """Overwrite a, the Householder vectors below the diagonal of a square
-    raw QR with R on and above it, with Q = H_0 H_1 ... H_{n-1}.
+def _orthonormalize(B: np.ndarray) -> None:
+    """Overwrite the columns of B with the Q of B = Q R, R's diagonal positive.
 
-    The reflectors go in blocks of _QR_BLOCK columns from the last block
-    back.  Block [j0, j1) is H_j0 ... H_{j1-1} = I - V T V^T (compact WY;
-    Schreiber and Van Loan 1989), with V its unit lower-trapezoidal vectors
-    and T upper triangular by LAPACK's forward recurrence, in which a tau of
-    0 (the last column's) gives a zero column.  It multiplies the columns
-    past j1 that the later blocks formed, whose rows above j1 are zero, in
-    _QR_ROWS-row chunks, and turns its own identity columns into
-    I - V T V_top^T; then R's entries above the block are zeroed.  The
-    temporaries are a few n x _QR_BLOCK and _QR_ROWS x n arrays.
+    Reorthogonalized block classical Gram-Schmidt (Barlow and Smoktunowicz,
+    Numer. Math. 123 (2013) 395) on panels of _PANEL columns, each in a
+    contiguous copy (the products read it faster than B's strided columns).
+    A round projects the panel P off the finished columns Q, P -= Q (Q^T P),
+    and takes the Cholesky QR of P: P L^{-T}, with P^T P = G = L L^T.  The
+    panel is done after a round past the first whose G lies within 1/2 of I
+    (Frobenius norm): one Cholesky QR then leaves P orthonormal to round-off.
+    A round takes numpy's Householder QR of P where G has no Cholesky factor,
+    or past the first round where G is not within 1/2 of I.  Every factor's
+    diagonal is positive, so Q is the QR's Q.
     """
-    n = len(a)
-    for j0 in reversed(range(0, n, _QR_BLOCK)):
-        j1 = min(j0 + _QR_BLOCK, n)
-        nb = j1 - j0
-        V = np.tril(a[j0:, j0:j1], -1)
-        np.fill_diagonal(V, 1.0)
-        VtV = V.T @ V
-        T = np.zeros((nb, nb))
-        for i in range(nb):
-            T[:i, i] = -tau[j0 + i] * (T[:i, :i] @ VtV[:i, i])
-            T[i, i] = tau[j0 + i]
-        if j1 < n:
-            TW = T @ (V[nb:].T @ a[j1:, j1:])
-            for r0 in range(j0, n, _QR_ROWS):
-                a[r0:r0 + _QR_ROWS, j1:] -= V[r0 - j0:r0 - j0 + _QR_ROWS] @ TW
-        a[j0:, j0:j1] = V @ (-T @ V[:nb].T)
-        a[j0:j1, j0:j1] += np.eye(nb)
-        a[:j0, j0:j1] = 0.0
+    for j0 in range(0, B.shape[1], _PANEL):
+        Q = B[:, :j0]
+        P = np.ascontiguousarray(B[:, j0:j0 + _PANEL])
+        for rounds in itertools.count(1):
+            P -= Q @ (Q.T @ P)
+            G = P.T @ P
+            done = rounds > 1 and np.linalg.norm(G - np.eye(len(G))) <= 0.5
+            try:
+                L = np.linalg.cholesky(G) if rounds == 1 or done else None
+            except np.linalg.LinAlgError:       # G is not positive definite
+                L = None
+            if L is not None:
+                P = P @ np.linalg.inv(L).T
+            else:
+                Qp, R = np.linalg.qr(P)
+                P = Qp * np.copysign(1.0, np.diag(R))
+            if done:
+                break
+        B[:, j0:j0 + _PANEL] = P
 
 
 def _check(plan: TransformPlan, v: np.ndarray) -> np.ndarray:

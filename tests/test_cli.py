@@ -156,6 +156,24 @@ def test_verify_counts_each_violation(tmp_path, monkeypatch, name, count, spoil)
     assert sum(not ok for ok in summary["checks"].values()) == 1
 
 
+def test_verify_forms_the_hardy_weights_once(tmp_path, monkeypatch):
+    # [TRIVIAL] a verify run forms each measure once: the grid's weights in
+    # build_grid, and the Hardy ratio's weights in one call for all its real
+    # fields, not once per field.  The package's `functionals` function
+    # shadows the submodule's attribute, so the module comes from sys.modules
+    calls, class_weights = [], sys.modules["hartreelab.grid"].class_weights
+
+    def counted(*args):
+        calls.append(args[1:])
+        return class_weights(*args)
+
+    for module in ("hartreelab.grid", "hartreelab.functionals"):
+        monkeypatch.setattr(sys.modules[module], "class_weights", counted)
+    text = "grid.n = 128\nscenario = verify\nverify.fields = 4\nseed = 0\n"
+    assert run_scenario(parse_config(text), str(tmp_path / "v"))["pass"] is True
+    assert len(calls) == 2, calls
+
+
 def test_default_sweep_runs_serially():
     # [TRIVIAL] a sweep config that names no worker count runs its sub-runs
     # one at a time: the default is the constant 1, which the config hash sees

@@ -165,6 +165,17 @@ def test_hardy_ratio_stable_in_n():
     assert largest[1] <= 4.0
 
 
+def test_hardy_ratio_of_a_stack(ctx3):
+    # [TRIVIAL] a stack of fields gives each field's own ratio, bit for bit,
+    # and a zero field anywhere in the stack is rejected
+    fields = _random_fields(ctx3.params, ctx3.grid, np.random.default_rng(1), 5)
+    ratios = hardy_ratio(np.array(fields), ctx3.plan)
+    assert ratios.shape == (5,)
+    assert [float(x) for x in ratios] == [hardy_ratio(u, ctx3.plan) for u in fields]
+    with pytest.raises(ValueError):
+        hardy_ratio(np.array(fields[:2] + [np.zeros(ctx3.grid.n)]), ctx3.plan)
+
+
 def test_rearrange_already_decreasing(ctx3):
     # [TRIVIAL] non-increasing |u| is (numerically) a fixed point
     g = ctx3.grid

@@ -77,6 +77,17 @@ def test_la_floor_reads_the_plan():
     assert equivalence.la_floor(plan) == 9 * np.finfo(float).eps
 
 
+def test_orthonormality_reads_the_weighted_defect():
+    # [TRIVIAL] the modes' defect is measured in the grid's weights:
+    # Psi^T W Psi - I = [[0, 1], [1, 1]], so its largest entry is 1 and its
+    # mean diagonal 1/2; orthonormal modes give zeros
+    grid = SimpleNamespace(w=np.array([1.0, 4.0]))
+    for psi, want in (([[1.0, 1.0], [0.0, 0.5]], (1.0, 0.5)),
+                      ([[1.0, 0.0], [0.0, 0.5]], (0.0, 0.0))):
+        plan = SimpleNamespace(Psi=np.array(psi), grid=grid)
+        assert equivalence.orthonormality(plan) == want
+
+
 def test_same_bytes_counts_psi_and_k():
     # [TRIVIAL] a plan counts as bit-identical only if Psi and k both have
     # the same bytes: one ulp in either, or -0.0 for 0.0, breaks it

@@ -298,10 +298,11 @@ def test_plan_matches_jv_plan(d, a, monkeypatch):
 
 
 def test_plan_build_peak_memory():
-    # [TRIVIAL] the collocation matrix is evaluated in blocks of rows and Q
-    # is formed in the raw QR's own buffer: the traced peak of an n = 512
-    # build stays within the three n x n arrays of the raw QR (B, numpy's
-    # copy and LAPACK's); README's transform row has the measured peak
+    # [TRIVIAL] the collocation matrix is evaluated in blocks of rows and
+    # orthonormalized panel by panel in its own buffer, which the plan keeps
+    # as Psi: the traced peak of an n = 512 build stays within two n x n
+    # arrays, B and the Bessel samples' temporaries; README's transform row
+    # has the measured peak
     n = 512
     p, g = make_params(3, -0.1), build_grid(3, n, 12.0)
     build_plan(p, g)
@@ -311,31 +312,67 @@ def test_plan_build_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * n * n * 8, peak / 2**20
+    assert peak <= 2 * n * n * 8, peak / 2**20
+
+
+def _weighted_samples(p, g, k):
+    """B = sqrt(w) J_nu(k_m r) / r^{(d-2)/2}, the matrix the plan orthonormalizes."""
+    B = _collocation(p.nu, k, g.r)
+    B *= np.sqrt(g.w)[:, None]
+    B /= g.r[:, None]**((p.d - 2) / 2)
+    return B
+
+
+def _orthonormality_defect(plan):
+    """max |Psi^T W Psi - I|."""
+    return np.max(np.abs((plan.Psi.T * plan.grid.w) @ plan.Psi - np.eye(plan.grid.n)))
+
+
+def _numpy_q(B):
+    """Q of np.linalg.qr(B), kept here as the reference, with the signs of
+    R's diagonal made positive."""
+    Q, R = np.linalg.qr(B)
+    return Q * np.sign(np.diag(R))
 
 
 @pytest.mark.parametrize("n", [16, 63, 64, 65, 257, 512])
 @pytest.mark.parametrize("d,a", [(3, -0.1), (4, -0.5), (10, -4.0)])
 def test_plan_q_matches_numpy_qr(d, a, n):
-    # [DERIVED] Q formed in place from the reflectors by compact-WY blocks
-    # (one block, exact blocks, a remainder block, tau = 0 in the last
-    # column) matches the Q of np.linalg.qr, kept here as the reference,
-    # with the signs of R's diagonal flipped alike: within 1e-14, and the
-    # modes orthonormal in the weights as closely as that Q is orthonormal,
-    # to 6 eps: over d = 3, 4, 10 and n = 200, 209, ..., 326 the excess
-    # ranged over -2.5 .. 3 eps at one and two BLAS threads
+    # [DERIVED] the panels of the in-place Gram-Schmidt (one partial panel,
+    # one whole panel, a whole panel and one column, whole panels and a
+    # remainder, whole panels alone) give the Q of np.linalg.qr with R's
+    # diagonal positive: within 1e-14, and the modes orthonormal in the
+    # weights as closely as that Q is orthonormal, to 6 eps
     p, g = make_params(d, a), build_grid(d, n, 12.0)
     plan = build_plan(p, g)
-    sw = np.sqrt(g.w)
-    B = _collocation(p.nu, plan.k, g.r)
-    B *= sw[:, None]
-    B /= g.r[:, None]**((d - 2) / 2)
-    Q, R = np.linalg.qr(B)
-    Q *= np.sign(np.diag(R))
-    assert np.max(np.abs(plan.Psi * sw[:, None] - Q)) <= 1e-14
+    Q = _numpy_q(_weighted_samples(p, g, plan.k))
+    assert np.max(np.abs(plan.Psi * np.sqrt(g.w)[:, None] - Q)) <= 1e-14
     defect = np.max(np.abs(Q.T @ Q - np.eye(n)))
-    assert np.max(np.abs((plan.Psi.T * g.w) @ plan.Psi - np.eye(n))) <= \
-        defect + 6 * np.finfo(float).eps
+    assert _orthonormality_defect(plan) <= defect + 6 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("d,n", [(16, 256), (20, 256), (30, 128), (30, 256)])
+def test_plan_orthonormal_on_ill_conditioned_samples(d, n, monkeypatch):
+    # [DERIVED] at large d the weighted samples are ill-conditioned (from
+    # d = 30 on numerically dependent, so only orthonormality is tested):
+    # some panel's Gram matrix has no Cholesky factor, or stays far from I
+    # after one round, and takes the Householder QR; the modes stay
+    # orthonormal in the weights as closely as numpy's Q is, to 6 eps, where
+    # Cholesky QR alone, run twice, loses orthonormality or fails
+    p, g = make_params(d, 0.0), build_grid(d, n, 12.0)
+    householder, qr = [], np.linalg.qr
+
+    def counted(*args, **kwargs):
+        householder.append(args)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    plan = build_plan(p, g)
+    monkeypatch.undo()
+    assert householder
+    Q = _numpy_q(_weighted_samples(p, g, plan.k))
+    defect = np.max(np.abs(Q.T @ Q - np.eye(n)))
+    assert _orthonormality_defect(plan) <= defect + 6 * np.finfo(float).eps
 
 
 def _miller_scanning(nu, x):

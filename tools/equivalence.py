@@ -31,8 +31,11 @@ gated, so that a change of the plan is visible beside its effect on `m_gs`.
 Prints per case the relative difference of S, whether the two S are
 bit-identical (with the first 12 hex digits of each one's sha256), the
 relative difference of Psi, whether Psi and k are both bit-identical (the
-same bytes by sha256) and OLD's `la_floor`; per start `m_gs`, the
-residual, both floors, the iterations, whether the solve is bit-identical
+same bytes by sha256), OLD's `la_floor`, and for OLD and NEW the largest
+entry and the mean diagonal of Psi^T W Psi - I (`orthonormality`; the mean
+diagonal is the bias that the evolution's linear flow carries into the mass
+at every step); per start `m_gs`, the residual, both floors, the
+iterations, whether the solve is bit-identical
 (the same bytes of Q by sha256, the same `m_gs` and residual, or the same
 error) and the wall time of the solve in OLD and in NEW.  The last line
 counts the matching cases and solves and the bit-identical S, plans (Psi
@@ -86,6 +89,13 @@ def la_floor(plan) -> float:
     return float(np.finfo(float).eps * np.max(plan.k**2))
 
 
+def orthonormality(plan) -> tuple[float, float]:
+    """max |Psi^T W Psi - I| and the mean of its diagonal, W the grid's weights."""
+    w = plan.grid.w
+    D = (plan.Psi.T * w) @ plan.Psi - np.eye(len(w))
+    return float(np.max(np.abs(D))), float(np.mean(np.diagonal(D)))
+
+
 def same_bytes(*pairs) -> bool:
     """Whether each (old, new) pair of arrays has the same bytes, by sha256."""
     return all(_sha256(o) == _sha256(w) for o, w in pairs)
@@ -108,7 +118,8 @@ def run_all(src: str, out: str) -> None:
         np.save(os.path.join(out, f"S{k}.npy"), grid.w[:, None] * km.Kw)
         np.save(os.path.join(out, f"Psi{k}.npy"), plan.Psi)
         np.save(os.path.join(out, f"k{k}.npy"), plan.k)
-        row = {"case": [d, a, n, r_max], "la_floor": la_floor(plan)}
+        row = {"case": [d, a, n, r_max], "la_floor": la_floor(plan),
+               "orthonormality": orthonormality(plan)}
         for name, field in STARTS.items():
             start = time.perf_counter()
             try:
@@ -179,6 +190,9 @@ def main(old_src: str, new_src: str) -> int:
             print(f"{tuple(o['case'])!s:<26} S d_rel {ds:.1e} ({bits})  Psi d_rel {dpsi:.1e}"
                   f" ({'Psi and k bit-identical' if plan_bits else 'Psi or k differs'})"
                   f"  la_floor {o['la_floor']:.1e}{'  MISMATCH' if why['S'] else ''}")
+            (dmax_o, bias_o), (dmax_w, bias_w) = o["orthonormality"], w["orthonormality"]
+            print(f"    Psi^T W Psi - I: max {dmax_o:.1e} -> {dmax_w:.1e}, "
+                  f"mean diagonal {bias_o:+.1e} -> {bias_w:+.1e}")
             for name in STARTS:
                 go, gw = o[name], w[name]
                 same = all(go.get(key) == gw.get(key)
